@@ -52,6 +52,26 @@ void validate_instance_tags(const EngineConfig& config,
                                         << " instances");
 }
 
+namespace {
+
+// A vertex's weights are read once per SELECT as a span. This one check
+// bounds every weights[e] index below, since e always indexes adj.
+void check_weights_aligned(std::span<const VertexId> adj,
+                           std::span<const float> weights) {
+  CSAW_CHECK_MSG(weights.empty() || weights.size() == adj.size(),
+                 "edge weights (" << weights.size()
+                                  << ") do not align with adjacency ("
+                                  << adj.size() << ")");
+}
+
+/// Weight of the e-th out-edge given its vertex's weight span (an empty
+/// span means unweighted: every weight reads 1.0).
+float weight_at(std::span<const float> weights, std::size_t e) {
+  return weights.empty() ? 1.0f : weights[e];
+}
+
+}  // namespace
+
 namespace rng_slots {
 std::uint32_t frontier_slot_base(std::uint32_t slot) {
   CSAW_CHECK_MSG(slot <= kMaxFrontierSlot,
@@ -94,6 +114,8 @@ FrontierResult process_frontier_vertex(
       instance.visited.size() > 0 ? &instance.visited : nullptr};
 
   const auto adj = view.neighbors(item.vertex);
+  const auto weights = view.edge_weights(item.vertex);
+  check_weights_aligned(adj, weights);
   std::vector<std::uint32_t> selected;
   if (spec.sample_all_neighbors) {
     // Snowball: the whole neighbor list is the sample; no SELECT.
@@ -107,8 +129,7 @@ FrontierResult process_frontier_vertex(
     bias_scratch.resize(adj.size());
     double total_bias = 0.0;
     for (std::size_t e = 0; e < adj.size(); ++e) {
-      const EdgeRef edge{item.vertex, adj[e],
-                         view.edge_weight(item.vertex, e),
+      const EdgeRef edge{item.vertex, adj[e], weight_at(weights, e),
                          static_cast<EdgeIndex>(e)};
       bias_scratch[e] = policy.eval_edge_bias(view, edge, ctx);
       total_bias += bias_scratch[e];
@@ -139,8 +160,7 @@ FrontierResult process_frontier_vertex(
   const std::uint32_t cap = spec.effective_branching_cap();
   for (std::size_t s = 0; s < selected.size(); ++s) {
     const std::uint32_t e = selected[s];
-    const EdgeRef edge{item.vertex, adj[e],
-                       view.edge_weight(item.vertex, e),
+    const EdgeRef edge{item.vertex, adj[e], weight_at(weights, e),
                        static_cast<EdgeIndex>(e)};
     result.sampled.push_back(Edge{edge.v, edge.u, edge.weight});
 
@@ -534,9 +554,11 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
   std::vector<PoolEdge> pool_edges;
   for (VertexId v : inst.pool) {
     const auto adj = view_->neighbors(v);
+    const auto weights = view_->edge_weights(v);
+    check_weights_aligned(adj, weights);
     warp.charge_global(2 * sizeof(EdgeIndex) + adj.size() * sizeof(VertexId));
     for (std::size_t e = 0; e < adj.size(); ++e) {
-      pool_edges.push_back(PoolEdge{v, adj[e], view_->edge_weight(v, e),
+      pool_edges.push_back(PoolEdge{v, adj[e], weight_at(weights, e),
                                     static_cast<EdgeIndex>(e)});
     }
   }

@@ -13,41 +13,59 @@ namespace csaw {
 /// (whole CSR) and the out-of-memory engine (resident partition plus host
 /// fallback) provide this view, so user code is identical in both — the
 /// paper's API promise that end users never see the execution mode.
+///
+/// One concrete class serves both: a whole-graph view has no partition,
+/// a partition view serves adjacency from its partition. Degrees and the
+/// vertex-id space always come from the whole graph. Accessors are
+/// inline and non-virtual because EDGEBIAS calls them once per neighbor.
 class GraphView {
  public:
-  virtual ~GraphView() = default;
+  /// View over a whole in-memory CSR graph.
+  explicit GraphView(const CsrGraph& graph) noexcept : graph_(&graph) {}
+
+  /// View over one resident partition of `whole` (paper §V-A). Neighbor
+  /// lists and weights are served from the partition's arrays; asking for
+  /// a non-owned vertex's adjacency is a programming error (it is not on
+  /// the device) and throws CheckError.
+  ///
+  /// Degrees of *any* vertex remain available: C-SAW's biases routinely
+  /// need degree(u) for neighbors owned by other partitions, so the
+  /// (compact) per-vertex degree array stays device-resident alongside the
+  /// frontier queues; only the adjacency payload is paged. `has_edge`
+  /// against a non-owned source is likewise answered from the
+  /// host-resident index (needed only by node2vec's dynamic bias).
+  GraphView(const CsrGraph& whole, const GraphPartition& part) noexcept
+      : graph_(&whole), part_(&part) {}
 
   /// Vertex-id space of the whole graph (partitioned views included).
-  virtual VertexId num_vertices() const = 0;
+  VertexId num_vertices() const noexcept { return graph_->num_vertices(); }
   /// Out-degree of v.
-  virtual EdgeIndex degree(VertexId v) const = 0;
+  EdgeIndex degree(VertexId v) const { return graph_->degree(v); }
   /// Sorted neighbors of v.
-  virtual std::span<const VertexId> neighbors(VertexId v) const = 0;
-  /// Weight of the k-th out-edge of v (1.0 when unweighted).
-  virtual float edge_weight(VertexId v, EdgeIndex k) const = 0;
+  std::span<const VertexId> neighbors(VertexId v) const {
+    return part_ != nullptr ? part_->neighbors(v) : graph_->neighbors(v);
+  }
+  /// Weights aligned with neighbors(v); empty when the graph is
+  /// unweighted (every weight reads 1.0).
+  std::span<const float> edge_weights(VertexId v) const {
+    return part_ != nullptr ? part_->edge_weights(v)
+                            : graph_->edge_weights(v);
+  }
   /// O(log degree(v)) membership test (node2vec's distance bias).
-  virtual bool has_edge(VertexId v, VertexId u) const = 0;
-};
-
-/// GraphView over a whole in-memory CSR graph.
-class CsrGraphView final : public GraphView {
- public:
-  explicit CsrGraphView(const CsrGraph& graph) : graph_(&graph) {}
-
-  VertexId num_vertices() const override { return graph_->num_vertices(); }
-  EdgeIndex degree(VertexId v) const override { return graph_->degree(v); }
-  std::span<const VertexId> neighbors(VertexId v) const override {
-    return graph_->neighbors(v);
-  }
-  float edge_weight(VertexId v, EdgeIndex k) const override {
-    return graph_->edge_weight(v, k);
-  }
-  bool has_edge(VertexId v, VertexId u) const override {
+  bool has_edge(VertexId v, VertexId u) const {
+    if (part_ != nullptr && part_->owns(v)) return part_->has_edge(v, u);
     return graph_->has_edge(v, u);
   }
 
  private:
   const CsrGraph* graph_;
+  const GraphPartition* part_ = nullptr;
+};
+
+/// GraphView over a whole in-memory CSR graph.
+class CsrGraphView final : public GraphView {
+ public:
+  explicit CsrGraphView(const CsrGraph& graph) noexcept : GraphView(graph) {}
 };
 
 /// The edge handed to EDGEBIAS / UPDATE (paper Fig. 2(a)): neighbor `u`

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -82,6 +83,16 @@ class WarpContext {
   /// Warp-level inclusive prefix sum (Kogge-Stone over 32-lane chunks),
   /// charging scan rounds and the traffic to read/write the array.
   void scan_inclusive(std::span<float> data);
+
+  /// Charges exactly what `scan_inclusive` charges for an `n`-element
+  /// array, in closed form and without scanning anything: per 32-lane
+  /// chunk, log2(32) = 5 Kogge-Stone rounds plus one carry round, and the
+  /// array streamed in and its prefix streamed out.
+  void charge_scan(std::size_t n) noexcept {
+    constexpr std::uint64_t kRoundsPerChunk = std::countr_zero(kLanes) + 1;
+    stats_->lockstep_rounds += kRoundsPerChunk * ((n + kLanes - 1) / kLanes);
+    stats_->global_bytes += 2 * n * sizeof(float);
+  }
 
   /// Per-lane binary search cost over a CTPS of length `n` for
   /// `active_lanes` lanes (lock-step: everyone pays ceil(log2 n) rounds).

@@ -24,11 +24,6 @@ CsrGraph::CsrGraph(std::vector<EdgeIndex> row_ptr,
   }
 }
 
-EdgeIndex CsrGraph::degree(VertexId v) const {
-  CSAW_CHECK(v < num_vertices());
-  return row_ptr_[v + 1] - row_ptr_[v];
-}
-
 double CsrGraph::average_degree() const noexcept {
   const VertexId n = num_vertices();
   if (n == 0) return 0.0;
@@ -40,26 +35,6 @@ EdgeIndex CsrGraph::max_degree() const noexcept {
   for (VertexId v = 0; v < num_vertices(); ++v)
     best = std::max(best, row_ptr_[v + 1] - row_ptr_[v]);
   return best;
-}
-
-std::span<const VertexId> CsrGraph::neighbors(VertexId v) const {
-  CSAW_CHECK(v < num_vertices());
-  return {col_idx_.data() + row_ptr_[v],
-          static_cast<std::size_t>(row_ptr_[v + 1] - row_ptr_[v])};
-}
-
-std::span<const float> CsrGraph::edge_weights(VertexId v) const {
-  CSAW_CHECK(v < num_vertices());
-  if (weights_.empty()) return {};
-  return {weights_.data() + row_ptr_[v],
-          static_cast<std::size_t>(row_ptr_[v + 1] - row_ptr_[v])};
-}
-
-float CsrGraph::edge_weight(VertexId v, EdgeIndex k) const {
-  CSAW_CHECK(v < num_vertices());
-  CSAW_CHECK(k < degree(v));
-  if (weights_.empty()) return 1.0f;
-  return weights_[row_ptr_[v] + k];
 }
 
 EdgeIndex CsrGraph::edge_begin(VertexId v) const {

@@ -4,6 +4,8 @@
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace csaw {
 
 /// Vertex identifier. 32 bits covers every graph in the paper's Table II
@@ -45,17 +47,33 @@ class CsrGraph {
   }
   bool has_weights() const noexcept { return !weights_.empty(); }
 
-  EdgeIndex degree(VertexId v) const;
+  // The per-vertex accessors are inline: biases call them once per
+  // neighbor on the sampling hot path.
+  EdgeIndex degree(VertexId v) const {
+    CSAW_CHECK(v < num_vertices());
+    return row_ptr_[v + 1] - row_ptr_[v];
+  }
   double average_degree() const noexcept;
   /// Largest out-degree in the graph.
   EdgeIndex max_degree() const noexcept;
 
   /// Neighbors of v, sorted ascending.
-  std::span<const VertexId> neighbors(VertexId v) const;
+  std::span<const VertexId> neighbors(VertexId v) const {
+    const EdgeIndex d = degree(v);
+    return {col_idx_.data() + row_ptr_[v], static_cast<std::size_t>(d)};
+  }
   /// Weights aligned with neighbors(v); empty span if unweighted.
-  std::span<const float> edge_weights(VertexId v) const;
+  std::span<const float> edge_weights(VertexId v) const {
+    const EdgeIndex d = degree(v);
+    if (weights_.empty()) return {};
+    return {weights_.data() + row_ptr_[v], static_cast<std::size_t>(d)};
+  }
   /// Weight of the k-th out-edge of v (1.0 if unweighted).
-  float edge_weight(VertexId v, EdgeIndex k) const;
+  float edge_weight(VertexId v, EdgeIndex k) const {
+    CSAW_CHECK(k < degree(v));
+    if (weights_.empty()) return 1.0f;
+    return weights_[row_ptr_[v] + k];
+  }
 
   /// First edge index of v's adjacency (global CSR offset).
   EdgeIndex edge_begin(VertexId v) const;

@@ -7,40 +7,12 @@
 
 namespace csaw {
 
-/// GraphView over one resident partition (paper §V-A). Neighbor lists are
-/// served from the partition's arrays — touching a non-owned vertex's
-/// adjacency is a programming error (it is not on the device).
-///
-/// Degrees of *any* vertex remain available: C-SAW's biases routinely need
-/// degree(u) for neighbors owned by other partitions, so the (compact)
-/// per-vertex degree array stays device-resident alongside the frontier
-/// queues; only the adjacency payload is paged. `has_edge` against a
-/// non-owned source is likewise answered from the host-resident index
-/// (needed only by node2vec's dynamic bias).
+/// GraphView over one resident partition (paper §V-A); see the
+/// partition constructor of GraphView for what it serves from where.
 class PartitionView final : public GraphView {
  public:
-  PartitionView(const CsrGraph& whole, const GraphPartition& part)
-      : whole_(&whole), part_(&part) {}
-
-  VertexId num_vertices() const override { return whole_->num_vertices(); }
-  EdgeIndex degree(VertexId v) const override { return whole_->degree(v); }
-
-  std::span<const VertexId> neighbors(VertexId v) const override {
-    return part_->neighbors(v);  // CSAW_CHECKs ownership
-  }
-  float edge_weight(VertexId v, EdgeIndex k) const override {
-    return part_->edge_weight(v, k);
-  }
-  bool has_edge(VertexId v, VertexId u) const override {
-    if (part_->owns(v)) return part_->has_edge(v, u);
-    return whole_->has_edge(v, u);
-  }
-
-  const GraphPartition& partition() const noexcept { return *part_; }
-
- private:
-  const CsrGraph* whole_;
-  const GraphPartition* part_;
+  PartitionView(const CsrGraph& whole, const GraphPartition& part) noexcept
+      : GraphView(whole, part) {}
 };
 
 /// The partitioned graph plus its views, built once per OOM run.

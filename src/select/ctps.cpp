@@ -1,36 +1,80 @@
 #include "select/ctps.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
 
 #include "util/check.hpp"
-#include "util/prefix_sum.hpp"
 
 namespace csaw {
+namespace {
+
+// The rejections are out of line so that no call on a failure path keeps
+// the building loop's running sum from living in a register.
+
+/// Names why bias `i` is unusable.
+[[noreturn, gnu::cold, gnu::noinline]] void reject_bias(float bias,
+                                                         std::size_t i) {
+  std::ostringstream os;
+  if (std::isfinite(bias)) {
+    os << "negative bias " << bias << " at candidate " << i;
+  } else {
+    os << "non-finite bias " << bias << " at candidate " << i;
+  }
+  detail::check_fail("bias is finite and non-negative", __FILE__, __LINE__,
+                     os.str());
+}
+
+/// Names why the bias total cannot be normalized into a CTPS.
+[[noreturn, gnu::cold, gnu::noinline]] void reject_total(double total) {
+  std::ostringstream os;
+  if (total <= 0.0) {
+    os << "all candidate biases are zero";
+  } else if (total > std::numeric_limits<float>::max()) {
+    os << "bias prefix sum " << total << " overflows float";
+  } else {
+    os << "bias total " << total << " is too small to normalize in float";
+  }
+  detail::check_fail("bias total is positive and normalizable in float",
+                     __FILE__, __LINE__, os.str());
+}
+
+}  // namespace
 
 void Ctps::build(std::span<const float> biases, sim::WarpContext* warp) {
   CSAW_CHECK_MSG(!biases.empty(), "CTPS over empty candidate pool");
   f_.resize(biases.size() + 1);
   f_[0] = 0.0f;
 
-  positive_ = 0;
+  // Locals, not members, so the running sum and count stay in registers.
+  std::size_t positive = 0;
   double acc = 0.0;
   for (std::size_t i = 0; i < biases.size(); ++i) {
-    CSAW_CHECK_MSG(biases[i] >= 0.0f, "negative bias at candidate " << i);
-    if (biases[i] > 0.0f) ++positive_;
+    // NaN fails both comparisons.
+    if (!(biases[i] >= 0.0f &&
+          biases[i] <= std::numeric_limits<float>::max())) {
+      reject_bias(biases[i], i);
+    }
+    if (biases[i] > 0.0f) ++positive;
     acc += biases[i];
     f_[i + 1] = static_cast<float>(acc);
   }
-  CSAW_CHECK_MSG(acc > 0.0, "all candidate biases are zero");
-
+  positive_ = positive;
+  // The prefix is non-decreasing, so a total that fits in float keeps
+  // every stored prefix finite and F monotone.
   const auto inv = static_cast<float>(1.0 / acc);
+  if (!(acc > 0.0 && acc <= std::numeric_limits<float>::max() &&
+        std::isfinite(inv))) {
+    reject_total(acc);
+  }
   for (std::size_t i = 1; i < f_.size(); ++i) f_[i] *= inv;
   f_.back() = 1.0f;  // guard against rounding drift at the top end
 
   if (warp != nullptr) {
     // The GPU kernel computes the same array with a warp Kogge-Stone scan
     // followed by a normalizing division pass (Fig. 5 lines 6-7).
-    std::vector<float> scratch(biases.begin(), biases.end());
-    warp->scan_inclusive(scratch);
+    warp->charge_scan(biases.size());
     warp->charge_rounds((biases.size() + sim::WarpContext::kLanes - 1) /
                         sim::WarpContext::kLanes);
   }

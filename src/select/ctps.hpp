@@ -16,9 +16,10 @@ class Ctps {
  public:
   Ctps() = default;
 
-  /// Builds the CTPS from `biases` with the warp-level Kogge-Stone scan,
-  /// charging scan rounds and normalization to `warp` when provided.
-  /// Biases must be non-negative with a positive total.
+  /// Builds the CTPS from `biases`, charging the warp-level Kogge-Stone
+  /// scan and normalization to `warp` when provided. Biases must be
+  /// finite and non-negative, with a positive total that fits in float;
+  /// anything else throws CheckError naming the cause.
   void build(std::span<const float> biases, sim::WarpContext* warp = nullptr);
 
   std::size_t size() const noexcept {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/prefix_sum.hpp"
 
 namespace csaw::sim {
@@ -86,6 +88,25 @@ TEST(Warp, ScanMatchesSequentialAndCharges) {
   }
   EXPECT_GT(stats.lockstep_rounds, 0u);
   EXPECT_EQ(stats.global_bytes, 2 * 5 * sizeof(float));
+}
+
+TEST(Warp, ClosedFormScanChargeMatchesTheScan) {
+  for (std::size_t n = 1; n <= 4096; ++n) {
+    KernelStats scanned;
+    KernelStats charged;
+    {
+      WarpContext warp(scanned);
+      std::vector<float> data(n, 1.0f);
+      warp.scan_inclusive(data);
+    }
+    {
+      WarpContext warp(charged);
+      warp.charge_scan(n);
+    }
+    ASSERT_EQ(charged.lockstep_rounds, scanned.lockstep_rounds) << n;
+    ASSERT_EQ(charged.global_bytes, scanned.global_bytes) << n;
+    ASSERT_EQ(charged.max_warp_rounds, scanned.max_warp_rounds) << n;
+  }
 }
 
 TEST(Warp, BinarySearchChargesLockStepRounds) {

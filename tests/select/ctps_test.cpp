@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/check.hpp"
+#include "util/prefix_sum.hpp"
 
 namespace csaw {
 namespace {
@@ -85,6 +91,79 @@ TEST(Ctps, RejectsDegenerateInput) {
   ctps.build(std::vector<float>{1});
   EXPECT_THROW(ctps.locate(1.0), CheckError);
   EXPECT_THROW(ctps.locate(-0.1), CheckError);
+}
+
+TEST(Ctps, RejectsNonFiniteInputNamingTheCause) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float big = std::numeric_limits<float>::max();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const auto message = [](std::vector<float> biases) -> std::string {
+    try {
+      Ctps ctps;
+      ctps.build(biases);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message({1, inf, 1, 1}).find("non-finite bias"),
+            std::string::npos);
+  EXPECT_NE(message({1, -inf}).find("non-finite bias"), std::string::npos);
+  EXPECT_NE(message({1, nan, 1}).find("non-finite bias"), std::string::npos);
+  EXPECT_NE(message({big, big, big}).find("overflows float"),
+            std::string::npos);
+  EXPECT_NE(message({tiny, tiny}).find("too small to normalize"),
+            std::string::npos);
+  EXPECT_NE(message({1, -1}).find("negative bias"), std::string::npos);
+
+  // The largest total that fits still builds a monotone CTPS.
+  Ctps ctps;
+  ctps.build(std::vector<float>{big / 2, big / 2});
+  EXPECT_EQ(ctps.locate(0.25), 0u);
+  EXPECT_EQ(ctps.locate(0.75), 1u);
+  for (std::size_t i = 1; i < ctps.f().size(); ++i) {
+    EXPECT_LE(ctps.f()[i - 1], ctps.f()[i]);
+  }
+}
+
+TEST(Ctps, BuildChargesTheReferenceScan) {
+  // What running the reference Kogge-Stone scan on a copy of the biases,
+  // then the normalizing pass, charges to a warp.
+  const auto scan_on_copy = [](std::span<const float> biases) {
+    sim::KernelStats stats;
+    {
+      sim::WarpContext warp(stats);
+      std::vector<float> copy(biases.begin(), biases.end());
+      const int rounds = kogge_stone_scan(copy, sim::WarpContext::kLanes);
+      warp.charge_rounds(static_cast<std::uint64_t>(rounds));
+      warp.charge_rounds((biases.size() + sim::WarpContext::kLanes - 1) /
+                         sim::WarpContext::kLanes);
+    }
+    stats.global_bytes += 2 * biases.size() * sizeof(float);
+    return stats;
+  };
+  const auto fields = [](const sim::KernelStats& stats) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    sim::visit_kernel_stats(stats, [&](const char* name, std::uint64_t v) {
+      out.emplace_back(name, v);
+    });
+    return out;
+  };
+  for (const std::size_t n : {1, 2, 31, 32, 33, 64, 100, 620, 1000, 4097}) {
+    std::vector<float> biases(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      biases[i] = static_cast<float>((i * 7) % 5);
+    }
+    biases[n / 2] = 1.0f;  // keep the total positive
+    sim::KernelStats built;
+    {
+      sim::WarpContext warp(built);
+      Ctps ctps;
+      ctps.build(biases, &warp);
+    }
+    EXPECT_EQ(fields(built), fields(scan_on_copy(biases))) << n;
+  }
 }
 
 TEST(Ctps, ChargesWarpForScanAndSearch) {

@@ -58,8 +58,6 @@ std::vector<Metric> collect_metrics(const Json& record) {
   // counters (transfers, hits) are recorded but not compared.
   if (const Json* paged = record.find("paged_service")) {
     if (const Json* single = paged->find("single_graph")) {
-      metrics.push_back(Metric{"paged/single_graph/legacy",
-                               single->at("legacy_seps").as_double()});
       metrics.push_back(Metric{"paged/single_graph/cached",
                                single->at("cached_seps").as_double()});
     }

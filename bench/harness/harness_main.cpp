@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   record.set("figure_smoke", std::move(smoke_json));
 
-  std::cout << "-- paged service: demand cache vs global residency plan "
+  std::cout << "-- paged service: demand cache vs barrier waves "
                "(simulated, gated)\n";
   try {
     record.set("paged_service", bench::run_paged_service(env, std::cout));

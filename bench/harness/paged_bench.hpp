@@ -12,13 +12,13 @@ namespace csaw::bench {
 /// sub-cases, both fully simulated and therefore GATED by bench_compare:
 ///
 ///   single_graph — one out-of-memory walk workload (8 partitions, a
-///   6-slot device budget) run twice: the legacy up-front global
-///   residency plan vs the demand-driven partition cache
-///   (SamplerOptions::oom_demand_cache). Sampled bytes are CHECKed
-///   byte-identical and the cached run is CHECKed to improve simulated
-///   SEPS — the subsystem's acceptance criterion, enforced at bench
-///   time. Records both SEPS, transfer counts, cache hit/prefetch
-///   counters and the transfer-overlap share of the cached makespan.
+///   6-slot device budget) run twice: the kStepBarrier waves vs the
+///   demand-driven partition cache of the kPipelined schedule. Sampled
+///   bytes are CHECKed byte-identical and the cached run is CHECKed to
+///   move fewer partitions — the cache's acceptance criterion, enforced
+///   at bench time. Records both SEPS (only the cached one gated),
+///   transfer counts, cache hit/prefetch counters and the
+///   transfer-overlap share of the cached makespan.
 ///
 ///   contention — two paged graphs registered with one csaw::Service on
 ///   a device deliberately too small for either (kExceeds), so each

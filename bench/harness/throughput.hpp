@@ -17,8 +17,8 @@ namespace csaw::bench {
 /// vs serialized dispatch of two independent-graph streams), the
 /// "service_fairness" block (flooding vs light tenant under quota + DRR)
 /// and the service_concurrent figure-smoke case. v5 added the
-/// "paged_service" block: the demand-driven partition cache vs the legacy
-/// global residency plan (single_graph) and two paged graphs contending
+/// "paged_service" block: the demand-driven partition cache vs a
+/// residency baseline (single_graph) and two paged graphs contending
 /// for one undersized device (contention) — all simulated SEPS, gated.
 /// v6 added the telemetry histograms to the "service" block: queue-wait
 /// and host in-flight latency distributions ("histograms", informational
@@ -26,6 +26,10 @@ namespace csaw::bench {
 /// v7 added the "sharded_service" block: one pinned walk workload served
 /// at shard counts {1, 2, 4}, simulated SEPS per count (gated) with
 /// forwarding-cost counters; bytes are CHECKed identical across counts.
+/// Still v7: single_graph's legacy_seps/legacy_transfers/speedup gave way
+/// to barrier_seps/barrier_transfers when the up-front residency plan
+/// they measured was deleted (no kept field changed meaning; the barrier
+/// SEPS is not gated).
 constexpr int kTrajectorySchemaVersion = 7;
 
 /// Runs the throughput trajectory workloads (biased neighbor sampling +

@@ -50,6 +50,9 @@ int main() {
     options.oom_batched = config.batched;
     options.oom_workload_aware = config.workload_aware;
     options.oom_block_balancing = config.balancing;
+    // The toggles are those of the paper's barriered wave scheduler; the
+    // pipelined default pages through the demand cache instead.
+    options.schedule = Schedule::kStepBarrier;
 
     Sampler sampler(graph, setup, options);
     const RunResult run = sampler.run_single_seed(seeds);

@@ -44,8 +44,8 @@ struct OomMetrics {
   /// Number of kernel launches.
   std::size_t kernel_launches = 0;
 
-  // --- Demand-driven partition cache (cached OOM path; all zero on the
-  // legacy global-plan path).
+  // --- Demand-driven partition cache (pipelined OOM path; all zero under
+  // the kStepBarrier waves).
   /// Residency rounds served without a demand transfer (partition already
   /// on device or its prefetch in flight).
   std::size_t cache_hits = 0;

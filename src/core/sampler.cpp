@@ -186,7 +186,6 @@ OomConfig SamplerOptions::oom_config() const {
   config.workload_aware = oom_workload_aware;
   config.block_balancing = oom_block_balancing;
   config.unbatched_gang_size = oom_unbatched_gang_size;
-  config.demand_cache = oom_demand_cache;
   config.transfer_retry_limit = transfer_retry_limit;
   config.transfer_backoff = transfer_backoff;
   config.fault_injector = transfer_faults;
@@ -264,6 +263,7 @@ void Sampler::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
 }
 
 void Sampler::set_partitions(std::shared_ptr<const PartitionedGraph> parts) {
+  if (cache_ != nullptr && cache_->parts_ptr() != parts) cache_.reset();
   parts_ = std::move(parts);
 }
 
@@ -366,7 +366,7 @@ RunResult Sampler::run_out_of_memory(
         *graph_, options_.num_partitions);
   }
   OomEngine engine(*graph_, policy_, spec_, config, parts_);
-  if (config.demand_cache &&
+  if (config.engine.schedule == Schedule::kPipelined &&
       decision_.resolved == ExecutionMode::kOutOfMemory) {
     // Single-device paging shares one persistent cache across runs and
     // batches (warm partitions). Multi-device groups skip this: each

@@ -42,7 +42,7 @@ struct SamplerOptions {
   /// hands offsets to a backend directly.
   std::uint32_t instance_id_offset = 0;
 
-  // --- Device topology (previously MultiDeviceConfig).
+  // --- Device topology.
   /// Devices to spread instances over. kAuto resolves to kMultiDevice
   /// when this exceeds 1.
   std::uint32_t num_devices = 1;
@@ -76,17 +76,8 @@ struct SamplerOptions {
   bool oom_workload_aware = true;
   bool oom_block_balancing = true;
   std::uint32_t oom_unbatched_gang_size = 1024;
-  /// Demand-driven partition cache (src/oom/cache/) instead of the legacy
-  /// up-front residency plan: partitions stay resident across scheduling
-  /// rounds, the scheduler's next pick prefetches behind the computing
-  /// one, and chains cross residency boundaries without barriers. Samples
-  /// are byte-identical either way; transfers and seps() improve.
-  /// Requires the (default) kPipelined schedule. The sampler keeps its
-  /// cache across run_batches chunks, so later batches hit warm
-  /// partitions.
-  bool oom_demand_cache = false;
 
-  // --- Paged-I/O fault tolerance (demand-cache path only).
+  // --- Paged-I/O fault tolerance (kPipelined demand-cache path only).
   /// Total attempts per partition copy (1 = no retry). A copy failing
   /// every attempt throws TransferError out of the run.
   std::uint32_t transfer_retry_limit = 3;
@@ -169,6 +160,11 @@ struct RunControl {
 /// The counter-based RNG makes the choice invisible in the output too:
 /// every mode produces byte-identical per-instance samples (see
 /// tests/core/sampler_test.cpp).
+///
+/// Under the (default) kPipelined schedule a single-device paged Sampler
+/// keeps its partition cache warm across runs and run_batches chunks: a
+/// later run starts with the partitions the previous one left resident,
+/// which changes its transfers and seps(), never its samples.
 class Sampler {
  public:
   Sampler(const CsrGraph& graph, Policy policy, SamplingSpec spec,
@@ -253,15 +249,16 @@ class Sampler {
   /// of building one on first dispatch — the service's graph registry
   /// partitions a graph once and reuses it across every batch. `parts`
   /// must partition this sampler's graph into options().num_partitions
-  /// ranges (checked when the out-of-memory engine consumes it).
+  /// ranges (checked when the out-of-memory engine consumes it). A
+  /// partition cache built over a different partitioning is dropped, so
+  /// the next pipelined run starts cold on the new one.
   void set_partitions(std::shared_ptr<const PartitionedGraph> parts);
 
-  /// Shares a persistent partition cache for the demand-cache OOM path
-  /// (SamplerOptions::oom_demand_cache): the service tier keeps one cache
-  /// per paged graph so partitions stay warm across batches. Implies
-  /// set_partitions with the cache's partitioning. Single-device paging
-  /// only — multi-device groups build private caches (each simulated
-  /// device has its own memory).
+  /// Shares a persistent partition cache for the pipelined OOM path: the
+  /// service tier keeps one cache per paged graph so partitions stay warm
+  /// across batches. Implies set_partitions with the cache's
+  /// partitioning. Single-device paging only — multi-device groups build
+  /// private caches (each simulated device has its own memory).
   void set_partition_cache(std::shared_ptr<PartitionCache> cache);
 
  private:
@@ -308,9 +305,9 @@ class Sampler {
   /// Built lazily on the first out-of-memory dispatch and shared by every
   /// subsequent engine (batched serving partitions once, not per batch).
   std::shared_ptr<const PartitionedGraph> parts_;
-  /// Demand-cache path only: the persistent residency cache shared by
-  /// every single-device OOM engine this sampler runs (set_partition_cache
-  /// or lazily created with resident_partitions slots).
+  /// Pipelined single-device paging only: the persistent residency cache
+  /// shared by every OOM engine this sampler runs (set_partition_cache or
+  /// lazily created with resident_partitions slots).
   std::shared_ptr<PartitionCache> cache_;
   /// The persistent host thread pool shared by every device of this
   /// sampler (and reused across runs/batches). Null while serial.

@@ -82,12 +82,12 @@ struct CacheMetrics {
   std::uint64_t transfer_retries = 0;  ///< copies re-issued after a fault
 };
 
-/// Demand-driven partition cache: the residency layer of the cached OOM
-/// path (ROADMAP item 1). Instead of the legacy up-front residency plan —
-/// which re-transfers every chosen partition every scheduling round — the
-/// cache keeps partitions on the simulated device across rounds, loads
-/// them on demand, prefetches the scheduler's next pick while the current
-/// one computes, and evicts only when capacity forces it.
+/// Demand-driven partition cache: the residency layer of the pipelined OOM
+/// path. Unlike the barrier waves — which re-transfer every chosen
+/// partition every scheduling round — the cache keeps partitions on the
+/// simulated device across rounds, loads them on demand, prefetches the
+/// scheduler's next pick while the current one computes, and evicts only
+/// when capacity forces it.
 ///
 /// Not thread-safe: a cache belongs to one engine run at a time. The
 /// service tier shares one cache per paged graph across batches, which is
@@ -132,7 +132,7 @@ class PartitionCache {
   /// kernel over p may start. `pending` (per-partition frontier entry
   /// counts) steers victim selection away from partitions with queued
   /// walkers; `oom` (optional) receives the transfer accounting the
-  /// legacy path records inline.
+  /// barrier waves record inline.
   double acquire(std::uint32_t p, sim::Device& device,
                  std::span<const std::size_t> pending,
                  OomMetrics* oom = nullptr);

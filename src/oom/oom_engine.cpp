@@ -104,11 +104,11 @@ OomRun OomEngine::run(sim::Device& device,
   device.set_num_threads(config_.engine.num_threads);
   ensure_workers(device.max_workers());
 
+  // The pipelined schedule pages through the demand cache; kStepBarrier
+  // runs the paper's barriered waves and never touches it.
+  const bool cached = config_.engine.schedule == Schedule::kPipelined;
   CacheMetrics cache_before;
-  if (config_.demand_cache) {
-    CSAW_CHECK_MSG(config_.engine.schedule == Schedule::kPipelined,
-                   "the demand cache needs chain-granular execution; "
-                   "set Schedule::kPipelined");
+  if (cached) {
     if (cache_ == nullptr) {
       cache_ = std::make_shared<PartitionCache>(
           parts_, config_.resident_partitions, config_.num_streams);
@@ -157,7 +157,7 @@ OomRun OomEngine::run(sim::Device& device,
       }
     }
 
-    if (config_.demand_cache) {
+    if (cached) {
       run_cached_pipelined(device, result, imbalance);
     } else {
       schedule_until_drained(device, result, round_robin_cursor, imbalance);
@@ -181,7 +181,7 @@ OomRun OomEngine::run(sim::Device& device,
 
   result.sim_seconds = device.synchronize() - t0;
   result.metrics.kernel_imbalance = imbalance.mean();
-  if (config_.demand_cache) {
+  if (cached) {
     const CacheMetrics& cm = cache_->metrics();
     result.metrics.cache_hits = cm.hits - cache_before.hits;
     result.metrics.cache_evictions = cm.evictions - cache_before.evictions;
@@ -232,23 +232,9 @@ void OomEngine::schedule_until_drained(sim::Device& device, OomRun& result,
           (plan.partitions.back() + 1) % config_.num_partitions;
     }
 
-    // --- Thread-block based workload balancing (3 in Fig. 8): SM share
-    // proportional to active vertices; baseline splits evenly.
+    // --- Thread-block based workload balancing (3 in Fig. 8).
     const std::size_t chosen = plan.partitions.size();
-    plan.fractions.assign(chosen, 1.0 / static_cast<double>(chosen));
-    if (config_.block_balancing && chosen > 1) {
-      double total = 0.0;
-      for (std::uint32_t p : plan.partitions) {
-        total += static_cast<double>(queues_[p].size());
-      }
-      for (std::size_t i = 0; i < chosen; ++i) {
-        plan.fractions[i] =
-            std::max(0.05, static_cast<double>(queues_[plan.partitions[i]].size()) / total);
-      }
-      const double sum =
-          std::accumulate(plan.fractions.begin(), plan.fractions.end(), 0.0);
-      for (double& f : plan.fractions) f /= sum;
-    }
+    plan.fractions = sm_fractions(plan.partitions);
 
     // --- Transfer each chosen partition onto its stream (2 in Fig. 8);
     // transfers share the host link, kernels share SMs by fraction.
@@ -259,11 +245,6 @@ void OomEngine::schedule_until_drained(sim::Device& device, OomRun& result,
                                        "partition " + std::to_string(p));
       ++result.metrics.partition_transfers;
       result.metrics.bytes_transferred += parts_->part(p).bytes();
-    }
-
-    if (config_.engine.schedule == Schedule::kPipelined) {
-      run_residency_pipelined(device, plan, result, imbalance);
-      continue;
     }
 
     // --- Sample the resident partitions. All chosen partitions are
@@ -306,171 +287,29 @@ void OomEngine::schedule_until_drained(sim::Device& device, OomRun& result,
   }
 }
 
+std::vector<double> OomEngine::sm_fractions(
+    std::span<const std::uint32_t> partitions) const {
+  const std::size_t chosen = partitions.size();
+  std::vector<double> fractions(chosen, 1.0 / static_cast<double>(chosen));
+  if (config_.block_balancing && chosen > 1) {
+    double total = 0.0;
+    for (std::uint32_t p : partitions) {
+      total += static_cast<double>(queues_[p].size());
+    }
+    for (std::size_t i = 0; i < chosen; ++i) {
+      fractions[i] = std::max(
+          0.05, static_cast<double>(queues_[partitions[i]].size()) / total);
+    }
+    const double sum =
+        std::accumulate(fractions.begin(), fractions.end(), 0.0);
+    for (double& f : fractions) f /= sum;
+  }
+  return fractions;
+}
+
 OomRun OomEngine::run_single_seed(sim::Device& device,
                                   std::span<const VertexId> seeds) {
   return run(device, expand_single_seeds(seeds));
-}
-
-void OomEngine::run_residency_pipelined(sim::Device& device,
-                                        const RoundPlan& plan, OomRun& result,
-                                        RunningStat& imbalance) {
-  const std::size_t chosen = plan.partitions.size();
-  constexpr std::uint32_t kNotResident = ~0u;
-  std::vector<std::uint32_t> slot_of(config_.num_partitions, kNotResident);
-  for (std::size_t i = 0; i < chosen; ++i) slot_of[plan.partitions[i]] = i;
-
-  // Drain the chosen queues once and split by instance: pending[c][i]
-  // holds chain c's unprocessed entries in residency slot i, the
-  // chain-owned replacement for the shared partition queues. Chains are
-  // allocated only for instances that actually have resident entries
-  // (instances drain at different rates, so most are idle in late
-  // rounds); chain_of_ is sized once per run and reset via the chain
-  // list below, keeping each round's work proportional to its entries.
-  constexpr std::uint32_t kNoChain = ~0u;
-  const bool may_cancel = config_.engine.may_cancel();
-  std::vector<std::uint32_t> chain_instances;
-  std::vector<std::vector<std::vector<FrontierEntry>>> pending;
-  for (std::size_t i = 0; i < chosen; ++i) {
-    for (const FrontierEntry& e : queues_[plan.partitions[i]].drain()) {
-      // Streaming bookkeeping first: a drained entry leaves the queues
-      // whether the chain processes it or the cancel skip drops it.
-      if (streaming_) --queued_[e.local];
-      // Queued work of a cancelled instance is dropped at the drain —
-      // its chain never forms; no other instance's entries move.
-      if (may_cancel && config_.engine.instance_cancelled(e.local)) continue;
-      const std::uint32_t local = e.local;
-      if (chain_of_[local] == kNoChain) {
-        chain_of_[local] = static_cast<std::uint32_t>(chain_instances.size());
-        chain_instances.push_back(local);
-        pending.emplace_back(chosen);
-      }
-      pending[chain_of_[local]][i].push_back(e);
-    }
-  }
-  std::vector<std::vector<FrontierEntry>> routed_out(chain_instances.size());
-
-  // One chain per instance. A chain's pass structure mirrors the
-  // barriered wave loop exactly — resident slots in plan order, each
-  // batch sorted by (depth, slot), repeated until drained (workload-aware)
-  // or once (baseline) — but only over the chain's own entries, so the
-  // per-instance visited/prev_vertex mutation order matches kStepBarrier
-  // and the samples are byte-identical.
-  const auto kernels = device.execute_pipelined(
-      static_cast<std::uint32_t>(chosen), chain_instances.size(),
-      [&](std::uint64_t chain, sim::ChainContext& ctx, std::uint32_t worker) {
-        auto& mine = pending[chain];
-        auto& out = routed_out[chain];
-        WorkerScratch& ws = workers_[worker];
-        std::vector<FrontierEntry> batch;
-        std::vector<FrontierEntry> children;
-
-        const auto process_one = [&](std::uint32_t p, const FrontierEntry& e,
-                                     sim::WarpContext& warp) {
-          children.clear();
-          process_entry(p, e, warp, ws, children);
-          for (const FrontierEntry& child : children) {
-            const std::uint32_t slot = slot_of[parts_->part_of(child.vertex)];
-            if (slot == kNotResident) {
-              out.push_back(child);
-            } else {
-              mine[slot].push_back(child);
-            }
-          }
-        };
-
-        bool progressed = true;
-        for (std::uint64_t pass = 0; progressed; ++pass) {
-          // Cancellation poll at the pass boundary: this chain belongs to
-          // exactly one instance, so dropping its remaining work touches
-          // no other chain's state or draws.
-          if (may_cancel &&
-              config_.engine.instance_cancelled(chain_instances[chain])) {
-            for (auto& m : mine) m.clear();
-            out.clear();
-            break;
-          }
-          progressed = false;
-          for (std::size_t i = 0; i < chosen; ++i) {
-            if (mine[i].empty()) continue;
-            batch.clear();
-            batch.swap(mine[i]);
-            std::sort(batch.begin(), batch.end(),
-                      [](const FrontierEntry& a, const FrontierEntry& b) {
-                        if (a.depth != b.depth) return a.depth < b.depth;
-                        return a.slot < b.slot;
-                      });
-            const std::uint32_t p = plan.partitions[i];
-            const auto slot = static_cast<std::uint32_t>(i);
-            if (config_.batched) {
-              // Vertex-grained: one warp-task per entry (§V-C).
-              for (const FrontierEntry& e : batch) {
-                ctx.run_task(slot, pass, [&](sim::WarpContext& warp) {
-                  process_one(p, e, warp);
-                });
-              }
-            } else {
-              // Instance-grained baseline: the chain's whole batch is one
-              // straggling warp.
-              ctx.run_task(slot, pass, [&](sim::WarpContext& warp) {
-                for (const FrontierEntry& e : batch) process_one(p, e, warp);
-              });
-            }
-            progressed = config_.workload_aware;
-          }
-        }
-      },
-      config_.engine.cancel);
-
-  // Record one fused kernel per resident partition on the stream (and at
-  // the SM fraction) its waves would have used.
-  RunningStat per_round;
-  for (std::size_t i = 0; i < chosen; ++i) {
-    sim::Stream& stream = device.stream(i % config_.num_streams);
-    const auto& record = device.record_pipelined(
-        "oom_sample_p" + std::to_string(plan.partitions[i]), stream,
-        plan.fractions[i], kernels[i]);
-    per_round.add(record.duration());
-    ++result.metrics.kernel_launches;
-  }
-  ++result.metrics.scheduling_rounds;
-  if (chosen >= 2 && per_round.mean() > 0.0) {
-    imbalance.add(per_round.stddev() / per_round.mean());
-  }
-
-  // Merge leftover and outbound entries back into the partition queues in
-  // chain order — queue contents end up byte-identical to the barriered
-  // schedule (every consumer sorts by (instance, depth, slot), so only
-  // the multiset matters).
-  for (std::size_t c = 0; c < chain_instances.size(); ++c) {
-    std::size_t returned = 0;
-    for (std::size_t i = 0; i < chosen; ++i) {
-      for (const FrontierEntry& e : pending[c][i]) {
-        queues_[plan.partitions[i]].push(e);
-      }
-      returned += pending[c][i].size();
-    }
-    for (const FrontierEntry& e : routed_out[c]) {
-      queues_[parts_->part_of(e.vertex)].push(e);
-    }
-    returned += routed_out[c].size();
-    if (streaming_) {
-      queued_[chain_instances[c]] += static_cast<std::uint32_t>(returned);
-    }
-    chain_of_[chain_instances[c]] = kNoChain;
-  }
-
-  // Streaming flush point: an instance whose outstanding-entry count hit
-  // zero has no work left in any partition queue — its sample is final
-  // now, not merely when the whole run drains. (Chain-local emptiness
-  // alone would be wrong: entries can sit in queues of partitions not
-  // chosen this round.)
-  if (streaming_) {
-    for (const std::uint32_t local : chain_instances) {
-      if (queued_[local] != 0 || samples_->completed(local)) continue;
-      if (may_cancel && config_.engine.instance_cancelled(local)) continue;
-      samples_->complete(local);
-    }
-  }
 }
 
 void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
@@ -536,29 +375,14 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
       break;
     }
 
-    // SM shares mirror the legacy plan: proportional to queued work under
-    // block balancing, even otherwise.
-    std::vector<double> fractions(chosen_count,
-                                  1.0 / static_cast<double>(chosen_count));
-    if (config_.block_balancing && chosen_count > 1) {
-      double total = 0.0;
-      for (std::uint32_t p : chosen) {
-        total += static_cast<double>(pending[p]);
-      }
-      for (std::size_t i = 0; i < chosen_count; ++i) {
-        fractions[i] = std::max(
-            0.05, static_cast<double>(pending[chosen[i]]) / total);
-      }
-      const double sum =
-          std::accumulate(fractions.begin(), fractions.end(), 0.0);
-      for (double& f : fractions) f /= sum;
-    }
+    // SM shares are the barrier waves' (the queues are not drained yet).
+    const std::vector<double> fractions = sm_fractions(chosen);
 
-    // Split the chosen queues by instance into chains, exactly like
-    // run_residency_pipelined: each chain consumes its own entries in
-    // (depth, slot) order — a per-instance order no residency schedule
-    // changes — and entries routed between co-resident partitions are
-    // consumed within the same round.
+    // Split the chosen queues by instance into chains: each chain
+    // consumes its own entries in (depth, slot) order — the per-instance
+    // order of the barrier waves, which no residency schedule changes —
+    // and entries routed between co-resident partitions are consumed
+    // within the same round.
     std::vector<std::uint32_t> chain_instances;
     std::vector<std::vector<std::vector<FrontierEntry>>> chain_pending;
     for (std::size_t i = 0; i < chosen_count; ++i) {
@@ -666,16 +490,14 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
         },
         config_.engine.cancel);
 
-    // --- Cross-residency timing, under the same conventions as the
-    // legacy run_residency_pipelined: one fused kernel window per
-    // resident partition on its slot's stream, duration from the merged
-    // chain stats at the slot's SM fraction. The difference is the start:
-    // a window opens at max(bytes-ready, stream-ready), and a warm hit's
-    // bytes are ready immediately — so warm partitions compute while the
-    // round's cold transfers (and the prefetch behind them) are still on
-    // the link, where the legacy plan re-pays the link for every chosen
-    // partition before its window can open. No residency-boundary
-    // barrier appears anywhere: rounds chain per stream, not globally.
+    // --- Cross-residency timing: one fused kernel window per resident
+    // partition on its slot's stream, duration from the merged chain
+    // stats at the slot's SM fraction. A window opens at
+    // max(bytes-ready, stream-ready), and a warm hit's bytes are ready
+    // immediately — so warm partitions compute while the round's cold
+    // transfers (and the prefetch behind them) are still on the link. No
+    // residency-boundary barrier appears anywhere: rounds chain per
+    // stream, not globally.
     std::vector<double> durations(chosen_count, 0.0);
     for (std::size_t i = 0; i < chosen_count; ++i) {
       durations[i] = kernels[i].num_tasks == 0
@@ -702,7 +524,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     }
 
     // Merge leftovers and outbound entries back in chain order (byte-
-    // identical queue contents to the legacy schedules — every consumer
+    // identical queue contents to the barrier waves — every consumer
     // sorts, so only the multiset matters).
     for (std::size_t c = 0; c < num_chains; ++c) {
       std::size_t returned = 0;

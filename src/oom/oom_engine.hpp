@@ -33,14 +33,6 @@ struct OomConfig {
   /// batched multi-instance sampling removes, §V-C). Gang size in
   /// instances.
   std::uint32_t unbatched_gang_size = 1024;
-  /// Demand-driven partition cache (src/oom/cache/) instead of the legacy
-  /// up-front residency plan: partitions stay on the device across
-  /// scheduling rounds, loads happen on demand, the scheduler's next pick
-  /// is prefetched behind the computing partition, and chains cross
-  /// residency boundaries without barriers. Samples are byte-identical to
-  /// the legacy path; transfers, timing and seps() improve. Requires
-  /// EngineConfig::schedule == kPipelined (checked at run()).
-  bool demand_cache = false;
   /// Total attempts per partition copy on the cached path: 1 + retries
   /// (1 = no retry). A load that fails every attempt throws
   /// TransferError, failing the batch; the cache settles back consistent.
@@ -49,7 +41,8 @@ struct OomConfig {
   /// further retry.
   double transfer_backoff = 1e-4;
   /// Optional fault injector consulted per copy attempt (cached path
-  /// only). nullptr = fault-free I/O, the default.
+  /// only — the barrier waves' copies never fail). nullptr = fault-free
+  /// I/O, the default.
   std::shared_ptr<TransferFaultInjector> fault_injector;
   EngineConfig engine;
 };
@@ -77,6 +70,12 @@ struct OomRun {
 /// out of (BFS) order, which the counter-based RNG keeps equivalent to the
 /// in-memory schedule.
 ///
+/// EngineConfig::schedule picks one of two residency paths with
+/// byte-identical samples: kStepBarrier runs the paper's barriered waves
+/// (every chosen partition transferred each scheduling round, Figs.
+/// 13-15); kPipelined pages through a demand-driven PartitionCache
+/// (src/oom/cache/) whose partitions stay warm across rounds and runs.
+///
 /// Restrictions: specs using select_frontier, layer_mode or
 /// sample_all_neighbors are in-memory-only (checked).
 class OomEngine {
@@ -100,8 +99,9 @@ class OomEngine {
 
   /// Shares a partition cache built over the same PartitionedGraph
   /// (checked): the service tier keeps one cache per paged graph so
-  /// residency survives across batches. Without this, a demand_cache run
-  /// builds a private cache with OomConfig::resident_partitions slots.
+  /// residency survives across batches. Without this, the first pipelined
+  /// run builds a private cache with OomConfig::resident_partitions slots.
+  /// kStepBarrier runs never use the cache.
   void set_cache(std::shared_ptr<PartitionCache> cache);
 
  private:
@@ -122,36 +122,27 @@ class OomEngine {
   void run_wave(sim::Device& device, sim::Stream& stream, std::uint32_t p,
                 double fraction, OomMetrics& metrics);
 
-  /// Demand-cache scheduling loop (OomConfig::demand_cache): each round
+  /// Demand-cache scheduling loop (the kPipelined schedule): each round
   /// pins the scheduler's top-ranked partitions through the cache — as
   /// many as the cache holds, minus one slot kept free for the prefetch
-  /// pipeline while partitions contend — and runs them concurrently like
-  /// the legacy pipelined residency, except that warm partitions skip
-  /// their transfer entirely and the next-ranked cold partition streams
-  /// in behind the computing set. Kernel windows open at
-  /// max(bytes-ready, stream-ready) under the same cost conventions as
-  /// run_residency_pipelined, so a warm partition computes while the
-  /// round's cold transfers are still on the link — no barrier at a
-  /// residency boundary; rounds chain per stream, never globally.
-  /// Per-instance processing order equals the legacy schedules', so
-  /// samples are byte-identical; only transfers and the simulated
+  /// pipeline while partitions contend — and runs every instance with
+  /// entries there as one chain consuming its own entries round by round.
+  /// Warm partitions skip their transfer entirely and the next-ranked
+  /// cold partition streams in behind the computing set. Kernel windows
+  /// open at max(bytes-ready, stream-ready), so a warm partition computes
+  /// while the round's cold transfers are still on the link — no barrier
+  /// at a residency boundary; rounds chain per stream, never globally.
+  /// Per-instance processing order equals the barrier waves', so samples
+  /// are byte-identical to kStepBarrier; only transfers and the simulated
   /// timeline change.
   void run_cached_pipelined(sim::Device& device, OomRun& result,
                             RunningStat& imbalance);
 
-  /// Pipelined residency (EngineConfig::schedule == kPipelined): instead
-  /// of barriered waves, every instance runs as one chain consuming its
-  /// own entries in the resident partitions round by round — an
-  /// instance's depth-d+1 entries are sampled the moment *its* depth-d
-  /// entries are, regardless of other instances' progress. Entries
-  /// leaving the residency are buffered per chain and merged into the
-  /// partition queues in instance order, and the per-instance processing
-  /// order equals the barriered wave order, so samples and queue
-  /// evolution are byte-identical to the kStepBarrier schedule. Records
-  /// one fused kernel per resident partition (same names, streams and SM
-  /// fractions as the wave kernels).
-  void run_residency_pipelined(sim::Device& device, const RoundPlan& plan,
-                               OomRun& result, RunningStat& imbalance);
+  /// SM share per chosen partition (thread-block balancing, 3 in Fig. 8):
+  /// proportional to its queued entries under block_balancing, even
+  /// otherwise.
+  std::vector<double> sm_fractions(
+      std::span<const std::uint32_t> partitions) const;
 
   /// Samples one frontier entry against partition p. Next-depth frontier
   /// entries go to `routed` (a per-task slot), not straight into the
@@ -173,7 +164,7 @@ class OomEngine {
   SelectConfig select_config_;
   std::vector<WorkerScratch> workers_;
   std::shared_ptr<const PartitionedGraph> parts_;
-  /// Engaged only on the demand-cache path (set_cache or lazily at run()).
+  /// Engaged only on the pipelined path (set_cache or lazily at run()).
   std::shared_ptr<PartitionCache> cache_;
 
   // Per-run state.
@@ -181,9 +172,8 @@ class OomEngine {
   std::vector<InstanceState> instances_;
   SampleStore* samples_ = nullptr;
   /// Pipelined residencies: local instance -> chain index of the current
-  /// residency (~0u when the instance has no resident entries). Sized
-  /// once per run; run_residency_pipelined resets only the slots it
-  /// assigned.
+  /// round (~0u when the instance has no resident entries). Sized once
+  /// per run; run_cached_pipelined resets only the slots it assigned.
   std::vector<std::uint32_t> chain_of_;
   /// Streaming runs only: outstanding frontier entries per local
   /// instance across ALL partition queues. A chain finishing its round

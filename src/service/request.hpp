@@ -218,9 +218,8 @@ struct ServiceStats {
   /// first when present).
   std::vector<TenantStats> tenants;
 
-  // --- Paged traffic through the per-graph demand caches
-  // (ServiceConfig::paged_demand_cache; all zero when off or when no
-  // batch paged).
+  // --- Paged traffic through the per-graph demand caches (the cache
+  // counters stay zero under kStepBarrier; all zero when no batch paged).
   std::uint64_t paged_batches = 0;  ///< batches served by the OOM backend
   /// Residency rounds served without a demand transfer — warm partitions,
   /// including cross-batch reuse on the same graph.

@@ -1207,15 +1207,13 @@ void Service::run_batch(std::vector<Pending> batch) {
       if (pool_ != nullptr) router.set_executor(pool_);
       whole = router.run_tagged(seeds, tags, control);
     } else {
-      // Demand-cache routing needs chain-granular execution and a single
-      // simulated device; otherwise the batch runs the legacy paged path.
-      const bool demand_cache = config_.paged_demand_cache &&
-                                config_.options.schedule ==
-                                    Schedule::kPipelined &&
-                                config_.options.num_devices == 1;
-      SamplerOptions batch_options = config_.options;
-      batch_options.oom_demand_cache = demand_cache;
-      Sampler sampler(*graph, setup, batch_options);
+      // A shared per-graph cache needs the pipelined schedule (the barrier
+      // waves never cache) and a single simulated device (multi-device
+      // groups page through private per-device caches).
+      const bool shared_cache =
+          config_.options.schedule == Schedule::kPipelined &&
+          config_.options.num_devices == 1;
+      Sampler sampler(*graph, setup, config_.options);
       if (pool_ != nullptr) sampler.set_executor(pool_);
       if (sampler.decision().out_of_memory) {
         if (parts == nullptr) {
@@ -1229,12 +1227,14 @@ void Service::run_batch(std::vector<Pending> batch) {
           graphs_.at(head.graph).parts = parts;
         }
         sampler.set_partitions(parts);
-        if (demand_cache) {
+        if (shared_cache) {
           // Per-graph device-budget policy: every *registered* paged graph
-          // gets an equal slice of the budget, so concurrent paged traffic
-          // contends through bounded caches instead of each batch assuming
-          // the whole device. Registration count (not live traffic) keeps
-          // the capacity deterministic for a fixed registry.
+          // gets an equal slice of the budget (memory_budget_fraction of
+          // device memory), so concurrent paged traffic contends through
+          // bounded caches instead of each batch assuming the whole
+          // device, and partitions stay warm across the graph's batches.
+          // Registration count (not live traffic) keeps the capacity
+          // deterministic for a fixed registry.
           std::shared_ptr<PartitionCache> cache;
           std::uint32_t paged_graphs = 0;
           {

@@ -87,18 +87,6 @@ struct ServiceConfig {
   /// Start with the dispatcher paused (tests and benches queue a known
   /// request mix first, then resume() to get deterministic batching).
   bool start_paused = false;
-  /// Route paged batches through one persistent demand-driven partition
-  /// cache per graph (src/oom/cache/): partitions stay warm across a
-  /// graph's batches, and each paged graph's cache capacity is its slice
-  /// of the device budget — memory_budget_fraction of device memory
-  /// divided by the number of *registered* paged graphs (a registration-
-  /// time fact, so capacities are deterministic for a fixed registry, not
-  /// a function of traffic). Samples are byte-identical either way
-  /// (tests/service/service_determinism_test.cpp); transfers drop and
-  /// batch makespans shrink. Inert for single-device in-memory batches
-  /// and ignored when the schedule is not kPipelined or the batch runs
-  /// multi-device (private per-device caches there).
-  bool paged_demand_cache = true;
   /// Sharded serving (src/shard/): with shards > 1, walk-shaped
   /// in-memory batches route through a ShardRouter — the graph's
   /// vertices partitioned across this many shard workers, walkers
@@ -205,7 +193,7 @@ struct GraphResidency {
   bool partitions_built = false;
   /// Demand-cache slots this graph's batches run with (its slice of the
   /// device budget, in partitions); 0 until the first paged batch builds
-  /// the cache, and always 0 with paged_demand_cache off.
+  /// the cache, and always 0 under kStepBarrier or multi-device.
   std::uint32_t cache_capacity = 0;
 };
 
@@ -333,8 +321,8 @@ class Service {
     bool paged = false;
     /// Built by the first paged batch on this graph, under mu_.
     std::shared_ptr<const PartitionedGraph> parts;
-    /// Demand-driven partition cache shared by this graph's paged batches
-    /// (paged_demand_cache). Published under mu_; *used* outside it by at
+    /// Demand-driven partition cache shared by this graph's paged
+    /// single-device kPipelined batches. Published under mu_; *used* outside it by at
     /// most one batch at a time — the per-graph batch serialization
     /// (graphs_in_flight_) is what makes the unsynchronized cache sound.
     std::shared_ptr<PartitionCache> cache;

@@ -68,9 +68,9 @@ std::vector<ModeCase> mode_cases(std::uint32_t threads) {
   {
     SamplerOptions options;
     options.mode = ExecutionMode::kOutOfMemory;
-    options.oom_demand_cache = true;
+    options.schedule = Schedule::kStepBarrier;
     options.num_threads = threads;
-    cases.push_back({"oom-demand-cache", options});
+    cases.push_back({"oom-barrier", options});
   }
   {
     SamplerOptions options;

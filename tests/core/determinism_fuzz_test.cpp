@@ -69,7 +69,6 @@ struct FuzzConfig {
   // Paged-capacity knobs, used whenever the OOM backend executes.
   std::uint32_t num_partitions = 4;
   std::uint32_t resident_partitions = 2;
-  bool demand_cache = false;
   bool oom_capable = false;
   /// One edge per step (Table I "neighbors per step" == 1): the class
   /// whose bytes are order-independent of frontier processing, and hence
@@ -94,8 +93,7 @@ struct FuzzConfig {
            (contiguous_tags ? " tags=contiguous@" : " tags=gapped@") +
            std::to_string(tags.front()) + " parts=" +
            std::to_string(num_partitions) + "/" +
-           std::to_string(resident_partitions) +
-           (demand_cache ? " cache=demand" : " cache=plan");
+           std::to_string(resident_partitions);
   }
 };
 
@@ -148,7 +146,6 @@ FuzzConfig draw_config(std::uint64_t config_seed) {
   config.num_partitions = pick(rng, 3, 6);
   config.resident_partitions =
       pick(rng, 1, std::min(3u, config.num_partitions - 1));
-  config.demand_cache = pick(rng, 0, 1) == 0;
   return config;
 }
 
@@ -178,11 +175,6 @@ RunResult run_config(const FuzzConfig& config, const CsrGraph& graph,
   options.num_threads = threads;
   options.num_partitions = config.num_partitions;
   options.resident_partitions = config.resident_partitions;
-  // The demand cache requires the pipelined schedule; barrier legs fall
-  // back to the legacy residency plan (bytes are identical either way —
-  // which is exactly what this fuzzer checks).
-  options.oom_demand_cache =
-      config.demand_cache && schedule == Schedule::kPipelined;
   if (mode == ExecutionMode::kOutOfMemory) {
     options.memory_assumption = MemoryAssumption::kExceeds;
   }

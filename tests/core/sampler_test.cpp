@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "algorithms/layer_sampling.hpp"
 #include "algorithms/mdrw.hpp"
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
-#include "multigpu/multi_device.hpp"
+#include "oom/partitioned_graph.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -296,27 +298,33 @@ TEST(Sampler, TaggedRunRejectsMalformedTags) {
   EXPECT_THROW(split.run_tagged(two_seeds, straddling), CheckError);
 }
 
-TEST(Sampler, LegacyMultiDeviceShimRejectsConflictingOomOffset) {
-  // MultiDeviceConfig.oom.engine.instance_id_offset used to be silently
-  // overridden; the facade rejects the conflict instead.
-  const CsrGraph g = generate_rmat(512, 4096, 81);
-  const auto setup = biased_random_walk(4);
-  const auto seeds = spread_seeds(g, 8);
+TEST(Sampler, NewPartitioningAfterCachedRunStartsCold) {
+  // A pipelined paged Sampler keeps its partition cache across runs; a
+  // new partitioning must drop it rather than fail the next run on a
+  // cache built over the old one.
+  const CsrGraph g = generate_rmat(1024, 8192, 84);
+  const auto setup = biased_random_walk(8);
+  const auto seeds = spread_seeds(g, 24);
+  SamplerOptions options;
+  options.mode = ExecutionMode::kOutOfMemory;
+  const RunResult fresh = Sampler(g, setup, options).run_single_seed(seeds);
 
-  MultiDeviceConfig config;
-  config.num_devices = 2;
-  config.out_of_memory = true;
-  config.engine.instance_id_offset = 5;
-  config.oom.engine.instance_id_offset = 9;
-  EXPECT_THROW(run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                            seeds, config),
-               CheckError);
+  Sampler sampler(g, setup, options);
+  const RunResult first = sampler.run_single_seed(seeds);
+  expect_same_samples(first.samples, fresh.samples, "first run");
+  // The second run finds the first run's partitions still resident.
+  const RunResult warm = sampler.run_single_seed(seeds);
+  expect_same_samples(warm.samples, fresh.samples, "warm rerun");
+  ASSERT_TRUE(first.oom.has_value() && warm.oom.has_value());
+  EXPECT_GT(warm.oom->cache_hits, first.oom->cache_hits);
 
-  // A matching (or unset) offset passes through the facade.
-  config.oom.engine.instance_id_offset = 5;
-  const auto run = run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                                seeds, config);
-  EXPECT_GT(run.samples.total_edges(), 0u);
+  sampler.set_partitions(
+      std::make_shared<const PartitionedGraph>(g, options.num_partitions));
+  const RunResult repartitioned = sampler.run_single_seed(seeds);
+  expect_same_samples(repartitioned.samples, fresh.samples, "repartitioned");
+  ASSERT_TRUE(repartitioned.oom.has_value());
+  EXPECT_EQ(repartitioned.oom->partition_transfers,
+            fresh.oom->partition_transfers);
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
-#include "multigpu/multi_device.hpp"
+// Multi-device execution (paper §V-D) through the Sampler facade:
+// disjoint instance groups, one per device, no inter-device
+// communication; the run completes when the slowest device drains its
+// group.
+#include "core/sampler.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
@@ -17,47 +24,49 @@ std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
   return seeds;
 }
 
-class DeviceCounts : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(DeviceCounts, SamplesAreIndependentOfDeviceCount) {
-  // §V-D: instance groups are disjoint and devices don't communicate, so
-  // the union of samples must be identical for any device count — the
-  // counter-based RNG makes this exact, not just distributional.
-  const CsrGraph g = generate_rmat(1024, 8192, 61);
-  auto setup = biased_random_walk(10);
-  const auto seeds = spread_seeds(g, 60);
-
-  MultiDeviceConfig one;
-  one.num_devices = 1;
-  const MultiDeviceRun reference =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, one);
-
-  MultiDeviceConfig many;
-  many.num_devices = GetParam();
-  const MultiDeviceRun run =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, many);
-
-  ASSERT_EQ(run.samples.num_instances(), reference.samples.num_instances());
-  for (std::uint32_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i))
-        << "instance " << i;
+void expect_same_samples(const SampleStore& a, const SampleStore& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.num_instances(), b.num_instances()) << label;
+  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
+    EXPECT_EQ(a.edges(i), b.edges(i)) << label << ", instance " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Counts, DeviceCounts,
-                         ::testing::Values(2, 3, 6));
+RunResult run_on_devices(const CsrGraph& g, const AlgorithmSetup& setup,
+                         const std::vector<VertexId>& seeds,
+                         std::uint32_t devices,
+                         MemoryAssumption memory = MemoryAssumption::kFits) {
+  SamplerOptions options;
+  options.mode = ExecutionMode::kMultiDevice;
+  options.num_devices = devices;
+  options.memory_assumption = memory;
+  return Sampler(g, setup, options).run_single_seed(seeds);
+}
+
+class DeviceCounts : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(DeviceCounts, SamplesAreIndependentOfDeviceCount) {
+  // The counter-based RNG makes the union of samples identical for any
+  // device count — exactly, not just distributionally.
+  const CsrGraph g = generate_rmat(1024, 8192, 61);
+  const auto setup = biased_random_walk(10);
+  const auto seeds = spread_seeds(g, 60);
+  const RunResult one = run_on_devices(g, setup, seeds, 1);
+  const RunResult many = run_on_devices(g, setup, seeds, GetParam());
+  expect_same_samples(many.samples, one.samples,
+                      std::to_string(GetParam()) + " devices");
+}
+
+INSTANTIATE_TEST_SUITE_P(Counts, DeviceCounts, ::testing::Values(2, 3, 6));
 
 TEST(MultiDevice, MakespanIsMaxOfDevices) {
   const CsrGraph g = generate_rmat(512, 4096, 62);
-  auto setup = unbiased_neighbor_sampling(2, 2);
-  MultiDeviceConfig config;
-  config.num_devices = 3;
-  const auto run = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, spread_seeds(g, 30), config);
+  const RunResult run = run_on_devices(g, unbiased_neighbor_sampling(2, 2),
+                                       spread_seeds(g, 30), 3);
   ASSERT_EQ(run.device_seconds.size(), 3u);
-  double max_device = 0.0;
-  for (double t : run.device_seconds) max_device = std::max(max_device, t);
-  EXPECT_DOUBLE_EQ(run.sim_seconds, max_device);
+  EXPECT_DOUBLE_EQ(run.sim_seconds, *std::max_element(
+                                        run.device_seconds.begin(),
+                                        run.device_seconds.end()));
 }
 
 TEST(MultiDevice, ScalingImprovesWithEnoughInstances) {
@@ -65,13 +74,9 @@ TEST(MultiDevice, ScalingImprovesWithEnoughInstances) {
   // devices (>= latency_hiding_warps_per_sm * sm_count warps each), more
   // devices are faster; with too few, scaling stalls (Fig. 17(a)).
   const CsrGraph g = generate_rmat(1024, 8192, 63);
-  auto setup = biased_neighbor_sampling(2, 2);
-
-  auto makespan = [&](std::uint32_t instances, std::uint32_t devices) {
-    MultiDeviceConfig config;
-    config.num_devices = devices;
-    return run_multi_device_single_seed(g, setup.policy, setup.spec,
-                                        spread_seeds(g, instances), config)
+  const auto setup = biased_neighbor_sampling(2, 2);
+  const auto makespan = [&](std::uint32_t instances, std::uint32_t devices) {
+    return run_on_devices(g, setup, spread_seeds(g, instances), devices)
         .sim_seconds;
   };
   // Saturated: 6400 instances, 3200 warps per device at 2 devices.
@@ -83,36 +88,25 @@ TEST(MultiDevice, ScalingImprovesWithEnoughInstances) {
 }
 
 TEST(MultiDevice, OutOfMemoryModeMatchesInMemorySamples) {
+  // Every device pages through its own private partition cache.
   const CsrGraph g = generate_rmat(1024, 8192, 64);
-  auto setup = biased_random_walk(8);
+  const auto setup = biased_random_walk(8);
   const auto seeds = spread_seeds(g, 24);
-
-  MultiDeviceConfig in_mem;
-  in_mem.num_devices = 2;
-  const auto reference = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, seeds, in_mem);
-
-  MultiDeviceConfig oom = in_mem;
-  oom.out_of_memory = true;
-  oom.oom.num_partitions = 4;
-  oom.oom.resident_partitions = 2;
-  const auto run =
-      run_multi_device_single_seed(g, setup.policy, setup.spec, seeds, oom);
-
-  for (std::uint32_t i = 0; i < seeds.size(); ++i) {
-    EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i));
-  }
+  const RunResult in_memory = run_on_devices(g, setup, seeds, 2);
+  const RunResult paged =
+      run_on_devices(g, setup, seeds, 2, MemoryAssumption::kExceeds);
+  ASSERT_TRUE(paged.oom.has_value());
+  EXPECT_GT(paged.oom->partition_transfers, 0u);
+  expect_same_samples(paged.samples, in_memory.samples, "multi-device paged");
 }
 
 TEST(MultiDevice, MoreDevicesThanInstances) {
   const CsrGraph g = generate_rmat(256, 2048, 65);
-  auto setup = simple_random_walk(5);
-  MultiDeviceConfig config;
-  config.num_devices = 6;
-  const auto run = run_multi_device_single_seed(
-      g, setup.policy, setup.spec, spread_seeds(g, 3), config);
+  const RunResult run =
+      run_on_devices(g, simple_random_walk(5), spread_seeds(g, 3), 6);
   EXPECT_EQ(run.samples.num_instances(), 3u);
   EXPECT_GT(run.samples.total_edges(), 0u);
+  EXPECT_EQ(run.device_seconds.size(), 6u);
 }
 
 }  // namespace

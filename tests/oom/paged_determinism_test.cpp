@@ -1,10 +1,10 @@
-// The cached OOM path's contract (ROADMAP item 1): the demand-driven
-// partition cache decides *when* bytes move, never *which* bytes are
-// sampled. Samples must be byte-identical to the legacy global-plan path
+// The cached OOM path's contract: the demand-driven partition cache of
+// the kPipelined schedule decides *when* bytes move, never *which* bytes
+// are sampled. Samples must be byte-identical to the kStepBarrier waves
 // at every cache capacity and host thread count, the simulated schedule
 // must not depend on the thread count, and the cache must actually earn
-// its keep — fewer transfers and better seps() than re-transferring every
-// round. Walk algorithms only: their sample bytes are order-independent
+// its keep — fewer transfers and better seps() than the barrier waves,
+// which re-transfer every chosen partition every round. Walk algorithms only: their sample bytes are order-independent
 // (counter-based RNG, no visited filtering), which is exactly the class
 // the byte-contract covers.
 #include <gtest/gtest.h>
@@ -34,7 +34,7 @@ std::vector<VertexId> spread_seeds(std::uint32_t n) {
   return seeds;
 }
 
-SamplerOptions paged_options(bool demand_cache, std::uint32_t capacity,
+SamplerOptions paged_options(Schedule schedule, std::uint32_t capacity,
                              std::uint32_t threads) {
   SamplerOptions options;
   options.mode = ExecutionMode::kOutOfMemory;
@@ -42,8 +42,17 @@ SamplerOptions paged_options(bool demand_cache, std::uint32_t capacity,
   options.resident_partitions = capacity;
   options.num_streams = 2;
   options.num_threads = threads;
-  options.oom_demand_cache = demand_cache;
+  options.schedule = schedule;
   return options;
+}
+
+/// The byte reference: the paper's barriered waves, serial host.
+SamplerOptions barrier_options() {
+  return paged_options(Schedule::kStepBarrier, 2, 1);
+}
+
+SamplerOptions cached_options(std::uint32_t capacity, std::uint32_t threads) {
+  return paged_options(Schedule::kPipelined, capacity, threads);
 }
 
 RunResult run_walk(const AlgorithmSetup& setup, const SamplerOptions& options,
@@ -63,22 +72,22 @@ void expect_same_samples(const RunResult& a, const RunResult& b,
 
 class PagedCapacities : public ::testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(PagedCapacities, WalkBytesMatchLegacyAtEveryThreadCount) {
-  // One legacy reference (global residency plan, serial), compared
-  // against the cached path at this capacity across host widths. The
-  // samples may not depend on residency schedule, eviction pressure
-  // (capacity 1 = thrash, 8 = everything resident) or thread count.
+TEST_P(PagedCapacities, WalkBytesMatchBarrierAtEveryThreadCount) {
+  // One barrier-wave reference (serial), compared against the cached
+  // path at this capacity across host widths. The samples may not depend
+  // on residency schedule, eviction pressure (capacity 1 = thrash, 8 =
+  // everything resident) or thread count.
   const auto setup = biased_random_walk(/*length=*/12);
-  const RunResult legacy = run_walk(setup, paged_options(false, 2, 1));
-  ASSERT_TRUE(legacy.oom.has_value());
+  const RunResult barrier = run_walk(setup, barrier_options());
+  ASSERT_TRUE(barrier.oom.has_value());
 
   const std::uint32_t capacity = GetParam();
   double first_seconds = -1.0;
   for (const std::uint32_t threads : {1u, 2u, 7u}) {
     const RunResult cached =
-        run_walk(setup, paged_options(true, capacity, threads));
+        run_walk(setup, cached_options(capacity, threads));
     ASSERT_TRUE(cached.oom.has_value());
-    expect_same_samples(cached, legacy, "cached vs legacy");
+    expect_same_samples(cached, barrier, "cached vs barrier");
     // The simulated schedule is a pure function of the run, not of host
     // parallelism: byte-equal timing across widths.
     if (first_seconds < 0.0) {
@@ -95,10 +104,9 @@ TEST_P(PagedCapacities, DynamicBiasWalkAlsoMatches) {
   // node2vec's bias depends on the previous step (kDynamic), the hardest
   // case for residency reordering: the cache must still be invisible.
   const auto setup = node2vec(/*length=*/10, /*p=*/2.0, /*q=*/0.5);
-  const RunResult legacy = run_walk(setup, paged_options(false, 2, 1), 24);
-  const RunResult cached =
-      run_walk(setup, paged_options(true, GetParam(), 2), 24);
-  expect_same_samples(cached, legacy, "node2vec cached vs legacy");
+  const RunResult barrier = run_walk(setup, barrier_options(), 24);
+  const RunResult cached = run_walk(setup, cached_options(GetParam(), 2), 24);
+  expect_same_samples(cached, barrier, "node2vec cached vs barrier");
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, PagedCapacities,
@@ -109,7 +117,7 @@ INSTANTIATE_TEST_SUITE_P(Capacities, PagedCapacities,
 
 TEST(PagedDeterminism, TaggedRunsMatchSoloOffsets) {
   // The service-tier entry point: instance i tagged with global id t must
-  // produce, through the cache, the bytes a solo legacy run would have
+  // produce, through the cache, the bytes a solo barrier run would have
   // produced at instance_id_offset t.
   const auto setup = biased_random_walk(/*length=*/12);
   const auto seeds = spread_seeds(8);
@@ -117,11 +125,11 @@ TEST(PagedDeterminism, TaggedRunsMatchSoloOffsets) {
   for (const VertexId s : seeds) seed_lists.push_back({s});
   const std::vector<std::uint32_t> tags = {3, 10, 11, 40, 41, 42, 90, 200};
 
-  Sampler cached(paged_graph(), setup, paged_options(true, 4, 2));
+  Sampler cached(paged_graph(), setup, cached_options(4, 2));
   const RunResult tagged = cached.run_tagged(seed_lists, tags);
 
   for (std::size_t i = 0; i < tags.size(); ++i) {
-    SamplerOptions solo_options = paged_options(false, 2, 1);
+    SamplerOptions solo_options = barrier_options();
     solo_options.instance_id_offset = tags[i];
     Sampler solo(paged_graph(), setup, solo_options);
     const RunResult reference = solo.run_single_seed({&seeds[i], 1});
@@ -132,29 +140,32 @@ TEST(PagedDeterminism, TaggedRunsMatchSoloOffsets) {
 }
 
 TEST(PagedDeterminism, CacheEarnsItsTransfers) {
-  // The point of the subsystem: the legacy plan re-transfers every chosen
-  // partition every scheduling round; the cache keeps partitions resident
-  // and overlaps prefetches, so at the same resident budget (six of the
-  // eight partitions — the regime where most of the working set stays
-  // warm) it must move fewer bytes and finish the same samples sooner
-  // (better seps).
+  // The point of the subsystem: the barrier waves re-transfer every
+  // chosen partition every scheduling round; the cache keeps partitions
+  // resident and overlaps prefetches, so at the same resident budget (six
+  // of the eight partitions — the regime where most of the working set
+  // stays warm) it must move fewer bytes and finish the same samples
+  // sooner (better seps).
   const auto setup = biased_random_walk(/*length=*/12);
-  const RunResult legacy = run_walk(setup, paged_options(false, 6, 1));
-  const RunResult cached = run_walk(setup, paged_options(true, 6, 1));
-  ASSERT_TRUE(legacy.oom.has_value());
+  const RunResult barrier =
+      run_walk(setup, paged_options(Schedule::kStepBarrier, 6, 1));
+  const RunResult cached = run_walk(setup, cached_options(6, 1));
+  ASSERT_TRUE(barrier.oom.has_value());
   ASSERT_TRUE(cached.oom.has_value());
+  expect_same_samples(cached, barrier, "cached vs barrier at 6 slots");
 
-  EXPECT_LT(cached.oom->partition_transfers, legacy.oom->partition_transfers);
-  EXPECT_LT(cached.oom->bytes_transferred, legacy.oom->bytes_transferred);
+  EXPECT_LT(cached.oom->partition_transfers,
+            barrier.oom->partition_transfers);
+  EXPECT_LT(cached.oom->bytes_transferred, barrier.oom->bytes_transferred);
   EXPECT_GT(cached.oom->cache_hits, 0u);
   EXPECT_GT(cached.oom->scheduling_rounds, 0u);
-  EXPECT_GT(cached.seps(), legacy.seps());
+  EXPECT_GT(cached.seps(), barrier.seps());
 
-  // Legacy metrics stay clean of cache counters, and the cached run's
+  // Barrier metrics stay clean of cache counters, and the cached run's
   // overlap measurement is sane (bounded by total transfer time).
-  EXPECT_EQ(legacy.oom->cache_hits, 0u);
-  EXPECT_EQ(legacy.oom->prefetch_transfers, 0u);
-  EXPECT_EQ(legacy.oom->transfer_overlap_seconds, 0.0);
+  EXPECT_EQ(barrier.oom->cache_hits, 0u);
+  EXPECT_EQ(barrier.oom->prefetch_transfers, 0u);
+  EXPECT_EQ(barrier.oom->transfer_overlap_seconds, 0.0);
   EXPECT_GE(cached.oom->transfer_overlap_seconds, 0.0);
   EXPECT_LE(cached.oom->transfer_overlap_seconds, cached.sim_seconds);
 }
@@ -166,7 +177,7 @@ TEST(PagedDeterminism, PrefetchOverlapsComputeUnderPressure) {
   // simulated timeline. Capacity 4 is the smallest cache that reserves a
   // prefetch slot under contention (below that, compute width wins).
   const auto setup = biased_random_walk(/*length=*/16);
-  const RunResult cached = run_walk(setup, paged_options(true, 4, 2));
+  const RunResult cached = run_walk(setup, cached_options(4, 2));
   ASSERT_TRUE(cached.oom.has_value());
   EXPECT_GT(cached.oom->prefetch_transfers, 0u);
   EXPECT_GT(cached.oom->cache_evictions, 0u);
@@ -177,16 +188,16 @@ TEST(PagedDeterminism, BatchedServingStaysWarmAcrossChunks) {
   // run_batches reuses the sampler's cache across chunks: later chunks
   // find partitions already resident, so a batched run demand-loads less
   // than chunk-count times the partition set — and the bytes still match
-  // one big legacy run.
+  // one big barrier run.
   const auto setup = biased_random_walk(/*length=*/12);
   const auto seeds = spread_seeds(48);
 
-  Sampler cached(paged_graph(), setup, paged_options(true, kPartitions, 2));
+  Sampler cached(paged_graph(), setup, cached_options(kPartitions, 2));
   const RunResult chunked = cached.run_batches_single_seed(seeds, 12);
   ASSERT_TRUE(chunked.oom.has_value());
 
-  const RunResult legacy = run_walk(setup, paged_options(false, 2, 1));
-  expect_same_samples(chunked, legacy, "chunked cached vs whole legacy");
+  const RunResult barrier = run_walk(setup, barrier_options());
+  expect_same_samples(chunked, barrier, "chunked cached vs whole barrier");
 
   // With every partition fitting, only the first chunk's demand loads
   // touch the link: at most one transfer per partition for all 4 chunks.

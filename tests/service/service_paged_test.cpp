@@ -1,9 +1,9 @@
-// Paged traffic through the service's per-graph demand caches
-// (ServiceConfig::paged_demand_cache): one persistent PartitionCache per
-// paged graph keeps partitions warm across batches, every registered
-// paged graph gets a deterministic slice of the device budget, and the
-// whole mechanism is invisible in the bytes — turning it off changes
-// transfer counts and makespans, never samples. The byte-level
+// Paged traffic through the service's per-graph demand caches (the
+// kPipelined schedule): one persistent PartitionCache per paged graph
+// keeps partitions warm across batches, every registered paged graph gets
+// a deterministic slice of the device budget, and the whole mechanism is
+// invisible in the bytes — the kStepBarrier waves, which never cache,
+// change transfer counts and makespans, never samples. The byte-level
 // solo-vs-coalesced contract lives in service_determinism_test.cpp; this
 // suite proves the residency side: warm hits, budget slicing, stats and
 // graphs() reporting.
@@ -131,23 +131,23 @@ TEST(ServicePaged, BudgetIsSlicedAcrossRegisteredPagedGraphs) {
   EXPECT_GT(service.stats().cache_evictions, 0u);
 }
 
-TEST(ServicePaged, DisabledCacheIsColdAndByteIdentical) {
+TEST(ServicePaged, BarrierScheduleIsColdAndByteIdentical) {
   ServiceConfig cold_config = paged_config();
-  cold_config.paged_demand_cache = false;
+  cold_config.options.schedule = Schedule::kStepBarrier;
   Service cold(cold_config);
   cold.add_graph("g", graph_a());
   const RunResult uncached = run_one(cold, walk_request("g", *graph_a()));
   ASSERT_TRUE(uncached.oom.has_value());
 
-  // Legacy residency: the batch still pages (and is counted), but no
-  // cache exists anywhere — no hits, no prefetches, no reported slots.
+  // Barrier waves: the batch still pages (and is counted), but no cache
+  // exists anywhere — no hits, no prefetches, no reported slots.
   const ServiceStats stats = cold.stats();
   EXPECT_EQ(stats.paged_batches, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_prefetch_transfers, 0u);
   EXPECT_EQ(cold.graphs().at(0).cache_capacity, 0u);
 
-  // The cache toggle moves bytes in time, never in value.
+  // The cache moves bytes in time, never in value.
   Service warm(paged_config());
   warm.add_graph("g", graph_a());
   const RunResult cached = run_one(warm, walk_request("g", *graph_a()));

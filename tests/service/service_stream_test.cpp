@@ -1,8 +1,8 @@
 // The streaming delivery contract (Service::submit_streaming): the
 // concatenation of a stream's chunks, ordered by request-local instance
 // index, is byte-identical to the buffered RunResult of the same request
-// — across execution modes (in-memory, legacy paged, demand-cache paged,
-// multi-device), host widths 1/2/7 and consumer speeds; a slow consumer's
+// — across execution modes (in-memory, barrier-wave paged, demand-cache
+// paged, multi-device), host widths 1/2/7 and consumer speeds; a slow consumer's
 // in-flight chunks never exceed ServiceConfig::stream_chunk_budget; and
 // cancellation / deadline expiry mid-stream deliver the already-completed
 // chunks before surfacing the PR 7 RequestOutcome taxonomy as a typed
@@ -122,18 +122,41 @@ TEST(ServiceStream, InMemoryMatchesBuffered) {
   expect_streamed_equals_buffered(config, "in-memory");
 }
 
-TEST(ServiceStream, LegacyPagedMatchesBuffered) {
+ServiceConfig paged_config(Schedule schedule) {
   ServiceConfig config;
   config.options.memory_assumption = MemoryAssumption::kExceeds;
-  config.paged_demand_cache = false;
-  expect_streamed_equals_buffered(config, "paged/legacy");
+  config.options.schedule = schedule;
+  return config;
+}
+
+TEST(ServiceStream, BarrierPagedMatchesBuffered) {
+  expect_streamed_equals_buffered(paged_config(Schedule::kStepBarrier),
+                                  "paged/barrier");
 }
 
 TEST(ServiceStream, DemandCachePagedMatchesBuffered) {
-  ServiceConfig config;
-  config.options.memory_assumption = MemoryAssumption::kExceeds;
-  config.paged_demand_cache = true;
-  expect_streamed_equals_buffered(config, "paged/demand-cache");
+  expect_streamed_equals_buffered(paged_config(Schedule::kPipelined),
+                                  "paged/demand-cache");
+}
+
+TEST(ServiceStream, DemandCachePagedMatchesBarrierBytes) {
+  // The two paged schedules differ in when partitions move, never in the
+  // rows a request gets back.
+  const auto buffered = [](Schedule schedule) {
+    Service service(paged_config(schedule));
+    service.add_graph("g", shared_graph());
+    Submission submission = service.submit(walk_request());
+    EXPECT_TRUE(submission.accepted());
+    return submission.result.get();
+  };
+  const RunResult barrier = buffered(Schedule::kStepBarrier);
+  const RunResult cached = buffered(Schedule::kPipelined);
+  ASSERT_GT(barrier.sampled_edges(), 0u);
+  ASSERT_EQ(cached.samples.num_instances(), barrier.samples.num_instances());
+  for (std::uint32_t i = 0; i < barrier.samples.num_instances(); ++i) {
+    EXPECT_EQ(cached.samples.edges(i), barrier.samples.edges(i))
+        << "instance " << i;
+  }
 }
 
 TEST(ServiceStream, MultiDeviceMatchesBuffered) {

@@ -10,10 +10,7 @@ AlgorithmSetup layer_sampling(std::uint32_t layer_size, std::uint32_t depth) {
   setup.spec.filter_visited = true;
   setup.spec.with_replacement = false;
   setup.spec.branching_cap = layer_size;
-  setup.policy.edge_bias = [](const GraphView& view, const EdgeRef& e,
-                              const InstanceContext&) {
-    return e.weight * static_cast<float>(view.degree(e.u));
-  };
+  setup.policy.static_edge_bias = weighted_degree_bias;
   return setup;
 }
 

@@ -16,12 +16,7 @@ AlgorithmSetup unbiased_neighbor_sampling(std::uint32_t neighbor_size,
 AlgorithmSetup biased_neighbor_sampling(std::uint32_t neighbor_size,
                                         std::uint32_t depth) {
   AlgorithmSetup setup = unbiased_neighbor_sampling(neighbor_size, depth);
-  setup.policy.edge_bias = [](const GraphView& view, const EdgeRef& e,
-                              const InstanceContext&) {
-    // Degree bias weighted by the edge itself (weight is 1 when the graph
-    // is unweighted) — the Fig. 1 example distribution.
-    return e.weight * static_cast<float>(view.degree(e.u));
-  };
+  setup.policy.static_edge_bias = weighted_degree_bias;
   return setup;
 }
 

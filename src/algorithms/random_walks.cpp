@@ -27,10 +27,8 @@ AlgorithmSetup simple_random_walk(std::uint32_t length) {
 AlgorithmSetup biased_random_walk(std::uint32_t length) {
   AlgorithmSetup setup;
   setup.spec = walk_spec(length);
-  setup.policy.edge_bias = [](const GraphView& view, const EdgeRef& e,
-                              const InstanceContext&) {
-    return e.weight * static_cast<float>(view.degree(e.u));
-  };
+  // Static: walks locate in CTPS rows built once per graph.
+  setup.policy.static_edge_bias = weighted_degree_bias;
   return setup;
 }
 

@@ -68,6 +68,10 @@ AlgorithmInfo algorithm_info(AlgorithmId id) {
   throw CheckError("unreachable");
 }
 
+float weighted_degree_bias(const CsrGraph& graph, const EdgeRef& e) {
+  return e.weight * static_cast<float>(graph.degree(e.u));
+}
+
 AlgorithmSetup make_algorithm(AlgorithmId id, std::uint32_t depth_or_length,
                               std::uint32_t neighbor_size) {
   switch (id) {

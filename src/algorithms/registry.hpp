@@ -29,6 +29,10 @@ struct AlgorithmInfo {
   bool in_memory_only = false;
 };
 
+/// The static EDGEBIAS of Table I's "static" rows (paper Fig. 1): the
+/// candidate's degree times the edge's weight (1 on unweighted graphs).
+float weighted_degree_bias(const CsrGraph& graph, const EdgeRef& e);
+
 /// Identifier for every algorithm C-SAW's paper discusses (§II-A).
 enum class AlgorithmId {
   kUnbiasedNeighborSampling,  ///< uniform EDGEBIAS traversal sampling

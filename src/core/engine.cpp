@@ -83,7 +83,8 @@ std::uint32_t frontier_slot_base(std::uint32_t slot) {
 
 FrontierResult process_frontier_vertex(
     const GraphView& view, const Policy& policy, const SamplingSpec& spec,
-    const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
+    const StaticCtpsRows* rows, const CounterStream& rng,
+    ItsSelector& selector, InstanceState& instance,
     const FrontierWorkItem& item, sim::WarpContext& warp,
     std::vector<float>& bias_scratch) {
   FrontierResult result;
@@ -116,8 +117,21 @@ FrontierResult process_frontier_vertex(
   const auto adj = view.neighbors(item.vertex);
   const auto weights = view.edge_weights(item.vertex);
   check_weights_aligned(adj, weights);
+  const std::span<const float> row =
+      rows != nullptr ? rows->row(view.graph(), item.vertex)
+                      : std::span<const float>();
   std::vector<std::uint32_t> selected;
-  if (spec.sample_all_neighbors) {
+  if (!row.empty()) {
+    // Static EDGEBIAS, with replacement: the CTPS was built once for the
+    // graph. Charge the lane-parallel EDGEBIAS round below; SELECT charges
+    // the rebuild and then only locates in the row.
+    CSAW_CHECK(row.size() == adj.size());
+    warp.charge_rounds((adj.size() + sim::WarpContext::kLanes - 1) /
+                       sim::WarpContext::kLanes);
+    selected = selector.select_prebuilt(
+        row, k, rng, SelectCoords{item.instance, item.depth, slot_base},
+        warp);
+  } else if (spec.sample_all_neighbors) {
     // Snowball: the whole neighbor list is the sample; no SELECT.
     selected.resize(adj.size());
     std::iota(selected.begin(), selected.end(), 0u);
@@ -223,6 +237,7 @@ SamplingEngine::SamplingEngine(const GraphView& view, Policy policy,
   CSAW_CHECK(spec_.frontier_size >= 1);
   CSAW_CHECK_MSG(!(spec_.layer_mode && spec_.select_frontier),
                  "layer sampling selects its frontier implicitly");
+  rows_ = static_ctps_rows(view, policy_, spec_);
 }
 
 void SamplingEngine::ensure_workers(std::uint32_t width) {
@@ -502,7 +517,7 @@ SamplingEngine::sample_position_body(InstanceState& inst,
   const FrontierWorkItem item{inst.pool[position], inst.id, step,
                               inst.pool_slots[position]};
   FrontierResult result =
-      process_frontier_vertex(*view_, policy_, spec_, rng_,
+      process_frontier_vertex(*view_, policy_, spec_, rows_, rng_,
                               ws.neighbor_selector, inst, item, warp,
                               ws.bias_scratch);
   for (const Edge& e : result.sampled) {

@@ -12,6 +12,7 @@
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
 #include "core/sample_store.hpp"
+#include "core/static_ctps.hpp"
 #include "gpusim/device.hpp"
 #include "select/its.hpp"
 #include "telemetry/trace.hpp"
@@ -260,12 +261,20 @@ struct WorkerScratch {
 };
 
 /// Executes GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for one frontier
-/// vertex against any GraphView. Both engines call exactly this function,
-/// which is what makes the OOM ≡ in-memory equivalence tests meaningful.
-/// Visited filtering mutates `instance` when the spec requires it.
+/// vertex against any GraphView. The in-memory engine, the OOM engine and
+/// the shard router all call exactly this function, which is what makes
+/// their equivalence tests meaningful. Visited filtering mutates
+/// `instance` when the spec requires it.
+///
+/// `rows` is static_ctps_rows(view, policy, spec), resolved once by the
+/// caller.
+/// When the vertex has a row, SELECT locates in it instead of evaluating
+/// EDGEBIAS and rebuilding the CTPS, while `warp` is charged the same
+/// EDGEBIAS, scan, normalization and binary-search events either way.
 FrontierResult process_frontier_vertex(
     const GraphView& view, const Policy& policy, const SamplingSpec& spec,
-    const CounterStream& rng, ItsSelector& selector, InstanceState& instance,
+    const StaticCtpsRows* rows, const CounterStream& rng,
+    ItsSelector& selector, InstanceState& instance,
     const FrontierWorkItem& item, sim::WarpContext& warp,
     std::vector<float>& bias_scratch);
 
@@ -353,6 +362,8 @@ class SamplingEngine {
   const GraphView* view_;
   Policy policy_;
   SamplingSpec spec_;
+  /// static_ctps_rows(*view_, policy_, spec_); null = per-step CTPS.
+  const StaticCtpsRows* rows_ = nullptr;
   EngineConfig config_;
   CounterStream rng_;
   SelectConfig neighbor_config_;

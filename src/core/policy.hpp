@@ -37,6 +37,8 @@ class GraphView {
   GraphView(const CsrGraph& whole, const GraphPartition& part) noexcept
       : graph_(&whole), part_(&part) {}
 
+  /// The whole graph, whichever part of it this view serves.
+  const CsrGraph& graph() const noexcept { return *graph_; }
   /// Vertex-id space of the whole graph (partitioned views included).
   VertexId num_vertices() const noexcept { return graph_->num_vertices(); }
   /// Out-degree of v.
@@ -77,6 +79,14 @@ struct EdgeRef {
   EdgeIndex k = 0;      ///< index of u within v's adjacency
 };
 
+/// A static EDGEBIAS: the bias of edge e as a function of the whole graph
+/// and the edge alone (Table I's "static" bias criterion). Being a
+/// captureless function pointer, it can see no instance context and no
+/// other state, and its address names it — which is what lets the
+/// engines build CTPS rows once per (graph, bias) and reuse them for
+/// every walk step (core/static_ctps.hpp).
+using StaticEdgeBias = float (*)(const CsrGraph& graph, const EdgeRef& e);
+
 /// Per-instance context visible to policies.
 struct InstanceContext {
   std::uint32_t instance_id = 0;
@@ -106,6 +116,15 @@ struct Policy {
                       const InstanceContext&)>
       edge_bias;
 
+  /// EDGEBIAS declared static: set this instead of edge_bias when the
+  /// bias depends on nothing but the graph and the edge. Walks that
+  /// sample with replacement then locate in per-vertex CTPS rows built
+  /// once per graph instead of re-evaluating EDGEBIAS and rebuilding the
+  /// CTPS at every step; samples and simulated charges are the same as
+  /// with the equivalent edge_bias. Setting both hooks is an error
+  /// (CheckError when a run starts).
+  StaticEdgeBias static_edge_bias = nullptr;
+
   /// UPDATE: the vertex to insert into the FrontierPool given sampled
   /// edge e (Equation 4); kInvalidVertex inserts nothing. `r` is a
   /// uniform [0,1) draw for probabilistic decisions (jump/restart).
@@ -118,10 +137,11 @@ struct Policy {
                          const InstanceContext& ctx) const {
     return vertex_bias ? vertex_bias(view, v, ctx) : 1.0f;
   }
-  /// Evaluates EDGEBIAS with the uniform default.
+  /// Evaluates EDGEBIAS (dynamic or static) with the uniform default.
   float eval_edge_bias(const GraphView& view, const EdgeRef& e,
                        const InstanceContext& ctx) const {
-    return edge_bias ? edge_bias(view, e, ctx) : 1.0f;
+    if (edge_bias) return edge_bias(view, e, ctx);
+    return static_edge_bias ? static_edge_bias(view.graph(), e) : 1.0f;
   }
   /// Evaluates UPDATE with the "advance to the sampled neighbor" default.
   VertexId eval_update(const GraphView& view, const EdgeRef& e,

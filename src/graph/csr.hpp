@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "graph/memo.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -88,10 +90,15 @@ class CsrGraph {
   std::span<const VertexId> col_idx() const noexcept { return col_idx_; }
   std::span<const float> weights() const noexcept { return weights_; }
 
+  /// Tables derived from this graph (see GraphMemo), shared with its
+  /// copies; null only for a moved-from graph.
+  GraphMemo* memo() const noexcept { return memo_.get(); }
+
  private:
   std::vector<EdgeIndex> row_ptr_;  // n + 1 entries
   std::vector<VertexId> col_idx_;   // m entries, sorted within each row
   std::vector<float> weights_;      // m entries or empty
+  std::shared_ptr<GraphMemo> memo_ = std::make_shared<GraphMemo>();
 };
 
 }  // namespace csaw

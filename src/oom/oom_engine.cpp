@@ -61,6 +61,7 @@ OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
   CSAW_CHECK(config.resident_partitions >= 1);
   CSAW_CHECK(config.resident_partitions <= config.num_partitions);
   CSAW_CHECK(config.num_streams >= 1);
+  rows_ = static_ctps_rows(GraphView(*graph_), policy_, spec_);
 }
 
 void OomEngine::set_cache(std::shared_ptr<PartitionCache> cache) {
@@ -647,8 +648,8 @@ void OomEngine::process_entry(std::uint32_t p, const FrontierEntry& entry,
   const FrontierWorkItem item{entry.vertex, entry.instance, entry.depth,
                               entry.slot};
   FrontierResult result = process_frontier_vertex(
-      view, policy_, spec_, rng_, scratch.neighbor_selector, inst, item, warp,
-      scratch.bias_scratch);
+      view, policy_, spec_, rows_, rng_, scratch.neighbor_selector, inst,
+      item, warp, scratch.bias_scratch);
   for (const Edge& e : result.sampled) samples_->add(local, e);
 
   if (entry.depth + 1 >= spec_.depth) return;  // walk/tree complete

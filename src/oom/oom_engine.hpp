@@ -159,6 +159,9 @@ class OomEngine {
   const CsrGraph* graph_;
   Policy policy_;
   SamplingSpec spec_;
+  /// static_ctps_rows over the whole graph, shared by every partition
+  /// view (a partition keeps its vertices' adjacency in CSR order).
+  const StaticCtpsRows* rows_ = nullptr;
   OomConfig config_;
   CounterStream rng_;
   SelectConfig select_config_;

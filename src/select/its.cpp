@@ -17,14 +17,12 @@ std::vector<std::uint32_t> ItsSelector::select(
   std::vector<std::uint32_t> out;
   if (k == 0 || biases.empty()) return out;
 
-  // Fig. 5 lines 6-7: warp Kogge-Stone prefix sum + normalization. The
-  // warp also streams the bias array from global memory once.
-  warp.charge_global(biases.size() * sizeof(float));
-  ctps_.build(biases, &warp);
+  charge_rebuild(warp, biases.size());
+  ctps_.build(biases);
 
   if (config_.with_replacement) {
     out.reserve(k);
-    select_with_replacement(k, rng, coords, warp, out);
+    select_with_replacement(ctps_.upper(), k, rng, coords, warp, out);
     return out;
   }
 
@@ -51,7 +49,28 @@ std::vector<std::uint32_t> ItsSelector::select(
   return out;
 }
 
-void ItsSelector::select_with_replacement(std::uint32_t k,
+std::vector<std::uint32_t> ItsSelector::select_prebuilt(
+    std::span<const float> upper, std::uint32_t k, const CounterStream& rng,
+    SelectCoords coords, sim::WarpContext& warp) {
+  CSAW_CHECK_MSG(config_.with_replacement,
+                 "a prebuilt CTPS serves only sampling with replacement");
+  std::vector<std::uint32_t> out;
+  if (k == 0 || upper.empty()) return out;
+  charge_rebuild(warp, upper.size());
+  out.reserve(k);
+  select_with_replacement(upper, k, rng, coords, warp, out);
+  return out;
+}
+
+void ItsSelector::charge_rebuild(sim::WarpContext& warp, std::size_t n) {
+  // Fig. 5 lines 6-7: warp Kogge-Stone prefix sum + normalization. The
+  // warp also streams the bias array from global memory once.
+  warp.charge_global(n * sizeof(float));
+  Ctps::charge_build(warp, n);
+}
+
+void ItsSelector::select_with_replacement(std::span<const float> upper,
+                                          std::uint32_t k,
                                           const CounterStream& rng,
                                           SelectCoords coords,
                                           sim::WarpContext& warp,
@@ -62,12 +81,12 @@ void ItsSelector::select_with_replacement(std::uint32_t k,
     const std::uint32_t wave =
         std::min(sim::WarpContext::kLanes, k - base);
     warp.charge_rounds(1);  // RNG generation
-    warp.charge_binary_search(ctps_.f().size(), wave);
+    warp.charge_binary_search(upper.size() + 1, wave);
     for (std::uint32_t lane = 0; lane < wave; ++lane) {
       const double r =
           rng.uniform(coords.instance, coords.depth,
                       coords.slot_base + base + lane, /*attempt=*/0);
-      out.push_back(static_cast<std::uint32_t>(ctps_.locate(r)));
+      out.push_back(static_cast<std::uint32_t>(ctps_locate(upper, r)));
       warp.count_select_iterations(1);
     }
   }
@@ -202,8 +221,8 @@ void ItsSelector::select_updated(std::span<const float> biases,
   const bool rebuild_first = !pre_selected.empty();
   for (std::uint32_t i = 0; i < k; ++i) {
     if (i > 0 || rebuild_first) {
-      warp.charge_global(updated_biases_.size() * sizeof(float));
-      ctps_.build(updated_biases_, &warp);
+      charge_rebuild(warp, updated_biases_.size());
+      ctps_.build(updated_biases_);
     }
     const double r = rng.uniform(coords.instance, coords.depth,
                                  coords.slot_base + i, /*attempt=*/0);

@@ -89,6 +89,18 @@ class ItsSelector {
       SelectCoords coords, sim::WarpContext& warp,
       std::span<const std::uint32_t> pre_selected = {});
 
+  /// With-replacement select() over a CTPS built ahead of time: `upper`
+  /// holds the region upper boundaries F[1..n] that Ctps::build would
+  /// compute from the pool's biases (the per-graph rows of a static
+  /// EDGEBIAS). Charges `warp` exactly what select() charges for the same
+  /// pool, rebuild included, and draws the same candidates; only the
+  /// host skips the rebuild. Requires a with-replacement config.
+  std::vector<std::uint32_t> select_prebuilt(std::span<const float> upper,
+                                             std::uint32_t k,
+                                             const CounterStream& rng,
+                                             SelectCoords coords,
+                                             sim::WarpContext& warp);
+
  private:
   struct Lane {
     std::uint32_t slot = 0;
@@ -97,9 +109,15 @@ class ItsSelector {
     std::uint32_t result = 0;
   };
 
-  void select_with_replacement(std::uint32_t k, const CounterStream& rng,
-                               SelectCoords coords, sim::WarpContext& warp,
-                               std::vector<std::uint32_t>& out);
+  /// Charges what rebuilding an n-candidate CTPS costs: the bias array
+  /// streamed in from global memory, then Ctps::charge_build.
+  static void charge_rebuild(sim::WarpContext& warp, std::size_t n);
+  static void select_with_replacement(std::span<const float> upper,
+                                      std::uint32_t k,
+                                      const CounterStream& rng,
+                                      SelectCoords coords,
+                                      sim::WarpContext& warp,
+                                      std::vector<std::uint32_t>& out);
   void select_repeated_or_bipartite(std::uint32_t k, const CounterStream& rng,
                                     SelectCoords coords,
                                     sim::WarpContext& warp,

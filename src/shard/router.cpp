@@ -103,6 +103,7 @@ RunResult ShardRouter::run_tagged(
   const SamplingSpec& spec = setup_.spec;
   const Policy& policy = setup_.policy;
   const CsrGraphView view(*graph_);
+  const StaticCtpsRows* rows = static_ctps_rows(view, policy, spec);
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
   telemetry::TraceRecorder* trace = control.trace;
@@ -202,7 +203,7 @@ RunResult ShardRouter::run_tagged(
         {
           sim::WarpContext warp(w.round_stats);
           step = process_frontier_vertex(
-              view, policy, spec, rng, w.selector, w.scratch,
+              view, policy, spec, rows, rng, w.selector, w.scratch,
               FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
               warp, w.bias_scratch);
         }

@@ -100,18 +100,22 @@ class EdgeRefWeight : public ::testing::TestWithParam<bool> {
       : graph_(generate_rmat(512, 4096, 21, {}, /*weighted=*/GetParam())) {}
 
   /// Wraps `setup`'s EDGEBIAS with a check of the weight it is handed.
+  /// The wrapper is dynamic, so a static bias is evaluated per step too.
   AlgorithmSetup checked(AlgorithmSetup setup) {
     auto inner = setup.policy.edge_bias;
-    setup.policy.edge_bias = [this, inner](const GraphView& view,
-                                           const EdgeRef& e,
-                                           const InstanceContext& ctx) {
+    const StaticEdgeBias inner_static = setup.policy.static_edge_bias;
+    setup.policy.static_edge_bias = nullptr;
+    setup.policy.edge_bias = [this, inner, inner_static](
+                                 const GraphView& view, const EdgeRef& e,
+                                 const InstanceContext& ctx) {
       const float expected =
           GetParam() ? graph_.edge_weight(e.v, e.k) : 1.0f;
       if (e.weight != expected || graph_.neighbors(e.v)[e.k] != e.u) {
         ++mismatches_;
       }
       ++calls_;
-      return inner ? inner(view, e, ctx) : 1.0f;
+      if (inner) return inner(view, e, ctx);
+      return inner_static ? inner_static(view.graph(), e) : 1.0f;
     };
     return setup;
   }

@@ -24,12 +24,10 @@ class PageBuffer {
   PageBuffer& operator=(const PageBuffer&) = delete;
 
   std::byte* data() const noexcept { return data_; }
-  /// Mapped size: the requested size rounded up to whole pages.
-  std::size_t size() const noexcept { return size_; }
 
  private:
   std::byte* data_ = nullptr;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // mapped bytes: the request rounded up to pages
 };
 
 }  // namespace csaw

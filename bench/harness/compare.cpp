@@ -2,7 +2,8 @@
 // committed baseline and fails on simulated-SEPS regressions. SEPS is
 // computed from the analytic device model, so it is deterministic across
 // machines — the tolerance absorbs intentional small cost-model drift,
-// not measurement noise. Wall-clock fields are never compared.
+// not measurement noise. The sharded block's forwarding counts must match
+// exactly. Wall-clock fields are never compared.
 //
 // Usage: bench_compare <baseline.json> <current.json> [--tolerance 0.15]
 // Exit:  0 = no regression, 1 = regression, 2 = incomparable/parse error.
@@ -34,6 +35,12 @@ struct Metric {
   std::string label;
   double seps = 0.0;
 };
+
+/// The sharded_service block's per-shard-count entries, if recorded.
+const Json* shard_counts(const Json& record) {
+  const Json* sharded = record.find("sharded_service");
+  return sharded == nullptr ? nullptr : sharded->find("counts");
+}
 
 std::vector<Metric> collect_metrics(const Json& record) {
   std::vector<Metric> metrics;
@@ -68,15 +75,12 @@ std::vector<Metric> collect_metrics(const Json& record) {
   }
   // Sharded-service SEPS are simulated too (compute + envelope transfer
   // on the analytic wire model), so each shard count gates; the
-  // forwarding counters (walkers, envelopes, bytes) are recorded but not
-  // compared.
-  if (const Json* sharded = record.find("sharded_service")) {
-    if (const Json* counts = sharded->find("counts")) {
-      for (const Json& entry : counts->items()) {
-        metrics.push_back(
-            Metric{"shard/" + std::to_string(entry.at("shards").as_int()),
-                   entry.at("seps").as_double()});
-      }
+  // forwarding counters gate separately (shard_witness_errors).
+  if (const Json* counts = shard_counts(record)) {
+    for (const Json& entry : counts->items()) {
+      metrics.push_back(
+          Metric{"shard/" + std::to_string(entry.at("shards").as_int()),
+                 entry.at("seps").as_double()});
     }
   }
   return metrics;
@@ -94,6 +98,40 @@ std::string value_string(const Json* value) {
     os << v;
   }
   return os.str();
+}
+
+/// Forwarding counts of each sharded_service shard count. They are
+/// integers fixed by the samples and the transport knobs alone, so a
+/// change to the simulated charge leaves them exact; any difference means
+/// the walkers themselves moved differently.
+constexpr const char* kShardWitnesses[] = {"forwarded_walkers", "envelopes",
+                                           "bytes_forwarded", "rounds"};
+
+std::vector<std::string> shard_witness_errors(const Json& baseline,
+                                              const Json& current) {
+  std::vector<std::string> errors;
+  const Json* base_counts = shard_counts(baseline);
+  const Json* current_counts = shard_counts(current);
+  if (base_counts == nullptr || current_counts == nullptr) return errors;
+  for (const Json& base : base_counts->items()) {
+    const std::int64_t shards = base.at("shards").as_int();
+    const Json* now = nullptr;
+    for (const Json& entry : current_counts->items()) {
+      if (entry.at("shards").as_int() == shards) now = &entry;
+    }
+    if (now == nullptr) continue;  // reported MISSING by the SEPS gate
+    for (const char* key : kShardWitnesses) {
+      const Json* want = base.find(key);
+      const Json* got = now->find(key);
+      if (want == nullptr || got == nullptr ||
+          want->as_int() != got->as_int()) {
+        errors.push_back("shard/" + std::to_string(shards) + " " + key +
+                         ": baseline " + value_string(want) + ", current " +
+                         value_string(got));
+      }
+    }
+  }
+  return errors;
 }
 
 /// Baselines are comparable only when they measured the same workload:
@@ -242,10 +280,18 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  const std::vector<std::string> witness_errors =
+      shard_witness_errors(baseline, current);
+  for (const std::string& error : witness_errors) {
+    std::cerr << "bench_compare: sharded forwarding count changed: " << error
+              << "\n";
+  }
+  regressions += static_cast<int>(witness_errors.size());
+
   if (regressions > 0) {
-    std::cerr << regressions << " metric(s) regressed more than "
-              << tolerance * 100.0
-              << "% vs " << baseline_path
+    std::cerr << regressions
+              << " metric(s) regressed more than " << tolerance * 100.0
+              << "% or changed a forwarding count vs " << baseline_path
               << ". If intentional (cost-model change), regenerate the "
                  "committed baseline with bench_harness and commit it with "
                  "the change.\n";

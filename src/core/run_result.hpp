@@ -73,7 +73,9 @@ struct OomMetrics {
 /// ShardRouter executed the run.
 struct ShardMetrics {
   std::uint32_t shards = 0;
-  /// BSP forwarding rounds executed (compute + exchange supersteps).
+  /// BSP forwarding rounds the host executed (compute + exchange
+  /// supersteps). They order the exchange only: each shard's simulated
+  /// compute is one persistent kernel per run, not one per round.
   std::size_t rounds = 0;
   /// Walkers handed to another shard (each hop counts once).
   std::uint64_t forwarded_walkers = 0;
@@ -81,7 +83,10 @@ struct ShardMetrics {
   std::uint64_t envelopes = 0;
   /// Wire bytes of delivered envelopes (headers + walker records).
   std::uint64_t bytes_forwarded = 0;
-  /// Simulated seconds spent on envelope transfers (in sim_seconds).
+  /// Simulated seconds spent on envelope transfers: per superstep the
+  /// slowest source link, summed over supersteps. sim_seconds is this
+  /// plus the compute makespan (the slowest shard kernel, or the longest
+  /// walker's path across shards when that is longer).
   double transfer_seconds = 0.0;
   /// Injected delivery faults observed (ShardFaultInjector).
   std::size_t envelope_faults = 0;
@@ -118,9 +123,11 @@ struct RunResult {
   /// Simulated makespan. In-memory: device seconds in sampling kernels.
   /// Out-of-memory: includes partition transfers (the paper's OOM SEPS
   /// definition). Multi-device: the slowest device. Batched: the sum over
-  /// sequential batches.
+  /// sequential batches. Sharded: the compute makespan plus envelope
+  /// transfers (ShardMetrics::transfer_seconds).
   double sim_seconds = 0.0;
   /// Per-device simulated seconds; one entry for single-device modes.
+  /// Sharded: each shard's persistent kernel, transfers excluded.
   std::vector<double> device_seconds;
   /// Aggregated kernel stats over the run (all devices).
   sim::KernelStats stats;

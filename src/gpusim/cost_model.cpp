@@ -51,12 +51,19 @@ double CostModel::kernel_seconds(const KernelStats& stats,
 
   // Critical path: no amount of parallelism finishes before the
   // longest-running warp does.
-  const double straggler = static_cast<double>(stats.max_warp_rounds) *
-                           params_.cycles_per_round /
-                           static_cast<double>(params_.clock_hz());
+  const double straggler = rounds_seconds(stats.max_warp_rounds);
 
   return std::max({compute, memory, straggler}) +
          params_.kernel_launch_us * 1e-6;
+}
+
+double CostModel::critical_path_seconds(std::uint64_t rounds) const {
+  return rounds_seconds(rounds) + params_.kernel_launch_us * 1e-6;
+}
+
+double CostModel::rounds_seconds(std::uint64_t rounds) const {
+  return static_cast<double>(rounds) * params_.cycles_per_round /
+         static_cast<double>(params_.clock_hz());
 }
 
 double CostModel::transfer_seconds(std::uint64_t bytes) const {

@@ -115,10 +115,19 @@ class CostModel {
   double kernel_seconds(const KernelStats& stats,
                         double resource_fraction = 1.0) const;
 
+  /// Shortest duration of one launch whose longest chain of dependent
+  /// lock-step rounds is `rounds`: the straggler term of kernel_seconds
+  /// plus launch latency. Bounds a persistent kernel from below however
+  /// many warps run beside that chain.
+  double critical_path_seconds(std::uint64_t rounds) const;
+
   /// Host-to-device copy duration for `bytes` over the (exclusive) link.
   double transfer_seconds(std::uint64_t bytes) const;
 
  private:
+  /// Simulated seconds of `rounds` dependent lock-step rounds on one SM.
+  double rounds_seconds(std::uint64_t rounds) const;
+
   DeviceParams params_;
 };
 

@@ -237,40 +237,40 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
   }
 
   // Deterministic aggregation in chain order — the host schedule is
-  // invisible. Persistent-kernel accounting per slot: critical path = the
-  // longest chain span, peak warps = sum of per-chain widths, occupancy =
-  // 8-chain block imbalance over chain spans (a chain's warp slots stay
-  // resident until the chain retires).
-  constexpr std::uint64_t kWarpsPerBlock = 8;
+  // invisible.
   std::vector<PipelinedKernel> kernels(num_kernels);
   for (std::uint32_t k = 0; k < num_kernels; ++k) {
     PipelinedKernel& out = kernels[k];
-    std::uint64_t peak_warps = 0;
-    std::uint64_t longest = 0;
-    std::uint64_t occupied = 0;
-    std::uint64_t block_width = 0;
-    std::uint64_t block_longest = 0;
+    PersistentKernelShape shape;
     for (std::uint64_t c = 0; c < num_chains; ++c) {
       ChainContext::Slot& slot = chains[c].slots_[k];
       if (slot.tasks == 0) continue;
       slot.close_group();
       out.stats.merge(slot.stats);
       out.num_tasks += slot.tasks;
-      peak_warps += slot.width;
-      longest = std::max(longest, slot.span_rounds);
-      block_longest = std::max(block_longest, slot.span_rounds);
-      if (++block_width == kWarpsPerBlock) {
-        occupied += block_width * block_longest;
-        block_width = 0;
-        block_longest = 0;
-      }
+      shape.add_chain(slot.span_rounds, slot.width);
     }
-    occupied += block_width * block_longest;
-    out.stats.warps = peak_warps;
-    out.stats.max_warp_rounds = longest;
-    out.stats.occupied_slot_rounds = occupied;
+    shape.apply(out.stats);
   }
   return kernels;
+}
+
+void PersistentKernelShape::add_chain(std::uint64_t span_rounds,
+                                      std::uint64_t width) noexcept {
+  peak_warps_ += width;
+  longest_ = std::max(longest_, span_rounds);
+  block_longest_ = std::max(block_longest_, span_rounds);
+  if (++block_width_ == kWarpsPerBlock) {
+    occupied_ += block_width_ * block_longest_;
+    block_width_ = 0;
+    block_longest_ = 0;
+  }
+}
+
+void PersistentKernelShape::apply(KernelStats& stats) const noexcept {
+  stats.warps = peak_warps_;
+  stats.max_warp_rounds = longest_;
+  stats.occupied_slot_rounds = occupied_ + block_width_ * block_longest_;
 }
 
 const KernelRecord& Device::record_pipelined(std::string name, Stream& stream,

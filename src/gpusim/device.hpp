@@ -97,6 +97,32 @@ class ChainContext {
   std::vector<Slot> slots_;
 };
 
+/// Persistent-kernel shape over chains folded in chain order: a chain's
+/// warp slots stay resident until the chain retires, so the kernel's
+///   - warps = the sum of per-chain peak widths,
+///   - max_warp_rounds = the longest chain's span (its critical path),
+///   - occupied_slot_rounds = 8-chain block imbalance over chain spans.
+/// Device::execute_pipelined shapes each fused kernel slot with it; the
+/// shard router shapes each shard's kernel over its walkers.
+class PersistentKernelShape {
+ public:
+  /// Folds the next chain: its critical path and its peak concurrent
+  /// warps. Call only for chains that ran at least one warp-task.
+  void add_chain(std::uint64_t span_rounds, std::uint64_t width) noexcept;
+
+  /// Writes warps, max_warp_rounds and occupied_slot_rounds of the chains
+  /// folded so far into `stats`; the other fields are the caller's sum.
+  void apply(KernelStats& stats) const noexcept;
+
+ private:
+  static constexpr std::uint64_t kWarpsPerBlock = 8;
+  std::uint64_t peak_warps_ = 0;
+  std::uint64_t longest_ = 0;
+  std::uint64_t occupied_ = 0;  ///< closed blocks only
+  std::uint64_t block_width_ = 0;
+  std::uint64_t block_longest_ = 0;
+};
+
 /// One simulated GPU. Kernel bodies run eagerly on the host, accumulating
 /// KernelStats; the CostModel turns the stats into a simulated duration
 /// placed on the launch stream.

@@ -8,6 +8,7 @@
 #include "core/engine.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/warp.hpp"
 #include "shard/envelope.hpp"
 #include "util/check.hpp"
@@ -23,8 +24,9 @@ namespace {
 /// Everything *mutable* is private to the shard, so the compute phase
 /// parallelizes over shards with no aliasing.
 struct ShardWorker {
-  ShardWorker(const SelectConfig& select, std::uint32_t shards)
-      : selector(select), egress(shards) {}
+  ShardWorker(const SelectConfig& select, std::uint32_t shards,
+              std::uint32_t walkers)
+      : selector(select), egress(shards), walker_rounds(walkers, 0) {}
 
   ItsSelector selector;
   std::vector<float> bias_scratch;
@@ -35,11 +37,15 @@ struct ShardWorker {
   std::vector<ShardWalker> residents;
   /// Fresh boundary crossings of this round, bucketed by destination.
   std::vector<std::vector<ShardWalker>> egress;
-  sim::KernelStats round_stats;
-  std::uint64_t round_steps = 0;
+  /// Per-step stats of every step this shard ran, summed over the run.
+  sim::KernelStats stats;
+  /// Lock-step rounds each walker (by run-local index) ran here: its
+  /// chain in this shard's persistent kernel. Every step charges at least
+  /// its GATHERNEIGHBORS round, so a walker stepped here iff its entry is
+  /// nonzero.
+  std::vector<std::uint64_t> walker_rounds;
   std::uint64_t steps = 0;
   std::uint64_t forwarded = 0;
-  double device_seconds = 0.0;
 };
 
 }  // namespace
@@ -130,7 +136,7 @@ RunResult ShardRouter::run_tagged(
   std::vector<std::deque<WalkerEnvelope>> outbox(num_shards);
   std::vector<std::uint64_t> next_seq(num_shards, 0);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back(options_.select, num_shards);
+    workers.emplace_back(options_.select, num_shards, n);
     inbox.emplace_back(options_.queue_capacity);
   }
 
@@ -176,7 +182,8 @@ RunResult ShardRouter::run_tagged(
   // (KnightKing run_walkers semantics — a walker is forwarded the
   // moment its next vertex has a different owner, everything else
   // stays shard-local). Draw coordinates are (tag, depth, slot 0), so
-  // the bytes are identical to the unsharded engines'.
+  // the bytes are identical to the unsharded engines'. Only the step
+  // stats are kept here; the simulated charge comes after the loop.
   const auto compute_shard = [&](std::size_t item, std::uint32_t) {
     ShardWorker& w = workers[item];
     if (w.residents.empty()) return;
@@ -188,6 +195,7 @@ RunResult ShardRouter::run_tagged(
                     {"shard", std::to_string(item)},
                     {"walkers", std::to_string(w.residents.size())}});
     }
+    std::uint64_t round_steps = 0;
     for (const ShardWalker& start : w.residents) {
       ShardWalker walker = start;
       while (true) {
@@ -200,14 +208,16 @@ RunResult ShardRouter::run_tagged(
         w.scratch.seed_vertex = walker.seed;
         w.scratch.prev_vertex = walker.prev;
         FrontierResult step;
+        const std::uint64_t before = w.stats.lockstep_rounds;
         {
-          sim::WarpContext warp(w.round_stats);
+          sim::WarpContext warp(w.stats);
           step = process_frontier_vertex(
               view, policy, spec, rows, rng, w.selector, w.scratch,
               FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
               warp, w.bias_scratch);
         }
-        ++w.round_steps;
+        w.walker_rounds[walker.local] += w.stats.lockstep_rounds - before;
+        ++round_steps;
         for (const Edge& e : step.sampled) {
           result.samples.add(walker.local, e);
         }
@@ -228,9 +238,10 @@ RunResult ShardRouter::run_tagged(
       }
     }
     w.residents.clear();
+    w.steps += round_steps;
     if (trace) {
       trace->end_span(span_id, "shard",
-                      {{"steps", std::to_string(w.round_steps)}});
+                      {{"steps", std::to_string(round_steps)}});
     }
   };
 
@@ -290,34 +301,23 @@ RunResult ShardRouter::run_tagged(
     if (!any_residents && !any_outbox) break;
 
     // --- Compute superstep: shards step in parallel (disjoint state,
-    // disjoint result rows); the round costs the slowest shard.
-    double round_compute = 0.0;
+    // disjoint result rows). Host-side only: the simulated compute is
+    // charged once per run below, not per superstep.
     if (any_residents) {
-      for (auto& w : workers) {
-        w.round_stats = {};
-        w.round_steps = 0;
-      }
       if (pool) {
         pool->parallel_for(num_shards, compute_shard);
       } else {
         for (std::uint32_t s = 0; s < num_shards; ++s) compute_shard(s, 0);
       }
-      for (std::uint32_t s = 0; s < num_shards; ++s) {
-        ShardWorker& w = workers[s];
-        const double secs = cost.kernel_seconds(w.round_stats);
-        round_compute = std::max(round_compute, secs);
-        w.device_seconds += secs;
-        w.steps += w.round_steps;
-        result.stats.merge(w.round_stats);
-      }
     }
 
     // --- Exchange superstep, single-threaded: the delivery order (and
     // therefore the fault injector's site order) is deterministic.
-    // Each source serializes on its own egress link; the round costs
-    // the slowest link. A full destination queue leaves the envelope
-    // at the head of its outbox for next round (deterministic
-    // backpressure: the walkers step later at unchanged bytes).
+    // Each source serializes on its own egress link; the superstep's
+    // transfer costs the slowest link, and supersteps' transfers add. A
+    // full destination queue leaves the envelope at the head of its
+    // outbox for next round (deterministic backpressure: the walkers step
+    // later at unchanged bytes).
     double round_transfer = 0.0;
     for (std::uint32_t src = 0; src < num_shards; ++src) {
       ShardWorker& w = workers[src];
@@ -398,18 +398,42 @@ RunResult ShardRouter::run_tagged(
       round_transfer = std::max(round_transfer, src_seconds);
     }
 
-    result.sim_seconds += round_compute + round_transfer;
     shard.transfer_seconds += round_transfer;
     ++round;
   }
 
+  // Simulated compute: each shard runs one persistent kernel for the
+  // whole run, a chain per walker that stepped on it, shaped like the
+  // in-memory pipelined launch (so one shard costs exactly what the
+  // unsharded engine does). A walker's steps also serialize across
+  // shards, so no schedule beats its longest total path.
+  std::vector<sim::PersistentKernelShape> shapes(num_shards);
+  std::uint64_t longest_path = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint64_t path = 0;
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      const std::uint64_t rounds = workers[s].walker_rounds[i];
+      if (rounds == 0) continue;
+      shapes[s].add_chain(rounds, /*width=*/1);
+      path += rounds;
+    }
+    longest_path = std::max(longest_path, path);
+  }
+  double compute = longest_path == 0
+                       ? 0.0
+                       : cost.critical_path_seconds(longest_path);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
-    result.device_seconds[s] = workers[s].device_seconds;
+    sim::KernelStats kernel = workers[s].stats;
+    shapes[s].apply(kernel);
+    result.device_seconds[s] = cost.kernel_seconds(kernel);
+    compute = std::max(compute, result.device_seconds[s]);
+    result.stats.merge(workers[s].stats);
     shard.steps_per_shard[s] = workers[s].steps;
     shard.forwarded_per_shard[s] = workers[s].forwarded;
     shard.forwarded_walkers += workers[s].forwarded;
   }
   shard.rounds = round;
+  result.sim_seconds = compute + shard.transfer_seconds;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (failed[i]) shard.failed.push_back(i);
   }

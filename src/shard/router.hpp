@@ -14,6 +14,15 @@
 // CostModel (and therefore SEPS accounting) as kernels and partition
 // copies.
 //
+// Simulated charge: the supersteps are the host's schedule, not the
+// device's. Each shard runs one persistent kernel per run, with a chain
+// per walker that stepped on it (shaped like the in-memory engine's
+// pipelined launch, sim::PersistentKernelShape), so
+//   sim_seconds = max(slowest shard kernel,
+//                     longest walker's total path + one launch)
+//               + sum over supersteps of the slowest link's transfer.
+// One shard therefore costs exactly the unsharded pipelined run.
+//
 // Determinism contract — the headline claim of the sharded tier: a
 // run's samples are byte-identical at any shard count and any host
 // thread count, because every random draw is addressed by the global
@@ -23,8 +32,8 @@
 // neighbor per step -> child_slot = 0*cap+0), so a walker's draw
 // coordinates are (tag, depth, slot_base, ...) wherever it is
 // resident — shard placement is invisible in the bytes. Shards only
-// change the simulated timeline (envelope transfers, per-shard kernel
-// overlap) and the failure domains.
+// change the simulated timeline (envelope transfers, per-shard kernels)
+// and the failure domains.
 //
 // Fault semantics: a ShardFaultInjector drops/delays envelope
 // deliveries (bounded retry with doubling backoff in simulated time),

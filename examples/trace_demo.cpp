@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fault_injector.hpp"
 
 int main() {
   using namespace csaw;
@@ -39,9 +39,9 @@ int main() {
   config.max_concurrent_batches = 2;
   config.batching_deadline = std::chrono::microseconds(300);
   config.options.memory_assumption = MemoryAssumption::kExceeds;
-  config.options.transfer_retry_limit = 3;
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 2);
+  config.options.transfer_retry.attempts = 3;
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 2);
   config.options.transfer_faults = injector;
   config.trace = std::make_shared<telemetry::TraceRecorder>();
   Service service(config);

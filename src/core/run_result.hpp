@@ -56,11 +56,11 @@ struct OomMetrics {
   /// Simulated seconds of host-to-device copy time that overlapped a
   /// kernel — the transfer/compute overlap the cache buys.
   double transfer_overlap_seconds = 0.0;
-  /// Injected partition-copy faults observed (TransferFaultInjector);
-  /// zero without an injector.
+  /// Injected partition-copy faults observed (FaultInjector); zero
+  /// without an injector.
   std::size_t transfer_faults = 0;
   /// Partition copies re-issued after a fault (bounded by
-  /// OomConfig::transfer_retry_limit per load).
+  /// OomConfig::transfer_retry per load).
   std::size_t transfer_retries = 0;
 
   /// Accumulates counters; kernel_imbalance is averaged weighted by
@@ -88,7 +88,7 @@ struct ShardMetrics {
   /// plus the compute makespan (the slowest shard kernel, or the longest
   /// walker's path across shards when that is longer).
   double transfer_seconds = 0.0;
-  /// Injected delivery faults observed (ShardFaultInjector).
+  /// Injected delivery faults observed (FaultInjector).
   std::size_t envelope_faults = 0;
   /// Deliveries re-attempted after a fault.
   std::size_t envelope_retries = 0;

@@ -186,8 +186,7 @@ OomConfig SamplerOptions::oom_config() const {
   config.workload_aware = oom_workload_aware;
   config.block_balancing = oom_block_balancing;
   config.unbatched_gang_size = oom_unbatched_gang_size;
-  config.transfer_retry_limit = transfer_retry_limit;
-  config.transfer_backoff = transfer_backoff;
+  config.transfer_retry = transfer_retry;
   config.fault_injector = transfer_faults;
   config.engine = engine_config();
   return config;

@@ -78,15 +78,14 @@ struct SamplerOptions {
   std::uint32_t oom_unbatched_gang_size = 1024;
 
   // --- Paged-I/O fault tolerance (kPipelined demand-cache path only).
-  /// Total attempts per partition copy (1 = no retry). A copy failing
-  /// every attempt throws TransferError out of the run.
-  std::uint32_t transfer_retry_limit = 3;
-  /// Base backoff before the first retry (simulated seconds); doubles per
-  /// further retry.
-  double transfer_backoff = 1e-4;
-  /// Optional deterministic fault injector consulted per copy attempt.
-  /// nullptr (the default) means fault-free paged I/O.
-  std::shared_ptr<TransferFaultInjector> transfer_faults;
+  /// Retry policy of a partition copy. A copy failing every attempt
+  /// throws TransferError out of the run. The service's sharded router
+  /// uses the same policy for envelope deliveries.
+  RetryPolicy transfer_retry;
+  /// Optional deterministic fault injector consulted per copy attempt,
+  /// keyed by partition id. nullptr (the default) means fault-free paged
+  /// I/O.
+  std::shared_ptr<FaultInjector> transfer_faults;
 
   // --- Auto-selection inputs.
   MemoryAssumption memory_assumption = MemoryAssumption::kMeasure;

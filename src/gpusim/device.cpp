@@ -210,14 +210,7 @@ ChainContext::Slot& ChainContext::begin_task(std::uint32_t kernel,
 std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     std::uint32_t num_kernels, std::uint64_t num_chains,
     const ChainBody& body, CancelToken cancel) {
-  // Chain contexts come from the device-lifetime pool: residency-looped
-  // and batch-streamed executions reuse the same slot vectors instead of
-  // allocating num_chains contexts per launch.
-  if (chain_pool_.size() < num_chains) chain_pool_.resize(num_chains);
-  for (std::uint64_t c = 0; c < num_chains; ++c) {
-    chain_pool_[c].reset(num_kernels);
-  }
-  std::vector<ChainContext>& chains = chain_pool_;
+  std::vector<ChainContext> chains(num_chains, ChainContext(num_kernels));
   ThreadPool* pool = executor();
   // Run-level cancellation: skip chains that have not started yet. An
   // unarmed token short-circuits on a null pointer check, so the common

@@ -42,12 +42,6 @@ class ChainContext {
  public:
   explicit ChainContext(std::uint32_t num_kernels = 1) : slots_(num_kernels) {}
 
-  /// Reinitializes for reuse: Device keeps a pool of ChainContexts across
-  /// pipelined launches (residencies, runs) so the hot path allocates no
-  /// per-chain state after warm-up — assign() reuses the slot vector's
-  /// capacity.
-  void reset(std::uint32_t num_kernels) { slots_.assign(num_kernels, Slot{}); }
-
   /// Executes `fn` as one simulated warp-task of this chain, charged to
   /// kernel slot `kernel`. `group` identifies the chain's dependency
   /// stage (the sampling step, or the residency pass): tasks of one chain
@@ -325,15 +319,6 @@ class Device {
   std::vector<KernelRecord> kernel_log_;
   std::shared_ptr<ThreadPool> shared_pool_;
   std::unique_ptr<ThreadPool> owned_pool_;
-  /// Reused per-chain contexts for execute_pipelined, grown to the
-  /// widest launch, reset per launch, freed with the device. The reuse
-  /// case is within one run: the out-of-memory engine issues one
-  /// pipelined execution per residency round on the same device
-  /// (single-launch paths like the in-memory engine allocate once
-  /// either way — measured wall delta is within noise both ways, see
-  /// docs/BENCHMARKS.md "Host-side perf notes"). Scratch only —
-  /// reset() does not touch it.
-  std::vector<ChainContext> chain_pool_;
 };
 
 }  // namespace csaw::sim

@@ -61,9 +61,9 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
   double not_before = 0.0;
   for (std::uint32_t attempt = 0;; ++attempt) {
     const auto outcome = injector_ == nullptr
-                             ? TransferFaultInjector::Outcome::kOk
+                             ? FaultInjector::Outcome::kOk
                              : injector_->next_attempt(p, attempt);
-    if (outcome == TransferFaultInjector::Outcome::kFail) {
+    if (outcome == FaultInjector::Outcome::kFail) {
       ++metrics_.transfer_faults;
       if (oom != nullptr) ++oom->transfer_faults;
       if (trace_ != nullptr) {
@@ -92,11 +92,11 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
       }
       // Exponential backoff: the retry may not start before the delay
       // elapses (the link is free for other streams' copies meanwhile).
-      not_before = failed_at + policy_.backoff * static_cast<double>(1u << attempt);
+      not_before = failed_at + policy_.backoff_before(attempt + 1);
       continue;
     }
 
-    const double scale = outcome == TransferFaultInjector::Outcome::kSlow
+    const double scale = outcome == FaultInjector::Outcome::kSlow
                              ? injector_->slow_factor()
                              : 1.0;
     const double ready =
@@ -265,8 +265,7 @@ void PartitionCache::settle(double now) {
 }
 
 void PartitionCache::set_fault_policy(
-    std::shared_ptr<TransferFaultInjector> injector,
-    TransferRetryPolicy policy) {
+    std::shared_ptr<FaultInjector> injector, RetryPolicy policy) {
   CSAW_CHECK_MSG(policy.attempts >= 1,
                  "transfer retry policy needs at least one attempt");
   injector_ = std::move(injector);

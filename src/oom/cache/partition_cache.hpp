@@ -11,13 +11,13 @@
 #include "core/run_result.hpp"
 #include "gpusim/device.hpp"
 #include "telemetry/trace.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 
 /// Terminal paged-I/O failure: every attempt of a partition copy
-/// (1 + retries, bounded by TransferRetryPolicy::attempts) failed. The
+/// (1 + retries, bounded by RetryPolicy::attempts) failed. The
 /// cache rolls the partition back to kOnDisk before throwing, so the
 /// error fails only the batch that needed the partition — the cache
 /// stays consistent and the next run on the same graph proceeds.
@@ -33,15 +33,6 @@ class TransferError : public std::runtime_error {
  private:
   std::uint32_t partition_;
   std::uint32_t attempts_;
-};
-
-/// Bounded retry-with-exponential-backoff for partition copies. A load
-/// makes at most `attempts` tries total (attempts == 1 means no retry);
-/// retry k is issued no earlier than backoff * 2^(k-1) simulated seconds
-/// after the failed attempt's detection.
-struct TransferRetryPolicy {
-  std::uint32_t attempts = 3;
-  double backoff = 1e-4;
 };
 
 /// Residency state of one graph partition in the demand-driven cache.
@@ -168,9 +159,8 @@ class PartitionCache {
   /// Attaches (or detaches, with nullptr) a fault injector and the retry
   /// policy governing faulted copies. The engine re-applies this at every
   /// run, so a service-owned cache follows the current batch's options.
-  void set_fault_policy(std::shared_ptr<TransferFaultInjector> injector,
-                        TransferRetryPolicy policy);
-  const TransferRetryPolicy& retry_policy() const noexcept { return policy_; }
+  void set_fault_policy(std::shared_ptr<FaultInjector> injector,
+                        RetryPolicy policy);
 
   /// Attaches (or detaches, with nullptr) a trace recorder: every
   /// partition copy becomes a "transfer" span with fault/retry instants
@@ -240,8 +230,8 @@ class PartitionCache {
   std::uint32_t resident_count_ = 0;
   bool load_in_flight_ = false;  ///< at most one speculative load at a time
   CacheMetrics metrics_;
-  std::shared_ptr<TransferFaultInjector> injector_;
-  TransferRetryPolicy policy_;
+  std::shared_ptr<FaultInjector> injector_;
+  RetryPolicy policy_;
   telemetry::TraceRecorder* trace_ = nullptr;
   std::uint64_t trace_batch_ = 0;
 };

@@ -116,10 +116,7 @@ OomRun OomEngine::run(sim::Device& device,
     }
     // Re-applied every run: a service-owned cache shared across batches
     // follows the current batch's fault/retry options.
-    cache_->set_fault_policy(
-        config_.fault_injector,
-        TransferRetryPolicy{config_.transfer_retry_limit,
-                            config_.transfer_backoff});
+    cache_->set_fault_policy(config_.fault_injector, config_.transfer_retry);
     cache_->set_trace(config_.engine.trace, config_.engine.trace_batch);
     cache_->begin_run();  // fresh device, fresh simulated clock
     cache_before = cache_->metrics();

@@ -33,17 +33,14 @@ struct OomConfig {
   /// batched multi-instance sampling removes, §V-C). Gang size in
   /// instances.
   std::uint32_t unbatched_gang_size = 1024;
-  /// Total attempts per partition copy on the cached path: 1 + retries
-  /// (1 = no retry). A load that fails every attempt throws
-  /// TransferError, failing the batch; the cache settles back consistent.
-  std::uint32_t transfer_retry_limit = 3;
-  /// Base backoff before the first retry (simulated seconds); doubles per
-  /// further retry.
-  double transfer_backoff = 1e-4;
-  /// Optional fault injector consulted per copy attempt (cached path
-  /// only — the barrier waves' copies never fail). nullptr = fault-free
-  /// I/O, the default.
-  std::shared_ptr<TransferFaultInjector> fault_injector;
+  /// Retry policy of a partition copy on the cached path. A load that
+  /// fails every attempt throws TransferError, failing the batch; the
+  /// cache settles back consistent.
+  RetryPolicy transfer_retry;
+  /// Optional fault injector consulted per copy attempt, keyed by
+  /// partition id (cached path only — the barrier waves' copies never
+  /// fail). nullptr = fault-free I/O, the default.
+  std::shared_ptr<FaultInjector> fault_injector;
   EngineConfig engine;
 };
 

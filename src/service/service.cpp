@@ -40,6 +40,48 @@ bool overlaps(const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   return false;
 }
 
+/// The outcome of a request whose token fired for `reason`; `otherwise`
+/// when it never fired.
+RequestOutcome cancel_outcome(CancelReason reason, RequestOutcome otherwise) {
+  switch (reason) {
+    case CancelReason::kNone:
+      break;
+    case CancelReason::kRequested:
+      return RequestOutcome::kCancelled;
+    case CancelReason::kDeadline:
+      return RequestOutcome::kDeadlineExceeded;
+  }
+  return otherwise;
+}
+
+/// Books one retired request into `counters`, a ServiceStats or a
+/// TenantStats: `completed` for kOk, else `failed` plus the outcome's
+/// breakdown column.
+template <typename Counters>
+void count_outcome(Counters& counters, RequestOutcome outcome) {
+  switch (outcome) {
+    case RequestOutcome::kOk:
+      ++counters.completed;
+      return;
+    case RequestOutcome::kCancelled:
+      ++counters.cancelled;
+      break;
+    case RequestOutcome::kDeadlineExceeded:
+      ++counters.deadline_exceeded;
+      break;
+    case RequestOutcome::kTransferFailed:
+      ++counters.transfer_failed;
+      break;
+    case RequestOutcome::kShardFailed:
+      ++counters.shard_failed;
+      break;
+    case RequestOutcome::kInternal:
+      ++counters.internal_errors;
+      break;
+  }
+  ++counters.failed;
+}
+
 }  // namespace
 
 Service::Service(ServiceConfig config) : config_(std::move(config)) {
@@ -51,7 +93,6 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
   CSAW_CHECK(config_.shards >= 1);
   CSAW_CHECK(config_.shard_envelope_capacity >= 1);
   CSAW_CHECK(config_.shard_queue_capacity >= 1);
-  CSAW_CHECK(config_.shard_retry_limit >= 1);
   // Edge-denominated DRR credit: the auto value scales the old instance
   // quantum by a nominal 32 edges per instance (see ServiceConfig).
   quantum_ =
@@ -192,43 +233,8 @@ void Service::count_rejection_locked(RejectReason reason) {
 
 void Service::book_outcome_locked(const std::string& tenant_name,
                                   RequestOutcome outcome) {
-  TenantState& tenant = tenants_.at(tenant_name);
-  switch (outcome) {
-    case RequestOutcome::kOk:
-      ++stats_.completed;
-      ++tenant.completed;
-      break;
-    case RequestOutcome::kCancelled:
-      ++stats_.failed;
-      ++stats_.cancelled;
-      ++tenant.failed;
-      ++tenant.cancelled;
-      break;
-    case RequestOutcome::kDeadlineExceeded:
-      ++stats_.failed;
-      ++stats_.deadline_exceeded;
-      ++tenant.failed;
-      ++tenant.deadline_exceeded;
-      break;
-    case RequestOutcome::kTransferFailed:
-      ++stats_.failed;
-      ++stats_.transfer_failed;
-      ++tenant.failed;
-      ++tenant.transfer_failed;
-      break;
-    case RequestOutcome::kShardFailed:
-      ++stats_.failed;
-      ++stats_.shard_failed;
-      ++tenant.failed;
-      ++tenant.shard_failed;
-      break;
-    case RequestOutcome::kInternal:
-      ++stats_.failed;
-      ++stats_.internal_errors;
-      ++tenant.failed;
-      ++tenant.internal_errors;
-      break;
-  }
+  count_outcome(stats_, outcome);
+  count_outcome(tenants_.at(tenant_name).stats, outcome);
   recent_.push_back(outcome);
   while (recent_.size() > config_.health_window) recent_.pop_front();
 }
@@ -253,9 +259,7 @@ void Service::sweep_queue_locked() {
     // first-fired reason distinguishes a client cancel from an expired
     // deadline.
     const RequestOutcome outcome =
-        it->run_token.reason() == CancelReason::kDeadline
-            ? RequestOutcome::kDeadlineExceeded
-            : RequestOutcome::kCancelled;
+        cancel_outcome(it->run_token.reason(), RequestOutcome::kCancelled);
     retire_timers_locked(it->ticket);
     book_outcome_locked(it->request.tenant, outcome);
     if (config_.trace != nullptr) {
@@ -417,8 +421,11 @@ Submission Service::submit_impl(SampleRequest request,
     // First accepted request of a tenant adds it to the fairness ring;
     // it stays for the service's lifetime (tenant counts are small).
     TenantState& tenant = tenants_[request.tenant];
-    if (tenant.accepted == 0) tenant_ring_.push_back(request.tenant);
-    ++tenant.accepted;
+    if (tenant.stats.accepted == 0) {
+      tenant.stats.tenant = request.tenant;
+      tenant_ring_.push_back(request.tenant);
+    }
+    ++tenant.stats.accepted;
 
     Pending pending;
     pending.request = std::move(request);
@@ -541,20 +548,8 @@ ServiceStats Service::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats snapshot = stats_;
   snapshot.tenants.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) {
-    TenantStats out;
-    out.tenant = name;
-    out.accepted = tenant.accepted;
-    out.completed = tenant.completed;
-    out.failed = tenant.failed;
-    out.cancelled = tenant.cancelled;
-    out.deadline_exceeded = tenant.deadline_exceeded;
-    out.transfer_failed = tenant.transfer_failed;
-    out.shard_failed = tenant.shard_failed;
-    out.internal_errors = tenant.internal_errors;
-    out.sampled_edges = tenant.sampled_edges;
-    out.peak_inflight_instances = tenant.peak_inflight_instances;
-    snapshot.tenants.push_back(std::move(out));
+  for (const auto& entry : tenants_) {
+    snapshot.tenants.push_back(entry.second.stats);
   }
   return snapshot;
 }
@@ -1043,8 +1038,8 @@ Service::FormedBatch Service::form_batch_locked(std::size_t head_index) {
   for (const auto& [tenant_name, instances] : batch.tenant_instances) {
     TenantState& tenant = tenants_.at(tenant_name);
     tenant.inflight_instances += instances;
-    tenant.peak_inflight_instances = std::max<std::uint64_t>(
-        tenant.peak_inflight_instances, tenant.inflight_instances);
+    tenant.stats.peak_inflight_instances = std::max<std::uint64_t>(
+        tenant.stats.peak_inflight_instances, tenant.inflight_instances);
   }
   ++batches_in_flight_;
   stats_.peak_inflight_batches = std::max<std::uint64_t>(
@@ -1197,8 +1192,7 @@ void Service::run_batch(std::vector<Pending> batch) {
       shard_options.num_threads = config_.options.num_threads;
       shard_options.envelope_capacity = config_.shard_envelope_capacity;
       shard_options.queue_capacity = config_.shard_queue_capacity;
-      shard_options.retry_limit = config_.shard_retry_limit;
-      shard_options.retry_backoff = config_.shard_retry_backoff;
+      shard_options.retry = config_.options.transfer_retry;
       shard_options.select = config_.options.select;
       shard_options.seed = config_.options.seed;
       shard_options.device_params = config_.options.device_params;
@@ -1272,18 +1266,10 @@ void Service::run_batch(std::vector<Pending> batch) {
     // Classify every request: a token that fired (client cancel or
     // deadline) fails its request even though the batch completed —
     // partial rows of a cancelled request are discarded, not returned.
-    std::vector<RequestOutcome> outcomes(num_requests, RequestOutcome::kOk);
+    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
-      switch (batch[r].run_token.reason()) {
-        case CancelReason::kNone:
-          break;
-        case CancelReason::kRequested:
-          outcomes[r] = RequestOutcome::kCancelled;
-          break;
-        case CancelReason::kDeadline:
-          outcomes[r] = RequestOutcome::kDeadlineExceeded;
-          break;
-      }
+      outcomes[r] =
+          cancel_outcome(batch[r].run_token.reason(), RequestOutcome::kOk);
     }
     if (whole.shard.has_value() && !whole.shard->failed.empty()) {
       // A terminally failed shard fails exactly the requests whose
@@ -1393,7 +1379,7 @@ void Service::run_batch(std::vector<Pending> batch) {
                   ? detail::stream_edges(*batch[r].stream)
                   : results[r].sampled_edges();
           stats_.sampled_edges += edges;
-          tenants_.at(batch[r].request.tenant).sampled_edges += edges;
+          tenants_.at(batch[r].request.tenant).stats.sampled_edges += edges;
         }
         retire_timers_locked(batch[r].ticket);
       }
@@ -1431,13 +1417,12 @@ void Service::run_batch(std::vector<Pending> batch) {
         const std::exception_ptr error = std::current_exception();
         {
           std::lock_guard<std::mutex> lock(mu_);
-          --stats_.completed;
-          ++stats_.failed;
-          ++stats_.internal_errors;
-          TenantState& tenant = tenants_.at(batch[r].request.tenant);
-          --tenant.completed;
-          ++tenant.failed;
-          ++tenant.internal_errors;
+          const auto rebook = [](auto& counters) {
+            --counters.completed;
+            count_outcome(counters, RequestOutcome::kInternal);
+          };
+          rebook(stats_);
+          rebook(tenants_.at(batch[r].request.tenant).stats);
         }
         try {
           batch[r].promise.set_exception(error);
@@ -1474,18 +1459,9 @@ void Service::run_batch(std::vector<Pending> batch) {
     }
     // Requests whose own token fired before the batch died keep their
     // truer cancellation outcome; the rest carry the batch's.
-    std::vector<RequestOutcome> outcomes(num_requests, batch_outcome);
+    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
-      switch (batch[r].run_token.reason()) {
-        case CancelReason::kNone:
-          break;
-        case CancelReason::kRequested:
-          outcomes[r] = RequestOutcome::kCancelled;
-          break;
-        case CancelReason::kDeadline:
-          outcomes[r] = RequestOutcome::kDeadlineExceeded;
-          break;
-      }
+      outcomes[r] = cancel_outcome(batch[r].run_token.reason(), batch_outcome);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);

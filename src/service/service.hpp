@@ -17,12 +17,12 @@
 
 #include "core/sampler.hpp"
 #include "service/request.hpp"
-#include "shard/fault_injector.hpp"
 #include "shard/partition_map.hpp"
 #include "service/stream.hpp"
 #include "service/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 
@@ -102,13 +102,11 @@ struct ServiceConfig {
   std::uint32_t shard_envelope_capacity = 64;
   /// Ingress-queue bound per shard; a full queue backpressures senders.
   std::uint32_t shard_queue_capacity = 32;
-  /// Delivery attempts per envelope before its walkers' requests fail.
-  std::uint32_t shard_retry_limit = 3;
-  /// Simulated backoff before the first redelivery; doubles per retry.
-  double shard_retry_backoff = 1e-4;
   /// Optional deterministic envelope fault injector shared by every
-  /// sharded batch (tests script drops/delays/terminal shard death).
-  std::shared_ptr<ShardFaultInjector> shard_faults;
+  /// sharded batch, keyed by destination shard (tests script
+  /// drops/delays/terminal shard death). Envelope deliveries retry under
+  /// options.transfer_retry, the paged path's policy.
+  std::shared_ptr<FaultInjector> shard_faults;
   /// Health reporting: how many recently retired requests the
   /// recent-outcome window of Service::health() covers.
   std::uint32_t health_window = 256;
@@ -372,16 +370,7 @@ class Service {
   struct TenantState {
     std::uint64_t deficit = 0;
     std::uint32_t inflight_instances = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t transfer_failed = 0;
-    std::uint64_t shard_failed = 0;
-    std::uint64_t internal_errors = 0;
-    std::uint64_t sampled_edges = 0;
-    std::uint64_t peak_inflight_instances = 0;
+    TenantStats stats;
   };
 
   /// A batch the dispatcher formed, queued for (or claimed by) a batch

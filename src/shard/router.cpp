@@ -67,7 +67,7 @@ ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
   CSAW_CHECK(options_.shards >= 1);
   CSAW_CHECK(options_.envelope_capacity >= 1);
   CSAW_CHECK(options_.queue_capacity >= 1);
-  CSAW_CHECK(options_.retry_limit >= 1);
+  CSAW_CHECK(options_.retry.attempts >= 1);
   CSAW_CHECK_MSG(shardable_spec(setup_.spec),
                  "ShardRouter requires a walk-shaped spec");
   if (!map_) {
@@ -251,7 +251,7 @@ RunResult ShardRouter::run_tagged(
     // else's bytes are untouched.
     if (options_.faults) {
       for (std::uint32_t s = 0; s < num_shards; ++s) {
-        if (!options_.faults->shard_failed(s)) continue;
+        if (!options_.faults->failed_forever(s)) continue;
         for (const ShardWalker& wk : workers[s].residents) {
           fail_instance(wk.local);
         }
@@ -343,7 +343,7 @@ RunResult ShardRouter::run_tagged(
       double src_seconds = 0.0;
       while (!outbox[src].empty()) {
         WalkerEnvelope& env = outbox[src].front();
-        if (options_.faults && options_.faults->shard_failed(env.to)) {
+        if (options_.faults && options_.faults->failed_forever(env.to)) {
           fail_envelope(env);
           outbox[src].pop_front();
           continue;
@@ -351,23 +351,22 @@ RunResult ShardRouter::run_tagged(
         if (inbox[env.to].full()) break;  // head-of-line backpressure
         const double wire = cost.transfer_seconds(env.bytes());
         bool delivered = false;
-        for (std::uint32_t attempt = 0; attempt < options_.retry_limit;
+        for (std::uint32_t attempt = 0; attempt < options_.retry.attempts;
              ++attempt) {
           if (attempt > 0) {
-            src_seconds += options_.retry_backoff *
-                           static_cast<double>(1u << (attempt - 1));
+            src_seconds += options_.retry.backoff_before(attempt);
             ++shard.envelope_retries;
           }
           const auto outcome =
               options_.faults
                   ? options_.faults->next_attempt(env.to, attempt)
-                  : ShardFaultInjector::Outcome::kOk;
-          if (outcome == ShardFaultInjector::Outcome::kFail) {
+                  : FaultInjector::Outcome::kOk;
+          if (outcome == FaultInjector::Outcome::kFail) {
             ++shard.envelope_faults;
             src_seconds += wire;  // the dropped copy still held the link
             continue;
           }
-          src_seconds += outcome == ShardFaultInjector::Outcome::kSlow
+          src_seconds += outcome == FaultInjector::Outcome::kSlow
                              ? wire * options_.faults->slow_factor()
                              : wire;
           delivered = true;

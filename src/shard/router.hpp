@@ -35,11 +35,11 @@
 // change the simulated timeline (envelope transfers, per-shard kernels)
 // and the failure domains.
 //
-// Fault semantics: a ShardFaultInjector drops/delays envelope
-// deliveries (bounded retry with doubling backoff in simulated time),
-// and a terminally failed shard fails exactly the instances whose
-// walkers are resident on or bound for it — every other instance's
-// bytes are untouched. The service maps those to
+// Fault semantics: a FaultInjector keyed by destination shard
+// drops/delays envelope deliveries (bounded retry with doubling backoff
+// in simulated time), and a failed-forever shard fails exactly the
+// instances whose walkers are resident on or bound for it — every other
+// instance's bytes are untouched. The service maps those to
 // RequestOutcome::kShardFailed.
 
 #include <cstdint>
@@ -53,13 +53,13 @@
 #include "gpusim/cost_model.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "select/its.hpp"
-#include "shard/fault_injector.hpp"
 #include "shard/partition_map.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 
 /// Knobs of one ShardRouter. Defaults mirror SamplerOptions where a
-/// knob has a single-device twin (seed, select, retry limit/backoff).
+/// knob has a single-device twin (seed, select, retry policy).
 struct ShardOptions {
   /// Shard count (>= 1; 1 degenerates to a single worker, no
   /// forwarding).
@@ -72,18 +72,16 @@ struct ShardOptions {
   /// Max envelopes queued at one shard's ingress; a full queue
   /// backpressures the sender (head-of-line, retried next round).
   std::uint32_t queue_capacity = 32;
-  /// Total delivery attempts per envelope (1 = no retry). An envelope
-  /// failing every attempt fails its walkers' instances.
-  std::uint32_t retry_limit = 3;
-  /// Base backoff before the first redelivery (simulated seconds);
-  /// doubles per further retry.
-  double retry_backoff = 1e-4;
+  /// Retry policy of one envelope's delivery. An envelope failing every
+  /// attempt fails its walkers' instances.
+  RetryPolicy retry;
   SelectConfig select;
   std::uint64_t seed = 0xC5A30001ull;
   sim::DeviceParams device_params;
   /// Optional deterministic fault injector consulted per delivery
-  /// attempt. nullptr (the default) means a fault-free transport.
-  std::shared_ptr<ShardFaultInjector> faults;
+  /// attempt, keyed by destination shard. nullptr (the default) means a
+  /// fault-free transport.
+  std::shared_ptr<FaultInjector> faults;
 };
 
 /// Routes walk-shaped sampling runs across shard workers over the

@@ -289,9 +289,9 @@ TEST(PartitionCache, SetCapacityEvictsDownAndRepacks) {
 TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   auto parts = make_parts();
   PartitionCache cache(parts, 2, 2);
-  auto injector = std::make_shared<TransferFaultInjector>();
-  cache.set_fault_policy(injector, TransferRetryPolicy{3, 1e-4});
-  injector->fail_partition(0, 2);  // attempts 0 and 1 fail, attempt 2 lands
+  auto injector = std::make_shared<FaultInjector>();
+  cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
+  injector->fail_next(0, 2);  // attempts 0 and 1 fail, attempt 2 lands
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -322,9 +322,9 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
 TEST(TransferFaults, ExhaustedRetriesThrowAndRollBack) {
   auto parts = make_parts();
   PartitionCache cache(parts, 2, 2);
-  auto injector = std::make_shared<TransferFaultInjector>();
-  cache.set_fault_policy(injector, TransferRetryPolicy{2, 1e-4});
-  injector->fail_partition(0, 5);  // more failures than the retry budget
+  auto injector = std::make_shared<FaultInjector>();
+  cache.set_fault_policy(injector, RetryPolicy{2, 1e-4});
+  injector->fail_next(0, 5);  // more failures than the retry budget
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -353,9 +353,9 @@ TEST(TransferFaults, ExhaustedRetriesThrowAndRollBack) {
 TEST(TransferFaults, FailedPrefetchDeclinesWithoutResidue) {
   auto parts = make_parts();
   PartitionCache cache(parts, 2, 2);
-  auto injector = std::make_shared<TransferFaultInjector>();
-  cache.set_fault_policy(injector, TransferRetryPolicy{1, 1e-4});
-  injector->fail_partition(1, 1);
+  auto injector = std::make_shared<FaultInjector>();
+  cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
+  injector->fail_next(1, 1);
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -373,17 +373,17 @@ TEST(TransferFaults, FailedPrefetchDeclinesWithoutResidue) {
 
 TEST(TransferFaults, RandomSlowSitesStretchTheCopy) {
   auto parts = make_parts();
-  TransferFaultInjector::Config config;
+  FaultInjector::Config config;
   config.slow_rate = 1.0;  // every site slow, none faulty
   config.slow_factor = 4.0;
-  auto injector = std::make_shared<TransferFaultInjector>(config);
+  auto injector = std::make_shared<FaultInjector>(config);
 
   PartitionCache clean(parts, 2, 2);
   sim::Device clean_device;
   const double clean_ready = clean.acquire(0, clean_device, no_pending());
 
   PartitionCache cache(parts, 2, 2);
-  cache.set_fault_policy(injector, TransferRetryPolicy{3, 1e-4});
+  cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
   sim::Device device;
   const double slow_ready = cache.acquire(0, device, no_pending());
   // Slow copies stretch the link occupancy by slow_factor but still
@@ -400,9 +400,9 @@ TEST(TransferFaults, RoundGuardRecoversAfterMidRoundThrow) {
   // round; this reproduces the unwind directly against the cache.
   auto parts = make_parts();
   PartitionCache cache(parts, 3, 2);
-  auto injector = std::make_shared<TransferFaultInjector>();
-  cache.set_fault_policy(injector, TransferRetryPolicy{1, 1e-4});
-  injector->fail_partition(2, 1);
+  auto injector = std::make_shared<FaultInjector>();
+  cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
+  injector->fail_next(2, 1);
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 

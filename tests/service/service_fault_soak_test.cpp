@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "service/service.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -34,8 +34,8 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
   config.max_concurrent_batches = 2;
   config.batching_deadline = std::chrono::microseconds(200);
   config.options.memory_assumption = MemoryAssumption::kExceeds;  // page all
-  auto injector = std::make_shared<TransferFaultInjector>([] {
-    TransferFaultInjector::Config c;
+  auto injector = std::make_shared<FaultInjector>([] {
+    FaultInjector::Config c;
     c.seed = 7;
     c.fail_rate = 0.05;
     c.fail_times = 1;  // absorbed by the 2-attempt budget below
@@ -44,10 +44,10 @@ TEST(ServiceFaultSoak, FaultyPagedTrafficClosesItsBooks) {
   }());
   // Two scripted terminal sites (deeper than the retry budget): whichever
   // batches open them fail typed, everyone else retries through.
-  injector->fail_partition(0, 5);
-  injector->fail_partition(1, 5);
+  injector->fail_next(0, 5);
+  injector->fail_next(1, 5);
   config.options.transfer_faults = injector;
-  config.options.transfer_retry_limit = 2;
+  config.options.transfer_retry.attempts = 2;
   Service service(config);
   const auto small =
       std::make_shared<const CsrGraph>(generate_rmat(512, 4096, 95));

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -86,10 +86,10 @@ TEST(ServiceFault, RetriedFaultsAreByteInvisible) {
   ASSERT_TRUE(ref.oom.has_value());
 
   ServiceConfig config = paged_config();
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 2);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 2);
   config.options.transfer_faults = injector;
-  config.options.transfer_retry_limit = 3;
+  config.options.transfer_retry.attempts = 3;
   Service service(config);
   service.add_graph("g", paged_graph());
   const RunResult run = run_one(service, walk_request());
@@ -117,10 +117,10 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
 
   ServiceConfig config = paged_config();
   config.start_paused = true;  // let both requests coalesce into one batch
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 1);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 1);
   config.options.transfer_faults = injector;
-  config.options.transfer_retry_limit = 1;
+  config.options.transfer_retry.attempts = 1;
   Service service(config);
   service.add_graph("g", paged_graph());
 

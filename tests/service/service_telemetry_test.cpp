@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "oom/cache/fault_injector.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -252,10 +252,10 @@ TEST(ServiceTelemetry, TraceWrapsTransferRetriesInTransferSpans) {
   ServiceConfig config = serial_config();
   config.options.memory_assumption = MemoryAssumption::kExceeds;
   config.trace = std::make_shared<telemetry::TraceRecorder>();
-  auto injector = std::make_shared<TransferFaultInjector>();
-  injector->fail_partition(0, 2);
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 2);
   config.options.transfer_faults = injector;
-  config.options.transfer_retry_limit = 3;
+  config.options.transfer_retry.attempts = 3;
   Service service(config);
   service.add_graph("g", small_graph());
 

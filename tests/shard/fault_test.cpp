@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "shard/fault_injector.hpp"
 #include "shard/router.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -39,16 +39,16 @@ std::vector<std::uint32_t> identity_tags(std::uint32_t n) {
 }
 
 RunResult run_sharded(const CsrGraph& graph, std::uint32_t shards,
-                      std::shared_ptr<ShardFaultInjector> faults,
+                      std::shared_ptr<FaultInjector> faults,
                       std::uint32_t instances = 12,
-                      std::uint32_t retry_limit = 3,
+                      std::uint32_t attempts = 3,
                       std::uint32_t length = 24) {
   const AlgorithmSetup setup =
       make_algorithm(AlgorithmId::kDeepwalk, length);
   ShardOptions options;
   options.shards = shards;
   options.num_threads = 1;
-  options.retry_limit = retry_limit;
+  options.retry.attempts = attempts;
   options.faults = std::move(faults);
   ShardRouter router(graph, setup, options);
   return router.run_tagged(walk_seeds(graph, instances),
@@ -62,10 +62,10 @@ TEST(ShardFaults, ScriptedDropsAreRetriedAtIdenticalBytes) {
 
   // Script two single-drop sites against shard 1 and one against shard
   // 2: each costs one redelivery within the budget of 3 attempts.
-  auto faults = std::make_shared<ShardFaultInjector>();
-  faults->fail_delivery(/*shard=*/1, /*times=*/1);
-  faults->fail_delivery(/*shard=*/1, /*times=*/1);
-  faults->fail_delivery(/*shard=*/2, /*times=*/1);
+  auto faults = std::make_shared<FaultInjector>();
+  faults->fail_next(/*shard=*/1, /*times=*/1);
+  faults->fail_next(/*shard=*/1, /*times=*/1);
+  faults->fail_next(/*shard=*/2, /*times=*/1);
   const RunResult got = run_sharded(graph, 3, faults);
 
   ASSERT_TRUE(got.shard->failed.empty());
@@ -86,11 +86,11 @@ TEST(ShardFaults, SlowSitesStretchTheTimelineOnly) {
   const RunResult want = run_sharded(graph, 2, nullptr);
   ASSERT_GT(want.shard->envelopes, 0u);
 
-  ShardFaultInjector::Config config;
+  FaultInjector::Config config;
   config.slow_rate = 1.0;  // every delivery site runs slow
   config.slow_factor = 5.0;
   const RunResult got =
-      run_sharded(graph, 2, std::make_shared<ShardFaultInjector>(config));
+      run_sharded(graph, 2, std::make_shared<FaultInjector>(config));
 
   ASSERT_TRUE(got.shard->failed.empty());
   for (std::uint32_t i = 0; i < got.samples.num_instances(); ++i) {
@@ -112,10 +112,10 @@ TEST(ShardFaults, ExhaustedRetryBudgetFailsOnlyTheEnvelopesInstances) {
 
   // One site that outlives the whole retry budget: its envelope's
   // instances fail; every other instance's bytes are untouched.
-  auto faults = std::make_shared<ShardFaultInjector>();
-  faults->fail_delivery(/*shard=*/1, /*times=*/10);
+  auto faults = std::make_shared<FaultInjector>();
+  faults->fail_next(/*shard=*/1, /*times=*/10);
   const RunResult got =
-      run_sharded(graph, 3, faults, /*instances=*/12, /*retry_limit=*/2);
+      run_sharded(graph, 3, faults, /*instances=*/12, /*attempts=*/2);
 
   ASSERT_FALSE(got.shard->failed.empty());
   std::vector<char> is_failed(12, 0);
@@ -141,9 +141,9 @@ TEST(ShardFaults, TerminalShardFailureClosesTheAccounting) {
       run_sharded(graph, 4, nullptr, kInstances, 3, /*length=*/4);
   ASSERT_TRUE(want.shard->failed.empty());
 
-  auto faults = std::make_shared<ShardFaultInjector>();
-  faults->fail_shard(2);
-  ASSERT_TRUE(faults->shard_failed(2));
+  auto faults = std::make_shared<FaultInjector>();
+  faults->fail_forever(2);
+  ASSERT_TRUE(faults->failed_forever(2));
   const RunResult got =
       run_sharded(graph, 4, faults, kInstances, 3, /*length=*/4);
 

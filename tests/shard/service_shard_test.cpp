@@ -108,8 +108,8 @@ TEST(ServiceSharding, ShardedBatchesAreCountedAndAttributed) {
 
 TEST(ServiceSharding, TerminalShardFailureIsTypedPerRequest) {
   ServiceConfig config = sharded_config(4, 1);
-  config.shard_faults = std::make_shared<ShardFaultInjector>();
-  config.shard_faults->fail_shard(2);
+  config.shard_faults = std::make_shared<FaultInjector>();
+  config.shard_faults->fail_forever(2);
   Service service(config);
   service.add_graph("g", shared_graph());
 
@@ -164,11 +164,11 @@ TEST(ServiceSharding, GatherOrderStableUnderSlowShard) {
   // but each request still gathers its instances in instance order with
   // unsharded bytes — consumer-visible order never depends on shard
   // timing.
-  ShardFaultInjector::Config faults;
+  FaultInjector::Config faults;
   faults.slow_rate = 1.0;
   faults.slow_factor = 8.0;
   ServiceConfig config = sharded_config(3, 2);
-  config.shard_faults = std::make_shared<ShardFaultInjector>(faults);
+  config.shard_faults = std::make_shared<FaultInjector>(faults);
   Service service(config);
   service.add_graph("g", shared_graph());
 

@@ -2,14 +2,16 @@
 // committed baseline and fails on simulated-SEPS regressions. SEPS is
 // computed from the analytic device model, so it is deterministic across
 // machines — the tolerance absorbs intentional small cost-model drift,
-// not measurement noise. The sharded block's forwarding counts must match
-// exactly. Wall-clock fields are never compared.
+// not measurement noise. The sharded block's forwarding counts and the
+// paged block's transfer and cache counts must match exactly. Wall-clock
+// fields are never compared.
 //
 // Usage: bench_compare <baseline.json> <current.json> [--tolerance 0.15]
 // Exit:  0 = no regression, 1 = regression, 2 = incomparable/parse error.
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,10 +63,13 @@ std::vector<Metric> collect_metrics(const Json& record) {
     }
   }
   // Paged-service SEPS are simulated (analytic device model), so they
-  // gate like the workload and smoke metrics; the block's wall-free
-  // counters (transfers, hits) are recorded but not compared.
+  // gate like the workload and smoke metrics. The barrier waves are the
+  // cached path's byte reference, so their SEPS gate too; the block's
+  // transfer and cache counters gate exactly (witness_errors).
   if (const Json* paged = record.find("paged_service")) {
     if (const Json* single = paged->find("single_graph")) {
+      metrics.push_back(Metric{"paged/single_graph/barrier",
+                               single->at("barrier_seps").as_double()});
       metrics.push_back(Metric{"paged/single_graph/cached",
                                single->at("cached_seps").as_double()});
     }
@@ -75,7 +80,7 @@ std::vector<Metric> collect_metrics(const Json& record) {
   }
   // Sharded-service SEPS are simulated too (compute + envelope transfer
   // on the analytic wire model), so each shard count gates; the
-  // forwarding counters gate separately (shard_witness_errors).
+  // forwarding counters gate separately (witness_errors).
   if (const Json* counts = shard_counts(record)) {
     for (const Json& entry : counts->items()) {
       metrics.push_back(
@@ -100,36 +105,66 @@ std::string value_string(const Json* value) {
   return os.str();
 }
 
-/// Forwarding counts of each sharded_service shard count. They are
-/// integers fixed by the samples and the transport knobs alone, so a
-/// change to the simulated charge leaves them exact; any difference means
-/// the walkers themselves moved differently.
+/// Integer counters fixed by the samples and the transport and cache
+/// knobs alone: a change to the simulated charge leaves them exact, so
+/// any difference means the walkers, or the partitions they paged in,
+/// moved differently. Forwarding counts of each sharded_service shard
+/// count, and transfer and cache counts of each paged_service block.
 constexpr const char* kShardWitnesses[] = {"forwarded_walkers", "envelopes",
                                            "bytes_forwarded", "rounds"};
+constexpr const char* kPagedSingleWitnesses[] = {
+    "barrier_transfers", "cached_transfers", "cache_hits",
+    "prefetch_transfers", "cache_evictions", "sampled_edges"};
+constexpr const char* kPagedContentionWitnesses[] = {
+    "cache_hits", "cache_evictions", "prefetch_transfers", "paged_batches",
+    "sampled_edges"};
 
-std::vector<std::string> shard_witness_errors(const Json& baseline,
-                                              const Json& current) {
+/// Appends "<label> <key>: baseline .., current .." for every key whose
+/// integer value differs between the two entries (or is absent in one).
+void compare_witnesses(const std::string& label, const Json& base,
+                       const Json& now, std::span<const char* const> keys,
+                       std::vector<std::string>& errors) {
+  for (const char* key : keys) {
+    const Json* want = base.find(key);
+    const Json* got = now.find(key);
+    if (want == nullptr || got == nullptr ||
+        want->as_int() != got->as_int()) {
+      errors.push_back(label + " " + key + ": baseline " +
+                       value_string(want) + ", current " + value_string(got));
+    }
+  }
+}
+
+std::vector<std::string> witness_errors(const Json& baseline,
+                                        const Json& current) {
   std::vector<std::string> errors;
   const Json* base_counts = shard_counts(baseline);
   const Json* current_counts = shard_counts(current);
-  if (base_counts == nullptr || current_counts == nullptr) return errors;
-  for (const Json& base : base_counts->items()) {
-    const std::int64_t shards = base.at("shards").as_int();
-    const Json* now = nullptr;
-    for (const Json& entry : current_counts->items()) {
-      if (entry.at("shards").as_int() == shards) now = &entry;
-    }
-    if (now == nullptr) continue;  // reported MISSING by the SEPS gate
-    for (const char* key : kShardWitnesses) {
-      const Json* want = base.find(key);
-      const Json* got = now->find(key);
-      if (want == nullptr || got == nullptr ||
-          want->as_int() != got->as_int()) {
-        errors.push_back("shard/" + std::to_string(shards) + " " + key +
-                         ": baseline " + value_string(want) + ", current " +
-                         value_string(got));
+  if (base_counts != nullptr && current_counts != nullptr) {
+    for (const Json& base : base_counts->items()) {
+      const std::int64_t shards = base.at("shards").as_int();
+      const Json* now = nullptr;
+      for (const Json& entry : current_counts->items()) {
+        if (entry.at("shards").as_int() == shards) now = &entry;
       }
+      if (now == nullptr) continue;  // reported MISSING by the SEPS gate
+      compare_witnesses("shard/" + std::to_string(shards), base, *now,
+                        kShardWitnesses, errors);
     }
+  }
+  const Json* base_paged = baseline.find("paged_service");
+  const Json* current_paged = current.find("paged_service");
+  if (base_paged != nullptr && current_paged != nullptr) {
+    const auto compare_block = [&](const char* name,
+                                   std::span<const char* const> keys) {
+      const Json* base = base_paged->find(name);
+      const Json* now = current_paged->find(name);
+      if (base == nullptr || now == nullptr) return;  // MISSING via SEPS gate
+      compare_witnesses(std::string("paged/") + name, *base, *now, keys,
+                        errors);
+    };
+    compare_block("single_graph", kPagedSingleWitnesses);
+    compare_block("contention", kPagedContentionWitnesses);
   }
   return errors;
 }
@@ -280,18 +315,16 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const std::vector<std::string> witness_errors =
-      shard_witness_errors(baseline, current);
-  for (const std::string& error : witness_errors) {
-    std::cerr << "bench_compare: sharded forwarding count changed: " << error
-              << "\n";
+  const std::vector<std::string> witnesses = witness_errors(baseline, current);
+  for (const std::string& error : witnesses) {
+    std::cerr << "bench_compare: witness count changed: " << error << "\n";
   }
-  regressions += static_cast<int>(witness_errors.size());
+  regressions += static_cast<int>(witnesses.size());
 
   if (regressions > 0) {
     std::cerr << regressions
               << " metric(s) regressed more than " << tolerance * 100.0
-              << "% or changed a forwarding count vs " << baseline_path
+              << "% or changed a witness count vs " << baseline_path
               << ". If intentional (cost-model change), regenerate the "
                  "committed baseline with bench_harness and commit it with "
                  "the change.\n";

@@ -57,6 +57,14 @@ double CostModel::kernel_seconds(const KernelStats& stats,
          params_.kernel_launch_us * 1e-6;
 }
 
+double CostModel::occupiable_fraction(std::uint64_t warps,
+                                      double share) const {
+  if (warps == 0) return share;
+  const std::uint64_t blocks = (warps + kWarpsPerBlock - 1) / kWarpsPerBlock;
+  return std::min(share, static_cast<double>(blocks) /
+                             static_cast<double>(params_.sm_count));
+}
+
 double CostModel::critical_path_seconds(std::uint64_t rounds) const {
   return rounds_seconds(rounds) + params_.kernel_launch_us * 1e-6;
 }

@@ -5,6 +5,12 @@
 
 namespace csaw::sim {
 
+/// Warps per thread block (256 threads). A block runs on one SM and holds
+/// its warp slots until its longest warp retires, so block shape sets
+/// both the occupancy bubbles Device charges and how many SMs a launch
+/// can occupy (CostModel::occupiable_fraction).
+inline constexpr std::uint64_t kWarpsPerBlock = 8;
+
 /// Parameters of the simulated device. Defaults approximate one NVIDIA
 /// V100 of the paper's Summit nodes (16 GB HBM2 @ 900 GB/s, 80 SMs @
 /// 1.38 GHz, NVLink2 host link at 50 GB/s).
@@ -21,7 +27,10 @@ namespace csaw::sim {
 /// Underutilization is modeled through the issue-slot term: a kernel with
 /// fewer warps than the device needs to keep its SMs busy pays a stall
 /// penalty, which is what makes multi-GPU scaling flatten when instances
-/// are scarce (paper Fig. 17).
+/// are scarce (paper Fig. 17). The penalty is taken over the SMs a
+/// kernel is granted, so the grant matters: the cached out-of-memory
+/// path grants each kernel window only the SMs its thread blocks can
+/// occupy (CostModel::occupiable_fraction).
 struct DeviceParams {
   double clock_ghz = 1.38;
   std::uint32_t sm_count = 80;
@@ -114,6 +123,21 @@ class CostModel {
   /// block counts proportional to active vertices).
   double kernel_seconds(const KernelStats& stats,
                         double resource_fraction = 1.0) const;
+
+  /// The SM share a launch of `warps` warp slots can actually occupy
+  /// when granted `share`: a thread block runs on one SM, so
+  /// ceil(warps / kWarpsPerBlock) blocks fill at most that many SMs, and
+  /// kernel_seconds divides the warps over the SMs it is handed — a
+  /// k-warp launch on s SMs pays a stall penalty of
+  /// latency_hiding_warps_per_sm * s / k per round. Capping the grant at
+  /// the block count charges a few-warp kernel on the SMs its blocks sit
+  /// on instead of stalling it across idle ones. Returns `share` when it
+  /// is the smaller, or when `warps` is 0 (an empty launch keeps its
+  /// grant; kernel_seconds requires a positive fraction). Only the cached
+  /// out-of-memory path sizes its windows with this: the barrier waves,
+  /// the in-memory pipelined launch and the shard router charge the
+  /// share they are given.
+  double occupiable_fraction(std::uint64_t warps, double share) const;
 
   /// Shortest duration of one launch whose longest chain of dependent
   /// lock-step rounds is `rounds`: the straggler term of kernel_seconds

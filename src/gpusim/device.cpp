@@ -116,11 +116,10 @@ const KernelRecord& Device::record_kernel(
     std::uint64_t num_tasks, KernelStats stats,
     const std::vector<std::uint64_t>& rounds) {
   // Intra-block imbalance: a block's warp slots are occupied until its
-  // longest warp retires (8 warps = 256 threads per block). Pipelined
+  // longest warp retires (kWarpsPerBlock warps per block). Pipelined
   // launches precompute the equivalent over per-chain totals and pass no
   // per-task rounds.
   if (!rounds.empty()) {
-    constexpr std::uint64_t kWarpsPerBlock = 8;
     std::uint64_t occupied = 0;
     for (std::size_t base = 0; base < rounds.size(); base += kWarpsPerBlock) {
       const std::uint64_t width =

@@ -95,7 +95,8 @@ class ChainContext {
 /// warp slots stay resident until the chain retires, so the kernel's
 ///   - warps = the sum of per-chain peak widths,
 ///   - max_warp_rounds = the longest chain's span (its critical path),
-///   - occupied_slot_rounds = 8-chain block imbalance over chain spans.
+///   - occupied_slot_rounds = block imbalance over chain spans, one block
+///     per kWarpsPerBlock chains.
 /// Device::execute_pipelined shapes each fused kernel slot with it; the
 /// shard router shapes each shard's kernel over its walkers.
 class PersistentKernelShape {
@@ -109,7 +110,6 @@ class PersistentKernelShape {
   void apply(KernelStats& stats) const noexcept;
 
  private:
-  static constexpr std::uint64_t kWarpsPerBlock = 8;
   std::uint64_t peak_warps_ = 0;
   std::uint64_t longest_ = 0;
   std::uint64_t occupied_ = 0;  ///< closed blocks only

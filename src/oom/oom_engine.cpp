@@ -373,7 +373,9 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
       break;
     }
 
-    // SM shares are the barrier waves' (the queues are not drained yet).
+    // Block-balancing shares as the barrier waves compute them (the
+    // queues are not drained yet); the timing below caps each window's
+    // grant at the SMs its thread blocks can occupy.
     const std::vector<double> fractions = sm_fractions(chosen);
 
     // Split the chosen queues by instance into chains: each chain
@@ -490,29 +492,30 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
 
     // --- Cross-residency timing: one fused kernel window per resident
     // partition on its slot's stream, duration from the merged chain
-    // stats at the slot's SM fraction. A window opens at
-    // max(bytes-ready, stream-ready), and a warm hit's bytes are ready
-    // immediately — so warm partitions compute while the round's cold
-    // transfers (and the prefetch behind them) are still on the link. No
-    // residency-boundary barrier appears anywhere: rounds chain per
-    // stream, not globally.
-    std::vector<double> durations(chosen_count, 0.0);
-    for (std::size_t i = 0; i < chosen_count; ++i) {
-      durations[i] = kernels[i].num_tasks == 0
-                         ? 0.0
-                         : device.cost_model().kernel_seconds(
-                               kernels[i].stats, fractions[i]);
-    }
+    // stats at the SMs its thread blocks can occupy — the slot's
+    // block-balancing share, capped at the window's block count. A
+    // window opens at max(bytes-ready, stream-ready), and a warm hit's
+    // bytes are ready immediately — so warm partitions compute while the
+    // round's cold transfers (and the prefetch behind them) are still on
+    // the link. No residency-boundary barrier appears anywhere: rounds
+    // chain per stream, not globally.
+    const sim::CostModel& cost = device.cost_model();
     RunningStat per_round;
     double round_end = 0.0;
     for (std::size_t i = 0; i < chosen_count; ++i) {
+      const double grant =
+          cost.occupiable_fraction(kernels[i].stats.warps, fractions[i]);
+      const double duration =
+          kernels[i].num_tasks == 0
+              ? 0.0
+              : cost.kernel_seconds(kernels[i].stats, grant);
       sim::Stream& stream = device.stream(cache.stream_index(chosen[i]));
       const double window_start = std::max(ready[i], stream.ready_time());
-      const double window_end = window_start + durations[i];
+      const double window_end = window_start + duration;
       device.record_pipelined_span(
-          "oom_cached_p" + std::to_string(chosen[i]), stream, fractions[i],
+          "oom_cached_p" + std::to_string(chosen[i]), stream, grant,
           kernels[i], window_start, window_end);
-      per_round.add(durations[i]);
+      per_round.add(duration);
       round_end = std::max(round_end, window_end);
       ++result.metrics.kernel_launches;
     }

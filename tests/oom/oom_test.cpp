@@ -213,6 +213,42 @@ TEST(Oom, ForestFireRunsWithBranchingCap) {
   }
 }
 
+TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
+  // A thread block runs on one SM, so each cached kernel window is
+  // charged on at most ceil(warps / kWarpsPerBlock) SMs, and its window
+  // on the stream is exactly the cost model's duration at that grant.
+  const CsrGraph g = generate_rmat(1024, 8192, 61);
+  auto setup = biased_random_walk(/*length=*/12);
+  OomConfig c;
+  c.num_partitions = 4;
+  c.resident_partitions = 3;
+  c.engine.schedule = Schedule::kPipelined;
+  OomEngine oom(g, setup.policy, setup.spec, c);
+  sim::Device device;
+  oom.run_single_seed(device, spread_seeds(g, 40));
+
+  const double sm_count = device.cost_model().params().sm_count;
+  std::size_t windows = 0;
+  std::size_t capped = 0;
+  for (const sim::KernelRecord& k : device.kernel_log()) {
+    if (k.name.rfind("oom_cached_p", 0) != 0) continue;
+    ++windows;
+    const auto blocks = static_cast<double>(
+        (k.stats.warps + sim::kWarpsPerBlock - 1) / sim::kWarpsPerBlock);
+    // resource_fraction * sm_count <= blocks, without the rounding of
+    // the product.
+    EXPECT_LE(k.resource_fraction, blocks / sm_count) << k.name;
+    if (k.resource_fraction == blocks / sm_count) ++capped;
+    EXPECT_EQ(k.end,
+              k.start + device.cost_model().kernel_seconds(
+                            k.stats, k.resource_fraction))
+        << k.name;
+  }
+  EXPECT_GT(windows, 0u);
+  // 40 walkers over 4 partitions never fill a block-balancing share.
+  EXPECT_EQ(capped, windows);
+}
+
 TEST(Oom, TransfersAndMetricsPopulated) {
   const CsrGraph g = generate_rmat(1024, 8192, 60);
   auto setup = biased_neighbor_sampling(2, 2);

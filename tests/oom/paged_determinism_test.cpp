@@ -184,6 +184,27 @@ TEST(PagedDeterminism, PrefetchOverlapsComputeUnderPressure) {
   EXPECT_GT(cached.oom->transfer_overlap_seconds, 0.0);
 }
 
+TEST(PagedDeterminism, MoreWalksNeverCostLessSimulatedTime) {
+  // Each cached window is charged on the SMs its thread blocks occupy,
+  // not on its whole block-balancing share — otherwise a few-walker
+  // window stalls across idle SMs and a small request costs more
+  // simulated time than a large one. Fresh Sampler per run: a cold cache
+  // each time, so only the walk count differs.
+  const auto setup = biased_random_walk(/*length=*/16);
+  for (const std::uint32_t capacity : {2u, 3u, 4u}) {
+    double previous = 0.0;
+    std::uint32_t previous_walks = 0;
+    for (const std::uint32_t walks : {8u, 32u, 256u}) {
+      const RunResult run = run_walk(setup, cached_options(capacity, 1), walks);
+      EXPECT_LE(previous, run.sim_seconds)
+          << previous_walks << " walks cost more simulated time than "
+          << walks << " at capacity " << capacity;
+      previous = run.sim_seconds;
+      previous_walks = walks;
+    }
+  }
+}
+
 TEST(PagedDeterminism, BatchedServingStaysWarmAcrossChunks) {
   // run_batches reuses the sampler's cache across chunks: later chunks
   // find partitions already resident, so a batched run demand-loads less

@@ -2,9 +2,11 @@
 // committed baseline and fails on simulated-SEPS regressions. SEPS is
 // computed from the analytic device model, so it is deterministic across
 // machines — the tolerance absorbs intentional small cost-model drift,
-// not measurement noise. The sharded block's forwarding counts and the
-// paged block's transfer and cache counts must match exactly. Wall-clock
-// fields are never compared.
+// not measurement noise. The paper's barriered path (every step-barrier
+// workload, the Fig. 13 scheduler smoke and the paged barrier waves)
+// gates exactly instead: any move either way fails. The sharded block's
+// forwarding counts and the paged block's transfer and cache counts must
+// match exactly. Wall-clock fields are never compared.
 //
 // Usage: bench_compare <baseline.json> <current.json> [--tolerance 0.15]
 // Exit:  0 = no regression, 1 = regression, 2 = incomparable/parse error.
@@ -89,6 +91,18 @@ std::vector<Metric> collect_metrics(const Json& record) {
     }
   }
   return metrics;
+}
+
+/// The barriered schedule reproduces the paper's Figs. 13-15 and is the
+/// byte reference of every pipelined path, so no change to the pipelined
+/// schedule may move it: these metrics gate at ratio 1 +- kExactTolerance
+/// whatever --tolerance says.
+constexpr double kExactTolerance = 1e-9;
+
+bool gated_exactly(const std::string& label) {
+  return label.ends_with("/step_barrier") ||
+         label == "smoke/fig13_oom_scheduler" ||
+         label == "paged/single_graph/barrier";
 }
 
 /// Renders a scalar field for the incomparability report.
@@ -306,7 +320,11 @@ int main(int argc, char** argv) {
     const double ratio = base.seps > 0.0 ? now->seps / base.seps : 1.0;
     row.cell(now->seps, 0);
     row.cell(ratio, 3);
-    if (ratio < 1.0 - tolerance) {
+    if (gated_exactly(base.label)) {
+      const bool exact = std::abs(ratio - 1.0) <= kExactTolerance;
+      row.cell(exact ? "exact" : "CHANGED");
+      if (!exact) ++regressions;
+    } else if (ratio < 1.0 - tolerance) {
       row.cell("REGRESSED");
       ++regressions;
     } else {
@@ -324,7 +342,9 @@ int main(int argc, char** argv) {
   if (regressions > 0) {
     std::cerr << regressions
               << " metric(s) regressed more than " << tolerance * 100.0
-              << "% or changed a witness count vs " << baseline_path
+              << "%, moved an exactly gated barrier metric, or changed a "
+                 "witness count vs "
+              << baseline_path
               << ". If intentional (cost-model change), regenerate the "
                  "committed baseline with bench_harness and commit it with "
                  "the change.\n";

@@ -126,8 +126,7 @@ FrontierResult process_frontier_vertex(
     // graph. Charge the lane-parallel EDGEBIAS round below; SELECT charges
     // the rebuild and then only locates in the row.
     CSAW_CHECK(row.size() == adj.size());
-    warp.charge_rounds((adj.size() + sim::WarpContext::kLanes - 1) /
-                       sim::WarpContext::kLanes);
+    warp.charge_tiles(adj.size(), 1);
     selected = selector.select_prebuilt(
         row, k, rng, SelectCoords{item.instance, item.depth, slot_base},
         warp);
@@ -148,8 +147,7 @@ FrontierResult process_frontier_vertex(
       bias_scratch[e] = policy.eval_edge_bias(view, edge, ctx);
       total_bias += bias_scratch[e];
     }
-    warp.charge_rounds((adj.size() + sim::WarpContext::kLanes - 1) /
-                       sim::WarpContext::kLanes);
+    warp.charge_tiles(adj.size(), 1);
     if (total_bias <= 0.0) return result;  // nothing selectable
 
     // Sampling without replacement collides against the instance's whole
@@ -247,6 +245,13 @@ void SamplingEngine::ensure_workers(std::uint32_t width) {
   }
 }
 
+sim::ChainWidth pipelined_chain_width(
+    const SamplingSpec& spec, std::span<const std::vector<VertexId>> seeds) {
+  return spec.walk_shaped() && single_seeded(seeds)
+             ? sim::ChainWidth::kCooperative
+             : sim::ChainWidth::kOneWarp;
+}
+
 SampleRun SamplingEngine::run(sim::Device& device,
                               std::span<const std::vector<VertexId>> seeds) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
@@ -270,7 +275,8 @@ SampleRun SamplingEngine::run(sim::Device& device,
   const double t0 = device.synchronize();
 
   if (config_.schedule == Schedule::kPipelined) {
-    run_pipelined(device, instances, run_result.samples);
+    run_pipelined(device, instances, run_result.samples,
+                  pipelined_chain_width(spec_, seeds));
   } else {
     run_barrier(device, instances, run_result.samples);
   }
@@ -347,7 +353,8 @@ void SamplingEngine::run_barrier(sim::Device& device,
 
 void SamplingEngine::run_pipelined(sim::Device& device,
                                    std::vector<InstanceState>& instances,
-                                   SampleStore& samples) {
+                                   SampleStore& samples,
+                                   sim::ChainWidth widths) {
   // One chain per instance, running that instance's whole step loop.
   // Every mutable object a chain touches is its own (InstanceState, its
   // SampleStore row, chain-local positions/results) or per-worker
@@ -424,7 +431,7 @@ void SamplingEngine::run_pipelined(sim::Device& device,
               {{"edges", std::to_string(samples.edges(i).size())}});
         }
       },
-      config_.cancel);
+      config_.cancel, widths);
 }
 
 void SamplingEngine::select_frontiers(sim::Device& device,

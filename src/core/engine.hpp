@@ -73,7 +73,30 @@ struct SamplingSpec {
     if (branching_cap > 0) return branching_cap;
     return variable_neighbor_size ? 0 : neighbor_size;
   }
+
+  /// True for a random walk: one neighbor per step, sampling with
+  /// replacement, no visited filtering and no pool-level kernels
+  /// (frontier selection / layer / snowball / variable NeighborSize).
+  /// Such a spec keeps the RNG slot at 0 along the chain, which makes a
+  /// forwarded walker's draws shard-invariant (ShardRouter). An instance
+  /// still runs one warp-task per seed each step, so only single-seeded
+  /// walks run one task per step (pipelined_chain_width).
+  bool walk_shaped() const noexcept {
+    return neighbor_size == 1 && frontier_size == 1 && with_replacement &&
+           !filter_visited && !select_frontier && !layer_mode &&
+           !sample_all_neighbors && !variable_neighbor_size;
+  }
 };
+
+/// How a pipelined launch of `spec` from `seeds` gives warps to its
+/// chains (one chain per instance). A walk_shaped() spec whose instances
+/// each start from one seed runs one warp-task per chain at a time, so
+/// its chains widen cooperatively (sim::ChainWidth::kCooperative). Any
+/// other launch keeps one warp per task: k seeds put k concurrent tasks
+/// in a chain, and an unbatched out-of-memory task would walk several
+/// neighbor lists.
+sim::ChainWidth pipelined_chain_width(
+    const SamplingSpec& spec, std::span<const std::vector<VertexId>> seeds);
 
 /// How one run's sampling work is scheduled onto the simulated device.
 enum class Schedule {
@@ -332,9 +355,10 @@ class SamplingEngine {
   // --- Pipelined path: one chain per instance running its whole step
   // loop; each chain calls the same per-instance bodies the barrier
   // kernels call, so the two schedules produce byte-identical samples.
+  /// `widths` is pipelined_chain_width of the run's spec and seeds.
   void run_pipelined(sim::Device& device,
                      std::vector<InstanceState>& instances,
-                     SampleStore& samples);
+                     SampleStore& samples, sim::ChainWidth widths);
 
   // --- Shared per-instance kernel bodies.
   /// VERTEXBIAS + SELECT over the FrontierPool; returns the selected pool

@@ -79,4 +79,11 @@ std::vector<std::vector<VertexId>> expand_single_seeds(
   return per_instance;
 }
 
+bool single_seeded(std::span<const std::vector<VertexId>> seeds) noexcept {
+  return std::all_of(seeds.begin(), seeds.end(),
+                     [](const std::vector<VertexId>& list) {
+                       return list.size() == 1;
+                     });
+}
+
 }  // namespace csaw

@@ -116,6 +116,9 @@ double sampled_edges_per_second(std::uint64_t edges, double seconds);
 std::vector<std::vector<VertexId>> expand_single_seeds(
     std::span<const VertexId> seeds);
 
+/// True when every instance starts from exactly one seed vertex.
+bool single_seeded(std::span<const std::vector<VertexId>> seeds) noexcept;
+
 /// Result of one sampling run through the csaw::Sampler facade: the same
 /// shape regardless of which backend executed it.
 struct RunResult {

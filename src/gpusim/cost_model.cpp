@@ -1,6 +1,7 @@
 #include "gpusim/cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/check.hpp"
 
@@ -63,6 +64,20 @@ double CostModel::occupiable_fraction(std::uint64_t warps,
   const std::uint64_t blocks = (warps + kWarpsPerBlock - 1) / kWarpsPerBlock;
   return std::min(share, static_cast<double>(blocks) /
                              static_cast<double>(params_.sm_count));
+}
+
+std::vector<std::uint32_t> CostModel::cooperative_widths(
+    std::uint64_t chains) const {
+  const auto target = static_cast<std::uint64_t>(std::ceil(
+      params_.latency_hiding_warps_per_sm * params_.sm_count));
+  const std::uint64_t total =
+      std::clamp(target, chains, kWarpsPerBlock * chains);
+  std::vector<std::uint32_t> widths(chains);
+  for (std::uint64_t c = 0; c < chains; ++c) {
+    widths[c] = static_cast<std::uint32_t>(total / chains +
+                                           (c < total % chains ? 1 : 0));
+  }
+  return widths;
 }
 
 double CostModel::critical_path_seconds(std::uint64_t rounds) const {

@@ -2,13 +2,15 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace csaw::sim {
 
 /// Warps per thread block (256 threads). A block runs on one SM and holds
 /// its warp slots until its longest warp retires, so block shape sets
-/// both the occupancy bubbles Device charges and how many SMs a launch
-/// can occupy (CostModel::occupiable_fraction).
+/// the occupancy bubbles Device charges, how many SMs a launch can
+/// occupy (CostModel::occupiable_fraction) and the most warps one walker
+/// of a cooperative launch gets (CostModel::cooperative_widths).
 inline constexpr std::uint64_t kWarpsPerBlock = 8;
 
 /// Parameters of the simulated device. Defaults approximate one NVIDIA
@@ -27,10 +29,14 @@ inline constexpr std::uint64_t kWarpsPerBlock = 8;
 /// Underutilization is modeled through the issue-slot term: a kernel with
 /// fewer warps than the device needs to keep its SMs busy pays a stall
 /// penalty, which is what makes multi-GPU scaling flatten when instances
-/// are scarce (paper Fig. 17). The penalty is taken over the SMs a
-/// kernel is granted, so the grant matters: the cached out-of-memory
-/// path grants each kernel window only the SMs its thread blocks can
-/// occupy (CostModel::occupiable_fraction).
+/// are scarce (paper Fig. 17, whose bench runs the one-warp-per-task
+/// step-barrier kernels). The penalty is taken over the SMs a kernel is
+/// granted, so the grant matters: the cached out-of-memory path grants
+/// each kernel window only the SMs its thread blocks can occupy
+/// (CostModel::occupiable_fraction). A pipelined walk launch of scarce
+/// walkers widens each walker toward the latency-hiding target instead
+/// (CostModel::cooperative_widths), so it stalls only when a block per
+/// walker still falls short.
 struct DeviceParams {
   double clock_ghz = 1.38;
   std::uint32_t sm_count = 80;
@@ -138,6 +144,16 @@ class CostModel {
   /// the in-memory pipelined launch and the shard router charge the
   /// share they are given.
   double occupiable_fraction(std::uint64_t warps, double share) const;
+
+  /// Warps a walk-shaped persistent launch of `chains` chains gives each
+  /// chain, in chain order (the cooperative width rule). Hiding latency
+  /// takes latency_hiding_warps_per_sm warps on every SM; a launch of
+  /// fewer chains than that spreads the target T = clamp(target, chains,
+  /// kWarpsPerBlock * chains) evenly over its chains, the first
+  /// T mod chains taking one warp more, so a chain gets at most one full
+  /// block. At chains >= target every width is 1. Each chain then splits
+  /// its steps' neighbor tiles across its warps (WarpContext::charge_tiles).
+  std::vector<std::uint32_t> cooperative_widths(std::uint64_t chains) const;
 
   /// Shortest duration of one launch whose longest chain of dependent
   /// lock-step rounds is `rounds`: the straggler term of kernel_seconds

@@ -208,8 +208,16 @@ ChainContext::Slot& ChainContext::begin_task(std::uint32_t kernel,
 
 std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     std::uint32_t num_kernels, std::uint64_t num_chains,
-    const ChainBody& body, CancelToken cancel) {
-  std::vector<ChainContext> chains(num_chains, ChainContext(num_kernels));
+    const ChainBody& body, CancelToken cancel, ChainWidth widths) {
+  std::vector<ChainContext> chains;
+  chains.reserve(num_chains);
+  if (widths == ChainWidth::kCooperative) {
+    for (const std::uint32_t width : cost_.cooperative_widths(num_chains)) {
+      chains.emplace_back(num_kernels, width);
+    }
+  } else {
+    chains.resize(num_chains, ChainContext(num_kernels));
+  }
   ThreadPool* pool = executor();
   // Run-level cancellation: skip chains that have not started yet. An
   // unarmed token short-circuits on a null pointer check, so the common
@@ -240,7 +248,8 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
       slot.close_group();
       out.stats.merge(slot.stats);
       out.num_tasks += slot.tasks;
-      shape.add_chain(slot.span_rounds, slot.width);
+      const std::uint32_t width = chains[c].width_;
+      shape.add_chain(slot.span_rounds, slot.width * width, width);
     }
     shape.apply(out.stats);
   }
@@ -248,21 +257,23 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
 }
 
 void PersistentKernelShape::add_chain(std::uint64_t span_rounds,
-                                      std::uint64_t width) noexcept {
-  peak_warps_ += width;
+                                      std::uint64_t warps,
+                                      std::uint64_t slots) noexcept {
+  peak_warps_ += warps;
   longest_ = std::max(longest_, span_rounds);
-  block_longest_ = std::max(block_longest_, span_rounds);
-  if (++block_width_ == kWarpsPerBlock) {
-    occupied_ += block_width_ * block_longest_;
-    block_width_ = 0;
+  if (block_slots_ + slots > kWarpsPerBlock) {
+    occupied_ += block_slots_ * block_longest_;
+    block_slots_ = 0;
     block_longest_ = 0;
   }
+  block_slots_ += slots;
+  block_longest_ = std::max(block_longest_, span_rounds);
 }
 
 void PersistentKernelShape::apply(KernelStats& stats) const noexcept {
   stats.warps = peak_warps_;
   stats.max_warp_rounds = longest_;
-  stats.occupied_slot_rounds = occupied_ + block_width_ * block_longest_;
+  stats.occupied_slot_rounds = occupied_ + block_slots_ * block_longest_;
 }
 
 const KernelRecord& Device::record_pipelined(std::string name, Stream& stream,
@@ -321,9 +332,10 @@ double Device::transfer_kernel_overlap(std::size_t transfer_log_begin,
 const KernelRecord& Device::run_pipeline(std::string name,
                                          std::uint64_t num_chains,
                                          const ChainBody& body,
-                                         CancelToken cancel) {
+                                         CancelToken cancel,
+                                         ChainWidth widths) {
   const auto kernels =
-      execute_pipelined(1, num_chains, body, std::move(cancel));
+      execute_pipelined(1, num_chains, body, std::move(cancel), widths);
   return record_pipelined(std::move(name), stream(0), 1.0, kernels[0]);
 }
 

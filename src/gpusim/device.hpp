@@ -37,10 +37,13 @@ struct KernelRecord {
 /// warp-task and charges it to kernel slot `kernel`: pipelined executions
 /// that record several fused kernels (the out-of-memory engine records one
 /// per resident partition) give each partition a slot; single-kernel
-/// launches pass 0.
+/// launches pass 0. Every task of the chain runs `width` warps wide
+/// (ChainWidth).
 class ChainContext {
  public:
-  explicit ChainContext(std::uint32_t num_kernels = 1) : slots_(num_kernels) {}
+  explicit ChainContext(std::uint32_t num_kernels = 1,
+                        std::uint32_t width = 1)
+      : slots_(num_kernels), width_(width) {}
 
   /// Executes `fn` as one simulated warp-task of this chain, charged to
   /// kernel slot `kernel`. `group` identifies the chain's dependency
@@ -54,13 +57,8 @@ class ChainContext {
   template <typename Fn>
   void run_task(std::uint32_t kernel, std::uint64_t group, Fn&& fn) {
     Slot& slot = begin_task(kernel, group);
-    const std::uint64_t before = slot.stats.lockstep_rounds;
-    {
-      WarpContext warp(slot.stats);
-      fn(warp);
-    }
-    slot.open_longest =
-        std::max(slot.open_longest, slot.stats.lockstep_rounds - before);
+    slot.open_longest = std::max(
+        slot.open_longest, run_warp_task(slot.stats, width_, fn));
     ++slot.open_count;
     ++slot.tasks;
   }
@@ -72,7 +70,7 @@ class ChainContext {
     /// Critical path: sum over completed groups of the group's longest
     /// task (dependent stages serialize; tasks within a stage overlap).
     std::uint64_t span_rounds = 0;
-    /// Peak concurrent warps: the widest group's task count.
+    /// Peak concurrent tasks: the widest group's task count.
     std::uint64_t width = 0;
     std::uint64_t tasks = 0;  ///< warp-tasks the chain charged to this slot
     // Streaming state of the group currently being accumulated.
@@ -89,21 +87,40 @@ class ChainContext {
   Slot& begin_task(std::uint32_t kernel, std::uint64_t group);
 
   std::vector<Slot> slots_;
+  std::uint32_t width_;
+};
+
+/// How a pipelined launch gives warps to its chains.
+enum class ChainWidth {
+  /// Each task runs on one warp, and a chain holds one block warp slot.
+  kOneWarp,
+  /// Chains that run one warp-task per step (a walk_shaped() spec with
+  /// one seed per instance, pipelined_chain_width) run CostModel::
+  /// cooperative_widths warps each, splitting every step's neighbor
+  /// tiles across them. With enough chains to hide latency every width
+  /// is 1, and the launch is kOneWarp's.
+  kCooperative,
 };
 
 /// Persistent-kernel shape over chains folded in chain order: a chain's
 /// warp slots stay resident until the chain retires, so the kernel's
-///   - warps = the sum of per-chain peak widths,
+///   - warps = the sum of per-chain warps,
 ///   - max_warp_rounds = the longest chain's span (its critical path),
-///   - occupied_slot_rounds = block imbalance over chain spans, one block
-///     per kWarpsPerBlock chains.
+///   - occupied_slot_rounds = sum over blocks of (the block's warp slots
+///     x its longest chain span). Chains pack in order into blocks of
+///     kWarpsPerBlock warp slots, and a chain never splits across
+///     blocks, so the idle warps of a cooperative chain's narrow steps
+///     are charged.
 /// Device::execute_pipelined shapes each fused kernel slot with it; the
 /// shard router shapes each shard's kernel over its walkers.
 class PersistentKernelShape {
  public:
-  /// Folds the next chain: its critical path and its peak concurrent
-  /// warps. Call only for chains that ran at least one warp-task.
-  void add_chain(std::uint64_t span_rounds, std::uint64_t width) noexcept;
+  /// Folds the next chain: its critical path, its peak concurrent warps
+  /// and the block warp slots it holds (its cooperative width; a
+  /// one-warp chain holds one slot however many tasks it runs at once).
+  /// Call only for chains that ran at least one warp-task.
+  void add_chain(std::uint64_t span_rounds, std::uint64_t warps,
+                 std::uint64_t slots) noexcept;
 
   /// Writes warps, max_warp_rounds and occupied_slot_rounds of the chains
   /// folded so far into `stats`; the other fields are the caller's sum.
@@ -113,7 +130,7 @@ class PersistentKernelShape {
   std::uint64_t peak_warps_ = 0;
   std::uint64_t longest_ = 0;
   std::uint64_t occupied_ = 0;  ///< closed blocks only
-  std::uint64_t block_width_ = 0;
+  std::uint64_t block_slots_ = 0;
   std::uint64_t block_longest_ = 0;
 };
 
@@ -217,7 +234,10 @@ class Device {
   //   - stats.warps = the sum of per-chain peak widths (every chain can
   //     keep its widest group in flight at once — the same "all tasks of
   //     a launch are concurrent" convention the barrier kernels use),
-  //   - occupied_slot_rounds = 8-chain block imbalance over chain spans,
+  //     times the chain's cooperative width (ChainWidth),
+  //   - occupied_slot_rounds = block imbalance over chain spans, chains
+  //     packed into blocks of kWarpsPerBlock warp slots
+  //     (PersistentKernelShape),
   //   - one kernel_launch_us per recorded kernel instead of one per step.
   // Everything is assembled from per-chain accumulators merged in chain
   // order, so results are byte-identical at any host width.
@@ -248,10 +268,12 @@ class Device {
   /// callers only pass an armed token when the whole execution's output
   /// will be discarded; chains that must stop *deterministically* poll
   /// their own per-instance token inside the body instead.
-  std::vector<PipelinedKernel> execute_pipelined(std::uint32_t num_kernels,
-                                                 std::uint64_t num_chains,
-                                                 const ChainBody& body,
-                                                 CancelToken cancel = {});
+  ///
+  /// `widths` gives every chain one warp, or, for chains that run one
+  /// warp-task per step, its cooperative width among `num_chains` chains.
+  std::vector<PipelinedKernel> execute_pipelined(
+      std::uint32_t num_kernels, std::uint64_t num_chains,
+      const ChainBody& body, CancelToken cancel, ChainWidth widths);
 
   /// Records one fused kernel of a pipelined execution on `stream`.
   const KernelRecord& record_pipelined(std::string name, Stream& stream,
@@ -277,11 +299,11 @@ class Device {
                                  std::size_t kernel_log_begin) const;
 
   /// Convenience: single-slot pipelined launch recorded on the default
-  /// stream at full SM share. `cancel` follows execute_pipelined's
-  /// run-level contract.
+  /// stream at full SM share. `cancel` and `widths` follow
+  /// execute_pipelined.
   const KernelRecord& run_pipeline(std::string name, std::uint64_t num_chains,
                                    const ChainBody& body,
-                                   CancelToken cancel = {});
+                                   CancelToken cancel, ChainWidth widths);
 
   /// Simulated time at which all streams drain.
   double synchronize() const noexcept;

@@ -156,7 +156,8 @@ OomRun OomEngine::run(sim::Device& device,
     }
 
     if (cached) {
-      run_cached_pipelined(device, result, imbalance);
+      run_cached_pipelined(device, result, imbalance,
+                           pipelined_chain_width(spec_, seeds));
     } else {
       schedule_until_drained(device, result, round_robin_cursor, imbalance);
     }
@@ -311,7 +312,8 @@ OomRun OomEngine::run_single_seed(sim::Device& device,
 }
 
 void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
-                                     RunningStat& imbalance) {
+                                     RunningStat& imbalance,
+                                     sim::ChainWidth widths) {
   PartitionCache& cache = *cache_;
   std::vector<std::size_t> pending(config_.num_partitions, 0);
   constexpr std::uint32_t kNoChain = ~0u;
@@ -488,7 +490,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
                 {{"routed_out", std::to_string(out.size())}});
           }
         },
-        config_.engine.cancel);
+        config_.engine.cancel, widths);
 
     // --- Cross-residency timing: one fused kernel window per resident
     // partition on its slot's stream, duration from the merged chain

@@ -132,8 +132,9 @@ class OomEngine {
   /// Per-instance processing order equals the barrier waves', so samples
   /// are byte-identical to kStepBarrier; only transfers and the simulated
   /// timeline change.
+  /// `widths` is pipelined_chain_width of the run's spec and seeds.
   void run_cached_pipelined(sim::Device& device, OomRun& result,
-                            RunningStat& imbalance);
+                            RunningStat& imbalance, sim::ChainWidth widths);
 
   /// SM share per chosen partition (thread-block balancing, 3 in Fig. 8):
   /// proportional to its queued entries under block_balancing, even

@@ -109,12 +109,12 @@ void Ctps::build(std::span<const float> biases, sim::WarpContext* warp) {
   if (warp != nullptr) charge_build(*warp, biases.size());
 }
 
-void Ctps::charge_build(sim::WarpContext& warp, std::size_t n) noexcept {
+void Ctps::charge_build(sim::WarpContext& warp, std::size_t n) {
   // The GPU kernel computes the same array with a warp Kogge-Stone scan
-  // followed by a normalizing division pass (Fig. 5 lines 6-7).
+  // followed by a normalizing division pass (Fig. 5 lines 6-7), both
+  // loops over the pool's 32-lane tiles.
   warp.charge_scan(n);
-  warp.charge_rounds((n + sim::WarpContext::kLanes - 1) /
-                     sim::WarpContext::kLanes);
+  warp.charge_tiles(n, 1);
 }
 
 std::size_t Ctps::locate(double r, sim::WarpContext* warp) const {

@@ -54,7 +54,7 @@ class Ctps {
 
   /// Charges what build() charges `warp` for `n` candidates: the warp
   /// Kogge-Stone scan and the normalizing division pass.
-  static void charge_build(sim::WarpContext& warp, std::size_t n) noexcept;
+  static void charge_build(sim::WarpContext& warp, std::size_t n);
 
   std::size_t size() const noexcept {
     return f_.empty() ? 0 : f_.size() - 1;

@@ -1168,13 +1168,9 @@ void Service::run_batch(std::vector<Pending> batch) {
     // ShardRouter; anything else silently takes the ordinary path.
     // Samples are byte-identical either way — the router draws from the
     // same tag-addressed Philox streams.
-    bool single_seeded = true;
-    for (const std::vector<VertexId>& list : seeds) {
-      single_seeded = single_seeded && list.size() == 1;
-    }
     const bool route_shards = config_.shards > 1 && !paged &&
-                              single_seeded &&
-                              ShardRouter::shardable_spec(setup.spec);
+                              single_seeded(seeds) &&
+                              setup.spec.walk_shaped();
     RunResult whole;
     if (route_shards) {
       if (shard_map == nullptr) {

@@ -39,23 +39,16 @@ struct ShardWorker {
   std::vector<std::vector<ShardWalker>> egress;
   /// Per-step stats of every step this shard ran, summed over the run.
   sim::KernelStats stats;
-  /// Lock-step rounds each walker (by run-local index) ran here: its
-  /// chain in this shard's persistent kernel. Every step charges at least
-  /// its GATHERNEIGHBORS round, so a walker stepped here iff its entry is
-  /// nonzero.
+  /// Critical rounds each walker (by run-local index) ran here on its
+  /// cooperative width: its chain in this shard's persistent kernel.
+  /// Every step charges at least its GATHERNEIGHBORS round, so a walker
+  /// stepped here iff its entry is nonzero.
   std::vector<std::uint64_t> walker_rounds;
   std::uint64_t steps = 0;
   std::uint64_t forwarded = 0;
 };
 
 }  // namespace
-
-bool ShardRouter::shardable_spec(const SamplingSpec& spec) {
-  return spec.neighbor_size == 1 && spec.frontier_size == 1 &&
-         spec.with_replacement && !spec.filter_visited &&
-         !spec.select_frontier && !spec.layer_mode &&
-         !spec.sample_all_neighbors && !spec.variable_neighbor_size;
-}
 
 ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
                          ShardOptions options,
@@ -68,7 +61,7 @@ ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
   CSAW_CHECK(options_.envelope_capacity >= 1);
   CSAW_CHECK(options_.queue_capacity >= 1);
   CSAW_CHECK(options_.retry.attempts >= 1);
-  CSAW_CHECK_MSG(shardable_spec(setup_.spec),
+  CSAW_CHECK_MSG(setup_.spec.walk_shaped(),
                  "ShardRouter requires a walk-shaped spec");
   if (!map_) {
     map_ = std::make_shared<const ShardPartitionMap>(graph, options_.shards);
@@ -113,6 +106,9 @@ RunResult ShardRouter::run_tagged(
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
   telemetry::TraceRecorder* trace = control.trace;
+  // Each walker's warps, as the in-memory pipelined launch of the same
+  // walkers gives its chains.
+  const std::vector<std::uint32_t> widths = cost.cooperative_widths(n);
 
   RunResult result;
   result.mode = ExecutionMode::kInMemory;
@@ -208,15 +204,14 @@ RunResult ShardRouter::run_tagged(
         w.scratch.seed_vertex = walker.seed;
         w.scratch.prev_vertex = walker.prev;
         FrontierResult step;
-        const std::uint64_t before = w.stats.lockstep_rounds;
-        {
-          sim::WarpContext warp(w.stats);
-          step = process_frontier_vertex(
-              view, policy, spec, rows, rng, w.selector, w.scratch,
-              FrontierWorkItem{walker.vertex, walker.tag, walker.depth, 0},
-              warp, w.bias_scratch);
-        }
-        w.walker_rounds[walker.local] += w.stats.lockstep_rounds - before;
+        w.walker_rounds[walker.local] += sim::run_warp_task(
+            w.stats, widths[walker.local], [&](sim::WarpContext& warp) {
+              step = process_frontier_vertex(
+                  view, policy, spec, rows, rng, w.selector, w.scratch,
+                  FrontierWorkItem{walker.vertex, walker.tag, walker.depth,
+                                   0},
+                  warp, w.bias_scratch);
+            });
         ++round_steps;
         for (const Edge& e : step.sampled) {
           result.samples.add(walker.local, e);
@@ -413,7 +408,7 @@ RunResult ShardRouter::run_tagged(
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       const std::uint64_t rounds = workers[s].walker_rounds[i];
       if (rounds == 0) continue;
-      shapes[s].add_chain(rounds, /*width=*/1);
+      shapes[s].add_chain(rounds, widths[i], widths[i]);
       path += rounds;
     }
     longest_path = std::max(longest_path, path);

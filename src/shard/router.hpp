@@ -96,13 +96,6 @@ class ShardRouter {
               ShardOptions options,
               std::shared_ptr<const ShardPartitionMap> map = nullptr);
 
-  /// True when `spec` is walk-shaped: one neighbor per step, sampling
-  /// with replacement, no visited filtering and no pool-level kernels
-  /// (frontier selection / layer / snowball / variable NeighborSize).
-  /// Exactly these specs keep the RNG slot at 0 along the chain, which
-  /// is what makes a forwarded walker's draws shard-invariant.
-  static bool shardable_spec(const SamplingSpec& spec);
-
   const ShardPartitionMap& partition_map() const noexcept { return *map_; }
   const ShardOptions& options() const noexcept { return options_; }
 

@@ -263,7 +263,7 @@ TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
     // are keyed by the global instance tag, so shard placement (like
     // host threading) is invisible. Drawn from its own rng so the leg
     // never perturbs which cross-mode pairings the corpus covers.
-    if (ShardRouter::shardable_spec(setup.spec)) {
+    if (setup.spec.walk_shaped()) {
       std::mt19937_64 shard_rng(config.config_seed ^ 0x54a4dull);
       const std::uint32_t shards = pick(shard_rng, 1, 4);
       const std::uint32_t shard_threads =

@@ -226,7 +226,7 @@ TEST(StaticCtpsEquivalence, ShardRouterMatchesThePerStepBuild) {
   const std::vector<std::uint32_t> tags = make_tags(kInstances);
   for (const AlgorithmId id : kStaticWalks) {
     const AlgorithmSetup setup = make_algorithm(id, /*length=*/12);
-    if (!ShardRouter::shardable_spec(setup.spec)) continue;  // MDRW
+    if (!setup.spec.walk_shaped()) continue;  // MDRW
     const auto seeds = make_seeds(graph, id, kInstances);
     ShardOptions options;
     options.shards = 3;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace csaw::sim {
@@ -141,6 +143,22 @@ TEST(CostModel, OccupiableFractionOfEmptyLaunchIsItsShare) {
   EXPECT_EQ(model.kernel_seconds(KernelStats{},
                                  model.occupiable_fraction(0, 0.4)),
             0.0);
+}
+
+TEST(CostModel, CooperativeWidthsSplitTheLatencyHidingTargetEvenly) {
+  // The default device hides latency at 20 warps on each of 80 SMs: a
+  // target of 1600 warps, at most one block (8 warps) per chain.
+  const CostModel model(DeviceParams{});
+  using Widths = std::vector<std::uint32_t>;
+  EXPECT_EQ(model.cooperative_widths(1), Widths(1, 8));
+  EXPECT_EQ(model.cooperative_widths(100), Widths(100, 8));
+  // 1600 = 6 * 256 + 64: the first 64 chains take the remainder.
+  Widths uneven(64, 7);
+  uneven.resize(256, 6);
+  EXPECT_EQ(model.cooperative_widths(256), uneven);
+  EXPECT_EQ(model.cooperative_widths(800), Widths(800, 2));
+  EXPECT_EQ(model.cooperative_widths(1600), Widths(1600, 1));
+  EXPECT_EQ(model.cooperative_widths(5000), Widths(5000, 1));
 }
 
 TEST(CostModel, InvalidFractionRejected) {

@@ -122,5 +122,30 @@ TEST(Warp, BinarySearchChargesLockStepRounds) {
   EXPECT_EQ(stats.lockstep_rounds, 11u);
 }
 
+TEST(Warp, WideTaskSplitsItsTilesOverTheWarpsThatMakeItShortest) {
+  // 3 tiles of 8 rounds: 2 warps take 2 tiles (16) + 2 combine rounds,
+  // 3 warps take 1 tile (8) + 3 combine rounds, the shortest.
+  KernelStats stats;
+  WarpContext warp(stats, /*width=*/4);
+  warp.charge_rounds(5);
+  warp.charge_tiles(96, 7);
+  warp.charge_tiles(96, 1);
+  EXPECT_EQ(warp.retire(), 5u + 8u + 3u);
+  EXPECT_EQ(stats.lockstep_rounds, 5u + 24u + 3u * 3u);
+  // A lone tile stays on one warp: a split saves nothing.
+  KernelStats lone;
+  EXPECT_EQ(run_warp_task(lone, 8,
+                          [](WarpContext& w) { w.charge_tiles(32, 8); }),
+            8u);
+  EXPECT_EQ(lone.lockstep_rounds, 8u);
+}
+
+TEST(Warp, WideTaskRejectsTileLoopsOverTwoLists) {
+  KernelStats stats;
+  WarpContext warp(stats, /*width=*/2);
+  warp.charge_tiles(64, 1);
+  EXPECT_THROW(warp.charge_tiles(96, 1), csaw::CheckError);
+}
+
 }  // namespace
 }  // namespace csaw::sim

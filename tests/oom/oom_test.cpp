@@ -225,7 +225,9 @@ TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
   c.engine.schedule = Schedule::kPipelined;
   OomEngine oom(g, setup.policy, setup.spec, c);
   sim::Device device;
-  oom.run_single_seed(device, spread_seeds(g, 40));
+  // Each of 24 walkers is one block wide (CostModel::cooperative_widths),
+  // so a window holds a block per chain it runs.
+  oom.run_single_seed(device, spread_seeds(g, 24));
 
   const double sm_count = device.cost_model().params().sm_count;
   std::size_t windows = 0;
@@ -245,7 +247,7 @@ TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
         << k.name;
   }
   EXPECT_GT(windows, 0u);
-  // 40 walkers over 4 partitions never fill a block-balancing share.
+  // 24 walkers over 4 partitions never fill a block-balancing share.
   EXPECT_EQ(capped, windows);
 }
 

@@ -71,7 +71,7 @@ TEST(ShardRouterEquivalence, ByteIdenticalAtEveryShardAndThreadCount) {
 
   for (const AlgorithmId algorithm : kWalks) {
     const AlgorithmSetup setup = make_algorithm(algorithm, /*length=*/20);
-    ASSERT_TRUE(ShardRouter::shardable_spec(setup.spec))
+    ASSERT_TRUE(setup.spec.walk_shaped())
         << algorithm_info(algorithm).name;
 
     Sampler sampler(graph, setup, [] {
@@ -147,7 +147,7 @@ TEST(ShardRouterEquivalence, OneShardCostsExactlyTheInMemoryPipelinedRun) {
   std::uint32_t algorithms = 0;
   for (const AlgorithmId algorithm : all_algorithms()) {
     const AlgorithmSetup setup = make_algorithm(algorithm, /*length=*/20);
-    if (!ShardRouter::shardable_spec(setup.spec)) continue;
+    if (!setup.spec.walk_shaped()) continue;
     ++algorithms;
     for (const std::uint32_t instances : {1u, 7u, 13u, 100u}) {
       const auto seeds = expand_single_seeds(draw_seeds(graph, instances));
@@ -245,11 +245,11 @@ TEST(ShardRouterEquivalence, NonWalkSpecsAreRejectedByThePredicate) {
        {AlgorithmId::kUnbiasedNeighborSampling, AlgorithmId::kForestFire,
         AlgorithmId::kSnowball, AlgorithmId::kLayerSampling,
         AlgorithmId::kMultiDimRandomWalk}) {
-    EXPECT_FALSE(ShardRouter::shardable_spec(make_algorithm(id, 3).spec))
+    EXPECT_FALSE(make_algorithm(id, 3).spec.walk_shaped())
         << algorithm_info(id).name;
   }
   for (const AlgorithmId id : kWalks) {
-    EXPECT_TRUE(ShardRouter::shardable_spec(make_algorithm(id, 3).spec))
+    EXPECT_TRUE(make_algorithm(id, 3).spec.walk_shaped())
         << algorithm_info(id).name;
   }
 }

@@ -172,17 +172,17 @@ Json run_contention(std::ostream& log) {
   const double seps =
       static_cast<double>(stats.sampled_edges) / stats.sim_seconds;
 
-  std::uint64_t capacity = 0;  // identical slices: both graphs report it
+  std::uint64_t budget = 0;  // identical slices: both graphs report it
   for (const GraphResidency& residency : service.graphs()) {
-    capacity = residency.cache_capacity;
+    budget = residency.cache_budget_bytes;
   }
 
-  TablePrinter table({"graphs", "capacity/graph", "paged batches", "hits",
+  TablePrinter table({"graphs", "budget B/graph", "paged batches", "hits",
                       "evictions", "SEPS (simulated)"});
   {
     auto row = table.row();
     row.cell(static_cast<std::int64_t>(2));
-    row.cell(static_cast<std::int64_t>(capacity));
+    row.cell(static_cast<std::int64_t>(budget));
     row.cell(static_cast<std::int64_t>(stats.paged_batches));
     row.cell(static_cast<std::int64_t>(stats.cache_hits));
     row.cell(static_cast<std::int64_t>(stats.cache_evictions));
@@ -195,7 +195,7 @@ Json run_contention(std::ostream& log) {
   record.set("seeds_per_graph", static_cast<std::uint64_t>(kContentionSeeds));
   record.set("walk_length",
              static_cast<std::uint64_t>(kContentionWalkLength));
-  record.set("cache_capacity_per_graph", capacity);
+  record.set("cache_budget_bytes_per_graph", budget);
   record.set("paged_batches", stats.paged_batches);
   record.set("cache_hits", stats.cache_hits);
   record.set("cache_evictions", stats.cache_evictions);

@@ -52,6 +52,18 @@ void validate_instance_tags(const EngineConfig& config,
                                         << " instances");
 }
 
+void validate_seeds(std::span<const std::vector<VertexId>> seeds,
+                    VertexId num_vertices) {
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    for (const VertexId seed : seeds[i]) {
+      CSAW_CHECK_MSG(seed < num_vertices,
+                     "seed " << seed << " of instance " << i
+                             << " is not a vertex (the graph has "
+                             << num_vertices << ")");
+    }
+  }
+}
+
 namespace {
 
 // A vertex's weights are read once per SELECT as a span. This one check
@@ -256,6 +268,7 @@ SampleRun SamplingEngine::run(sim::Device& device,
                               std::span<const std::vector<VertexId>> seeds) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
   validate_instance_tags(config_, num_instances);
+  validate_seeds(seeds, view_->num_vertices());
   std::vector<InstanceState> instances(num_instances);
   for (std::uint32_t i = 0; i < num_instances; ++i) {
     instances[i].init(config_.global_instance_id(i), seeds[i],

@@ -212,6 +212,12 @@ void validate_instance_tags(std::span<const std::uint32_t> tags,
 void validate_instance_tags(const EngineConfig& config,
                             std::size_t num_instances);
 
+/// Checks at run entry that every seed names a vertex of a graph with
+/// `num_vertices` vertices, naming the first that does not; instance
+/// setup indexes per-vertex state by seed.
+void validate_seeds(std::span<const std::vector<VertexId>> seeds,
+                    VertexId num_vertices);
+
 /// Result of one in-memory engine run. Prefer csaw::Sampler (sampler.hpp),
 /// which returns the unified RunResult regardless of execution mode.
 struct SampleRun {

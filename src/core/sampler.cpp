@@ -373,7 +373,7 @@ RunResult Sampler::run_out_of_memory(
     // private cache instead.
     if (cache_ == nullptr) {
       cache_ = std::make_shared<PartitionCache>(
-          parts_, options_.resident_partitions, options_.num_streams);
+          parts_, CacheLimits{.partitions = options_.resident_partitions});
     }
     engine.set_cache(cache_);
   }

@@ -70,7 +70,12 @@ struct SamplerOptions {
   // --- Out-of-memory knobs (previously OomConfig), used whenever the
   // out-of-memory backend is selected on any device.
   std::uint32_t num_partitions = 4;
+  /// Partitions on the device at once: per barrier wave, and the limit of
+  /// this sampler's private demand cache (whatever their bytes; a service
+  /// cache is budgeted in bytes instead).
   std::uint32_t resident_partitions = 2;
+  /// Streams of the kStepBarrier waves; the demand cache gives each
+  /// partition on the device a stream of its own.
   std::uint32_t num_streams = 2;
   bool oom_batched = true;
   bool oom_workload_aware = true;
@@ -306,7 +311,7 @@ class Sampler {
   std::shared_ptr<const PartitionedGraph> parts_;
   /// Pipelined single-device paging only: the persistent residency cache
   /// shared by every OOM engine this sampler runs (set_partition_cache or
-  /// lazily created with resident_partitions slots).
+  /// lazily created holding resident_partitions partitions).
   std::shared_ptr<PartitionCache> cache_;
   /// The persistent host thread pool shared by every device of this
   /// sampler (and reused across runs/batches). Null while serial.

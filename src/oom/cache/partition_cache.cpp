@@ -23,29 +23,34 @@ std::string to_string(PartitionState state) {
 }
 
 PartitionCache::PartitionCache(std::shared_ptr<const PartitionedGraph> parts,
-                               std::uint32_t capacity,
-                               std::uint32_t num_streams)
-    : parts_(std::move(parts)),
-      capacity_(capacity),
-      num_streams_(std::max(num_streams, 1u)) {
+                               CacheLimits limits)
+    : parts_(std::move(parts)), limits_(limits) {
   CSAW_CHECK(parts_ != nullptr);
-  CSAW_CHECK_MSG(capacity_ >= 1, "a partition cache needs at least one slot");
+  CSAW_CHECK_MSG(limits_.partitions >= 1,
+                 "a partition cache must hold at least one partition");
   entries_.assign(parts_->num_parts(), Entry{});
-  slot_used_.assign(capacity_, false);
+  lane_used_.assign(parts_->num_parts(), false);
 }
 
 std::uint32_t PartitionCache::stream_index(std::uint32_t p) const {
   const Entry& e = entries_.at(p);
   CSAW_CHECK_MSG(e.state != PartitionState::kOnDisk,
-                 "partition " << p << " holds no cache slot");
-  return e.slot % num_streams_;
+                 "partition " << p << " is not on the device");
+  return e.lane;
+}
+
+bool PartitionCache::admits(std::uint64_t held_bytes,
+                            std::uint32_t held_count, std::uint32_t p) const {
+  if (held_count == 0) return true;
+  return held_count < limits_.partitions && held_bytes <= limits_.bytes &&
+         parts_->bytes(p) <= limits_.bytes - held_bytes;
 }
 
 std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
                                                      sim::Device& device,
                                                      OomMetrics* oom) {
   const std::uint64_t bytes = parts_->part(p).bytes();
-  sim::Stream& stream = device.stream(entries_[p].slot % num_streams_);
+  sim::Stream& stream = device.stream(entries_[p].lane);
   const std::string label = "partition " + std::to_string(p);
 
   // Transfer span: one per partition copy including all its retries;
@@ -118,7 +123,6 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
 
 std::uint32_t PartitionCache::pick_victim(
     std::span<const std::size_t> pending) const {
-  constexpr std::uint32_t kNone = ~0u;
   std::uint32_t best = kNone;
   auto better = [&](std::uint32_t candidate) {
     if (best == kNone) return true;
@@ -130,6 +134,11 @@ std::uint32_t PartitionCache::pick_victim(
     const std::size_t cp = candidate < pending.size() ? pending[candidate] : 0;
     const std::size_t bp = best < pending.size() ? pending[best] : 0;
     if (cp != bp) return cp < bp;  // fewest queued walkers first
+    // Least recently acquired next: the lowest id would be the hub
+    // partition 0 of a vertex-range partitioning, the largest and hottest.
+    if (c.last_acquired != b.last_acquired) {
+      return c.last_acquired < b.last_acquired;
+    }
     return candidate < best;
   };
   for (std::uint32_t p = 0; p < entries_.size(); ++p) {
@@ -146,28 +155,43 @@ void PartitionCache::evict(std::uint32_t victim) {
   Entry& e = entries_[victim];
   CSAW_CHECK(e.state == PartitionState::kEvictable ||
              e.state == PartitionState::kResident);
-  slot_used_[e.slot] = false;
-  e = Entry{};
-  --resident_count_;
+  roll_back(victim);
   ++metrics_.evictions;
 }
 
-bool PartitionCache::take_slot(std::span<const std::size_t> pending,
-                               std::uint32_t& slot) {
-  if (resident_count_ >= capacity_) {
-    const std::uint32_t victim = pick_victim(pending);
-    if (victim == ~0u) return false;
-    evict(victim);
-  }
-  for (std::uint32_t s = 0; s < capacity_; ++s) {
-    if (!slot_used_[s]) {
-      slot_used_[s] = true;
-      slot = s;
-      return true;
+void PartitionCache::roll_back(std::uint32_t p) {
+  Entry& e = entries_[p];
+  lane_used_[e.lane] = false;
+  e = Entry{};
+  --resident_count_;
+  resident_bytes_ -= parts_->bytes(p);
+}
+
+bool PartitionCache::admit(std::uint32_t p,
+                           std::span<const std::size_t> pending) {
+  // Dry run first: only pinned and loading partitions stay whatever is
+  // evicted, so p fits after evicting iff it fits beside them.
+  std::uint64_t kept_bytes = 0;
+  std::uint32_t kept_count = 0;
+  for (std::uint32_t q = 0; q < entries_.size(); ++q) {
+    const PartitionState s = entries_[q].state;
+    if (s == PartitionState::kInUse || s == PartitionState::kLoading) {
+      kept_bytes += parts_->bytes(q);
+      ++kept_count;
     }
   }
-  CSAW_CHECK_MSG(false, "slot accounting out of sync with resident count");
-  return false;
+  if (!admits(kept_bytes, kept_count, p)) return false;
+  while (!admits(resident_bytes_, resident_count_, p)) {
+    evict(pick_victim(pending));
+  }
+  Entry& e = entries_[p];
+  e.lane = static_cast<std::uint32_t>(
+      std::find(lane_used_.begin(), lane_used_.end(), false) -
+      lane_used_.begin());
+  lane_used_[e.lane] = true;
+  ++resident_count_;
+  resident_bytes_ += parts_->bytes(p);
+  return true;
 }
 
 double PartitionCache::acquire(std::uint32_t p, sim::Device& device,
@@ -177,46 +201,40 @@ double PartitionCache::acquire(std::uint32_t p, sim::Device& device,
   Entry& e = entries_[p];
   switch (e.state) {
     case PartitionState::kLoading:
-      load_in_flight_ = false;
+      in_flight_ = kNone;
       [[fallthrough]];
     case PartitionState::kResident:
     case PartitionState::kEvictable:
-      ++metrics_.hits;
       e.state = PartitionState::kInUse;
-      ++e.pins;
-      return e.ready_time;
+      [[fallthrough]];
     case PartitionState::kInUse:
       ++metrics_.hits;
-      ++e.pins;
-      return e.ready_time;
-    case PartitionState::kOnDisk:
       break;
+    case PartitionState::kOnDisk: {
+      CSAW_CHECK_MSG(admit(p, pending),
+                     "cannot acquire partition "
+                         << p << ": the pinned and loading partitions "
+                         << "leave no room for its " << parts_->bytes(p)
+                         << " bytes");
+      ++metrics_.demand_loads;
+      const std::optional<double> ready = issue_transfer(p, device, oom);
+      if (!ready.has_value()) {
+        // Terminal copy failure: roll the load back so the partition is
+        // simply on disk again — nothing pinned, nothing kLoading —
+        // before failing the batch that needed it.
+        roll_back(p);
+        throw TransferError(
+            p, policy_.attempts,
+            "partition " + std::to_string(p) + " transfer failed after " +
+                std::to_string(policy_.attempts) + " attempt(s)");
+      }
+      e.ready_time = *ready;
+      e.state = PartitionState::kInUse;
+      break;
+    }
   }
-
-  std::uint32_t slot = 0;
-  CSAW_CHECK_MSG(take_slot(pending, slot),
-                 "cannot acquire partition "
-                     << p << ": all " << capacity_
-                     << " cache slots are pinned or loading");
-  e.slot = slot;
-  ++resident_count_;
-  ++metrics_.demand_loads;
-  const std::optional<double> ready = issue_transfer(p, device, oom);
-  if (!ready.has_value()) {
-    // Terminal copy failure: roll the slot back so the partition is
-    // simply on disk again — nothing pinned, nothing kLoading — before
-    // failing the batch that needed it.
-    slot_used_[e.slot] = false;
-    e = Entry{};
-    --resident_count_;
-    throw TransferError(
-        p, policy_.attempts,
-        "partition " + std::to_string(p) + " transfer failed after " +
-            std::to_string(policy_.attempts) + " attempt(s)");
-  }
-  e.ready_time = *ready;
-  e.state = PartitionState::kInUse;
-  e.pins = 1;
+  ++e.pins;
+  e.last_acquired = ++acquire_clock_;
   return e.ready_time;
 }
 
@@ -234,24 +252,19 @@ bool PartitionCache::prefetch(std::uint32_t p, sim::Device& device,
   CSAW_CHECK(p < entries_.size());
   Entry& e = entries_[p];
   if (e.state != PartitionState::kOnDisk) return false;  // already on device
-  if (load_in_flight_) return false;  // one speculative copy at a time
-  std::uint32_t slot = 0;
-  if (!take_slot(pending, slot)) return false;
-  e.slot = slot;
-  ++resident_count_;
+  if (in_flight_ != kNone) return false;  // one speculative copy at a time
+  if (!admit(p, pending)) return false;
   ++metrics_.prefetch_loads;
   const std::optional<double> ready = issue_transfer(p, device, oom);
   if (!ready.has_value()) {
     // A failed speculative load is benign: roll back and decline — a
     // later acquire() will demand-load (and get a fresh fault site).
-    slot_used_[e.slot] = false;
-    e = Entry{};
-    --resident_count_;
+    roll_back(p);
     return false;
   }
   e.ready_time = *ready;
   e.state = PartitionState::kLoading;
-  load_in_flight_ = true;
+  in_flight_ = p;
   return true;
 }
 
@@ -259,7 +272,7 @@ void PartitionCache::settle(double now) {
   for (Entry& e : entries_) {
     if (e.state == PartitionState::kLoading && e.ready_time <= now) {
       e.state = PartitionState::kResident;
-      load_in_flight_ = false;
+      in_flight_ = kNone;
     }
   }
 }
@@ -287,7 +300,7 @@ void PartitionCache::abort_round() {
       e.state = PartitionState::kResident;
     }
   }
-  load_in_flight_ = false;
+  in_flight_ = kNone;
 }
 
 void PartitionCache::begin_run() {
@@ -298,31 +311,20 @@ void PartitionCache::begin_run() {
     }
     e.ready_time = 0.0;  // fresh device, fresh clock
   }
-  load_in_flight_ = false;
+  in_flight_ = kNone;
 }
 
-void PartitionCache::set_capacity(std::uint32_t new_capacity) {
-  CSAW_CHECK_MSG(new_capacity >= 1,
-                 "a partition cache needs at least one slot");
-  if (new_capacity == capacity_) return;
-  while (resident_count_ > new_capacity) {
+void PartitionCache::set_budget_bytes(std::uint64_t bytes) {
+  limits_.bytes = bytes;
+  // A lone partition may exceed the budget (an empty cache admits any
+  // one), so the loop stops there.
+  while (resident_count_ > 1 && resident_bytes_ > limits_.bytes) {
     const std::uint32_t victim = pick_victim({});
-    CSAW_CHECK_MSG(victim != ~0u,
-                   "cannot shrink cache to " << new_capacity << " slots: "
-                                             << resident_count_
-                                             << " partitions pinned/loading");
+    CSAW_CHECK_MSG(victim != kNone,
+                   "cannot shrink cache to " << bytes << " bytes: "
+                                             << resident_bytes_
+                                             << " bytes pinned/loading");
     evict(victim);
-  }
-  // Repack surviving slots into [0, new_capacity) in partition-id order so
-  // slot ids stay dense (stream mapping only needs stability within a
-  // round, and nothing is pinned across set_capacity calls in practice).
-  capacity_ = new_capacity;
-  slot_used_.assign(capacity_, false);
-  std::uint32_t next = 0;
-  for (Entry& e : entries_) {
-    if (e.state == PartitionState::kOnDisk) continue;
-    e.slot = next++;
-    slot_used_[e.slot] = true;
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -73,12 +74,26 @@ struct CacheMetrics {
   std::uint64_t transfer_retries = 0;  ///< copies re-issued after a fault
 };
 
+/// What a PartitionCache may hold at once. The service tier gives each
+/// paged graph's cache a byte slice of the device budget; a Sampler's
+/// private cache holds OomConfig::resident_partitions partitions, whatever
+/// their size. A limit left at its default does not bind.
+struct CacheLimits {
+  /// Ceiling on the summed PartitionedGraph::bytes of resident partitions.
+  std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();
+  /// Ceiling on how many partitions are resident at once (>= 1).
+  std::uint32_t partitions = std::numeric_limits<std::uint32_t>::max();
+};
+
 /// Demand-driven partition cache: the residency layer of the pipelined OOM
 /// path. Unlike the barrier waves — which re-transfer every chosen
 /// partition every scheduling round — the cache keeps partitions on the
 /// simulated device across rounds, loads them on demand, prefetches the
 /// scheduler's next pick while the current one computes, and evicts only
-/// when capacity forces it.
+/// when its limits force it. A partition is admitted while it fits the
+/// limits beside the resident ones; an empty cache admits any one
+/// partition, so a partition larger than the byte budget still pages in,
+/// alone.
 ///
 /// Not thread-safe: a cache belongs to one engine run at a time. The
 /// service tier shares one cache per paged graph across batches, which is
@@ -86,39 +101,49 @@ struct CacheMetrics {
 /// dispatcher's single-writer guarantee).
 ///
 /// Determinism: the cache decides *when* bytes move, never *which* bytes
-/// are sampled — samples are byte-identical across capacities, schedules
+/// are sampled — samples are byte-identical across limits, schedules
 /// and thread counts; only transfer counts, kernel timing and therefore
 /// seps() vary.
 class PartitionCache {
  public:
-  /// `capacity` is the number of partition slots the device budget holds
-  /// (>= 1). Slot i's transfers land on device stream (i % num_streams),
-  /// so a prefetch normally rides a different stream than the computing
-  /// partition's kernel and overlaps it (the link serializes transfers
-  /// with each other only).
+  /// Each partition on the device holds its own lane, the lowest one no
+  /// other holds: device stream `lane` carries its copies and kernel
+  /// windows, so the windows of a round never wait on each other's
+  /// streams, and a prefetch rides a stream no computing partition uses
+  /// (the link serializes transfers with each other only).
   PartitionCache(std::shared_ptr<const PartitionedGraph> parts,
-                 std::uint32_t capacity, std::uint32_t num_streams);
+                 CacheLimits limits);
 
   const PartitionedGraph& parts() const noexcept { return *parts_; }
   std::shared_ptr<const PartitionedGraph> parts_ptr() const noexcept {
     return parts_;
   }
-  std::uint32_t capacity() const noexcept { return capacity_; }
-  std::uint32_t num_streams() const noexcept { return num_streams_; }
+  const CacheLimits& limits() const noexcept { return limits_; }
   const CacheMetrics& metrics() const noexcept { return metrics_; }
 
   PartitionState state(std::uint32_t p) const { return entries_.at(p).state; }
   bool on_device(std::uint32_t p) const {
     return entries_.at(p).state != PartitionState::kOnDisk;
   }
-  /// Partitions currently occupying a slot (any state but kOnDisk).
+  /// Partitions on the device (any state but kOnDisk) and their bytes.
   std::uint32_t resident_count() const noexcept { return resident_count_; }
+  std::uint64_t resident_bytes() const noexcept { return resident_bytes_; }
+  /// The partition whose prefetch is in flight (kLoading), or kNone.
+  std::uint32_t in_flight() const noexcept { return in_flight_; }
+  static constexpr std::uint32_t kNone = ~0u;
   /// Device stream index partition p's transfers and kernels use. Only
-  /// valid while p occupies a slot.
+  /// valid while p is on the device.
   std::uint32_t stream_index(std::uint32_t p) const;
 
+  /// Whether partition p fits the limits beside `held_count` partitions
+  /// of `held_bytes`: always when nothing is held, else within both
+  /// limits. The engine plans a round's compute set with it, so every
+  /// acquire of the set succeeds.
+  bool admits(std::uint64_t held_bytes, std::uint32_t held_count,
+              std::uint32_t p) const;
+
   /// Pins partition p for compute, demand-loading it if it is on disk
-  /// (evicting a victim when the cache is full). Returns the simulated
+  /// (evicting victims until it fits). Returns the simulated
   /// time at which p's bytes are on the device — the earliest moment a
   /// kernel over p may start. `pending` (per-partition frontier entry
   /// counts) steers victim selection away from partitions with queued
@@ -132,9 +157,10 @@ class PartitionCache {
   void release(std::uint32_t p);
 
   /// Speculatively loads partition p (unpinned, state kLoading) so a later
-  /// acquire() finds it on device. Declines — returning false — when p is
-  /// already on device, another prefetch is still in flight, or making
-  /// room would require evicting a pinned or loading partition.
+  /// acquire() finds it on device. Declines — returning false, with
+  /// nothing evicted — when p is already on device, another prefetch is
+  /// still in flight, or making room would require evicting a pinned or
+  /// loading partition.
   bool prefetch(std::uint32_t p, sim::Device& device,
                 std::span<const std::size_t> pending,
                 OomMetrics* oom = nullptr);
@@ -150,11 +176,11 @@ class PartitionCache {
   /// (the service tier) must begin_run() before reuse. Requires no pins.
   void begin_run();
 
-  /// Grows or shrinks the slot count, evicting down to `new_capacity`
-  /// (>= 1) if needed. Shrinking below the number of pinned or loading
-  /// partitions is a caller error (checked). The service tier calls this
-  /// as paged graphs register and the per-graph device budget changes.
-  void set_capacity(std::uint32_t new_capacity);
+  /// Sets the byte limit, evicting down to it if needed. Shrinking below
+  /// the bytes of the pinned or loading partitions is a caller error
+  /// (checked). The service tier calls this as paged graphs register and
+  /// the per-graph device budget changes.
+  void set_budget_bytes(std::uint64_t bytes);
 
   /// Attaches (or detaches, with nullptr) a fault injector and the retry
   /// policy governing faulted copies. The engine re-applies this at every
@@ -202,11 +228,12 @@ class PartitionCache {
   struct Entry {
     PartitionState state = PartitionState::kOnDisk;
     std::uint32_t pins = 0;
-    std::uint32_t slot = 0;     ///< valid while not kOnDisk
+    std::uint32_t lane = 0;     ///< valid while not kOnDisk
     double ready_time = 0.0;    ///< transfer completion (simulated seconds)
+    std::uint64_t last_acquired = 0;  ///< acquire_clock_ at its last acquire
   };
 
-  /// Issues the host-to-device copy of partition p on its slot's stream,
+  /// Issues the host-to-device copy of partition p on its lane's stream,
   /// consulting the fault injector per attempt and retrying with
   /// exponential backoff up to the policy's attempt bound. Returns the
   /// completion time of the successful copy, or nullopt when every
@@ -214,21 +241,25 @@ class PartitionCache {
   std::optional<double> issue_transfer(std::uint32_t p, sim::Device& device,
                                        OomMetrics* oom);
   /// Picks the eviction victim: kEvictable before kResident, then fewest
-  /// pending walkers, then lowest id. Returns ~0u when nothing on device
-  /// may be evicted.
+  /// pending walkers, then least recently acquired, then lowest id.
+  /// Returns kNone when nothing on device may be evicted.
   std::uint32_t pick_victim(std::span<const std::size_t> pending) const;
   void evict(std::uint32_t victim);
-  /// Takes the lowest free slot (evicting if the cache is full); returns
-  /// false when no slot can be made free.
-  bool take_slot(std::span<const std::size_t> pending, std::uint32_t& slot);
+  /// Evicts victims until p fits, then puts p on the device in the lowest
+  /// free lane. Returns false, evicting nothing, when p cannot fit beside
+  /// the pinned and loading partitions.
+  bool admit(std::uint32_t p, std::span<const std::size_t> pending);
+  /// Takes p off the device again after a failed load.
+  void roll_back(std::uint32_t p);
 
   std::shared_ptr<const PartitionedGraph> parts_;
-  std::uint32_t capacity_;
-  std::uint32_t num_streams_;
+  CacheLimits limits_;
   std::vector<Entry> entries_;      // indexed by partition id
-  std::vector<bool> slot_used_;     // indexed by slot in [0, capacity)
+  std::vector<bool> lane_used_;     // indexed by lane in [0, num_parts)
   std::uint32_t resident_count_ = 0;
-  bool load_in_flight_ = false;  ///< at most one speculative load at a time
+  std::uint64_t resident_bytes_ = 0;
+  std::uint32_t in_flight_ = kNone;  ///< at most one speculative load
+  std::uint64_t acquire_clock_ = 0;  ///< counts acquire() calls
   CacheMetrics metrics_;
   std::shared_ptr<FaultInjector> injector_;
   RetryPolicy policy_;

@@ -84,6 +84,7 @@ OomRun OomEngine::run(sim::Device& device,
                       std::span<const std::vector<VertexId>> seeds) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
   validate_instance_tags(config_.engine, num_instances);
+  validate_seeds(seeds, graph_->num_vertices());
   instances_.assign(num_instances, InstanceState());
   for (std::uint32_t i = 0; i < num_instances; ++i) {
     instances_[i].init(config_.engine.global_instance_id(i), seeds[i],
@@ -112,7 +113,7 @@ OomRun OomEngine::run(sim::Device& device,
   if (cached) {
     if (cache_ == nullptr) {
       cache_ = std::make_shared<PartitionCache>(
-          parts_, config_.resident_partitions, config_.num_streams);
+          parts_, CacheLimits{.partitions = config_.resident_partitions});
     }
     // Re-applied every run: a service-owned cache shared across batches
     // follows the current batch's fault/retry options.
@@ -147,7 +148,6 @@ OomRun OomEngine::run(sim::Device& device,
       }
       for (std::size_t s = 0; s < seeds[i].size(); ++s) {
         const VertexId seed = seeds[i][s];
-        CSAW_CHECK(seed < graph_->num_vertices());
         queues_[parts_->part_of(seed)].push(FrontierEntry{
             seed, config_.engine.global_instance_id(i), /*local=*/i,
             /*depth=*/0, static_cast<std::uint32_t>(s), kInvalidVertex});
@@ -334,32 +334,45 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     // batch (no pin survives, no partition stays kLoading).
     PartitionCache::RoundGuard round_guard(cache);
 
-    // Residency set: as many active partitions as the cache holds. While
-    // more partitions are active than fit, one slot stays free so the
-    // next-ranked cold partition can stream in behind the computing set —
-    // that reserved slot IS the prefetch pipeline; once everything active
-    // fits, all slots compute. Warm partitions join the set first (their
-    // bytes are already on the device — a transfer saved beats any
-    // queue-length ordering), cold top-ranked ones fill what remains;
-    // within each class the scheduler's pending-walker rank decides.
-    // With contention (more runnable partitions than slots) and enough
-    // slots, one slot stays free as the prefetch pipeline; at three or
-    // fewer slots a reserved slot costs more compute width than
-    // prefetching saves.
+    // Compute set: warm partitions first (their bytes are already on the
+    // device — a transfer saved beats any queue-length ordering), then
+    // cold ones; within each class the scheduler's pending-walker rank
+    // decides. A partition that would overflow the cache's limits beside
+    // the set so far and the in-flight prefetch (which no acquire may
+    // evict) is skipped, as a later, smaller one may still fit; so every
+    // acquire of the set succeeds. Under a partition-count limit of four
+    // or more, while more partitions are runnable than it allows, one
+    // stays free as the prefetch pipeline that streams the next-ranked
+    // cold partition in behind the computing set; at three or fewer a
+    // reserved place costs more compute width than prefetching saves.
+    const std::size_t places = std::min<std::size_t>(
+        cache.limits().partitions, config_.num_partitions);
     const std::size_t max_compute =
-        order.size() <= cache.capacity() || cache.capacity() < 4
-            ? std::min<std::size_t>(order.size(), cache.capacity())
-            : cache.capacity() - 1;
+        order.size() <= places || places < 4
+            ? std::min(order.size(), places)
+            : places - 1;
+    const std::uint32_t in_flight = cache.in_flight();
+    std::uint64_t held_bytes =
+        in_flight == PartitionCache::kNone ? 0 : parts_->bytes(in_flight);
+    std::uint32_t held_count = in_flight == PartitionCache::kNone ? 0 : 1;
     std::vector<std::uint32_t> chosen;
     chosen.reserve(max_compute);
+    const auto choose = [&](std::uint32_t p) {
+      if (chosen.size() == max_compute) return;
+      if (p != in_flight) {  // the prefetch's bytes are already held
+        if (!cache.admits(held_bytes, held_count, p)) return;
+        held_bytes += parts_->bytes(p);
+        ++held_count;
+      }
+      chosen.push_back(p);
+    };
     for (const std::uint32_t p : order) {
-      if (chosen.size() == max_compute) break;
-      if (cache.on_device(p)) chosen.push_back(p);
+      if (cache.on_device(p)) choose(p);
     }
     for (const std::uint32_t p : order) {
-      if (chosen.size() == max_compute) break;
-      if (!cache.on_device(p)) chosen.push_back(p);
+      if (!cache.on_device(p)) choose(p);
     }
+    CSAW_CHECK_MSG(!chosen.empty(), "no runnable partition fits the cache");
     const std::size_t chosen_count = chosen.size();
 
     // Pin the set (warm partitions cost nothing; cold ones demand-load),
@@ -493,8 +506,8 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
         config_.engine.cancel, widths);
 
     // --- Cross-residency timing: one fused kernel window per resident
-    // partition on its slot's stream, duration from the merged chain
-    // stats at the SMs its thread blocks can occupy — the slot's
+    // partition on its lane's stream, duration from the merged chain
+    // stats at the SMs its thread blocks can occupy — the partition's
     // block-balancing share, capped at the window's block count. A
     // window opens at max(bytes-ready, stream-ready), and a warm hit's
     // bytes are ready immediately — so warm partitions compute while the

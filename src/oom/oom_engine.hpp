@@ -21,8 +21,11 @@ namespace csaw {
 struct OomConfig {
   std::uint32_t num_partitions = 4;
   /// Partitions the device memory can hold at once (the paper's Fig. 13
-  /// setup: 4 partitions, 2 resident, 2 CUDA streams).
+  /// setup: 4 partitions, 2 resident, 2 CUDA streams). A private demand
+  /// cache holds this many partitions, whatever their bytes.
   std::uint32_t resident_partitions = 2;
+  /// Streams of the barrier waves. The demand cache gives each partition
+  /// on the device its own stream instead.
   std::uint32_t num_streams = 2;
   bool batched = true;
   bool workload_aware = true;
@@ -97,7 +100,8 @@ class OomEngine {
   /// Shares a partition cache built over the same PartitionedGraph
   /// (checked): the service tier keeps one cache per paged graph so
   /// residency survives across batches. Without this, the first pipelined
-  /// run builds a private cache with OomConfig::resident_partitions slots.
+  /// run builds a private cache holding OomConfig::resident_partitions
+  /// partitions.
   /// kStepBarrier runs never use the cache.
   void set_cache(std::shared_ptr<PartitionCache> cache);
 
@@ -121,9 +125,10 @@ class OomEngine {
 
   /// Demand-cache scheduling loop (the kPipelined schedule): each round
   /// pins the scheduler's top-ranked partitions through the cache — as
-  /// many as the cache holds, minus one slot kept free for the prefetch
-  /// pipeline while partitions contend — and runs every instance with
-  /// entries there as one chain consuming its own entries round by round.
+  /// many as fit its limits, keeping one place free for the prefetch
+  /// pipeline while partitions contend for a count limit — and runs every
+  /// instance with entries there as one chain consuming its own entries
+  /// round by round.
   /// Warm partitions skip their transfer entirely and the next-ranked
   /// cold partition streams in behind the computing set. Kernel windows
   /// open at max(bytes-ready, stream-ready), so a warm partition computes

@@ -28,14 +28,4 @@ std::uint64_t PartitionedGraph::max_partition_bytes() const noexcept {
   return largest;
 }
 
-std::uint32_t PartitionedGraph::partitions_fitting(
-    std::uint64_t budget_bytes) const noexcept {
-  const std::uint64_t slot = max_partition_bytes();
-  if (slot == 0) return num_parts();
-  const std::uint64_t fitting = budget_bytes / slot;
-  const std::uint64_t capped =
-      std::min<std::uint64_t>(fitting, num_parts());
-  return static_cast<std::uint32_t>(std::max<std::uint64_t>(capped, 1));
-}
-
 }  // namespace csaw

@@ -32,22 +32,15 @@ class PartitionedGraph {
   const PartitionView& view(std::uint32_t p) const { return *views_[p]; }
   const CsrGraph& whole() const noexcept { return *graph_; }
 
-  // --- Capacity accounting for the demand-driven partition cache: how
-  // many partitions a device budget holds is a property of the
-  // partitioning, not of any one run.
+  // --- Byte accounting for the demand-driven partition cache, whose
+  // budget is in bytes.
 
   /// Device footprint of partition p's paged payload.
   std::uint64_t bytes(std::uint32_t p) const { return part(p).bytes(); }
   /// Sum of all partition footprints.
   std::uint64_t total_bytes() const noexcept;
-  /// Footprint of the largest partition — the minimum budget that can
-  /// hold even one cache slot.
+  /// Footprint of the largest partition.
   std::uint64_t max_partition_bytes() const noexcept;
-  /// How many cache slots fit in `budget_bytes`, sized by the *largest*
-  /// partition (slots are interchangeable, so the conservative uniform
-  /// size keeps any partition loadable into any free slot). At least 1
-  /// partition must always be loadable, so the result is never 0.
-  std::uint32_t partitions_fitting(std::uint64_t budget_bytes) const noexcept;
 
  private:
   const CsrGraph* graph_;

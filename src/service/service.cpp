@@ -195,7 +195,8 @@ std::vector<GraphResidency> Service::graphs() const {
   for (const auto& [name, entry] : graphs_) {
     result.push_back(GraphResidency{name, entry.graph->bytes(), entry.paged,
                                     entry.parts != nullptr,
-                                    entry.cache_capacity});
+                                    entry.cache_budget_bytes,
+                                    entry.cache_resident_bytes});
   }
   return result;
 }
@@ -1205,6 +1206,7 @@ void Service::run_batch(std::vector<Pending> batch) {
           config_.options.num_devices == 1;
       Sampler sampler(*graph, setup, config_.options);
       if (pool_ != nullptr) sampler.set_executor(pool_);
+      std::shared_ptr<PartitionCache> cache;
       if (sampler.decision().out_of_memory) {
         if (parts == nullptr) {
           // First paged batch on this graph: build the shared partitioning
@@ -1219,13 +1221,12 @@ void Service::run_batch(std::vector<Pending> batch) {
         sampler.set_partitions(parts);
         if (shared_cache) {
           // Per-graph device-budget policy: every *registered* paged graph
-          // gets an equal slice of the budget (memory_budget_fraction of
-          // device memory), so concurrent paged traffic contends through
-          // bounded caches instead of each batch assuming the whole
-          // device, and partitions stay warm across the graph's batches.
-          // Registration count (not live traffic) keeps the capacity
-          // deterministic for a fixed registry.
-          std::shared_ptr<PartitionCache> cache;
+          // gets an equal byte slice of the budget (memory_budget_fraction
+          // of device memory), so concurrent paged traffic contends
+          // through bounded caches instead of each batch assuming the
+          // whole device, and partitions stay warm across the graph's
+          // batches. Registration count (not live traffic) keeps the
+          // budget deterministic for a fixed registry.
           std::uint32_t paged_graphs = 0;
           {
             std::lock_guard<std::mutex> lock(mu_);
@@ -1234,29 +1235,31 @@ void Service::run_batch(std::vector<Pending> batch) {
             }
             cache = graphs_.at(head.graph).cache;
           }
-          const double budget =
+          const auto budget = static_cast<std::uint64_t>(
               config_.options.memory_budget_fraction *
               static_cast<double>(
                   config_.options.device_params.memory_bytes) /
-              static_cast<double>(std::max(paged_graphs, 1u));
-          const std::uint32_t capacity =
-              parts->partitions_fitting(static_cast<std::uint64_t>(budget));
+              static_cast<double>(std::max(paged_graphs, 1u)));
           if (cache == nullptr) {
             cache = std::make_shared<PartitionCache>(
-                parts, capacity, config_.options.num_streams);
-          } else if (cache->capacity() != capacity) {
-            cache->set_capacity(capacity);  // a later registration shrank it
+                parts, CacheLimits{.bytes = budget});
+          } else if (cache->limits().bytes != budget) {
+            cache->set_budget_bytes(budget);  // a later registration shrank it
           }
           {
             std::lock_guard<std::mutex> lock(mu_);
             GraphEntry& entry = graphs_.at(head.graph);
             entry.cache = cache;
-            entry.cache_capacity = capacity;
+            entry.cache_budget_bytes = budget;
           }
           sampler.set_partition_cache(cache);
         }
       }
       whole = sampler.run_tagged(seeds, tags, control);
+      if (cache != nullptr) {
+        std::lock_guard<std::mutex> lock(mu_);
+        graphs_.at(head.graph).cache_resident_bytes = cache->resident_bytes();
+      }
     }
 
     // Classify every request: a token that fired (client cancel or

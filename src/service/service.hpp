@@ -189,10 +189,15 @@ struct GraphResidency {
   /// True once the shared partitioning has been built (lazily, on the
   /// first paged batch).
   bool partitions_built = false;
-  /// Demand-cache slots this graph's batches run with (its slice of the
-  /// device budget, in partitions); 0 until the first paged batch builds
-  /// the cache, and always 0 under kStepBarrier or multi-device.
-  std::uint32_t cache_capacity = 0;
+  /// Byte budget of the demand cache this graph's batches run with: its
+  /// slice of the device budget, memory_budget_fraction × device memory ÷
+  /// registered paged graphs. 0 until the first paged batch builds the
+  /// cache, and always 0 under kStepBarrier or multi-device.
+  std::uint64_t cache_budget_bytes = 0;
+  /// Bytes of this graph's partitions the cache held when its last paged
+  /// batch finished (at most cache_budget_bytes, unless one partition
+  /// alone exceeds it).
+  std::uint64_t cache_resident_bytes = 0;
 };
 
 /// The serving tier above csaw::Sampler: a long-lived, multi-tenant
@@ -324,9 +329,11 @@ class Service {
     /// most one batch at a time — the per-graph batch serialization
     /// (graphs_in_flight_) is what makes the unsynchronized cache sound.
     std::shared_ptr<PartitionCache> cache;
-    /// Snapshot of cache->capacity() for graphs() (reading the cache
-    /// itself from graphs() would race with an executing batch).
-    std::uint32_t cache_capacity = 0;
+    /// Snapshots of the cache's byte budget and, after each paged batch,
+    /// its resident bytes for graphs() (reading the cache itself from
+    /// graphs() would race with an executing batch).
+    std::uint64_t cache_budget_bytes = 0;
+    std::uint64_t cache_resident_bytes = 0;
     /// Vertex partitioning shared by this graph's sharded batches
     /// (ServiceConfig::shards > 1). Built by the first routed batch,
     /// published under mu_; per-graph batch serialization makes the

@@ -1,9 +1,11 @@
 // Unit coverage of the demand-driven partition cache (src/oom/cache/):
 // every state transition in the header's diagram, the victim policy
 // (never a pinned or loading partition; evictable before resident, then
-// fewest pending walkers, then lowest id), the scheduler's ranking ties,
-// capacity accounting on PartitionedGraph, and the run-boundary rebase
-// the service tier relies on when it reuses one cache across batches.
+// fewest pending walkers, then least recently acquired), the byte budget
+// and partition-count limits on partitions of mixed sizes, one stream per
+// resident partition, the scheduler's ranking ties, byte accounting on
+// PartitionedGraph, and the run-boundary rebase the service tier relies
+// on when it reuses one cache across batches.
 #include "oom/cache/partition_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -37,6 +39,26 @@ std::vector<std::size_t> no_pending() {
   return std::vector<std::size_t>(kParts, 0);
 }
 
+/// A Sampler-style limit: `n` partitions, whatever their size.
+CacheLimits slots(std::uint32_t n) { return CacheLimits{.partitions = n}; }
+
+/// Eight vertex-range partitions of an R-MAT graph, whose skew makes
+/// their sizes differ by up to 9x (partition 0, the hub range, is the
+/// largest).
+std::shared_ptr<const PartitionedGraph> make_mixed_parts() {
+  static const CsrGraph g = generate_rmat(2048, 16384, 7);
+  return std::make_shared<const PartitionedGraph>(g, 8);
+}
+
+/// Bytes of the partitions on the device, summed from their states.
+std::uint64_t on_device_bytes(const PartitionCache& cache) {
+  std::uint64_t bytes = 0;
+  for (std::uint32_t p = 0; p < cache.parts().num_parts(); ++p) {
+    if (cache.on_device(p)) bytes += cache.parts().bytes(p);
+  }
+  return bytes;
+}
+
 TEST(PartitionCache, StatesAreNamed) {
   EXPECT_EQ(to_string(PartitionState::kOnDisk), "on_disk");
   EXPECT_EQ(to_string(PartitionState::kLoading), "loading");
@@ -47,7 +69,7 @@ TEST(PartitionCache, StatesAreNamed) {
 
 TEST(PartitionCache, DemandLoadPinsAndCounts) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -81,7 +103,7 @@ TEST(PartitionCache, DemandLoadPinsAndCounts) {
 
 TEST(PartitionCache, HitsSkipTheLink) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -99,7 +121,7 @@ TEST(PartitionCache, HitsSkipTheLink) {
 
 TEST(PartitionCache, PrefetchLandsThenSettles) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -127,7 +149,7 @@ TEST(PartitionCache, PrefetchLandsThenSettles) {
 
 TEST(PartitionCache, AcquireWhileLoadingPinsInFlight) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -147,7 +169,7 @@ TEST(PartitionCache, AcquireWhileLoadingPinsInFlight) {
 
 TEST(PartitionCache, NeverEvictsPinnedOrLoading) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 1, 2);
+  PartitionCache cache(parts, slots(1));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -167,9 +189,9 @@ TEST(PartitionCache, NeverEvictsPinnedOrLoading) {
   EXPECT_EQ(cache.resident_count(), 1u);
 }
 
-TEST(PartitionCache, VictimPrefersFewestPendingThenLowestId) {
+TEST(PartitionCache, VictimPrefersFewestPendingThenLeastRecentlyAcquired) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
 
   cache.acquire(0, device, no_pending());
@@ -185,7 +207,7 @@ TEST(PartitionCache, VictimPrefersFewestPendingThenLowestId) {
   cache.release(2);
 
   // Equal pending (0 and 2 both evictable, both with one walker): the
-  // lowest id goes.
+  // least recently acquired, 0, goes.
   const std::vector<std::size_t> tie = {1, 0, 1, 0};
   cache.acquire(3, device, tie);
   EXPECT_EQ(cache.state(0), PartitionState::kOnDisk);
@@ -194,7 +216,7 @@ TEST(PartitionCache, VictimPrefersFewestPendingThenLowestId) {
 
 TEST(PartitionCache, EvictableBeatsResidentAsVictim) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
 
@@ -212,7 +234,7 @@ TEST(PartitionCache, EvictableBeatsResidentAsVictim) {
 
 TEST(PartitionScheduler, RanksPendingThenResidencyThenId) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   sim::Device device;
 
   // Put partition 1 on the device so the residency tie-break is visible.
@@ -234,7 +256,7 @@ TEST(PartitionScheduler, RanksPendingThenResidencyThenId) {
   EXPECT_TRUE(PartitionScheduler::rank(no_pending(), cache).empty());
 }
 
-TEST(PartitionedGraph, CapacityAccounting) {
+TEST(PartitionedGraph, ByteAccounting) {
   auto parts = make_parts();
   std::uint64_t total = 0;
   std::uint64_t largest = 0;
@@ -244,51 +266,244 @@ TEST(PartitionedGraph, CapacityAccounting) {
   }
   EXPECT_EQ(parts->total_bytes(), total);
   EXPECT_EQ(parts->max_partition_bytes(), largest);
-
-  // Sized by the largest partition, never 0, clamped to num_parts.
-  EXPECT_EQ(parts->partitions_fitting(0), 1u);
-  EXPECT_EQ(parts->partitions_fitting(largest - 1), 1u);
-  EXPECT_EQ(parts->partitions_fitting(2 * largest), 2u);
-  EXPECT_EQ(parts->partitions_fitting(100 * largest), kParts);
 }
 
-TEST(PartitionCache, SetCapacityEvictsDownAndRepacks) {
-  auto parts = make_parts();
-  PartitionCache cache(parts, 3, 2);
-  sim::Device device;
-  const std::vector<std::size_t> pending = no_pending();
+TEST(PartitionCache, ResidentBytesNeverExceedTheBudget) {
+  auto parts = make_mixed_parts();
+  const std::uint32_t n = parts->num_parts();
+  const std::vector<std::size_t> pending(n, 0);
+  std::uint64_t smallest = parts->max_partition_bytes();
+  for (std::uint32_t p = 0; p < n; ++p) {
+    smallest = std::min(smallest, parts->bytes(p));
+  }
+  for (const std::uint64_t budget :
+       {parts->max_partition_bytes(), parts->max_partition_bytes() + smallest,
+        parts->total_bytes() / 2, 2 * parts->total_bytes() / 3}) {
+    ASSERT_GE(budget, parts->max_partition_bytes());  // no lone oversize
+    PartitionCache cache(parts, CacheLimits{.bytes = budget});
+    sim::Device device;
+    std::vector<std::uint32_t> pinned;
+    std::uint64_t state = budget;  // a fixed LCG drives the op sequence
+    for (int op = 0; op < 400; ++op) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const auto p = static_cast<std::uint32_t>((state >> 33) % n);
+      switch ((state >> 40) % 4) {
+        case 0: {
+          // Acquire only what fits beside the pinned and loading
+          // partitions; anything else is a caller error.
+          std::uint64_t held = 0;
+          std::uint32_t count = 0;
+          for (std::uint32_t q = 0; q < n; ++q) {
+            const PartitionState s = cache.state(q);
+            if (q != p && (s == PartitionState::kInUse ||
+                           s == PartitionState::kLoading)) {
+              held += parts->bytes(q);
+              ++count;
+            }
+          }
+          if (cache.on_device(p) || cache.admits(held, count, p)) {
+            cache.acquire(p, device, pending);
+            pinned.push_back(p);
+          } else {
+            EXPECT_THROW(cache.acquire(p, device, pending), CheckError);
+          }
+          break;
+        }
+        case 1:
+          if (!pinned.empty()) {
+            cache.release(pinned.back());
+            pinned.pop_back();
+          }
+          break;
+        case 2:
+          cache.prefetch(p, device, pending);
+          break;
+        default:
+          cache.settle(std::numeric_limits<double>::max());
+          break;
+      }
+      ASSERT_LE(cache.resident_bytes(), budget) << "op " << op;
+      ASSERT_EQ(cache.resident_bytes(), on_device_bytes(cache)) << "op " << op;
+    }
+    EXPECT_GT(cache.metrics().evictions, 0u) << "budget " << budget;
+  }
+}
 
+TEST(PartitionCache, BudgetOfKLargestHoldsAtLeastK) {
+  auto parts = make_mixed_parts();
+  const std::uint32_t n = parts->num_parts();
+  const std::vector<std::size_t> pending(n, 0);
+  for (std::uint32_t k = 1; k <= n; ++k) {
+    PartitionCache cache(parts,
+                         CacheLimits{.bytes = k * parts->max_partition_bytes()});
+    sim::Device device;
+    std::vector<bool> seen(n, false);
+    std::uint32_t distinct = 0;
+    for (std::uint32_t i = 0; i < 5 * n; ++i) {
+      const std::uint32_t p = (i * 5 + i / n) % n;
+      cache.acquire(p, device, pending);
+      cache.release(p);
+      if (!seen[p]) {
+        seen[p] = true;
+        ++distinct;
+      }
+      // A partition is evicted only to admit one that does not fit, and
+      // any k partitions fit.
+      EXPECT_GE(cache.resident_count(), std::min(k, distinct))
+          << "k " << k << ", access " << i;
+    }
+  }
+}
+
+TEST(PartitionCache, LoneOversizePartitionPagesIn) {
+  auto parts = make_mixed_parts();
+  const std::vector<std::size_t> pending(parts->num_parts(), 0);
+  PartitionCache cache(parts, CacheLimits{.bytes = 0});
+  sim::Device device;
+
+  // An empty cache admits any one partition, so no budget stalls a run.
   cache.acquire(0, device, pending);
+  EXPECT_EQ(cache.resident_bytes(), parts->bytes(0));
+  EXPECT_FALSE(cache.prefetch(1, device, pending));
+  EXPECT_THROW(cache.acquire(1, device, pending), CheckError);
   cache.release(0);
   cache.acquire(1, device, pending);
-  cache.release(1);
-  cache.acquire(2, device, pending);  // pinned
-
-  // Shrinking to one slot must keep the pinned partition and evict the
-  // two evictable ones; shrinking below the pinned count is checked.
-  cache.set_capacity(1);
-  EXPECT_EQ(cache.capacity(), 1u);
-  EXPECT_EQ(cache.resident_count(), 1u);
   EXPECT_EQ(cache.state(0), PartitionState::kOnDisk);
-  EXPECT_EQ(cache.state(1), PartitionState::kOnDisk);
-  EXPECT_EQ(cache.state(2), PartitionState::kInUse);
-  EXPECT_EQ(cache.metrics().evictions, 2u);
-  // The survivor was repacked into the (only) dense slot.
-  EXPECT_EQ(cache.stream_index(2), 0u);
-  EXPECT_THROW(cache.set_capacity(0), CheckError);
+  EXPECT_EQ(cache.resident_count(), 1u);
+}
 
-  // Growing back adds free slots without touching residents.
-  cache.set_capacity(3);
-  EXPECT_EQ(cache.capacity(), 3u);
-  EXPECT_EQ(cache.state(2), PartitionState::kInUse);
+TEST(PartitionCache, DeclinedPrefetchEvictsNothing) {
+  auto parts = make_mixed_parts();
+  const std::vector<std::size_t> pending(parts->num_parts(), 0);
+  PartitionCache cache(
+      parts, CacheLimits{.bytes = parts->bytes(0) + parts->bytes(7)});
+  sim::Device device;
+  cache.acquire(7, device, pending);
+  cache.release(7);
+  cache.acquire(0, device, pending);  // pinned
+
+  // Partition 1 does not fit beside the pinned 0 even with 7 evicted, so
+  // the prefetch declines and 7 stays warm.
+  ASSERT_GT(parts->bytes(1), parts->bytes(7));
+  EXPECT_FALSE(cache.prefetch(1, device, pending));
+  EXPECT_TRUE(cache.on_device(7));
+  EXPECT_EQ(cache.metrics().evictions, 0u);
+  EXPECT_EQ(cache.metrics().prefetch_loads, 0u);
+}
+
+TEST(PartitionCache, LeastRecentlyAcquiredBreaksPendingTies) {
+  auto parts = make_mixed_parts();
+  const std::vector<std::size_t> pending(parts->num_parts(), 0);
+  PartitionCache cache(parts, slots(3));
+  sim::Device device;
+  for (const std::uint32_t p : {2u, 0u, 1u}) {
+    cache.acquire(p, device, pending);
+    cache.release(p);
+  }
+
+  // All three evictable with no walkers: 2, acquired first, goes — not
+  // 0, the lowest id (the hub partition).
   cache.acquire(3, device, pending);
-  EXPECT_EQ(cache.resident_count(), 2u);
-  EXPECT_EQ(cache.metrics().evictions, 2u);  // no eviction needed
+  EXPECT_EQ(cache.state(2), PartitionState::kOnDisk);
+  EXPECT_EQ(cache.state(0), PartitionState::kEvictable);
+  cache.release(3);
+
+  // A re-acquire refreshes recency: 0 used again, so 1 is now the oldest.
+  cache.acquire(0, device, pending);
+  cache.release(0);
+  cache.acquire(2, device, pending);
+  EXPECT_EQ(cache.state(1), PartitionState::kOnDisk);
+  EXPECT_TRUE(cache.on_device(0));
+  EXPECT_TRUE(cache.on_device(3));
+
+  // Pending walkers still outrank recency: 3 is the oldest, but has
+  // walkers queued, so 0 goes.
+  cache.release(2);
+  std::vector<std::size_t> queued(parts->num_parts(), 0);
+  queued[3] = 4;
+  cache.acquire(5, device, queued);
+  EXPECT_TRUE(cache.on_device(3));
+  EXPECT_EQ(cache.state(0), PartitionState::kOnDisk);
+}
+
+TEST(PartitionCache, DistinctResidentPartitionsGetDistinctStreams) {
+  auto parts = make_mixed_parts();
+  const std::uint32_t n = parts->num_parts();
+  const std::vector<std::size_t> pending(n, 0);
+  PartitionCache cache(parts, CacheLimits{.bytes = parts->total_bytes()});
+  sim::Device device;
+
+  // Everything fits: each partition on the device holds its own stream,
+  // the prefetch included.
+  for (std::uint32_t p = 0; p + 1 < n; ++p) cache.acquire(p, device, pending);
+  ASSERT_TRUE(cache.prefetch(n - 1, device, pending));
+  std::vector<bool> used(n, false);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const std::uint32_t stream = cache.stream_index(p);
+    ASSERT_LT(stream, n);
+    EXPECT_FALSE(used[stream]) << "partition " << p << " shares stream "
+                               << stream;
+    used[stream] = true;
+  }
+  EXPECT_EQ(device.transfer().log().back().stream_id,
+            static_cast<int>(cache.stream_index(n - 1)));
+
+  // A freed lane is reused lowest first: with room for two, evicting
+  // partition 0 frees stream 0 for the next load.
+  PartitionCache two(parts, slots(2));
+  sim::Device other;
+  two.acquire(0, other, pending);
+  two.acquire(1, other, pending);
+  EXPECT_EQ(two.stream_index(0), 0u);
+  EXPECT_EQ(two.stream_index(1), 1u);
+  two.release(0);
+  two.acquire(2, other, pending);
+  EXPECT_EQ(two.state(0), PartitionState::kOnDisk);
+  EXPECT_EQ(two.stream_index(2), 0u);
+  EXPECT_THROW(two.stream_index(0), CheckError);
+}
+
+TEST(PartitionCache, SetBudgetBytesEvictsDown) {
+  auto parts = make_mixed_parts();
+  const std::vector<std::size_t> pending(parts->num_parts(), 0);
+  PartitionCache cache(parts, CacheLimits{.bytes = parts->total_bytes()});
+  sim::Device device;
+
+  cache.acquire(1, device, pending);
+  cache.release(1);
+  cache.acquire(2, device, pending);
+  cache.release(2);
+  cache.acquire(0, device, pending);  // pinned
+
+  // Shrinking to the pinned partition's bytes keeps it and evicts the two
+  // evictable ones.
+  cache.set_budget_bytes(parts->bytes(0));
+  EXPECT_EQ(cache.limits().bytes, parts->bytes(0));
+  EXPECT_EQ(cache.resident_bytes(), parts->bytes(0));
+  EXPECT_EQ(cache.state(1), PartitionState::kOnDisk);
+  EXPECT_EQ(cache.state(2), PartitionState::kOnDisk);
+  EXPECT_EQ(cache.state(0), PartitionState::kInUse);
+  EXPECT_EQ(cache.metrics().evictions, 2u);
+
+  // A lone partition may exceed the budget; two pinned ones may not.
+  cache.set_budget_bytes(0);
+  EXPECT_EQ(cache.state(0), PartitionState::kInUse);
+  cache.set_budget_bytes(parts->total_bytes());
+  cache.acquire(3, device, pending);
+  EXPECT_THROW(cache.set_budget_bytes(parts->bytes(0)), CheckError);
+  cache.release(3);
+  cache.release(0);
+
+  // Growing back admits more without evicting.
+  cache.set_budget_bytes(parts->total_bytes());
+  cache.acquire(4, device, pending);
+  EXPECT_TRUE(cache.on_device(3));
+  EXPECT_TRUE(cache.on_device(4));
 }
 
 TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
   cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
   injector->fail_next(0, 2);  // attempts 0 and 1 fail, attempt 2 lands
@@ -296,7 +511,7 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   const std::vector<std::size_t> pending = no_pending();
 
   // Reference ready time of a fault-free load on an identical timeline.
-  PartitionCache clean(parts, 2, 2);
+  PartitionCache clean(parts, slots(2));
   sim::Device clean_device;
   const double clean_ready = clean.acquire(0, clean_device, pending);
 
@@ -321,7 +536,7 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
 
 TEST(TransferFaults, ExhaustedRetriesThrowAndRollBack) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
   cache.set_fault_policy(injector, RetryPolicy{2, 1e-4});
   injector->fail_next(0, 5);  // more failures than the retry budget
@@ -352,7 +567,7 @@ TEST(TransferFaults, ExhaustedRetriesThrowAndRollBack) {
 
 TEST(TransferFaults, FailedPrefetchDeclinesWithoutResidue) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
   cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
   injector->fail_next(1, 1);
@@ -378,11 +593,11 @@ TEST(TransferFaults, RandomSlowSitesStretchTheCopy) {
   config.slow_factor = 4.0;
   auto injector = std::make_shared<FaultInjector>(config);
 
-  PartitionCache clean(parts, 2, 2);
+  PartitionCache clean(parts, slots(2));
   sim::Device clean_device;
   const double clean_ready = clean.acquire(0, clean_device, no_pending());
 
-  PartitionCache cache(parts, 2, 2);
+  PartitionCache cache(parts, slots(2));
   cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
   sim::Device device;
   const double slow_ready = cache.acquire(0, device, no_pending());
@@ -399,7 +614,7 @@ TEST(TransferFaults, RoundGuardRecoversAfterMidRoundThrow) {
   // later begin_run(). The engine now holds a RoundGuard across the
   // round; this reproduces the unwind directly against the cache.
   auto parts = make_parts();
-  PartitionCache cache(parts, 3, 2);
+  PartitionCache cache(parts, slots(3));
   auto injector = std::make_shared<FaultInjector>();
   cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
   injector->fail_next(2, 1);
@@ -441,7 +656,7 @@ TEST(TransferFaults, RoundGuardRecoversAfterMidRoundThrow) {
 
 TEST(PartitionCache, BeginRunRebasesOntoFreshDevice) {
   auto parts = make_parts();
-  PartitionCache cache(parts, 3, 2);
+  PartitionCache cache(parts, slots(3));
   const std::vector<std::size_t> pending = no_pending();
 
   {

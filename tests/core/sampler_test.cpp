@@ -298,6 +298,38 @@ TEST(Sampler, TaggedRunRejectsMalformedTags) {
   EXPECT_THROW(split.run_tagged(two_seeds, straddling), CheckError);
 }
 
+TEST(Sampler, RejectsOutOfRangeSeedsBeforeRunning) {
+  // Instance setup indexes the visited bitmap by seed, so a seed past the
+  // last vertex must be rejected before it, naming the seed, by both
+  // engines in either schedule.
+  const CsrGraph g = generate_rmat(512, 4096, 83);
+  const auto setup = biased_neighbor_sampling(2, 2);
+  const VertexId bad = g.num_vertices() + 70;
+  const std::vector<VertexId> seeds = {0, bad};
+  for (const ExecutionMode mode :
+       {ExecutionMode::kInMemory, ExecutionMode::kOutOfMemory}) {
+    for (const Schedule schedule :
+         {Schedule::kPipelined, Schedule::kStepBarrier}) {
+      SamplerOptions options;
+      options.mode = mode;
+      options.schedule = schedule;
+      Sampler sampler(g, setup, options);
+      try {
+        sampler.run_single_seed(seeds);
+        ADD_FAILURE() << "seed " << bad << " was accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("seed " + std::to_string(bad)),
+                  std::string::npos)
+            << e.what();
+      }
+      // The sampler stays usable for valid seeds.
+      EXPECT_GT(sampler.run_single_seed(std::vector<VertexId>{0, 1})
+                    .sampled_edges(),
+                0u);
+    }
+  }
+}
+
 TEST(Sampler, NewPartitioningAfterCachedRunStartsCold) {
   // A pipelined paged Sampler keeps its partition cache across runs; a
   // new partitioning must drop it rather than fail the next run on a

@@ -79,13 +79,21 @@ TEST(ServicePaged, CacheStaysWarmAcrossBatches) {
   const ServiceStats after_first = service.stats();
   EXPECT_EQ(after_first.paged_batches, 1u);
 
-  // The whole graph's partitions fit the (default 16 GiB) budget, so the
-  // first batch populated every slot it touched.
+  // The only paged graph gets the whole budget (memory_budget_fraction of
+  // the default 16 GiB), which holds every partition, so the first batch
+  // kept everything it touched.
+  const ServiceConfig config = paged_config();
   const std::vector<GraphResidency> graphs = service.graphs();
   ASSERT_EQ(graphs.size(), 1u);
   EXPECT_TRUE(graphs[0].paged);
   EXPECT_TRUE(graphs[0].partitions_built);
-  EXPECT_EQ(graphs[0].cache_capacity, paged_config().options.num_partitions);
+  EXPECT_EQ(graphs[0].cache_budget_bytes,
+            static_cast<std::uint64_t>(
+                config.options.memory_budget_fraction *
+                static_cast<double>(config.options.device_params.memory_bytes)));
+  const PartitionedGraph parts(*graph_a(), config.options.num_partitions);
+  EXPECT_GE(graphs[0].cache_budget_bytes, parts.total_bytes());
+  EXPECT_GT(graphs[0].cache_resident_bytes, 0u);
 
   // Same pinned stream range again: the second batch reruns the exact
   // request on warm partitions — more hits, identical bytes.
@@ -112,18 +120,21 @@ TEST(ServicePaged, BudgetIsSlicedAcrossRegisteredPagedGraphs) {
   ASSERT_TRUE(on_a.oom.has_value());
   ASSERT_TRUE(on_b.oom.has_value());
 
-  // Mirror of the service's slicing policy: each graph's capacity is
-  // partitions_fitting(fraction * memory / registered paged graphs),
-  // a registration-time fact independent of traffic.
+  // Mirror of the service's slicing policy: each graph's cache gets a
+  // byte budget of fraction * memory / registered paged graphs, a
+  // registration-time fact independent of traffic. What it holds stays
+  // within that slice and below the graph's whole partitioning, so the
+  // small device binds.
   const std::uint64_t budget = static_cast<std::uint64_t>(
       config.options.memory_budget_fraction *
       static_cast<double>(config.options.device_params.memory_bytes) / 2.0);
   for (const GraphResidency& residency : service.graphs()) {
     const CsrGraph& g = residency.name == "a" ? *graph_a() : *graph_b();
     const PartitionedGraph parts(g, config.options.num_partitions);
-    EXPECT_EQ(residency.cache_capacity, parts.partitions_fitting(budget))
-        << residency.name;
-    EXPECT_LT(residency.cache_capacity, config.options.num_partitions)
+    EXPECT_EQ(residency.cache_budget_bytes, budget) << residency.name;
+    EXPECT_GT(residency.cache_resident_bytes, 0u) << residency.name;
+    EXPECT_LE(residency.cache_resident_bytes, budget) << residency.name;
+    EXPECT_LT(budget, parts.total_bytes())
         << residency.name << ": the small device was meant to bind";
   }
 
@@ -140,12 +151,13 @@ TEST(ServicePaged, BarrierScheduleIsColdAndByteIdentical) {
   ASSERT_TRUE(uncached.oom.has_value());
 
   // Barrier waves: the batch still pages (and is counted), but no cache
-  // exists anywhere — no hits, no prefetches, no reported slots.
+  // exists anywhere — no hits, no prefetches, no reported budget.
   const ServiceStats stats = cold.stats();
   EXPECT_EQ(stats.paged_batches, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_prefetch_transfers, 0u);
-  EXPECT_EQ(cold.graphs().at(0).cache_capacity, 0u);
+  EXPECT_EQ(cold.graphs().at(0).cache_budget_bytes, 0u);
+  EXPECT_EQ(cold.graphs().at(0).cache_resident_bytes, 0u);
 
   // The cache moves bytes in time, never in value.
   Service warm(paged_config());

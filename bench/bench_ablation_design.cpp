@@ -1,5 +1,6 @@
 // Ablation bench for the design choices this reproduction calls out
-// (DESIGN.md §5, EXPERIMENTS.md "known deviations"):
+// (docs/BENCHMARKS.md "The bipartite-region-search transform: the proof,
+// not the pseudocode"):
 //
 //  (1) Bipartite-region-search transform: corrected (rescale the
 //      conditional draw; matches Theorem 2's proof) vs the paper's
@@ -86,7 +87,7 @@ std::vector<std::uint64_t> simulate(const SelectConfig& config,
 int main() {
   using namespace csaw;
   bench::print_banner("Ablation — selection design choices",
-                      "DESIGN.md §5 / EXPERIMENTS.md known deviation #1");
+                      "docs/BENCHMARKS.md: the BRS transform deviation");
 
   // --- (1) BRS transform variants, paper's Fig. 1 bias vector.
   {

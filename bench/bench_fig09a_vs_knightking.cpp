@@ -42,7 +42,8 @@ int main() {
       // FR/TW run the out-of-memory engine at bench-scale transfer costs:
       // paper-scaled transfers would dominate a scaled-down walk entirely
       // (every step changes partitions), hiding the compute comparison
-      // this figure is about. See EXPERIMENTS.md for the discussion.
+      // this figure is about. See docs/BENCHMARKS.md "FR and TW at
+      // bench-scale transfer cost".
       options.memory_assumption = spec.exceeds_device_memory
                                       ? MemoryAssumption::kExceeds
                                       : MemoryAssumption::kFits;

@@ -1,6 +1,7 @@
 // Table II: the evaluated graphs. Prints the published sizes next to the
-// scaled synthetic stand-ins this reproduction generates (see DESIGN.md §2
-// for the substitution rationale).
+// scaled synthetic stand-ins this reproduction generates (see
+// docs/BENCHMARKS.md "Synthetic stand-ins for the Table II graphs" for
+// the substitution rationale).
 #include <iostream>
 
 #include "bench_common.hpp"

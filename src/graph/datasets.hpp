@@ -11,8 +11,9 @@ namespace csaw {
 
 /// One entry of the paper's Table II. `paper_vertices`/`paper_edges` are
 /// the published sizes; `make()` generates the synthetic stand-in at the
-/// configured scale (see DESIGN.md §2: R-MAT matched on average degree and
-/// skew preserves the evaluation-relevant behaviour).
+/// configured scale (see docs/BENCHMARKS.md "Synthetic stand-ins for the
+/// Table II graphs": R-MAT matched on average degree and skew preserves
+/// the evaluation-relevant behaviour).
 struct DatasetSpec {
   std::string name;          // e.g. "Amazon0601"
   std::string abbr;          // e.g. "AM"

@@ -9,7 +9,8 @@ namespace csaw {
 
 /// Parameters of the recursive-matrix (R-MAT / Kronecker) generator used
 /// to synthesize power-law graphs standing in for the paper's SNAP/KONECT
-/// datasets (see DESIGN.md §2 for the substitution argument).
+/// datasets (see docs/BENCHMARKS.md "Synthetic stand-ins for the Table II
+/// graphs" for the substitution argument).
 struct RmatParams {
   /// Quadrant probabilities; must sum to ~1. The classic skewed setting
   /// (0.57, 0.19, 0.19, 0.05) yields the heavy-tailed degree distribution

@@ -100,10 +100,12 @@ struct CacheLimits {
 /// sound because same-graph batches never execute concurrently (the
 /// dispatcher's single-writer guarantee).
 ///
-/// Determinism: the cache decides *when* bytes move, never *which* bytes
-/// are sampled — samples are byte-identical across limits, schedules
-/// and thread counts; only transfer counts, kernel timing and therefore
-/// seps() vary.
+/// Determinism: for walk-shaped specs the cache decides *when* bytes
+/// move, never *which* bytes are sampled — samples are byte-identical
+/// across limits, schedules and thread counts; only transfer counts,
+/// kernel timing and therefore seps() vary. Branching specs are not: which
+/// frontier entries share a residency round decides the children's slots,
+/// so their samples can differ with the limits (ROADMAP.md open item 1).
 class PartitionCache {
  public:
   /// Each partition on the device holds its own lane, the lowest one no

@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -232,14 +233,6 @@ void Service::count_rejection_locked(RejectReason reason) {
   }
 }
 
-void Service::book_outcome_locked(const std::string& tenant_name,
-                                  RequestOutcome outcome) {
-  count_outcome(stats_, outcome);
-  count_outcome(tenants_.at(tenant_name).stats, outcome);
-  recent_.push_back(outcome);
-  while (recent_.size() > config_.health_window) recent_.pop_front();
-}
-
 void Service::expire_deadlines_locked(
     std::chrono::steady_clock::time_point now) {
   for (const std::uint64_t ticket : wheel_.expire(now)) {
@@ -250,48 +243,27 @@ void Service::expire_deadlines_locked(
 }
 
 void Service::sweep_queue_locked() {
-  bool removed = false;
+  // Condemned while queued: fail fast, never dispatch. The token's
+  // first-fired reason distinguishes a client cancel from an expired
+  // deadline.
+  std::vector<Pending> condemned;
+  std::vector<Retirement> fates;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (!it->run_token.cancelled()) {
       ++it;
       continue;
     }
-    // Condemned while queued: fail fast, never dispatch. The token's
-    // first-fired reason distinguishes a client cancel from an expired
-    // deadline.
     const RequestOutcome outcome =
         cancel_outcome(it->run_token.reason(), RequestOutcome::kCancelled);
-    retire_timers_locked(it->ticket);
-    book_outcome_locked(it->request.tenant, outcome);
-    if (config_.trace != nullptr) {
-      // The request dies in the queue: both spans close here, with the
-      // typed outcome on the whole-lifetime span.
-      config_.trace->end_span(it->queue_span, "queue",
-                              {{"outcome", to_string(outcome)}});
-      config_.trace->end_span(it->request_span, "request",
-                              {{"outcome", to_string(outcome)}});
-    }
-    const std::string what =
-        "request " + to_string(outcome) + " while queued";
-    if (it->stream != nullptr) {
-      // Streaming requests report through their stream, never the
-      // promise. StreamState::mu is a leaf lock under mu_.
-      detail::finish_stream(*it->stream, outcome, what);
-    } else {
-      it->promise.set_exception(
-          std::make_exception_ptr(RequestError(outcome, what)));
-    }
+    Retirement& fate = fates.emplace_back();
+    fate.outcome = outcome;
+    fate.error = "request " + to_string(outcome) + " while queued";
+    condemned.push_back(std::move(*it));
     it = queue_.erase(it);
-    removed = true;
   }
-  if (removed && queue_.empty() && batches_in_flight_ == 0) {
-    idle_cv_.notify_all();
-  }
-}
-
-void Service::retire_timers_locked(std::uint64_t ticket) {
-  wheel_.remove(ticket);
-  timed_.erase(ticket);
+  if (condemned.empty()) return;
+  retire_locked(condemned, fates, 0, nullptr);
+  if (queue_.empty() && batches_in_flight_ == 0) idle_cv_.notify_all();
 }
 
 Submission Service::submit(SampleRequest request) {
@@ -822,39 +794,41 @@ std::string Service::metrics_text() const {
   return out.render();
 }
 
-std::uint32_t Service::coalescible_instances_locked(
-    const Pending& head) const {
-  // Mirrors form_batch_locked exactly — Philox-range overlaps and
-  // tenant quotas excluded — so a head is only ever declared "full"
-  // (and launched inside its batching window without being counted as
-  // a deadline launch) when formation would really produce a full
-  // batch.
+Service::BatchPlan Service::plan_batch_locked(std::size_t head_index) const {
+  const Pending& head = queue_[head_index];
+  BatchPlan plan;
+  plan.members.push_back(head_index);
   std::uint32_t total = head.request.num_instances();
+  std::map<std::string, std::uint32_t> taken = {{head.request.tenant, total}};
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
       {head.rng_base, total}};
-  std::map<std::string, std::uint32_t> added;
-  added[head.request.tenant] = total;
-  for (const Pending& pending : queue_) {
-    if (&pending == &head) continue;
+  // Coalesce every queued request that provably runs the same kernels,
+  // fits the batch budget and its tenant's quota, and collides with no
+  // already-chosen Philox range, until the batch is full. Skipped
+  // requests keep their queue position for a later batch.
+  for (std::size_t i = 0;
+       i < queue_.size() && total < config_.max_batch_instances; ++i) {
+    const Pending& pending = queue_[i];
     const std::uint32_t count = pending.request.num_instances();
-    if (!compatible(head.request, pending.request) ||
+    if (i == head_index || !compatible(head.request, pending.request) ||
         total + count > config_.max_batch_instances ||
         overlaps(ranges, pending.rng_base, count)) {
       continue;
     }
-    const std::string& tenant_name = pending.request.tenant;
+    std::uint32_t& tenant_taken = taken[pending.request.tenant];
     if (config_.tenant_quota > 0 &&
-        tenants_.at(tenant_name).inflight_instances + added[tenant_name] +
-                count >
+        tenants_.at(pending.request.tenant).inflight_instances +
+                tenant_taken + count >
             config_.tenant_quota) {
+      ++plan.quota_skips;
       continue;
     }
     ranges.emplace_back(pending.rng_base, count);
-    added[tenant_name] += count;
+    tenant_taken += count;
     total += count;
-    if (total >= config_.max_batch_instances) break;
+    plan.members.push_back(i);
   }
-  return total;
+  return plan;
 }
 
 Service::HeadChoice Service::select_head_locked(
@@ -889,9 +863,13 @@ Service::HeadChoice Service::select_head_locked(
     bool by_deadline = false;
     if (config_.batching_deadline.count() > 0 && !stopping_) {
       const auto deadline = pending.enqueued + config_.batching_deadline;
-      const bool full =
-          coalescible_instances_locked(pending) >= config_.max_batch_instances;
-      if (full) {
+      // "Full" means formation would really produce a full batch: the
+      // probe sums exactly the members formation would take.
+      std::uint32_t planned = 0;
+      for (const std::size_t m : plan_batch_locked(i).members) {
+        planned += queue_[m].request.num_instances();
+      }
+      if (planned >= config_.max_batch_instances) {
         launchable = true;  // a full batch never waits out its deadline
       } else if (now >= deadline) {
         by_deadline = true;  // launches partial — counted for operators
@@ -967,45 +945,23 @@ Service::HeadChoice Service::select_head_locked(
 }
 
 Service::FormedBatch Service::form_batch_locked(std::size_t head_index) {
+  const BatchPlan plan = plan_batch_locked(head_index);
+  stats_.quota_deferrals += plan.quota_skips;
   FormedBatch batch;
-  batch.items.reserve(queue_.size());
-  batch.items.push_back(std::move(queue_[head_index]));
-  queue_.erase(queue_.begin() +
-               static_cast<std::deque<Pending>::difference_type>(head_index));
-
-  const SampleRequest& head = batch.items.front().request;
-  batch.graph = head.graph;
-  std::uint32_t total = head.num_instances();
-  batch.tenant_instances[head.tenant] = total;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
-      {batch.items.front().rng_base, total}};
-
-  // Coalesce every queued request that provably runs the same kernels,
-  // fits the batch budget and its tenant's quota, and collides with no
-  // already-chosen Philox range. Skipped requests keep their queue
-  // position for a later batch.
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    const std::uint32_t count = it->request.num_instances();
-    const std::string& tenant_name = it->request.tenant;
-    if (!compatible(head, it->request) ||
-        total + count > config_.max_batch_instances ||
-        overlaps(ranges, it->rng_base, count)) {
-      ++it;
-      continue;
-    }
-    if (config_.tenant_quota > 0 &&
-        tenants_.at(tenant_name).inflight_instances +
-                batch.tenant_instances[tenant_name] + count >
-            config_.tenant_quota) {
-      ++stats_.quota_deferrals;
-      ++it;
-      continue;
-    }
-    ranges.emplace_back(it->rng_base, count);
-    total += count;
-    batch.tenant_instances[tenant_name] += count;
-    batch.items.push_back(std::move(*it));
-    it = queue_.erase(it);
+  batch.graph = queue_[head_index].request.graph;
+  batch.items.reserve(plan.members.size());
+  for (const std::size_t i : plan.members) {
+    Pending& member = queue_[i];
+    batch.tenant_instances[member.request.tenant] +=
+        member.request.num_instances();
+    batch.items.push_back(std::move(member));
+  }
+  // Erase back to front so the indices still to erase stay valid.
+  std::vector<std::size_t> taken = plan.members;
+  std::sort(taken.begin(), taken.end(), std::greater<>());
+  for (const std::size_t i : taken) {
+    queue_.erase(queue_.begin() +
+                 static_cast<std::deque<Pending>::difference_type>(i));
   }
 
   // Formation is the queue-wait/in-flight boundary: stamp it, observe
@@ -1065,24 +1021,16 @@ void Service::run_batch(std::vector<Pending> batch) {
                   {"requests", std::to_string(num_requests)},
                   {"instances", std::to_string(instances)}});
   }
+  std::vector<Retirement> fates(num_requests);
+  RunResult whole;
+  bool failed = false;
+  std::string error;
   try {
-    std::shared_ptr<const CsrGraph> graph;
-    std::shared_ptr<const PartitionedGraph> parts;
-    std::shared_ptr<const ShardPartitionMap> shard_map;
-    bool paged = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const GraphEntry& entry = graphs_.at(batch.front().request.graph);
-      graph = entry.graph;
-      parts = entry.parts;
-      shard_map = entry.shard_map;
-      paged = entry.paged;
-    }
-
-    // One flat instance list: request r's instances occupy a contiguous
-    // index range and carry the global ids [rng_base, rng_base + k) as
-    // engine tags — the whole determinism story of the service is that
-    // these ids, not batch positions, address the random draws.
+    // Plan: one flat instance list. Request r's instances occupy a
+    // contiguous index range and carry the global ids [rng_base,
+    // rng_base + k) as engine tags — the whole determinism story of the
+    // service is that these ids, not batch positions, address the random
+    // draws.
     std::vector<std::vector<VertexId>> seeds;
     std::vector<std::uint32_t> tags;
     for (Pending& pending : batch) {
@@ -1103,8 +1051,10 @@ void Service::run_batch(std::vector<Pending> batch) {
     control.trace = trace;
     control.trace_batch = batch_id;
     bool cancellable = false;
+    bool any_stream = false;
     for (const Pending& pending : batch) {
       cancellable = cancellable || pending.run_token.valid();
+      any_stream = any_stream || pending.stream != nullptr;
     }
     if (cancellable) {
       control.instance_cancel.reserve(seeds.size());
@@ -1127,10 +1077,6 @@ void Service::run_batch(std::vector<Pending> batch) {
       std::uint32_t local = 0;
     };
     std::vector<InstanceRoute> routes;
-    bool any_stream = false;
-    for (const Pending& pending : batch) {
-      any_stream = any_stream || pending.stream != nullptr;
-    }
     if (any_stream) {
       routes.reserve(seeds.size());
       for (const Pending& pending : batch) {
@@ -1161,113 +1107,13 @@ void Service::run_batch(std::vector<Pending> batch) {
       };
     }
 
-    const SampleRequest& head = batch.front().request;
-    const AlgorithmSetup setup = make_algorithm(
-        head.algorithm, head.depth_or_length, head.neighbor_size);
-    // Sharded routing (ServiceConfig::shards > 1): walk-shaped batches
-    // on in-memory graphs with single-seed instances run through the
-    // ShardRouter; anything else silently takes the ordinary path.
-    // Samples are byte-identical either way — the router draws from the
-    // same tag-addressed Philox streams.
-    const bool route_shards = config_.shards > 1 && !paged &&
-                              single_seeded(seeds) &&
-                              setup.spec.walk_shaped();
-    RunResult whole;
-    if (route_shards) {
-      if (shard_map == nullptr) {
-        // First sharded batch on this graph: build the shared vertex
-        // partitioning once, outside the lock, and publish it. Per-graph
-        // batch serialization (graphs_in_flight_) guarantees no
-        // concurrent batch builds the same graph's map twice.
-        shard_map =
-            std::make_shared<const ShardPartitionMap>(*graph, config_.shards);
-        std::lock_guard<std::mutex> lock(mu_);
-        graphs_.at(head.graph).shard_map = shard_map;
-      }
-      ShardOptions shard_options;
-      shard_options.shards = config_.shards;
-      shard_options.num_threads = config_.options.num_threads;
-      shard_options.envelope_capacity = config_.shard_envelope_capacity;
-      shard_options.queue_capacity = config_.shard_queue_capacity;
-      shard_options.retry = config_.options.transfer_retry;
-      shard_options.select = config_.options.select;
-      shard_options.seed = config_.options.seed;
-      shard_options.device_params = config_.options.device_params;
-      shard_options.faults = config_.shard_faults;
-      ShardRouter router(*graph, setup, shard_options, shard_map);
-      if (pool_ != nullptr) router.set_executor(pool_);
-      whole = router.run_tagged(seeds, tags, control);
-    } else {
-      // A shared per-graph cache needs the pipelined schedule (the barrier
-      // waves never cache) and a single simulated device (multi-device
-      // groups page through private per-device caches).
-      const bool shared_cache =
-          config_.options.schedule == Schedule::kPipelined &&
-          config_.options.num_devices == 1;
-      Sampler sampler(*graph, setup, config_.options);
-      if (pool_ != nullptr) sampler.set_executor(pool_);
-      std::shared_ptr<PartitionCache> cache;
-      if (sampler.decision().out_of_memory) {
-        if (parts == nullptr) {
-          // First paged batch on this graph: build the shared partitioning
-          // once, outside the lock, and publish it for every later batch.
-          // Per-graph batch serialization (graphs_in_flight_) guarantees no
-          // concurrent batch builds the same graph's partitioning twice.
-          parts = std::make_shared<const PartitionedGraph>(
-              *graph, config_.options.num_partitions);
-          std::lock_guard<std::mutex> lock(mu_);
-          graphs_.at(head.graph).parts = parts;
-        }
-        sampler.set_partitions(parts);
-        if (shared_cache) {
-          // Per-graph device-budget policy: every *registered* paged graph
-          // gets an equal byte slice of the budget (memory_budget_fraction
-          // of device memory), so concurrent paged traffic contends
-          // through bounded caches instead of each batch assuming the
-          // whole device, and partitions stay warm across the graph's
-          // batches. Registration count (not live traffic) keeps the
-          // budget deterministic for a fixed registry.
-          std::uint32_t paged_graphs = 0;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            for (const auto& [name, entry] : graphs_) {
-              if (entry.paged) ++paged_graphs;
-            }
-            cache = graphs_.at(head.graph).cache;
-          }
-          const auto budget = static_cast<std::uint64_t>(
-              config_.options.memory_budget_fraction *
-              static_cast<double>(
-                  config_.options.device_params.memory_bytes) /
-              static_cast<double>(std::max(paged_graphs, 1u)));
-          if (cache == nullptr) {
-            cache = std::make_shared<PartitionCache>(
-                parts, CacheLimits{.bytes = budget});
-          } else if (cache->limits().bytes != budget) {
-            cache->set_budget_bytes(budget);  // a later registration shrank it
-          }
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            GraphEntry& entry = graphs_.at(head.graph);
-            entry.cache = cache;
-            entry.cache_budget_bytes = budget;
-          }
-          sampler.set_partition_cache(cache);
-        }
-      }
-      whole = sampler.run_tagged(seeds, tags, control);
-      if (cache != nullptr) {
-        std::lock_guard<std::mutex> lock(mu_);
-        graphs_.at(head.graph).cache_resident_bytes = cache->resident_bytes();
-      }
-    }
+    whole = execute_batch(batch.front().request, seeds, tags, control);
 
     // Classify every request: a token that fired (client cancel or
     // deadline) fails its request even though the batch completed —
     // partial rows of a cancelled request are discarded, not returned.
-    std::vector<RequestOutcome> outcomes(num_requests);
     for (std::size_t r = 0; r < num_requests; ++r) {
-      outcomes[r] =
+      fates[r].outcome =
           cancel_outcome(batch[r].run_token.reason(), RequestOutcome::kOk);
     }
     if (whole.shard.has_value() && !whole.shard->failed.empty()) {
@@ -1286,24 +1132,29 @@ void Service::run_batch(std::vector<Pending> batch) {
           hit = true;
           ++f;
         }
-        if (hit && outcomes[r] == RequestOutcome::kOk) {
-          outcomes[r] = RequestOutcome::kShardFailed;
+        if (hit && fates[r].outcome == RequestOutcome::kOk) {
+          fates[r].outcome = RequestOutcome::kShardFailed;
         }
         base += count;
       }
     }
 
-    // Split the batch back into per-request results *before* booking or
-    // fulfilling anything: a throw here (allocation) must take the whole
-    // batch down the failure path exactly once. Samples are the request's
-    // own bytes; the schedule-shaped fields (sim_seconds, device_seconds,
-    // stats, oom) describe the batch the request rode on.
-    std::vector<RunResult> results;
-    results.reserve(num_requests);
+    // Split the batch back into per-request results before anything is
+    // booked or fulfilled: a throw here (allocation) takes the whole
+    // batch down the failure path exactly once. Samples are the
+    // request's own bytes; the schedule-shaped fields (sim_seconds,
+    // device_seconds, stats, oom, shard) describe the batch the request
+    // rode on.
     std::uint32_t offset = 0;
-    for (const Pending& pending : batch) {
-      const std::uint32_t count = pending.request.num_instances();
-      RunResult result;
+    for (std::size_t r = 0; r < num_requests; ++r) {
+      const std::uint32_t count = batch[r].request.num_instances();
+      Retirement& fate = fates[r];
+      if (fate.outcome != RequestOutcome::kOk) {
+        fate.error = "request " + to_string(fate.outcome) + " mid-batch";
+        offset += count;
+        continue;
+      }
+      RunResult& result = fate.result;
       result.samples.reset(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         // Row moves, not per-edge copies: the batch store is dead after
@@ -1318,181 +1169,268 @@ void Service::run_batch(std::vector<Pending> batch) {
       result.oom = whole.oom;
       result.shard = whole.shard;
       offset += count;
-      results.push_back(std::move(result));
     }
-
-    // Book the batch before fulfilling any promise: a client waking on
-    // its future must already see this batch in stats(). sampled_edges
-    // sums the *completed* requests' own slices — a cancelled request's
-    // partial rows are charged to nobody, so per-tenant edge accounting
-    // closes exactly under cancellation.
-    // Latency + distribution bookkeeping (outside mu_ — the histograms
-    // are their own sync): host in-flight time per request, the batch's
-    // simulated makespan (once per batch, once per rider), and the
-    // paged retry count.
-    const auto retired = std::chrono::steady_clock::now();
-    h_batch_sim_->observe(whole.sim_seconds);
-    if (whole.oom.has_value()) {
-      h_transfer_retries_->observe(
-          static_cast<double>(whole.oom->transfer_retries));
+  } catch (...) {
+    // A failed batch fails every request in it; the service itself stays
+    // up. The exception is classified into the outcome taxonomy: a
+    // TransferError (paged I/O that exhausted its retry budget) is an
+    // expected, isolated fault — the partition cache has already rolled
+    // itself consistent, so the next batch on the same graph proceeds
+    // normally. Requests whose own token fired before the batch died keep
+    // their truer cancellation outcome; the rest carry the batch's.
+    failed = true;
+    RequestOutcome batch_outcome = RequestOutcome::kInternal;
+    error = "batch failed";
+    try {
+      throw;
+    } catch (const TransferError& e) {
+      batch_outcome = RequestOutcome::kTransferFailed;
+      error = e.what();
+    } catch (const std::exception& e) {
+      error = e.what();
+    } catch (...) {
     }
     for (std::size_t r = 0; r < num_requests; ++r) {
-      h_inflight_->observe(elapsed_seconds(batch[r].dispatched, retired));
-      h_inflight_sim_->observe(whole.sim_seconds);
+      fates[r].outcome =
+          cancel_outcome(batch[r].run_token.reason(), batch_outcome);
+      fates[r].error = to_string(fates[r].outcome) + ": " + error;
     }
+  }
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.batches;
-      if (num_requests > 1) stats_.coalesced_requests += num_requests;
-      stats_.max_batch_requests =
-          std::max<std::uint64_t>(stats_.max_batch_requests, num_requests);
-      stats_.sim_seconds += whole.sim_seconds;
-      kernel_stats_.merge(whole.stats);
-      if (whole.oom.has_value()) {
-        ++stats_.paged_batches;
-        stats_.cache_hits += whole.oom->cache_hits;
-        stats_.cache_evictions += whole.oom->cache_evictions;
-        stats_.cache_prefetch_transfers += whole.oom->prefetch_transfers;
-        stats_.transfer_faults += whole.oom->transfer_faults;
-        stats_.transfer_retries += whole.oom->transfer_retries;
-      }
-      if (whole.shard.has_value()) {
-        ++stats_.sharded_batches;
-        stats_.forwarded_walkers += whole.shard->forwarded_walkers;
-        stats_.shard_envelopes += whole.shard->envelopes;
-        stats_.shard_bytes_forwarded += whole.shard->bytes_forwarded;
-        stats_.shard_envelope_faults += whole.shard->envelope_faults;
-        stats_.shard_envelope_retries += whole.shard->envelope_retries;
-        shard_metrics_.accumulate(*whole.shard);
-      }
-      for (std::size_t r = 0; r < num_requests; ++r) {
-        book_outcome_locked(batch[r].request.tenant, outcomes[r]);
-        if (outcomes[r] == RequestOutcome::kOk) {
-          // A streamed request's rows were moved into its chunk queue at
-          // completion time, so the split store is empty — book from the
-          // stream's edge counter instead (its producer side is done;
-          // StreamState::mu is a leaf lock under mu_).
-          const std::uint64_t edges =
-              batch[r].stream != nullptr
-                  ? detail::stream_edges(*batch[r].stream)
-                  : results[r].sampled_edges();
-          stats_.sampled_edges += edges;
-          tenants_.at(batch[r].request.tenant).stats.sampled_edges += edges;
-        }
-        retire_timers_locked(batch[r].ticket);
-      }
-    }
-
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      if (trace != nullptr) {
-        trace->end_span(batch[r].request_span, "request",
-                        {{"outcome", to_string(outcomes[r])},
-                         {"batch", std::to_string(batch_id)}});
-      }
-      if (batch[r].stream != nullptr) {
-        // Terminal stream transition: chunks already queued drain first,
-        // then the consumer sees nullopt (kOk) or the typed outcome.
-        detail::finish_stream(
-            *batch[r].stream, outcomes[r],
-            outcomes[r] == RequestOutcome::kOk
-                ? std::string()
-                : "request " + to_string(outcomes[r]) + " mid-batch");
-        continue;
-      }
-      if (outcomes[r] != RequestOutcome::kOk) {
-        batch[r].promise.set_exception(std::make_exception_ptr(RequestError(
-            outcomes[r],
-            "request " + to_string(outcomes[r]) + " mid-batch")));
-        continue;
-      }
-      try {
-        batch[r].promise.set_value(std::move(results[r]));
-      } catch (...) {
-        // A set_value failure concerns this request alone: re-book it
-        // from completed to failed and hand its client the error, so
-        // the batch is never counted twice and no request lands in both
-        // columns.
-        const std::exception_ptr error = std::current_exception();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          const auto rebook = [](auto& counters) {
-            --counters.completed;
-            count_outcome(counters, RequestOutcome::kInternal);
-          };
-          rebook(stats_);
-          rebook(tenants_.at(batch[r].request.tenant).stats);
-        }
-        try {
-          batch[r].promise.set_exception(error);
-        } catch (const std::future_error&) {
-        }
-      }
-    }
-    if (trace != nullptr) {
+  // Retire. Nothing above booked or delivered, so every request is
+  // counted completed or failed exactly once.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    retire_locked(batch, fates, batch_id, failed ? nullptr : &whole);
+  }
+  if (trace != nullptr) {
+    if (failed) {
+      trace->end_span(batch_span, "batch",
+                      {{"outcome", "failed"}, {"error", error}});
+    } else {
       trace->end_span(
           batch_span, "batch",
           {{"outcome", "completed"},
            {"sim_seconds", std::to_string(whole.sim_seconds)}});
     }
-  } catch (...) {
-    // A failed batch fails every request in it; the service itself stays
-    // up. Fulfillment has its own handler above, so this path only runs
-    // before anything was booked — every request is counted completed or
-    // failed, never both. The exception is classified into the outcome
-    // taxonomy: a TransferError (paged I/O that exhausted its retry
-    // budget) is an expected, isolated fault — the partition cache has
-    // already rolled itself consistent, so the next batch on the same
-    // graph proceeds normally.
-    const std::exception_ptr error = std::current_exception();
-    RequestOutcome batch_outcome = RequestOutcome::kInternal;
-    std::string what = "batch failed";
-    try {
-      std::rethrow_exception(error);
-    } catch (const TransferError& e) {
-      batch_outcome = RequestOutcome::kTransferFailed;
-      what = e.what();
-    } catch (const std::exception& e) {
-      what = e.what();
-    } catch (...) {
-    }
-    // Requests whose own token fired before the batch died keep their
-    // truer cancellation outcome; the rest carry the batch's.
-    std::vector<RequestOutcome> outcomes(num_requests);
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      outcomes[r] = cancel_outcome(batch[r].run_token.reason(), batch_outcome);
-    }
-    {
+  }
+}
+
+RunResult Service::execute_batch(const SampleRequest& head,
+                                 std::span<const std::vector<VertexId>> seeds,
+                                 std::span<const std::uint32_t> tags,
+                                 const RunControl& control) {
+  // A snapshot of the graph's entry: the lazily built members are
+  // published back under mu_ below.
+  GraphEntry entry;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entry = graphs_.at(head.graph);
+  }
+  const CsrGraph& graph = *entry.graph;
+  const AlgorithmSetup setup = make_algorithm(
+      head.algorithm, head.depth_or_length, head.neighbor_size);
+
+  // Sharded routing (ServiceConfig::shards > 1): walk-shaped batches on
+  // in-memory graphs with single-seed instances run through the
+  // ShardRouter; anything else silently takes the ordinary path. Samples
+  // are byte-identical either way — the router draws from the same
+  // tag-addressed Philox streams.
+  if (config_.shards > 1 && !entry.paged && single_seeded(seeds) &&
+      setup.spec.walk_shaped()) {
+    if (entry.shard_map == nullptr) {
+      // First sharded batch on this graph: build the shared vertex
+      // partitioning once, outside the lock, and publish it. Per-graph
+      // batch serialization (graphs_in_flight_) guarantees no concurrent
+      // batch builds the same graph's map twice.
+      entry.shard_map =
+          std::make_shared<const ShardPartitionMap>(graph, config_.shards);
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.batches;
-      for (std::size_t r = 0; r < num_requests; ++r) {
-        book_outcome_locked(batch[r].request.tenant, outcomes[r]);
-        retire_timers_locked(batch[r].ticket);
-      }
+      graphs_.at(head.graph).shard_map = entry.shard_map;
     }
-    const auto retired = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < num_requests; ++r) {
-      // Failed requests still report their host in-flight latency (the
-      // simulated histograms only see completed batches).
-      h_inflight_->observe(elapsed_seconds(batch[r].dispatched, retired));
+    ShardOptions shard_options;
+    shard_options.shards = config_.shards;
+    shard_options.num_threads = config_.options.num_threads;
+    shard_options.envelope_capacity = config_.shard_envelope_capacity;
+    shard_options.queue_capacity = config_.shard_queue_capacity;
+    shard_options.retry = config_.options.transfer_retry;
+    shard_options.select = config_.options.select;
+    shard_options.seed = config_.options.seed;
+    shard_options.device_params = config_.options.device_params;
+    shard_options.faults = config_.shard_faults;
+    ShardRouter router(graph, setup, shard_options, entry.shard_map);
+    if (pool_ != nullptr) router.set_executor(pool_);
+    return router.run_tagged(seeds, tags, control);
+  }
+
+  Sampler sampler(graph, setup, config_.options);
+  if (pool_ != nullptr) sampler.set_executor(pool_);
+  std::shared_ptr<PartitionCache> cache;
+  if (sampler.decision().out_of_memory) {
+    if (entry.parts == nullptr) {
+      // First paged batch on this graph: build the shared partitioning
+      // once, outside the lock, and publish it for every later batch.
+      // Per-graph batch serialization (graphs_in_flight_) guarantees no
+      // concurrent batch builds the same graph's partitioning twice.
+      entry.parts = std::make_shared<const PartitionedGraph>(
+          graph, config_.options.num_partitions);
+      std::lock_guard<std::mutex> lock(mu_);
+      graphs_.at(head.graph).parts = entry.parts;
+    }
+    sampler.set_partitions(entry.parts);
+    // A shared per-graph cache needs the pipelined schedule (the barrier
+    // waves never cache) and a single simulated device (multi-device
+    // groups page through private per-device caches).
+    if (config_.options.schedule == Schedule::kPipelined &&
+        config_.options.num_devices == 1) {
+      // Per-graph device-budget policy: every *registered* paged graph
+      // gets an equal byte slice of the budget (memory_budget_fraction of
+      // device memory), so concurrent paged traffic contends through
+      // bounded caches instead of each batch assuming the whole device,
+      // and partitions stay warm across the graph's batches. Registration
+      // count (not live traffic) keeps the budget deterministic for a
+      // fixed registry.
+      std::lock_guard<std::mutex> lock(mu_);
+      std::uint32_t paged_graphs = 0;
+      for (const auto& [name, other] : graphs_) {
+        if (other.paged) ++paged_graphs;
+      }
+      const auto budget = static_cast<std::uint64_t>(
+          config_.options.memory_budget_fraction *
+          static_cast<double>(config_.options.device_params.memory_bytes) /
+          static_cast<double>(std::max(paged_graphs, 1u)));
+      GraphEntry& shared = graphs_.at(head.graph);
+      if (shared.cache == nullptr) {
+        shared.cache = std::make_shared<PartitionCache>(
+            entry.parts, CacheLimits{.bytes = budget});
+      } else if (shared.cache->limits().bytes != budget) {
+        shared.cache->set_budget_bytes(budget);  // a later registration shrank it
+      }
+      shared.cache_budget_bytes = budget;
+      cache = shared.cache;
+      sampler.set_partition_cache(cache);
+    }
+  }
+  RunResult whole = sampler.run_tagged(seeds, tags, control);
+  if (cache != nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    graphs_.at(head.graph).cache_resident_bytes = cache->resident_bytes();
+  }
+  return whole;
+}
+
+void Service::retire_locked(std::vector<Pending>& riders,
+                            std::vector<Retirement>& fates,
+                            std::uint64_t batch_id, const RunResult* whole) {
+  // Book everything before fulfilling anything: a client waking on its
+  // future must already see its outcome, and its batch, in stats().
+  if (batch_id != 0) ++stats_.batches;
+  if (whole != nullptr) {
+    const std::size_t num_requests = riders.size();
+    if (num_requests > 1) stats_.coalesced_requests += num_requests;
+    stats_.max_batch_requests =
+        std::max<std::uint64_t>(stats_.max_batch_requests, num_requests);
+    stats_.sim_seconds += whole->sim_seconds;
+    kernel_stats_.merge(whole->stats);
+    h_batch_sim_->observe(whole->sim_seconds);
+    if (whole->oom.has_value()) {
+      ++stats_.paged_batches;
+      stats_.cache_hits += whole->oom->cache_hits;
+      stats_.cache_evictions += whole->oom->cache_evictions;
+      stats_.cache_prefetch_transfers += whole->oom->prefetch_transfers;
+      stats_.transfer_faults += whole->oom->transfer_faults;
+      stats_.transfer_retries += whole->oom->transfer_retries;
+      h_transfer_retries_->observe(
+          static_cast<double>(whole->oom->transfer_retries));
+    }
+    if (whole->shard.has_value()) {
+      ++stats_.sharded_batches;
+      stats_.forwarded_walkers += whole->shard->forwarded_walkers;
+      stats_.shard_envelopes += whole->shard->envelopes;
+      stats_.shard_bytes_forwarded += whole->shard->bytes_forwarded;
+      stats_.shard_envelope_faults += whole->shard->envelope_faults;
+      stats_.shard_envelope_retries += whole->shard->envelope_retries;
+      shard_metrics_.accumulate(*whole->shard);
+    }
+  }
+  for (std::size_t r = 0; r < riders.size(); ++r) {
+    const Pending& rider = riders[r];
+    TenantStats& tenant = tenants_.at(rider.request.tenant).stats;
+    count_outcome(stats_, fates[r].outcome);
+    count_outcome(tenant, fates[r].outcome);
+    recent_.push_back(fates[r].outcome);
+    if (fates[r].outcome == RequestOutcome::kOk) {
+      // sampled_edges sums the completed requests' own slices, so a
+      // cancelled request's partial rows are charged to nobody. A
+      // streamed request's rows moved into its chunk queue at completion
+      // time: book from the stream's edge counter instead (its producer
+      // side is done).
+      const std::uint64_t edges = rider.stream != nullptr
+                                      ? detail::stream_edges(*rider.stream)
+                                      : fates[r].result.sampled_edges();
+      stats_.sampled_edges += edges;
+      tenant.sampled_edges += edges;
+    }
+    wheel_.remove(rider.ticket);
+    timed_.erase(rider.ticket);
+  }
+  while (recent_.size() > config_.health_window) recent_.pop_front();
+
+  // Deliver, still under mu_: StreamState::mu and the trace recorder's
+  // mutex are leaf locks under it, and fulfilling a promise never calls
+  // back into the service. Request spans close here, before the batch
+  // span (docs/OBSERVABILITY.md).
+  telemetry::TraceRecorder* const trace = config_.trace.get();
+  const auto retired = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < riders.size(); ++r) {
+    Pending& rider = riders[r];
+    Retirement& fate = fates[r];
+    if (batch_id == 0) {
+      // Died in the queue: both of its spans close here.
       if (trace != nullptr) {
-        trace->end_span(batch[r].request_span, "request",
-                        {{"outcome", to_string(outcomes[r])},
+        trace->end_span(rider.queue_span, "queue",
+                        {{"outcome", to_string(fate.outcome)}});
+        trace->end_span(rider.request_span, "request",
+                        {{"outcome", to_string(fate.outcome)}});
+      }
+    } else {
+      // Host in-flight latency for every rider, failed ones too; the
+      // simulated one only for executed batches.
+      h_inflight_->observe(elapsed_seconds(rider.dispatched, retired));
+      if (whole != nullptr) h_inflight_sim_->observe(whole->sim_seconds);
+      if (trace != nullptr) {
+        trace->end_span(rider.request_span, "request",
+                        {{"outcome", to_string(fate.outcome)},
                          {"batch", std::to_string(batch_id)}});
       }
-      const std::string message = to_string(outcomes[r]) + ": " + what;
-      if (batch[r].stream != nullptr) {
-        // Chunks completed before the fault stay deliverable; the typed
-        // outcome surfaces once the consumer drains them.
-        detail::finish_stream(*batch[r].stream, outcomes[r], message);
-        continue;
-      }
-      batch[r].promise.set_exception(
-          std::make_exception_ptr(RequestError(outcomes[r], message)));
     }
-    if (trace != nullptr) {
-      trace->end_span(batch_span, "batch",
-                      {{"outcome", "failed"}, {"error", what}});
+    if (rider.stream != nullptr) {
+      // Terminal stream transition: chunks already queued drain first,
+      // then the consumer sees nullopt (kOk) or the typed outcome. A
+      // streaming request's promise is never fulfilled.
+      detail::finish_stream(*rider.stream, fate.outcome,
+                            std::move(fate.error));
+    } else if (fate.outcome != RequestOutcome::kOk) {
+      rider.promise.set_exception(
+          std::make_exception_ptr(RequestError(fate.outcome, fate.error)));
+    } else {
+      try {
+        rider.promise.set_value(std::move(fate.result));
+      } catch (...) {
+        // A set_value failure concerns this request alone: rebook it from
+        // completed to failed and hand its client the error, so no
+        // request lands in both columns.
+        const auto rebook = [](auto& counters) {
+          --counters.completed;
+          count_outcome(counters, RequestOutcome::kInternal);
+        };
+        rebook(stats_);
+        rebook(tenants_.at(rider.request.tenant).stats);
+        try {
+          rider.promise.set_exception(std::current_exception());
+        } catch (const std::future_error&) {
+        }
+      }
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -390,6 +391,24 @@ class Service {
     std::map<std::string, std::uint32_t> tenant_instances;
   };
 
+  /// The queue members a batch headed by one request would take right
+  /// now (plan_batch_locked).
+  struct BatchPlan {
+    /// Queue indices: the head first, then the rest in queue order.
+    std::vector<std::size_t> members;
+    /// Compatible requests passed over because their tenant's quota
+    /// could not hold them.
+    std::uint64_t quota_skips = 0;
+  };
+
+  /// How one request leaves the service: its typed outcome plus what its
+  /// client receives — `result` for kOk, `error` otherwise.
+  struct Retirement {
+    RequestOutcome outcome = RequestOutcome::kOk;
+    RunResult result;
+    std::string error;
+  };
+
   /// Outcome of one scheduling pass over the queue (under mu_).
   struct HeadChoice {
     bool found = false;              ///< a launchable head was selected
@@ -410,9 +429,6 @@ class Service {
                          std::shared_ptr<detail::StreamState> stream);
   /// Bumps the per-reason rejection counter (under mu_).
   void count_rejection_locked(RejectReason reason);
-  /// Books one retired request's outcome into the lifetime counters, the
-  /// tenant slice and the recent-outcome health window (under mu_).
-  void book_outcome_locked(const std::string& tenant, RequestOutcome outcome);
   /// Fires the cancel source (reason kDeadline) of every wheel deadline
   /// <= now: queued requests are condemned for the next sweep, in-flight
   /// ones stop at their next step boundary (under mu_).
@@ -420,23 +436,42 @@ class Service {
   /// Fails every still-queued request whose token has fired (client
   /// cancel or expired deadline) without dispatching it (under mu_).
   void sweep_queue_locked();
-  /// Drops a retired request's wheel entry and cancel source (under mu_).
-  void retire_timers_locked(std::uint64_t ticket);
-  /// Instances the batch headed by `head` could coalesce right now:
-  /// compatible queued requests, capped at max_batch_instances (used to
-  /// decide whether a deadline-gated head is already full).
-  std::uint32_t coalescible_instances_locked(const Pending& head) const;
+  /// The one batch planner: which queued requests a batch headed by
+  /// queue_[head_index] would take — compatible ones that fit
+  /// max_batch_instances and their tenant's quota, with no Philox-range
+  /// overlap. Head selection probes it ("is this head full?"); formation
+  /// takes exactly its members (under mu_).
+  BatchPlan plan_batch_locked(std::size_t head_index) const;
   /// One deficit-round-robin scheduling pass: picks the next launchable
   /// batch head among eligible queued requests (graph not in flight,
   /// tenant under quota), or reports the earliest pending deadline.
   HeadChoice select_head_locked(std::chrono::steady_clock::time_point now);
-  /// Extracts queue_[head_index] plus every compatible queued request
-  /// that fits max_batch_instances and its tenant's quota, in rng_base
-  /// order, and books the graph/tenant in-flight state (under mu_).
+  /// Moves the planned members of the batch headed by queue_[head_index]
+  /// out of the queue, in rng_base order, and books the graph/tenant
+  /// in-flight state (under mu_).
   FormedBatch form_batch_locked(std::size_t head_index);
-  /// Runs one coalesced batch through a fresh Sampler on the shared pool
-  /// and fulfills every promise (batch-runner thread, outside mu_).
+  /// Plan → execute → retire for one formed batch: flattens its
+  /// instances, runs them through execute_batch and retires every rider
+  /// (batch-runner thread, outside mu_). Never throws a batch failure.
   void run_batch(std::vector<Pending> batch);
+  /// Runs one batch's flat instance list on its graph's backend — the
+  /// ShardRouter for sharded walk batches, else a Sampler on the shared
+  /// pool that pages through the graph's shared partitioning and cache —
+  /// and returns the whole-batch result (outside mu_).
+  RunResult execute_batch(const SampleRequest& head,
+                          std::span<const std::vector<VertexId>> seeds,
+                          std::span<const std::uint32_t> tags,
+                          const RunControl& control);
+  /// The one retire path (under mu_): books every rider's `fates` entry
+  /// into the lifetime counters, its tenant's slice and the health
+  /// window (and, for an executed batch, `whole`), drops its wheel entry
+  /// and cancel source, then closes its spans and delivers through its
+  /// stream or promise.
+  /// `batch_id` 0 means the riders died in the queue; `whole` is null
+  /// there and for a failed batch.
+  void retire_locked(std::vector<Pending>& riders,
+                     std::vector<Retirement>& fates, std::uint64_t batch_id,
+                     const RunResult* whole);
   void dispatcher_main();
   void runner_main();
 

@@ -8,8 +8,9 @@
 namespace csaw {
 
 /// Plain-text table printer for the bench harness. Each bench binary
-/// regenerates one paper table/figure as rows of this table, so
-/// EXPERIMENTS.md can quote bench output directly.
+/// regenerates one paper table/figure as rows of this table, so the docs
+/// (docs/BENCHMARKS.md "Figure/table benches") can quote bench output
+/// directly.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);

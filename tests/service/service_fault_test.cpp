@@ -12,12 +12,14 @@
 
 #include <chrono>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "telemetry/trace.hpp"
 #include "util/fault_injector.hpp"
 
 namespace csaw {
@@ -110,13 +112,16 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   // terminal — every future of the batch fails typed as
   // kTransferFailed, the cache settles consistent (nothing pinned,
   // nothing stuck kLoading), and the next batch on the same graph
-  // succeeds byte-identically to a fault-free run.
+  // succeeds byte-identically to a fault-free run. One rider has a
+  // deadline armed, so the failure path must retire its timer too; the
+  // riders' request spans and the batch span close typed, in order.
   Service clean(paged_config());
   clean.add_graph("g", paged_graph());
   const RunResult ref = run_one(clean, walk_request());
 
   ServiceConfig config = paged_config();
   config.start_paused = true;  // let both requests coalesce into one batch
+  config.trace = std::make_shared<telemetry::TraceRecorder>();
   auto injector = std::make_shared<FaultInjector>();
   injector->fail_next(0, 1);
   config.options.transfer_faults = injector;
@@ -124,10 +129,16 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   Service service(config);
   service.add_graph("g", paged_graph());
 
-  Submission a = service.submit(walk_request(kBase));
-  Submission b = service.submit(walk_request(kBase + 100));
+  SampleRequest first = walk_request(kBase);
+  first.tenant = "ta";
+  SampleRequest second = walk_request(kBase + 100);
+  second.tenant = "tb";
+  second.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  Submission a = service.submit(std::move(first));
+  Submission b = service.submit(std::move(second));
   ASSERT_TRUE(a.accepted());
   ASSERT_TRUE(b.accepted());
+  EXPECT_EQ(service.health().timed_requests, 1u);
   service.resume();
   service.drain();
 
@@ -148,6 +159,42 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   EXPECT_EQ(stats.failed, 2u);
   EXPECT_EQ(stats.transfer_failed, 2u);
   EXPECT_EQ(stats.sampled_edges, 0u);
+  EXPECT_EQ(stats.completed + stats.failed, stats.accepted);
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  for (const TenantStats& tenant : stats.tenants) {
+    EXPECT_EQ(tenant.failed, 1u) << tenant.tenant;
+    EXPECT_EQ(tenant.completed + tenant.failed, tenant.accepted)
+        << tenant.tenant;
+  }
+  EXPECT_EQ(service.health().timed_requests, 0u);
+
+  // Each rider's request span closes exactly once, typed, before the
+  // batch span closes as failed.
+  std::map<std::uint64_t, std::vector<std::string>> request_outcomes;
+  std::vector<std::uint64_t> request_end_seqs;
+  std::vector<std::uint64_t> failed_batch_end_seqs;
+  for (const telemetry::TraceEvent& event : config.trace->snapshot()) {
+    if (event.phase != telemetry::TracePhase::kEnd) continue;
+    std::string outcome;
+    for (const auto& [key, value] : event.args) {
+      if (key == "outcome") outcome = value;
+    }
+    if (event.name == "request") {
+      request_outcomes[event.id].push_back(outcome);
+      request_end_seqs.push_back(event.seq);
+    } else if (event.name == "batch") {
+      EXPECT_EQ(outcome, "failed");
+      failed_batch_end_seqs.push_back(event.seq);
+    }
+  }
+  ASSERT_EQ(request_outcomes.size(), 2u);
+  for (const auto& [span, outcomes] : request_outcomes) {
+    EXPECT_EQ(outcomes, std::vector<std::string>{"transfer_failed"});
+  }
+  ASSERT_EQ(failed_batch_end_seqs.size(), 1u);
+  for (const std::uint64_t seq : request_end_seqs) {
+    EXPECT_LT(seq, failed_batch_end_seqs.front());
+  }
 
   // The scripted site was consumed by the failure: the same request
   // succeeds on the next batch, and its bytes match the fault-free run.

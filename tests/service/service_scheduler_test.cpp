@@ -13,10 +13,12 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "service/service.hpp"
+#include "telemetry/trace.hpp"
 
 namespace csaw {
 namespace {
@@ -100,6 +102,63 @@ TEST(ServiceScheduler, FullBatchLaunchesBeforeItsDeadline) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.coalesced_requests, 2u);
   EXPECT_EQ(stats.deadline_launches, 0u);
+}
+
+TEST(ServiceScheduler, QuotaSkippedRequestsNeverMakeAHeadFull) {
+  // Head selection's "is this head full?" probe and formation share one
+  // planner, so a request formation would skip for its tenant's quota
+  // never counts toward a full batch. Queued: x (2 instances, tenant
+  // "x"), y1 (4, "y") and y2 (2, "y") — 8 compatible instances, exactly
+  // max_batch_instances, but tenant y's quota of 4 admits only y1 beside
+  // x. The head must wait out its deadline and launch partial carrying
+  // x + y1; y2 follows in a batch of its own.
+  ServiceConfig config = serial_engine_config();
+  config.batching_deadline = 50ms;
+  config.max_request_instances = 4;
+  config.max_batch_instances = 8;
+  config.tenant_quota = 4;
+  config.start_paused = true;
+  config.trace = std::make_shared<telemetry::TraceRecorder>();
+  Service service(config);
+  service.add_graph("a", graph_a());
+
+  const auto submitted = std::chrono::steady_clock::now();
+  Submission x = service.submit(walk_request("a", 2, 8, "x"));
+  Submission y1 = service.submit(walk_request("a", 4, 8, "y"));
+  Submission y2 = service.submit(walk_request("a", 2, 8, "y"));
+  ASSERT_TRUE(x.accepted() && y1.accepted() && y2.accepted());
+  service.resume();
+  EXPECT_GT(x.result.get().sampled_edges(), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - submitted,
+            config.batching_deadline)
+      << "the head launched as full before its deadline";
+  service.drain();
+  EXPECT_GT(y1.result.get().sampled_edges(), 0u);
+  EXPECT_GT(y2.result.get().sampled_edges(), 0u);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.deadline_launches, 2u);
+  EXPECT_EQ(stats.coalesced_requests, 2u);
+  EXPECT_GE(stats.quota_deferrals, 1u);
+
+  // Batch composition, in formation order: x + y1, then y2 alone.
+  std::vector<std::pair<std::string, std::string>> batches;
+  for (const telemetry::TraceEvent& event : config.trace->snapshot()) {
+    if (event.name != "batch" ||
+        event.phase != telemetry::TracePhase::kBegin) {
+      continue;
+    }
+    std::pair<std::string, std::string> shape;
+    for (const auto& [key, value] : event.args) {
+      if (key == "requests") shape.first = value;
+      if (key == "instances") shape.second = value;
+    }
+    batches.push_back(shape);
+  }
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"2", "6"}, {"1", "2"}};
+  EXPECT_EQ(batches, expected);
 }
 
 TEST(ServiceScheduler, ShutdownDrainsWithoutWaitingOutDeadlines) {

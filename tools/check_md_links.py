@@ -17,7 +17,12 @@ mentions like `engine.hpp` inside a table are skipped on purpose (they
 are prose, not pointers), as are `.json` names, which usually refer to
 generated artifacts.
 
+With `--sources DIR...` it instead scans every file under the given
+directories (code comments, printed banners) for `*.md` names; each
+must name a file at the repo root or under `docs/`.
+
 Usage: tools/check_md_links.py README.md docs/*.md
+       tools/check_md_links.py --sources src bench examples tests
 Exits 1 listing every broken link, 0 when all resolve.
 """
 import re
@@ -29,6 +34,7 @@ CHECKED_PREFIXES = ("src/", "docs/", "tests/", "bench/", "examples/",
                     "tools/", ".github/")
 BACKTICK_RE = re.compile(r"`([^`\s]+)`")
 ROOT_FILE_RE = re.compile(r"^[A-Za-z0-9_.-]+\.md$")
+SOURCE_MD_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 # Inline links/images: [text](target) — tolerates one level of nested
 # brackets in the text, strips optional '"title"' suffixes in the target.
@@ -93,12 +99,32 @@ def repo_paths_of(path: Path):
                 yield number, token
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 2:
-        print(__doc__)
-        return 2
+def check_sources(dirs: list[str]) -> list[str]:
+    """`*.md` names cited anywhere under `dirs` that name no file at the
+    repo root or under docs/."""
     errors: list[str] = []
-    for name in argv[1:]:
+    for directory in dirs:
+        if not Path(directory).is_dir():
+            errors.append(f"{directory}: directory not found")
+            continue
+        for path in sorted(Path(directory).rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for number, line in enumerate(text.splitlines(), start=1):
+                for match in SOURCE_MD_RE.finditer(line):
+                    name = match.group(1)
+                    if not any((base / name).is_file()
+                               for base in (REPO_ROOT, REPO_ROOT / "docs")):
+                        errors.append(f"{path}:{number}: cites '{name}', "
+                                      "which is not at the repo root or "
+                                      "under docs/")
+    return errors
+
+
+def check_markdown(names: list[str]) -> list[str]:
+    errors: list[str] = []
+    for name in names:
         source = Path(name)
         if not source.exists():
             errors.append(f"{name}: file not found")
@@ -126,12 +152,22 @@ def main(argv: list[str]) -> int:
             if not (REPO_ROOT / candidate).exists():
                 errors.append(f"{name}:{line}: stale repo path "
                               f"`{token}` (no such file in the repo)")
+    return errors
+
+
+def main(argv: list[str]) -> int:
+    sources = argv[1:2] == ["--sources"]
+    targets = argv[2:] if sources else argv[1:]
+    if not targets:
+        print(__doc__)
+        return 2
+    errors = check_sources(targets) if sources else check_markdown(targets)
     if errors:
         print(f"{len(errors)} broken link(s):")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"All markdown links resolve ({len(argv) - 1} file(s) checked).")
+    print(f"All markdown links resolve ({len(targets)} path(s) checked).")
     return 0
 
 

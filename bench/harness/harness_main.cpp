@@ -5,12 +5,21 @@
 // the perf trajectory, gated in CI by bench_compare. See
 // docs/BENCHMARKS.md for the schema and workflow.
 //
+// Every simulated device a case builds, inside Samplers and Services too,
+// has its timeline checked (sim::check_timeline) as it is dropped; an
+// infeasible one aborts the run.
+//
 // Usage: bench_harness [--out <path>]      (default ./BENCH_throughput.json)
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
+#include "gpusim/timeline.hpp"
 #include "harness/paged_bench.hpp"
 #include "harness/registry.hpp"
 #include "harness/service_bench.hpp"
@@ -18,8 +27,25 @@
 #include "harness/throughput.hpp"
 #include "util/table.hpp"
 
+namespace {
+
+std::atomic<std::uint64_t> audited_devices{0};
+
+void audit_timeline(const csaw::sim::Device& device) {
+  try {
+    csaw::sim::check_timeline(device);
+  } catch (const std::exception& e) {
+    std::cerr << "infeasible simulated timeline: " << e.what() << "\n";
+    std::abort();
+  }
+  ++audited_devices;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace csaw;
+  sim::set_device_audit(&audit_timeline);
   std::string out_path = "BENCH_throughput.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -126,6 +152,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << record.dump();
+  std::cout << "Timelines checked: " << audited_devices.load()
+            << " simulated devices.\n";
   std::cout << "Wrote " << out_path
             << ". SEPS fields are simulated (machine-independent); "
                "wall_seconds is host time and never gated.\n";

@@ -58,12 +58,11 @@ double CostModel::kernel_seconds(const KernelStats& stats,
          params_.kernel_launch_us * 1e-6;
 }
 
-double CostModel::occupiable_fraction(std::uint64_t warps,
-                                      double share) const {
-  if (warps == 0) return share;
+double CostModel::occupiable_fraction(std::uint64_t warps) const {
+  if (warps == 0) return 1.0;
   const std::uint64_t blocks = (warps + kWarpsPerBlock - 1) / kWarpsPerBlock;
-  return std::min(share, static_cast<double>(blocks) /
-                             static_cast<double>(params_.sm_count));
+  return std::min(1.0, static_cast<double>(blocks) /
+                           static_cast<double>(params_.sm_count));
 }
 
 std::vector<std::uint32_t> CostModel::cooperative_widths(

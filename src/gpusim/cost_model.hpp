@@ -31,12 +31,14 @@ inline constexpr std::uint64_t kWarpsPerBlock = 8;
 /// penalty, which is what makes multi-GPU scaling flatten when instances
 /// are scarce (paper Fig. 17, whose bench runs the one-warp-per-task
 /// step-barrier kernels). The penalty is taken over the SMs a kernel is
-/// granted, so the grant matters: the cached out-of-memory path grants
-/// each kernel window only the SMs its thread blocks can occupy
-/// (CostModel::occupiable_fraction). A pipelined walk launch of scarce
-/// walkers widens each walker toward the latency-hiding target instead
-/// (CostModel::cooperative_widths), so it stalls only when a block per
-/// walker still falls short.
+/// granted, so the grant matters. The cached out-of-memory path places
+/// its kernel windows on one SM ledger (Device::record_round): a window
+/// is never granted more than the SMs its thread blocks can occupy
+/// (CostModel::occupiable_fraction) nor more than earlier windows leave
+/// free, and its grant changes as other windows start and end. A
+/// pipelined walk launch of scarce walkers widens each walker toward the
+/// latency-hiding target instead (CostModel::cooperative_widths), so it
+/// stalls only when a block per walker still falls short.
 struct DeviceParams {
   double clock_ghz = 1.38;
   std::uint32_t sm_count = 80;
@@ -130,20 +132,17 @@ class CostModel {
   double kernel_seconds(const KernelStats& stats,
                         double resource_fraction = 1.0) const;
 
-  /// The SM share a launch of `warps` warp slots can actually occupy
-  /// when granted `share`: a thread block runs on one SM, so
-  /// ceil(warps / kWarpsPerBlock) blocks fill at most that many SMs, and
-  /// kernel_seconds divides the warps over the SMs it is handed — a
-  /// k-warp launch on s SMs pays a stall penalty of
-  /// latency_hiding_warps_per_sm * s / k per round. Capping the grant at
-  /// the block count charges a few-warp kernel on the SMs its blocks sit
-  /// on instead of stalling it across idle ones. Returns `share` when it
-  /// is the smaller, or when `warps` is 0 (an empty launch keeps its
-  /// grant; kernel_seconds requires a positive fraction). Only the cached
-  /// out-of-memory path sizes its windows with this: the barrier waves,
-  /// the in-memory pipelined launch and the shard router charge the
-  /// share they are given.
-  double occupiable_fraction(std::uint64_t warps, double share) const;
+  /// The SM share a launch of `warps` warp slots can occupy: a thread
+  /// block runs on one SM, so ceil(warps / kWarpsPerBlock) blocks fill at
+  /// most that many SMs (at most all of them). kernel_seconds divides the
+  /// warps over the SMs it is handed — a k-warp launch on s SMs pays a
+  /// stall penalty of latency_hiding_warps_per_sm * s / k per round — so
+  /// a grant beyond this would stall a few-warp kernel across idle SMs.
+  /// Returns 1 when `warps` is 0 (kernel_seconds requires a positive
+  /// fraction). Only the SM ledger caps its windows with this: the
+  /// barrier waves, the in-memory pipelined launch and the shard router
+  /// charge the share they are given.
+  double occupiable_fraction(std::uint64_t warps) const;
 
   /// Warps a walk-shaped persistent launch of `chains` chains gives each
   /// chain, in chain order (the cooperative width rule). Hiding latency

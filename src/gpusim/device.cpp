@@ -1,6 +1,8 @@
 #include "gpusim/device.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -283,19 +285,143 @@ const KernelRecord& Device::record_pipelined(std::string name, Stream& stream,
                        kernel.num_tasks, kernel.stats, {});
 }
 
-const KernelRecord& Device::record_pipelined_span(std::string name,
-                                                  Stream& stream,
-                                                  double resource_fraction,
-                                                  const PipelinedKernel& kernel,
-                                                  double start, double end) {
-  CSAW_CHECK_MSG(start >= stream.ready_time() && end >= start,
-                 "kernel window [" << start << ", " << end
-                                   << ") precedes stream ready time "
-                                   << stream.ready_time());
-  stream.push(start, end - start);
-  kernel_log_.push_back(KernelRecord{std::move(name), stream.id(), start, end,
-                                     resource_fraction, kernel.stats});
-  return kernel_log_.back();
+void Device::prune_ledger(double horizon) {
+  ledger_horizon_ = std::max(ledger_horizon_, horizon);
+  std::erase_if(sm_live_, [this](const SmSegment& seg) {
+    return seg.end <= ledger_horizon_;
+  });
+}
+
+namespace {
+
+/// Water-fills `free` SMs over the windows `active`: grant[i] =
+/// min(cap[i], lambda * weight[i]), summing to min(free, the caps' sum).
+void water_fill(std::vector<std::size_t> active, double free,
+                std::span<const double> cap, std::span<const double> weight,
+                std::vector<double>& grant) {
+  // The windows a proportional share would over-serve come first; once one
+  // takes its share uncapped, every later one does too.
+  std::sort(active.begin(), active.end(), [&](std::size_t a, std::size_t b) {
+    return cap[a] * weight[b] < cap[b] * weight[a];
+  });
+  double total_weight = 0.0;
+  for (const std::size_t i : active) total_weight += weight[i];
+  for (const std::size_t i : active) {
+    const double share =
+        total_weight > 0.0 ? free * weight[i] / total_weight : 0.0;
+    grant[i] = std::min(cap[i], share);
+    free = std::max(0.0, free - grant[i]);
+    total_weight -= weight[i];
+  }
+}
+
+}  // namespace
+
+std::span<const KernelRecord> Device::record_round(
+    std::span<const RoundWindow> windows) {
+  const std::size_t n = windows.size();
+  std::vector<double> open(n), cap(n), weight(n), end(n), progress(n, 0.0),
+      held(n, 0.0), grant(n, 0.0);
+  std::vector<std::size_t> streams;
+  std::size_t running = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const RoundWindow& w = windows[i];
+    CSAW_CHECK_MSG(std::find(streams.begin(), streams.end(), w.stream) ==
+                       streams.end(),
+                   "two windows of one round on stream " << w.stream);
+    streams.push_back(w.stream);
+    open[i] = std::max(w.ready, stream(w.stream).ready_time());
+    CSAW_CHECK_MSG(open[i] >= ledger_horizon_,
+                   w.name << " opens at " << open[i]
+                          << ", before the pruned ledger horizon "
+                          << ledger_horizon_);
+    cap[i] = cost_.occupiable_fraction(w.kernel.stats.warps);
+    const bool runs = w.weight > 0.0 && w.kernel.stats.warps > 0;
+    weight[i] = runs ? w.weight : 0.0;
+    end[i] = runs ? -1.0 : open[i];
+    if (runs) ++running;
+  }
+
+  const std::size_t first_kernel = kernel_log_.size();
+  std::vector<SmSegment> placed;
+  std::vector<std::size_t> last_segment(n, ~std::size_t{0});
+  double t = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (end[i] < 0.0) t = std::min(t, open[i]);
+  }
+  while (running > 0) {
+    // SMs earlier rounds hold over [t, next_change).
+    double held_by_earlier = 0.0;
+    double next = std::numeric_limits<double>::infinity();
+    for (const SmSegment& seg : sm_live_) {
+      if (seg.start <= t && t < seg.end) {
+        held_by_earlier += seg.grant;
+        next = std::min(next, seg.end);
+      } else if (seg.start > t) {
+        next = std::min(next, seg.start);
+      }
+    }
+    std::vector<std::size_t> active;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (end[i] >= 0.0) continue;
+      if (open[i] <= t) {
+        active.push_back(i);
+      } else {
+        next = std::min(next, open[i]);
+      }
+    }
+    std::fill(grant.begin(), grant.end(), 0.0);
+    water_fill(active, std::max(0.0, 1.0 - held_by_earlier), cap, weight,
+               grant);
+    std::vector<double> seconds(n, 0.0);
+    for (const std::size_t i : active) {
+      if (grant[i] <= 0.0) continue;
+      seconds[i] = cost_.kernel_seconds(windows[i].kernel.stats, grant[i]);
+      next = std::min(next, t + (1.0 - progress[i]) * seconds[i]);
+    }
+    CSAW_CHECK_MSG(next > t && next < std::numeric_limits<double>::infinity(),
+                   "SM ledger made no progress at t=" << t);
+    for (const std::size_t i : active) {
+      if (grant[i] <= 0.0) continue;
+      const double finish = t + (1.0 - progress[i]) * seconds[i];
+      if (finish <= next) {
+        end[i] = finish;
+        --running;
+      } else {
+        progress[i] += (next - t) / seconds[i];
+        // What is left is below the clock's resolution at `next`.
+        if (next + (1.0 - progress[i]) * seconds[i] <= next) {
+          end[i] = next;
+          --running;
+        }
+      }
+      held[i] += grant[i] * (next - t);
+      if (last_segment[i] != ~std::size_t{0} &&
+          placed[last_segment[i]].grant == grant[i] &&
+          placed[last_segment[i]].end == t) {
+        placed[last_segment[i]].end = next;
+      } else {
+        last_segment[i] = placed.size();
+        placed.push_back(SmSegment{first_kernel + i, t, next, grant[i]});
+      }
+    }
+    t = next;
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const RoundWindow& w = windows[i];
+    const double span = end[i] - open[i];
+    stream(w.stream).push(open[i], span);
+    KernelRecord record{w.name, static_cast<int>(w.stream), open[i], end[i],
+                        span > 0.0 ? held[i] / span : cap[i],
+                        w.kernel.stats};
+    record.ready = w.ready;
+    record.on_ledger = true;
+    kernel_log_.push_back(std::move(record));
+  }
+  sm_log_.insert(sm_log_.end(), placed.begin(), placed.end());
+  sm_live_.insert(sm_live_.end(), placed.begin(), placed.end());
+  return std::span<const KernelRecord>(kernel_log_).subspan(first_kernel);
 }
 
 double Device::transfer_kernel_overlap(std::size_t transfer_log_begin,
@@ -359,8 +485,22 @@ KernelStats Device::total_stats() const {
   return total;
 }
 
+namespace {
+std::atomic<DeviceAudit> device_audit{nullptr};
+}  // namespace
+
+void set_device_audit(DeviceAudit audit) noexcept { device_audit = audit; }
+
+Device::~Device() {
+  if (const DeviceAudit audit = device_audit.load()) audit(*this);
+}
+
 void Device::reset() {
+  if (const DeviceAudit audit = device_audit.load()) audit(*this);
   kernel_log_.clear();
+  sm_log_.clear();
+  sm_live_.clear();
+  ledger_horizon_ = 0.0;
   transfer_.reset();
   for (auto& s : streams_) s.reset();
 }

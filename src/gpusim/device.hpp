@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,10 +23,26 @@ struct KernelRecord {
   int stream_id = 0;
   double start = 0.0;
   double end = 0.0;
+  /// Share of the device's SMs held: the launch's grant, or, for a window
+  /// placed on the SM ledger (Device::record_round), its time-mean grant.
   double resource_fraction = 1.0;
   KernelStats stats;
+  /// Ledger windows only: when the window's bytes were on the device.
+  double ready = 0.0;
+  /// Placed by Device::record_round: its grant varies over [start, end) as
+  /// Device::sm_ledger() records.
+  bool on_ledger = false;
 
   double duration() const noexcept { return end - start; }
+};
+
+/// One constant-grant stretch of a ledger window: kernel_log()[kernel]
+/// held `grant` of the device's SMs over [start, end).
+struct SmSegment {
+  std::size_t kernel = 0;
+  double start = 0.0;
+  double end = 0.0;
+  double grant = 0.0;
 };
 
 /// Per-chain execution context of a pipelined launch (Device::run_pipeline
@@ -175,6 +192,7 @@ class Device {
   std::uint32_t id() const noexcept { return id_; }
   const CostModel& cost_model() const noexcept { return cost_; }
   TransferEngine& transfer() noexcept { return transfer_; }
+  const TransferEngine& transfer() const noexcept { return transfer_; }
 
   /// Returns stream `i`, creating streams up to that index. Stream 0 is
   /// the default stream.
@@ -251,7 +269,7 @@ class Device {
       std::function<void(std::uint64_t chain, ChainContext&, std::uint32_t worker)>;
 
   /// Aggregation of one pipelined execution's kernel slot, ready to be
-  /// recorded with record_pipelined.
+  /// recorded with record_pipelined or record_round.
   struct PipelinedKernel {
     KernelStats stats;
     std::uint64_t num_tasks = 0;
@@ -280,15 +298,48 @@ class Device {
                                        double resource_fraction,
                                        const PipelinedKernel& kernel);
 
-  /// Records a pipelined kernel over an explicit [start, end) window
-  /// instead of the cost model's stream-ready placement — the cached OOM
-  /// path staggers per-chain start times across residency boundaries and
-  /// computes the window itself. `start` must be >= the stream's ready
-  /// time and `end` >= `start` (checked).
-  const KernelRecord& record_pipelined_span(std::string name, Stream& stream,
-                                            double resource_fraction,
-                                            const PipelinedKernel& kernel,
-                                            double start, double end);
+  /// One fused kernel window of a residency round (record_round).
+  struct RoundWindow {
+    std::string name;
+    std::size_t stream = 0;  ///< device stream index (stream())
+    /// When the window's bytes are on the device. The window opens at
+    /// max(ready, the stream's ready time).
+    double ready = 0.0;
+    /// Its claim on free SMs. A window of weight 0 takes none and lasts
+    /// zero seconds (a window that ran no task).
+    double weight = 0.0;
+    PipelinedKernel kernel;
+  };
+
+  /// Places a residency round's windows on the SM ledger and records
+  /// them, in window order; returns the new kernel_log() records. At every
+  /// instant, the SMs that windows of earlier rounds do not hold are
+  /// water-filled across the round's open, unfinished windows in
+  /// proportion to their weights, each capped at the SMs its thread
+  /// blocks can occupy (CostModel::occupiable_fraction(warps)). When a
+  /// window ends, its SMs go to the round's windows still running:
+  /// processor sharing, each window progressing at rate
+  /// 1 / kernel_seconds(stats, grant). Windows of earlier rounds keep
+  /// their placement, so the device never grants more SMs than it has.
+  /// A window alone on an idle device lasts exactly kernel_seconds at its
+  /// cap. Each record's resource_fraction is its time-mean grant; the
+  /// ledger keeps the piecewise grants (sm_ledger()). The windows must be
+  /// on distinct streams (checked).
+  std::span<const KernelRecord> record_round(
+      std::span<const RoundWindow> windows);
+
+  /// Forgets the ledger segments that end by `horizon`, the caller's
+  /// promise that no later window opens before it: they never constrain a
+  /// placement again, so record_round's cost stays flat over long runs.
+  /// A later window opening before the horizon is a caller error
+  /// (checked). sm_ledger() keeps every segment.
+  void prune_ledger(double horizon);
+
+  /// Piecewise SM grants of every window record_round placed, in
+  /// placement order.
+  const std::vector<SmSegment>& sm_ledger() const noexcept {
+    return sm_log_;
+  }
 
   /// Simulated seconds of host-to-device copy time overlapping kernel
   /// execution, over the log suffixes starting at `transfer_log_begin` /
@@ -320,6 +371,9 @@ class Device {
   /// executor (and its parked workers) persists.
   void reset();
 
+  /// Runs the device audit (set_device_audit), if any, on the logs.
+  ~Device();
+
  private:
   ThreadPool* executor() const noexcept {
     return shared_pool_ ? shared_pool_.get() : owned_pool_.get();
@@ -339,8 +393,22 @@ class Device {
   TransferEngine transfer_;
   std::vector<Stream> streams_;
   std::vector<KernelRecord> kernel_log_;
+  std::vector<SmSegment> sm_log_;
+  /// The sm_log_ segments record_round still has to place around: those
+  /// that end after ledger_horizon_.
+  std::vector<SmSegment> sm_live_;
+  double ledger_horizon_ = 0.0;
   std::shared_ptr<ThreadPool> shared_pool_;
   std::unique_ptr<ThreadPool> owned_pool_;
 };
+
+/// A process-wide check run on every Device's logs as the device is
+/// reset or destroyed: how a harness or test audits the simulated
+/// timelines of devices that Sampler and Service build privately (for
+/// example with check_timeline). Install it before devices exist; it is
+/// called from whichever thread drops the device, and may not throw.
+using DeviceAudit = void (*)(const Device&);
+/// Installs `audit` (nullptr removes it).
+void set_device_audit(DeviceAudit audit) noexcept;
 
 }  // namespace csaw::sim

@@ -40,6 +40,9 @@ class TransferEngine {
   const std::vector<TransferRecord>& log() const noexcept { return log_; }
   std::uint64_t total_bytes() const noexcept { return total_bytes_; }
   std::size_t count() const noexcept { return log_.size(); }
+  /// When the link finishes the copies issued so far; a later copy
+  /// starts no earlier.
+  double link_free() const noexcept { return link_free_; }
 
   void reset() noexcept {
     log_.clear();

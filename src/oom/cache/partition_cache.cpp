@@ -246,6 +246,33 @@ void PartitionCache::release(std::uint32_t p) {
   if (--e.pins == 0) e.state = PartitionState::kEvictable;
 }
 
+double PartitionCache::pin(std::uint32_t p) {
+  Entry& e = entries_.at(p);
+  CSAW_CHECK_MSG(e.state == PartitionState::kResident ||
+                     e.state == PartitionState::kEvictable,
+                 "fill pin of partition " << p << " in state "
+                                          << to_string(e.state));
+  e.before_pin = e.state;
+  e.state = PartitionState::kInUse;
+  e.pins = 1;
+  return e.ready_time;
+}
+
+void PartitionCache::unpin(std::uint32_t p, bool used) {
+  Entry& e = entries_.at(p);
+  CSAW_CHECK_MSG(e.state == PartitionState::kInUse && e.pins == 1,
+                 "unpin of partition " << p << " in state "
+                                       << to_string(e.state));
+  e.pins = 0;
+  if (used) {
+    ++metrics_.hits;
+    e.last_acquired = ++acquire_clock_;
+    e.state = PartitionState::kEvictable;
+  } else {
+    e.state = e.before_pin;
+  }
+}
+
 bool PartitionCache::prefetch(std::uint32_t p, sim::Device& device,
                               std::span<const std::size_t> pending,
                               OomMetrics* oom) {

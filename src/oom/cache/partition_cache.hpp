@@ -47,6 +47,8 @@ class TransferError : public std::runtime_error {
 ///   kResident ─acquire─▶ kInUse          (cache hit)
 ///   kInUse ──release───▶ kEvictable      (last pin dropped)
 ///   kEvictable ─acquire▶ kInUse          (cache hit)
+///   kResident/kEvictable ─pin─▶ kInUse   (warm fill; unpin() restores
+///                                         the state if unused)
 ///   kEvictable ─evict──▶ kOnDisk         (victim of a later load)
 ///   kResident ─evict───▶ kOnDisk         (prefetched but never used)
 ///
@@ -67,7 +69,8 @@ std::string to_string(PartitionState state);
 struct CacheMetrics {
   std::uint64_t demand_loads = 0;    ///< acquire() found the partition on disk
   std::uint64_t prefetch_loads = 0;  ///< speculative transfers issued
-  std::uint64_t hits = 0;            ///< acquire() found it on device / in flight
+  /// acquire() found it on device / in flight, or a fill pin's window ran
+  std::uint64_t hits = 0;
   std::uint64_t evictions = 0;
   std::uint64_t bytes_loaded = 0;  ///< demand + prefetch transfer bytes
   std::uint64_t transfer_faults = 0;   ///< injected copy failures observed
@@ -158,6 +161,17 @@ class PartitionCache {
   /// Drops one pin of p; the last release makes it kEvictable.
   void release(std::uint32_t p);
 
+  /// Pins on-device partition p (kResident or kEvictable, checked) for a
+  /// round's warm fill: no transfer, and, unlike acquire(), no hit and no
+  /// recency refresh, since the fill may find no walker there. Returns
+  /// when p's bytes were on the device.
+  double pin(std::uint32_t p);
+
+  /// Drops a pin() pin. `used` (p's window processed at least one entry)
+  /// counts the hit and refreshes the recency that pin() deferred; an
+  /// unused pin leaves p as it was before pin().
+  void unpin(std::uint32_t p, bool used);
+
   /// Speculatively loads partition p (unpinned, state kLoading) so a later
   /// acquire() finds it on device. Declines — returning false, with
   /// nothing evicted — when p is already on device, another prefetch is
@@ -233,6 +247,7 @@ class PartitionCache {
     std::uint32_t lane = 0;     ///< valid while not kOnDisk
     double ready_time = 0.0;    ///< transfer completion (simulated seconds)
     std::uint64_t last_acquired = 0;  ///< acquire_clock_ at its last acquire
+    PartitionState before_pin = PartitionState::kOnDisk;  ///< pin() only
   };
 
   /// Issues the host-to-device copy of partition p on its lane's stream,

@@ -345,12 +345,13 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     // stays free as the prefetch pipeline that streams the next-ranked
     // cold partition in behind the computing set; at three or fewer a
     // reserved place costs more compute width than prefetching saves.
+    // The places the ranked set leaves free take every other partition
+    // on the device (the warm fill), so a walker stepping into one is
+    // consumed this round instead of waiting for the next (§V-B).
     const std::size_t places = std::min<std::size_t>(
         cache.limits().partitions, config_.num_partitions);
     const std::size_t max_compute =
-        order.size() <= places || places < 4
-            ? std::min(order.size(), places)
-            : places - 1;
+        order.size() <= places || places < 4 ? places : places - 1;
     const std::uint32_t in_flight = cache.in_flight();
     std::uint64_t held_bytes =
         in_flight == PartitionCache::kNone ? 0 : parts_->bytes(in_flight);
@@ -369,29 +370,39 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     for (const std::uint32_t p : order) {
       if (cache.on_device(p)) choose(p);
     }
+    const std::size_t warm_count = chosen.size();
     for (const std::uint32_t p : order) {
       if (!cache.on_device(p)) choose(p);
     }
-    CSAW_CHECK_MSG(!chosen.empty(), "no runnable partition fits the cache");
+    const std::size_t ranked_count = chosen.size();
+    CSAW_CHECK_MSG(ranked_count > 0, "no runnable partition fits the cache");
+    for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
+      if (cache.on_device(p) && p != in_flight &&
+          std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
+        choose(p);
+      }
+    }
     const std::size_t chosen_count = chosen.size();
 
-    // Pin the set (warm partitions cost nothing; cold ones demand-load),
-    // then start the best not-yet-resident partition moving.
+    // Pin the warm partitions (ranked, then fill) before any cold acquire,
+    // so no cold load evicts a planned one; then demand-load the cold
+    // ones and start the best not-yet-resident partition moving.
     std::vector<double> ready(chosen_count, 0.0);
-    for (std::size_t i = 0; i < chosen_count; ++i) {
-      ready[i] = cache.acquire(chosen[i], device, pending, &result.metrics);
+    const auto pin_slot = [&](std::size_t i) {
+      ready[i] = i < ranked_count
+                     ? cache.acquire(chosen[i], device, pending,
+                                     &result.metrics)
+                     : cache.pin(chosen[i]);
       slot_of[chosen[i]] = static_cast<std::uint32_t>(i);
-    }
+    };
+    for (std::size_t i = 0; i < warm_count; ++i) pin_slot(i);
+    for (std::size_t i = ranked_count; i < chosen_count; ++i) pin_slot(i);
+    for (std::size_t i = warm_count; i < ranked_count; ++i) pin_slot(i);
     for (const std::uint32_t p : order) {
       if (cache.on_device(p)) continue;  // also skips every chosen one
       cache.prefetch(p, device, pending, &result.metrics);
       break;
     }
-
-    // Block-balancing shares as the barrier waves compute them (the
-    // queues are not drained yet); the timing below caps each window's
-    // grant at the SMs its thread blocks can occupy.
-    const std::vector<double> fractions = sm_fractions(chosen);
 
     // Split the chosen queues by instance into chains: each chain
     // consumes its own entries in (depth, slot) order — the per-instance
@@ -505,37 +516,48 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
         },
         config_.engine.cancel, widths);
 
-    // --- Cross-residency timing: one fused kernel window per resident
-    // partition on its lane's stream, duration from the merged chain
-    // stats at the SMs its thread blocks can occupy — the partition's
-    // block-balancing share, capped at the window's block count. A
-    // window opens at max(bytes-ready, stream-ready), and a warm hit's
-    // bytes are ready immediately — so warm partitions compute while the
-    // round's cold transfers (and the prefetch behind them) are still on
-    // the link. No residency-boundary barrier appears anywhere: rounds
-    // chain per stream, not globally.
-    const sim::CostModel& cost = device.cost_model();
+    // --- Cross-residency timing: one fused kernel window per partition
+    // that ran, on its lane's stream, placed on the device's SM ledger.
+    // A window opens at max(bytes-ready, stream-ready), and a warm
+    // partition's bytes are ready immediately — so warm partitions compute
+    // while the round's cold transfers (and the prefetch behind them) are
+    // still on the link; no residency-boundary barrier appears anywhere.
+    // The SMs earlier rounds leave free are shared by the work each window
+    // did (its processed entries; evenly without block balancing, §V-B),
+    // and a window that ends hands its SMs to the ones still running. A
+    // fill window that processed no entry records nothing.
+    std::vector<sim::Device::RoundWindow> windows;
+    windows.reserve(chosen_count);
+    for (std::size_t i = 0; i < chosen_count; ++i) {
+      const std::uint64_t tasks = kernels[i].num_tasks;
+      if (i >= ranked_count && tasks == 0) continue;
+      windows.push_back(sim::Device::RoundWindow{
+          "oom_cached_p" + std::to_string(chosen[i]),
+          cache.stream_index(chosen[i]), ready[i],
+          static_cast<double>(config_.block_balancing
+                                  ? tasks
+                                  : std::min<std::uint64_t>(tasks, 1)),
+          kernels[i]});
+    }
+    // No later window opens before a stream of a partition on the device
+    // is ready, nor before the link frees for a cold one's copy.
+    double horizon = device.transfer().link_free();
+    for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
+      if (cache.on_device(p)) {
+        horizon = std::min(
+            horizon, device.stream(cache.stream_index(p)).ready_time());
+      }
+    }
+    device.prune_ledger(horizon);
     RunningStat per_round;
     double round_end = 0.0;
-    for (std::size_t i = 0; i < chosen_count; ++i) {
-      const double grant =
-          cost.occupiable_fraction(kernels[i].stats.warps, fractions[i]);
-      const double duration =
-          kernels[i].num_tasks == 0
-              ? 0.0
-              : cost.kernel_seconds(kernels[i].stats, grant);
-      sim::Stream& stream = device.stream(cache.stream_index(chosen[i]));
-      const double window_start = std::max(ready[i], stream.ready_time());
-      const double window_end = window_start + duration;
-      device.record_pipelined_span(
-          "oom_cached_p" + std::to_string(chosen[i]), stream, grant,
-          kernels[i], window_start, window_end);
-      per_round.add(duration);
-      round_end = std::max(round_end, window_end);
+    for (const sim::KernelRecord& record : device.record_round(windows)) {
+      per_round.add(record.duration());
+      round_end = std::max(round_end, record.end);
       ++result.metrics.kernel_launches;
     }
     ++result.metrics.scheduling_rounds;
-    if (chosen_count >= 2 && per_round.mean() > 0.0) {
+    if (windows.size() >= 2 && per_round.mean() > 0.0) {
       imbalance.add(per_round.stddev() / per_round.mean());
     }
 
@@ -560,9 +582,13 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
       chain_of_[chain_instances[c]] = kNoChain;
     }
 
-    for (const std::uint32_t p : chosen) {
-      slot_of[p] = kNotResident;
-      cache.release(p);
+    for (std::size_t i = 0; i < chosen_count; ++i) {
+      slot_of[chosen[i]] = kNotResident;
+      if (i < ranked_count) {
+        cache.release(chosen[i]);
+      } else {
+        cache.unpin(chosen[i], kernels[i].num_tasks > 0);
+      }
     }
     cache.settle(round_end);
     round_guard.commit();

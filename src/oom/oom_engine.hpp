@@ -126,24 +126,30 @@ class OomEngine {
   /// Demand-cache scheduling loop (the kPipelined schedule): each round
   /// pins the scheduler's top-ranked partitions through the cache — as
   /// many as fit its limits, keeping one place free for the prefetch
-  /// pipeline while partitions contend for a count limit — and runs every
-  /// instance with entries there as one chain consuming its own entries
-  /// round by round.
+  /// pipeline while partitions contend for a count limit — then fills the
+  /// places left with every other partition on the device (the warm
+  /// fill), and runs every instance with entries there as one chain
+  /// consuming its own entries round by round. A walker stepping into any
+  /// partition on the device is consumed within the round (§V-B).
   /// Warm partitions skip their transfer entirely and the next-ranked
-  /// cold partition streams in behind the computing set. Kernel windows
-  /// open at max(bytes-ready, stream-ready), so a warm partition computes
-  /// while the round's cold transfers are still on the link — no barrier
-  /// at a residency boundary; rounds chain per stream, never globally.
-  /// Per-instance processing order equals the barrier waves', so samples
-  /// are byte-identical to kStepBarrier; only transfers and the simulated
-  /// timeline change.
+  /// cold partition streams in behind the computing set. Each partition
+  /// that ran gets one kernel window on the device's SM ledger
+  /// (sim::Device::record_round): it opens at max(bytes-ready,
+  /// stream-ready), so a warm partition computes while the round's cold
+  /// transfers are still on the link, and shares the SMs earlier rounds
+  /// leave free with the round's other windows by the entries each
+  /// processed. No barrier at a residency boundary; rounds chain per
+  /// stream, never globally.
+  /// Per-instance processing order equals the barrier waves', so walk
+  /// samples are byte-identical to kStepBarrier; only transfers and the
+  /// simulated timeline change.
   /// `widths` is pipelined_chain_width of the run's spec and seeds.
   void run_cached_pipelined(sim::Device& device, OomRun& result,
                             RunningStat& imbalance, sim::ChainWidth widths);
 
-  /// SM share per chosen partition (thread-block balancing, 3 in Fig. 8):
-  /// proportional to its queued entries under block_balancing, even
-  /// otherwise.
+  /// SM share per chosen partition of a barrier wave (thread-block
+  /// balancing, 3 in Fig. 8): proportional to its queued entries under
+  /// block_balancing, even otherwise.
   std::vector<double> sm_fractions(
       std::span<const std::uint32_t> partitions) const;
 

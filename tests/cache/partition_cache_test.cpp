@@ -426,6 +426,54 @@ TEST(PartitionCache, LeastRecentlyAcquiredBreaksPendingTies) {
   EXPECT_EQ(cache.state(0), PartitionState::kOnDisk);
 }
 
+TEST(PartitionCache, FillPinCountsAHitOnlyWhenItsWindowRan) {
+  auto parts = make_mixed_parts();
+  const std::vector<std::size_t> pending(parts->num_parts(), 0);
+  PartitionCache cache(parts, slots(3));
+  sim::Device device;
+  for (const std::uint32_t p : {2u, 0u, 1u}) {
+    cache.acquire(p, device, pending);
+    cache.release(p);
+  }
+  EXPECT_EQ(cache.metrics().hits, 0u);
+  EXPECT_THROW(cache.pin(4), CheckError);  // on disk: not a fill candidate
+
+  // A fill pin whose window processed nothing leaves no trace: no hit,
+  // no recency refresh, the state it had.
+  cache.pin(2);
+  EXPECT_EQ(cache.state(2), PartitionState::kInUse);
+  cache.unpin(2, /*used=*/false);
+  EXPECT_EQ(cache.state(2), PartitionState::kEvictable);
+  EXPECT_EQ(cache.metrics().hits, 0u);
+
+  // One whose window ran counts the hit and refreshes recency: 0 is now
+  // the most recent, so the victims are 2 (still the oldest), then 1.
+  cache.pin(0);
+  cache.unpin(0, /*used=*/true);
+  EXPECT_EQ(cache.metrics().hits, 1u);
+  cache.acquire(3, device, pending);
+  EXPECT_EQ(cache.state(2), PartitionState::kOnDisk);
+  cache.release(3);
+  cache.acquire(5, device, pending);
+  EXPECT_EQ(cache.state(1), PartitionState::kOnDisk);
+  EXPECT_TRUE(cache.on_device(0));
+  cache.release(5);
+
+  // An unused pin of a prefetched partition leaves it kResident, the
+  // state a never-used prefetch is evicted in first.
+  PartitionCache fresh(parts, slots(2));
+  ASSERT_TRUE(fresh.prefetch(1, device, pending));
+  fresh.settle(device.synchronize());
+  ASSERT_EQ(fresh.state(1), PartitionState::kResident);
+  fresh.pin(1);
+  fresh.unpin(1, /*used=*/false);
+  EXPECT_EQ(fresh.state(1), PartitionState::kResident);
+  fresh.pin(1);
+  fresh.unpin(1, /*used=*/true);
+  EXPECT_EQ(fresh.state(1), PartitionState::kEvictable);
+  EXPECT_EQ(fresh.metrics().hits, 1u);
+}
+
 TEST(PartitionCache, DistinctResidentPartitionsGetDistinctStreams) {
   auto parts = make_mixed_parts();
   const std::uint32_t n = parts->num_parts();

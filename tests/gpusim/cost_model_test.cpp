@@ -113,35 +113,33 @@ TEST(CostModel, TransferUsesLinkBandwidthPlusLatency) {
   EXPECT_NEAR(model.transfer_seconds(0), 10e-6, 1e-9);
 }
 
-TEST(CostModel, OccupiableFractionKeepsShareWhenBlocksCoverIt) {
+TEST(CostModel, OccupiableFractionIsTheWholeDeviceWhenBlocksCoverIt) {
   const CostModel model(test_params());  // 80 SMs
-  // 400 warps = 50 blocks: more SMs than a 1/4 share (20) can be filled.
-  EXPECT_EQ(model.occupiable_fraction(400, 0.25), 0.25);
-  // Exactly 20 blocks fill the 1/4 share, no more.
-  EXPECT_EQ(model.occupiable_fraction(20 * kWarpsPerBlock, 0.25), 0.25);
+  // Exactly 80 blocks fill the device, and 400 more cannot use more.
+  EXPECT_EQ(model.occupiable_fraction(80 * kWarpsPerBlock), 1.0);
+  EXPECT_EQ(model.occupiable_fraction(480 * kWarpsPerBlock), 1.0);
 }
 
 TEST(CostModel, OccupiableFractionCapsAtBlockCount) {
   const CostModel model(test_params());  // 80 SMs
-  // 17 warps round up to 3 blocks: 3 of 80 SMs, whatever the share.
-  EXPECT_EQ(model.occupiable_fraction(17, 1.0 / 3.0), 3.0 / 80.0);
-  EXPECT_EQ(model.occupiable_fraction(1, 1.0), 1.0 / 80.0);
+  // 17 warps round up to 3 blocks: 3 of 80 SMs.
+  EXPECT_EQ(model.occupiable_fraction(17), 3.0 / 80.0);
+  EXPECT_EQ(model.occupiable_fraction(1), 1.0 / 80.0);
   // Charging the few-warp kernel on its blocks' SMs only drops the stall
-  // penalty it paid across the idle SMs of the share.
+  // penalty it paid across idle SMs.
   KernelStats few;
   few.warps = 17;
   few.lockstep_rounds = 1'000'000;
-  const double grant = model.occupiable_fraction(few.warps, 1.0 / 3.0);
+  const double grant = model.occupiable_fraction(few.warps);
   EXPECT_LT(model.kernel_seconds(few, grant),
             model.kernel_seconds(few, 1.0 / 3.0));
 }
 
-TEST(CostModel, OccupiableFractionOfEmptyLaunchIsItsShare) {
+TEST(CostModel, OccupiableFractionOfEmptyLaunchIsTheDevice) {
   const CostModel model(test_params());
-  // Zero warps keep the share: kernel_seconds rejects a zero fraction.
-  EXPECT_EQ(model.occupiable_fraction(0, 0.4), 0.4);
-  EXPECT_EQ(model.kernel_seconds(KernelStats{},
-                                 model.occupiable_fraction(0, 0.4)),
+  // Zero warps keep a positive fraction: kernel_seconds rejects zero.
+  EXPECT_EQ(model.occupiable_fraction(0), 1.0);
+  EXPECT_EQ(model.kernel_seconds(KernelStats{}, model.occupiable_fraction(0)),
             0.0);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gpusim/timeline.hpp"
+#include "util/check.hpp"
+
 namespace csaw::sim {
 namespace {
 
@@ -199,6 +202,137 @@ TEST(Device, SetNumThreadsZeroResolvesAuto) {
   Device device;
   device.set_num_threads(0);
   EXPECT_GE(device.max_workers(), 1u);
+}
+
+// --- The SM ledger (Device::record_round) and its checker.
+
+/// A pipelined kernel of `warps` warps and `rounds` lock-step rounds.
+Device::PipelinedKernel window_kernel(std::uint64_t warps,
+                                      std::uint64_t rounds) {
+  Device::PipelinedKernel k;
+  k.stats.warps = warps;
+  k.stats.lockstep_rounds = rounds;
+  k.stats.occupied_slot_rounds = rounds;
+  k.stats.max_warp_rounds = 1;
+  k.num_tasks = warps;
+  return k;
+}
+
+Device::RoundWindow window(std::size_t stream, double weight,
+                           Device::PipelinedKernel kernel,
+                           double ready = 0.0) {
+  return Device::RoundWindow{"w" + std::to_string(stream), stream, ready,
+                             weight, kernel};
+}
+
+TEST(Ledger, WindowAloneLastsKernelSecondsAtItsCap) {
+  Device device;
+  const auto kernel = window_kernel(16, 200000);  // 2 blocks
+  const double cap = 2.0 / device.cost_model().params().sm_count;
+  const auto records = device.record_round(
+      std::vector<Device::RoundWindow>{window(0, 16, kernel, 1e-4)});
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].start, 1e-4);
+  EXPECT_EQ(records[0].end,
+            1e-4 + device.cost_model().kernel_seconds(kernel.stats, cap));
+  EXPECT_DOUBLE_EQ(records[0].resource_fraction, cap);
+  ASSERT_EQ(device.sm_ledger().size(), 1u);
+  EXPECT_EQ(device.sm_ledger()[0].grant, cap);
+  EXPECT_EQ(device.stream(0).ready_time(), records[0].end);
+  EXPECT_EQ(check_timeline(device), cap);
+}
+
+TEST(Ledger, FreeSmsFollowTheWorkAndPassToTheWindowsStillRunning) {
+  Device device;
+  // Both could fill the device; the first processed three times the
+  // entries, the second has more rounds per entry and outlasts it.
+  const auto big = window_kernel(8000, 3000000);
+  const auto small = window_kernel(8000, 2000000);
+  const auto records = device.record_round(std::vector<Device::RoundWindow>{
+      window(0, 3, big), window(1, 1, small)});
+  ASSERT_EQ(records.size(), 2u);
+  const auto& ledger = device.sm_ledger();
+  ASSERT_EQ(ledger.size(), 3u);
+  EXPECT_DOUBLE_EQ(ledger[0].grant, 0.75);
+  EXPECT_DOUBLE_EQ(ledger[1].grant, 0.25);
+  // The survivor takes the SMs the first hands back.
+  EXPECT_EQ(ledger[2].kernel, ledger[1].kernel);
+  EXPECT_EQ(ledger[2].grant, 1.0);
+  EXPECT_EQ(ledger[2].start, records[0].end);
+  EXPECT_EQ(records[1].end, ledger[2].end);
+  EXPECT_DOUBLE_EQ(records[0].resource_fraction, 0.75);
+  EXPECT_GT(records[1].resource_fraction, 0.25);
+  EXPECT_LT(records[1].resource_fraction, 1.0);
+  EXPECT_DOUBLE_EQ(check_timeline(device), 1.0);
+}
+
+TEST(Ledger, LaterRoundsGetOnlyTheSmsEarlierRoundsLeave) {
+  Device device;
+  // Round 1 holds half the device (40 blocks) for a while.
+  const auto first = device.record_round(std::vector<Device::RoundWindow>{
+      window(0, 1, window_kernel(320, 4000000))});
+  const double first_end = first[0].end;
+  EXPECT_EQ(first[0].resource_fraction, 0.5);
+  // Round 2 opens at once on another stream: half until round 1 ends,
+  // then the whole device.
+  const auto second = device.record_round(std::vector<Device::RoundWindow>{
+      window(1, 1, window_kernel(8000, 40000000))});
+  EXPECT_EQ(second[0].start, 0.0);
+  const auto& ledger = device.sm_ledger();
+  ASSERT_EQ(ledger.size(), 3u);
+  EXPECT_EQ(ledger[1].grant, 0.5);
+  EXPECT_EQ(ledger[1].end, first_end);
+  EXPECT_EQ(ledger[2].grant, 1.0);
+  EXPECT_DOUBLE_EQ(check_timeline(device), 1.0);
+}
+
+TEST(Ledger, ZeroWeightWindowTakesNoTimeAndNoSms) {
+  Device device;
+  device.transfer().host_to_device(device.stream(2), 1 << 20, "p");
+  const double landed = device.stream(2).ready_time();
+  const auto records = device.record_round(std::vector<Device::RoundWindow>{
+      window(2, 0, Device::PipelinedKernel{})});
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].start, landed);
+  EXPECT_EQ(records[0].end, landed);
+  EXPECT_TRUE(device.sm_ledger().empty());
+}
+
+TEST(Ledger, RejectsSharedStreamsAndWindowsBeforeThePrunedHorizon) {
+  Device device;
+  const auto kernel = window_kernel(8, 1000);
+  EXPECT_THROW(device.record_round(std::vector<Device::RoundWindow>{
+                   window(0, 1, kernel), window(0, 1, kernel)}),
+               CheckError);
+  device.prune_ledger(1.0);
+  EXPECT_THROW(device.record_round(
+                   std::vector<Device::RoundWindow>{window(1, 1, kernel)}),
+               CheckError);
+}
+
+TEST(Timeline, RejectsTwoOperationsOnOneStreamAtOnce) {
+  Device device;
+  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(1000); };
+  device.launch("a", device.stream(0), 1.0, 10, body);
+  EXPECT_NO_THROW(check_timeline(device));
+  device.stream(0).reset();  // forget that stream 0 is busy
+  device.launch("b", device.stream(0), 1.0, 10, body);
+  EXPECT_THROW(check_timeline(device), CheckError);
+}
+
+std::size_t audits = 0;
+
+TEST(Timeline, DeviceAuditSeesResetAndDroppedDevices) {
+  set_device_audit([](const Device&) { ++audits; });
+  {
+    Device device;
+    device.reset();
+    EXPECT_EQ(audits, 1u);
+  }
+  EXPECT_EQ(audits, 2u);
+  set_device_audit(nullptr);
+  { Device device; }
+  EXPECT_EQ(audits, 2u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "algorithms/random_walks.hpp"
 #include "graph/generators.hpp"
 #include "oom/oom_engine.hpp"
+#include "../timeline_audit.hpp"
 
 namespace csaw {
 namespace {

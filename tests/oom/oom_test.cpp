@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "algorithms/forest_fire.hpp"
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/node2vec.hpp"
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
+#include "gpusim/timeline.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+#include "../timeline_audit.hpp"
 
 namespace csaw {
 namespace {
@@ -214,9 +218,11 @@ TEST(Oom, ForestFireRunsWithBranchingCap) {
 }
 
 TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
-  // A thread block runs on one SM, so each cached kernel window is
-  // charged on at most ceil(warps / kWarpsPerBlock) SMs, and its window
-  // on the stream is exactly the cost model's duration at that grant.
+  // A thread block runs on one SM, so no stretch of a cached kernel
+  // window on the SM ledger is granted more than ceil(warps /
+  // kWarpsPerBlock) SMs. 24 walkers over 4 partitions never fill the
+  // device, so every stretch runs at exactly that cap, and each window
+  // lasts the cost model's duration at its cap.
   const CsrGraph g = generate_rmat(1024, 8192, 61);
   auto setup = biased_random_walk(/*length=*/12);
   OomConfig c;
@@ -230,25 +236,79 @@ TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
   oom.run_single_seed(device, spread_seeds(g, 24));
 
   const double sm_count = device.cost_model().params().sm_count;
-  std::size_t windows = 0;
+  const auto block_cap = [&](const sim::KernelRecord& k) {
+    return static_cast<double>((k.stats.warps + sim::kWarpsPerBlock - 1) /
+                               sim::kWarpsPerBlock) /
+           sm_count;
+  };
+  std::size_t segments = 0;
   std::size_t capped = 0;
+  for (const sim::SmSegment& seg : device.sm_ledger()) {
+    const sim::KernelRecord& k = device.kernel_log()[seg.kernel];
+    ASSERT_EQ(k.name.rfind("oom_cached_p", 0), 0u) << k.name;
+    ++segments;
+    EXPECT_LE(seg.grant, block_cap(k)) << k.name;
+    if (seg.grant == block_cap(k)) ++capped;
+  }
+  EXPECT_GT(segments, 0u);
+  EXPECT_EQ(capped, segments);
   for (const sim::KernelRecord& k : device.kernel_log()) {
-    if (k.name.rfind("oom_cached_p", 0) != 0) continue;
-    ++windows;
-    const auto blocks = static_cast<double>(
-        (k.stats.warps + sim::kWarpsPerBlock - 1) / sim::kWarpsPerBlock);
-    // resource_fraction * sm_count <= blocks, without the rounding of
-    // the product.
-    EXPECT_LE(k.resource_fraction, blocks / sm_count) << k.name;
-    if (k.resource_fraction == blocks / sm_count) ++capped;
-    EXPECT_EQ(k.end,
-              k.start + device.cost_model().kernel_seconds(
-                            k.stats, k.resource_fraction))
+    EXPECT_DOUBLE_EQ(k.end, k.start + device.cost_model().kernel_seconds(
+                                          k.stats, block_cap(k)))
         << k.name;
   }
-  EXPECT_GT(windows, 0u);
-  // 24 walkers over 4 partitions never fill a block-balancing share.
-  EXPECT_EQ(capped, windows);
+}
+
+TEST(Oom, CachedRoundsNeverOversubscribeTheSms) {
+  // Rounds chain per stream with no barrier between them, so a round's
+  // windows open while the last round's still run. Granting each round
+  // its own shares of the whole device held up to 1.91x of its SMs on
+  // this sweep; the ledger grants each window only the SMs earlier
+  // windows leave free.
+  auto setup = biased_random_walk(/*length=*/16);
+  double peak = 0.0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const CsrGraph g = generate_rmat(4096, 32768, seed);
+    for (const auto& [partitions, resident] :
+         std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+             {4, 3}, {8, 4}, {8, 5}, {8, 6}, {8, 7}}) {
+      OomConfig c;
+      c.num_partitions = partitions;
+      c.resident_partitions = resident;
+      c.engine.schedule = Schedule::kPipelined;
+      OomEngine oom(g, setup.policy, setup.spec, c);
+      sim::Device device;
+      oom.run_single_seed(device, spread_seeds(g, 128));
+      const double use = sim::check_timeline(device);
+      EXPECT_LE(use, 1.0 + 1e-9) << "seed " << seed << ", " << resident
+                                 << " of " << partitions << " resident";
+      peak = std::max(peak, use);
+    }
+  }
+  EXPECT_GT(peak, 0.99);  // the sweep does fill the device
+}
+
+TEST(Oom, FullyResidentHubWindowTakesTheSmsOthersFree) {
+  // Every partition resident: one round. The hub partition processes
+  // most of the round's entries, so it gets most of the free SMs, and the
+  // SMs of the windows that end pass to it. At the share of its
+  // round-start queue it ran on 25% of the SMs to 1.96 ms, while the
+  // other windows ended by 0.37 ms.
+  const CsrGraph g = generate_rmat(8192, 65536, 0xC5A7);
+  auto setup = biased_random_walk(/*length=*/32);
+  OomConfig c;
+  c.num_partitions = 4;
+  c.resident_partitions = 4;
+  c.engine.schedule = Schedule::kPipelined;
+  OomEngine oom(g, setup.policy, setup.spec, c);
+  std::vector<VertexId> seeds(256);
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
+  }
+  sim::Device device;
+  const OomRun run = oom.run_single_seed(device, seeds);
+  EXPECT_EQ(run.metrics.scheduling_rounds, 1u);
+  EXPECT_LE(run.sim_seconds, 0.8e-3);
 }
 
 TEST(Oom, TransfersAndMetricsPopulated) {

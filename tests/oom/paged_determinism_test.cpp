@@ -9,12 +9,15 @@
 // the byte-contract covers.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "algorithms/node2vec.hpp"
 #include "algorithms/random_walks.hpp"
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
+#include "oom/oom_engine.hpp"
+#include "../timeline_audit.hpp"
 
 namespace csaw {
 namespace {
@@ -203,6 +206,67 @@ TEST(PagedDeterminism, MoreWalksNeverCostLessSimulatedTime) {
       previous_walks = walks;
     }
   }
+}
+
+TEST(PagedDeterminism, WarmFillFinishesAWalkerInOneRound) {
+  // Every partition on the device, one walker: the partitions it steps
+  // into hold no pending walker when the round starts, but they are warm,
+  // so the round computes them too and the walk ends in that round. A
+  // compute set of only the round-start queues took 10 rounds here.
+  const auto setup = biased_random_walk(/*length=*/16);
+  const CsrGraph g = generate_rmat(1024, 8192, 61);
+  auto parts = std::make_shared<const PartitionedGraph>(g, 4);
+  auto cache =
+      std::make_shared<PartitionCache>(parts, CacheLimits{.partitions = 4});
+  OomConfig config;
+  config.num_partitions = 4;
+  config.resident_partitions = 4;
+  config.engine.schedule = Schedule::kPipelined;
+  OomEngine engine(g, setup.policy, setup.spec, config, parts);
+  engine.set_cache(cache);
+  std::vector<VertexId> warm(64);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    warm[i] = static_cast<VertexId>((i * 97) % g.num_vertices());
+  }
+  {
+    sim::Device device;
+    engine.run_single_seed(device, warm);
+  }
+  ASSERT_EQ(cache->resident_count(), 4u);
+
+  const std::vector<VertexId> one = {0};
+  sim::Device device;
+  const OomRun run = engine.run_single_seed(device, one);
+  EXPECT_EQ(run.metrics.scheduling_rounds, 1u);
+  EXPECT_EQ(run.metrics.partition_transfers, 0u);
+  // Hits only for partitions whose windows ran: the walk's own.
+  EXPECT_GE(run.metrics.cache_hits, 2u);
+  EXPECT_LE(run.metrics.cache_hits, 4u);
+  EXPECT_EQ(run.metrics.kernel_launches, run.metrics.cache_hits);
+
+  SamplerOptions in_memory;
+  in_memory.mode = ExecutionMode::kInMemory;
+  Sampler sampler(g, setup, in_memory);
+  const RunResult reference = sampler.run_single_seed(one);
+  EXPECT_EQ(run.samples.edges(0), reference.samples.edges(0));
+  EXPECT_EQ(run.samples.total_edges(), 16u);
+}
+
+TEST(PagedDeterminism, WarmFillCutsRoundsAndTransfers) {
+  // Six of eight partitions resident (bench_harness paged/single_graph):
+  // walkers stepping into a warm partition outside the ranked set no
+  // longer wait a round, and the cache evicts less. A compute set of
+  // only the round-start queues took 11 rounds and 17 transfers here.
+  const auto setup = biased_random_walk(/*length=*/12);
+  const RunResult cached = run_walk(setup, cached_options(6, 2));
+  ASSERT_TRUE(cached.oom.has_value());
+  EXPECT_LT(cached.oom->scheduling_rounds, 11u);
+  EXPECT_LT(cached.oom->partition_transfers, 17u);
+
+  SamplerOptions in_memory;
+  in_memory.mode = ExecutionMode::kInMemory;
+  expect_same_samples(cached, run_walk(setup, in_memory),
+                      "warm-filled cached vs in-memory");
 }
 
 TEST(PagedDeterminism, BatchedServingStaysWarmAcrossChunks) {

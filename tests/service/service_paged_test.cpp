@@ -18,6 +18,7 @@
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "../timeline_audit.hpp"
 
 namespace csaw {
 namespace {

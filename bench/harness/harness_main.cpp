@@ -1,8 +1,10 @@
 // The trajectory harness: one registry run producing the tracked perf
 // record. Executes the throughput trajectory (pipelined vs step-barrier
-// SEPS at 1..N host threads) plus the figure-smoke subset, and writes the
+// SEPS, checked identical at 1..N host threads), the figure-smoke subset
+// and the paged and sharded service scenarios, and writes the
 // schema-versioned BENCH_throughput.json — committed at the repo root as
-// the perf trajectory, gated in CI by bench_compare. See
+// the perf trajectory, gated in CI by bench_compare. Everything it
+// records is simulated, gated or a check; host time is perfbench's. See
 // docs/BENCHMARKS.md for the schema and workflow.
 //
 // Every simulated device a case builds, inside Samplers and Services too,
@@ -22,7 +24,6 @@
 #include "gpusim/timeline.hpp"
 #include "harness/paged_bench.hpp"
 #include "harness/registry.hpp"
-#include "harness/service_bench.hpp"
 #include "harness/shard_bench.hpp"
 #include "harness/throughput.hpp"
 #include "util/table.hpp"
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "-- figure smoke\n";
-  TablePrinter table({"case", "figure", "edges", "SEPS (simulated)", "wall s"});
+  TablePrinter table({"case", "figure", "edges", "SEPS (simulated)"});
   bench::Json smoke_json = bench::Json::array();
   for (const bench::SmokeCase& smoke : bench::figure_smoke_cases()) {
     bench::SmokeResult result;
@@ -88,14 +89,12 @@ int main(int argc, char** argv) {
     row.cell(smoke.figure);
     row.cell(static_cast<std::int64_t>(result.sampled_edges));
     row.cell(result.seps, 0);
-    row.cell(result.wall_seconds, 3);
 
     bench::Json entry = bench::Json::object();
     entry.set("name", smoke.name);
     entry.set("figure", smoke.figure);
     entry.set("sampled_edges", result.sampled_edges);
     entry.set("seps", result.seps);
-    entry.set("wall_seconds", result.wall_seconds);
     smoke_json.push_back(std::move(entry));
   }
   table.print(std::cout);
@@ -119,33 +118,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::cout << "-- service throughput (wall-clock, informational)\n";
-  try {
-    record.set("service", bench::run_service_throughput(env, std::cout));
-  } catch (const std::exception& e) {
-    std::cerr << "service throughput scenario failed: " << e.what() << "\n";
-    return 1;
-  }
-
-  std::cout << "-- service overlap: serialized vs concurrent dispatch "
-               "(wall-clock, informational)\n";
-  try {
-    record.set("service_overlap", bench::run_service_overlap(env, std::cout));
-  } catch (const std::exception& e) {
-    std::cerr << "service overlap scenario failed: " << e.what() << "\n";
-    return 1;
-  }
-
-  std::cout << "-- service fairness: flood vs light tenant under quota "
-               "(wall-clock, informational)\n";
-  try {
-    record.set("service_fairness",
-               bench::run_service_fairness(env, std::cout));
-  } catch (const std::exception& e) {
-    std::cerr << "service fairness scenario failed: " << e.what() << "\n";
-    return 1;
-  }
-
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot open " << out_path << " for writing\n";
@@ -155,7 +127,6 @@ int main(int argc, char** argv) {
   std::cout << "Timelines checked: " << audited_devices.load()
             << " simulated devices.\n";
   std::cout << "Wrote " << out_path
-            << ". SEPS fields are simulated (machine-independent); "
-               "wall_seconds is host time and never gated.\n";
+            << ". SEPS fields are simulated (machine-independent).\n";
   return 0;
 }

@@ -17,7 +17,7 @@
 namespace csaw::bench {
 namespace {
 
-// Fixed scenario shapes (env-independent, like the service scenarios):
+// Fixed scenario shapes (env-independent, like the figure-smoke cases):
 // committed records must stay comparable across machines and knobs.
 
 // --- single_graph: the walk workload of the paged determinism suite at

@@ -8,7 +8,6 @@
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace csaw::bench {
 namespace {
@@ -26,13 +25,8 @@ std::vector<VertexId> smoke_seeds(const CsrGraph& g, std::uint32_t n) {
 SmokeResult run_one(const CsrGraph& g, const AlgorithmSetup& setup,
                     std::uint32_t instances, SamplerOptions options) {
   Sampler sampler(g, setup, std::move(options));
-  WallTimer timer;
   const RunResult result = sampler.run_single_seed(smoke_seeds(g, instances));
-  SmokeResult smoke;
-  smoke.wall_seconds = timer.seconds();
-  smoke.sampled_edges = result.sampled_edges();
-  smoke.seps = result.seps();
-  return smoke;
+  return SmokeResult{result.sampled_edges(), result.seps()};
 }
 
 const CsrGraph& smoke_graph() {
@@ -105,9 +99,7 @@ const std::vector<SmokeCase>& figure_smoke_cases() {
          // requests queues while the dispatcher is paused, so the batching
          // (and therefore the simulated makespan the SEPS gate reads) is a
          // pure function of the mix — two algorithms, varying request
-         // sizes, one coalesced stream space. Wall time stays recorded
-         // but, as everywhere in the registry, only SEPS is gated.
-         WallTimer timer;
+         // sizes, one coalesced stream space.
          ServiceConfig config;
          config.start_paused = true;
          config.max_queue_depth = 64;
@@ -137,12 +129,9 @@ const std::vector<SmokeCase>& figure_smoke_cases() {
          }
          service.shutdown();
          const ServiceStats stats = service.stats();
-         SmokeResult smoke;
-         smoke.wall_seconds = timer.seconds();
-         smoke.sampled_edges = stats.sampled_edges;
-         smoke.seps = sampled_edges_per_second(stats.sampled_edges,
-                                               stats.sim_seconds);
-         return smoke;
+         return SmokeResult{stats.sampled_edges,
+                            sampled_edges_per_second(stats.sampled_edges,
+                                                     stats.sim_seconds)};
        }},
       {"service_concurrent", "§serving (repo-native)",
        [] {
@@ -154,7 +143,6 @@ const std::vector<SmokeCase>& figure_smoke_cases() {
          // queue), so sampled_edges and the summed simulated makespan —
          // the gated SEPS — are schedule-independent even though batch
          // *interleaving* is not.
-         WallTimer timer;
          ServiceConfig config;
          config.start_paused = true;
          config.max_concurrent_batches = 2;
@@ -195,12 +183,9 @@ const std::vector<SmokeCase>& figure_smoke_cases() {
          // batches formed-in-flight at once (a scheduling fact, unlike
          // executing overlap, which is timing-dependent).
          CSAW_CHECK(stats.peak_inflight_batches == 2);
-         SmokeResult smoke;
-         smoke.wall_seconds = timer.seconds();
-         smoke.sampled_edges = stats.sampled_edges;
-         smoke.seps = sampled_edges_per_second(stats.sampled_edges,
-                                               stats.sim_seconds);
-         return smoke;
+         return SmokeResult{stats.sampled_edges,
+                            sampled_edges_per_second(stats.sampled_edges,
+                                                     stats.sim_seconds)};
        }},
   };
   return cases;

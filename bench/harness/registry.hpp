@@ -10,11 +10,10 @@ namespace csaw::bench {
 /// Result of one figure-smoke case: a fixed-size, env-independent
 /// mini-workload through the same code path a full figure bench drives.
 /// SEPS is simulated (deterministic across machines — the comparator
-/// gates on it); wall_seconds is host time (recorded, never gated).
+/// gates on it).
 struct SmokeResult {
   std::uint64_t sampled_edges = 0;
   double seps = 0.0;
-  double wall_seconds = 0.0;
 };
 
 /// One entry of the harness registry.

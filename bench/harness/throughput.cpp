@@ -1,9 +1,9 @@
 #include "harness/throughput.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algorithms/neighbor_sampling.hpp"
@@ -12,14 +12,11 @@
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace csaw::bench {
 namespace {
 
 struct Measurement {
-  std::uint32_t threads = 1;
-  double wall_seconds = 0.0;
   double seps = 0.0;
   std::uint64_t sampled_edges = 0;
   double sim_seconds = 0.0;
@@ -63,8 +60,6 @@ Json run_throughput_trajectory(const BenchEnv& env, std::ostream& log) {
   record.set("schema_version", kTrajectorySchemaVersion);
   record.set("benchmark", "throughput");
   record.set("graph", abbr);
-  record.set("hardware_concurrency",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   Json threads_json = Json::array();
   for (const std::uint32_t t : widths) threads_json.push_back(t);
   record.set("threads", std::move(threads_json));
@@ -96,27 +91,22 @@ Json run_throughput_trajectory(const BenchEnv& env, std::ostream& log) {
 
     for (const Schedule schedule : schedules) {
       const std::string schedule_label = to_string(schedule);
-      TablePrinter table(
-          {"schedule", "threads", "wall s", "speedup", "SEPS (simulated)"});
-      std::vector<Measurement> runs;
+      TablePrinter table({"schedule", "threads", "SEPS (simulated)"});
+      std::optional<Measurement> first;  // the 1-thread run
       for (const std::uint32_t threads : widths) {
         SamplerOptions options;
         options.num_threads = threads;
         options.schedule = schedule;
         Sampler sampler(g, work.setup, options);
-        WallTimer timer;
         const RunResult result = sampler.run_single_seed(seeds);
-        Measurement m;
-        m.threads = threads;
-        m.wall_seconds = timer.seconds();
-        m.seps = result.seps();
-        m.sampled_edges = result.sampled_edges();
-        m.sim_seconds = result.sim_seconds;
-        runs.push_back(m);
+        const Measurement m{result.seps(), result.sampled_edges(),
+                            result.sim_seconds};
+        if (!first) first = m;
 
-        // The determinism contract: widths only change wall-clock.
-        CSAW_CHECK_MSG(m.sampled_edges == runs.front().sampled_edges &&
-                           m.sim_seconds == runs.front().sim_seconds,
+        // The determinism contract: the host width changes nothing
+        // simulated.
+        CSAW_CHECK_MSG(m.sampled_edges == first->sampled_edges &&
+                           m.sim_seconds == first->sim_seconds,
                        "parallel run diverged from the 1-thread baseline at "
                            << threads << " threads (" << schedule_label
                            << ")");
@@ -124,38 +114,24 @@ Json run_throughput_trajectory(const BenchEnv& env, std::ostream& log) {
         auto row = table.row();
         row.cell(schedule_label);
         row.cell(static_cast<std::int64_t>(threads));
-        row.cell(m.wall_seconds, 3);
-        row.cell(runs.front().wall_seconds / std::max(m.wall_seconds, 1e-12),
-                 2);
         row.cell(m.seps, 0);
       }
       table.print(log);
 
       if (schedule == Schedule::kPipelined) {
-        pipelined_edges = runs.front().sampled_edges;
-        pipelined_seps = runs.front().seps;
+        pipelined_edges = first->sampled_edges;
+        pipelined_seps = first->seps;
       } else {
-        barrier_seps = runs.front().seps;
+        barrier_seps = first->seps;
         CSAW_CHECK_MSG(
-            runs.front().sampled_edges == pipelined_edges,
+            first->sampled_edges == pipelined_edges,
             "schedules sampled different edge counts for " << work.name);
       }
 
       Json schedule_json = Json::object();
       schedule_json.set("schedule", schedule_label);
-      schedule_json.set("seps", runs.front().seps);
-      schedule_json.set("sim_seconds", runs.front().sim_seconds);
-      Json runs_json = Json::array();
-      for (const Measurement& m : runs) {
-        Json run_json = Json::object();
-        run_json.set("threads", m.threads);
-        run_json.set("wall_seconds", m.wall_seconds);
-        run_json.set("speedup",
-                     runs.front().wall_seconds /
-                         std::max(m.wall_seconds, 1e-12));
-        runs_json.push_back(std::move(run_json));
-      }
-      schedule_json.set("runs", std::move(runs_json));
+      schedule_json.set("seps", first->seps);
+      schedule_json.set("sim_seconds", first->sim_seconds);
       schedules_json.push_back(std::move(schedule_json));
     }
 

@@ -29,7 +29,12 @@ namespace csaw::bench {
 /// Still v7: single_graph's legacy_seps/legacy_transfers/speedup gave way
 /// to barrier_seps/barrier_transfers when the up-front residency plan
 /// they measured was deleted (no kept field changed meaning; the barrier
-/// SEPS is not gated).
+/// SEPS is not gated). Also still v7: the record dropped its single-shot
+/// host clock — the "service", "service_overlap" and "service_fairness"
+/// blocks, each schedule's per-width "runs" (wall_seconds, speedup),
+/// figure_smoke's wall_seconds and the top-level hardware_concurrency —
+/// leaving host time to perfbench's repeated runs. No kept field changed
+/// meaning.
 constexpr int kTrajectorySchemaVersion = 7;
 
 /// Runs the throughput trajectory workloads (biased neighbor sampling +
@@ -41,9 +46,9 @@ constexpr int kTrajectorySchemaVersion = 7;
 /// The host thread widths are resolved exactly once (1, 2, 4 and the
 /// CSAW_THREADS/hardware_concurrency auto width, deduplicated) and
 /// recorded in the "threads" field, so trajectory points name the grid
-/// they ran on. Simulated SEPS is width-invariant by construction
-/// (asserted); wall-clock is machine-dependent and recorded for the
-/// scaling curve only — the CI comparator gates on SEPS.
+/// they ran on. The grid exists for its check: simulated SEPS is
+/// width-invariant by construction (asserted), and the record keeps only
+/// the simulated numbers — host time is perfbench's to measure.
 ///
 /// Checks (CheckError on violation):
 ///   - samples and simulated time identical across widths per schedule,

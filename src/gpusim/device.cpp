@@ -149,25 +149,6 @@ const KernelRecord& Device::record_kernel(
 const KernelRecord& Device::launch(std::string name, Stream& stream,
                                    double resource_fraction,
                                    std::uint64_t num_tasks,
-                                   const WarpBody& body) {
-  // Legacy bodies may touch shared state: always the serial loop.
-  KernelStats stats;
-  std::vector<std::uint64_t> warp_rounds(num_tasks, 0);
-  for (std::uint64_t task = 0; task < num_tasks; ++task) {
-    const std::uint64_t before = stats.lockstep_rounds;
-    {
-      WarpContext warp(stats);
-      body(task, warp);
-    }
-    warp_rounds[task] = stats.lockstep_rounds - before;
-  }
-  return record_kernel(std::move(name), stream, resource_fraction, num_tasks,
-                       stats, warp_rounds);
-}
-
-const KernelRecord& Device::launch(std::string name, Stream& stream,
-                                   double resource_fraction,
-                                   std::uint64_t num_tasks,
                                    const WorkerWarpBody& body,
                                    const TaskAffinity& affinity) {
   KernelStats stats;
@@ -175,12 +156,6 @@ const KernelRecord& Device::launch(std::string name, Stream& stream,
   execute_tasks(num_tasks, body, affinity, stats, warp_rounds);
   return record_kernel(std::move(name), stream, resource_fraction, num_tasks,
                        stats, warp_rounds);
-}
-
-const KernelRecord& Device::run_kernel(std::string name,
-                                       std::uint64_t num_tasks,
-                                       const WarpBody& body) {
-  return launch(std::move(name), stream(0), 1.0, num_tasks, body);
 }
 
 const KernelRecord& Device::run_kernel(std::string name,

@@ -167,16 +167,11 @@ class PersistentKernelShape {
 /// TaskAffinity).
 class Device {
  public:
-  /// Legacy kernel body. Bodies of this shape may touch shared state
-  /// freely — they always execute serially in task order, even when an
-  /// executor is attached.
-  using WarpBody = std::function<void(std::uint64_t task, WarpContext&)>;
-
-  /// Parallel-capable kernel body: `worker` identifies the executing host
-  /// thread in [0, max_workers()) and indexes per-worker scratch. The body
-  /// may only mutate (a) state owned by its task (pre-sized per-task
-  /// slots), (b) scratch owned by `worker`, and (c) state owned by its
-  /// affinity group (see TaskAffinity).
+  /// Kernel body: `worker` identifies the executing host thread in
+  /// [0, max_workers()) and indexes per-worker scratch. The body may only
+  /// mutate (a) state owned by its task (pre-sized per-task slots),
+  /// (b) scratch owned by `worker`, and (c) state owned by its affinity
+  /// group (see TaskAffinity).
   using WorkerWarpBody =
       std::function<void(std::uint64_t task, WarpContext&, std::uint32_t worker)>;
 
@@ -220,19 +215,14 @@ class Device {
 
   /// Launches `num_tasks` warp-tasks of `body` on `stream`, holding
   /// `resource_fraction` of the device's SMs. Returns the launch record
-  /// (also appended to the kernel log). The WarpBody form runs serially;
-  /// the WorkerWarpBody form runs on the attached executor (if any).
-  const KernelRecord& launch(std::string name, Stream& stream,
-                             double resource_fraction, std::uint64_t num_tasks,
-                             const WarpBody& body);
+  /// (also appended to the kernel log). Tasks run on the attached
+  /// executor (if any).
   const KernelRecord& launch(std::string name, Stream& stream,
                              double resource_fraction, std::uint64_t num_tasks,
                              const WorkerWarpBody& body,
                              const TaskAffinity& affinity = nullptr);
 
   /// Convenience: full-device launch on the default stream.
-  const KernelRecord& run_kernel(std::string name, std::uint64_t num_tasks,
-                                 const WarpBody& body);
   const KernelRecord& run_kernel(std::string name, std::uint64_t num_tasks,
                                  const WorkerWarpBody& body,
                                  const TaskAffinity& affinity = nullptr);

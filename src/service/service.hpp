@@ -307,7 +307,7 @@ class Service {
 
   /// Snapshot of one always-on histogram by metric name (e.g.
   /// "csaw_request_queue_wait_seconds"); empty snapshot for unknown
-  /// names. The bench harness dumps these into the trajectory record.
+  /// names. perfbench reads its serving workloads' latencies from these.
   telemetry::HistogramSnapshot histogram(const std::string& name) const;
 
   /// The deficit-round-robin cost of one request, in estimated sampled

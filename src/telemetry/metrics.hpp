@@ -53,7 +53,7 @@ class Gauge {
 };
 
 // Plain-data snapshot of a histogram, used for merging across registries
-// and for structured export (bench harness, tests).
+// and for structured export (perfbench, tests).
 struct HistogramSnapshot {
   std::vector<double> bounds;             // strictly increasing upper bounds
   std::vector<std::uint64_t> buckets;     // bounds.size() + 1 (last = +Inf)

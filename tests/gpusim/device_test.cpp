@@ -10,12 +10,13 @@ namespace {
 
 TEST(Device, RunKernelExecutesEveryTask) {
   Device device;
-  std::vector<std::uint64_t> seen;
-  device.run_kernel("touch", 5, [&](std::uint64_t t, WarpContext& warp) {
-    warp.charge_rounds(1);
-    seen.push_back(t);
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+  std::vector<std::uint64_t> runs(5, 0);  // one slot per task
+  device.run_kernel("touch", 5,
+                    [&](std::uint64_t t, WarpContext& warp, std::uint32_t) {
+                      warp.charge_rounds(1);
+                      ++runs[t];
+                    });
+  EXPECT_EQ(runs, (std::vector<std::uint64_t>{1, 1, 1, 1, 1}));
   ASSERT_EQ(device.kernel_log().size(), 1u);
   EXPECT_EQ(device.kernel_log()[0].stats.warps, 5u);
   EXPECT_GT(device.synchronize(), 0.0);
@@ -23,7 +24,9 @@ TEST(Device, RunKernelExecutesEveryTask) {
 
 TEST(Device, KernelsOnOneStreamSerialize) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(1000); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(1000);
+  };
   const auto& first = device.run_kernel("a", 10, body);
   const double first_end = first.end;
   const auto& second = device.run_kernel("b", 10, body);
@@ -32,7 +35,9 @@ TEST(Device, KernelsOnOneStreamSerialize) {
 
 TEST(Device, KernelsOnDifferentStreamsOverlap) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(1000); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(1000);
+  };
   device.launch("a", device.stream(0), 0.5, 10, body);
   const auto& b = device.launch("b", device.stream(1), 0.5, 10, body);
   EXPECT_EQ(b.start, 0.0);  // stream 1 was idle
@@ -53,16 +58,19 @@ TEST(Device, TransferThenKernelOrdersOnStream) {
   Device device;
   auto& s = device.stream(1);
   const double copy_end = device.transfer().host_to_device(s, 1 << 20, "p");
-  const auto& k = device.launch("k", s, 1.0, 1,
-                                [](std::uint64_t, WarpContext& w) {
-                                  w.charge_rounds(10);
-                                });
+  const auto& k =
+      device.launch("k", s, 1.0, 1,
+                    [](std::uint64_t, WarpContext& w, std::uint32_t) {
+                      w.charge_rounds(10);
+                    });
   EXPECT_GE(k.start, copy_end);
 }
 
 TEST(Device, FractionSlowsKernel) {
   Device a, b;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(100000); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(100000);
+  };
   const auto& full = a.launch("k", a.stream(0), 1.0, 1000, body);
   const auto& quarter = b.launch("k", b.stream(0), 0.25, 1000, body);
   EXPECT_GT(quarter.duration(), full.duration() * 2.0);
@@ -70,7 +78,9 @@ TEST(Device, FractionSlowsKernel) {
 
 TEST(Device, KernelDurationsFilterByPrefix) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(1); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(1);
+  };
   device.run_kernel("sample_p0", 1, body);
   device.run_kernel("sample_p1", 1, body);
   device.run_kernel("other", 1, body);
@@ -81,7 +91,9 @@ TEST(Device, KernelDurationsFilterByPrefix) {
 
 TEST(Device, TotalStatsAggregates) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(7); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(7);
+  };
   device.run_kernel("a", 2, body);
   device.run_kernel("b", 3, body);
   const KernelStats total = device.total_stats();
@@ -91,9 +103,10 @@ TEST(Device, TotalStatsAggregates) {
 
 TEST(Device, ResetRewindsClocksAndLogs) {
   Device device;
-  device.run_kernel("a", 4, [](std::uint64_t, WarpContext& w) {
-    w.charge_rounds(100);
-  });
+  device.run_kernel("a", 4,
+                    [](std::uint64_t, WarpContext& w, std::uint32_t) {
+                      w.charge_rounds(100);
+                    });
   device.transfer().host_to_device(device.stream(0), 1024, "x");
   EXPECT_GT(device.synchronize(), 0.0);
   device.reset();
@@ -104,7 +117,8 @@ TEST(Device, ResetRewindsClocksAndLogs) {
 
 TEST(Device, EmptyKernelTakesNoTime) {
   Device device;
-  device.run_kernel("empty", 0, [](std::uint64_t, WarpContext&) {});
+  device.run_kernel("empty", 0,
+                    [](std::uint64_t, WarpContext&, std::uint32_t) {});
   EXPECT_EQ(device.synchronize(), 0.0);
 }
 
@@ -182,20 +196,6 @@ TEST(Device, AffinityGroupsRunInTaskOrder) {
       EXPECT_EQ(per_group[g][i], g * kPerGroup + i) << "group " << g;
     }
   }
-}
-
-TEST(Device, SerialBodiesStaySerialEvenWithExecutor) {
-  // Legacy 2-arg bodies may touch shared state: they must keep running
-  // serially in task order even when a pool is attached.
-  Device device;
-  device.set_num_threads(7);
-  std::vector<std::uint64_t> seen;
-  device.run_kernel("legacy", 100, [&](std::uint64_t t, WarpContext& w) {
-    w.charge_rounds(1);
-    seen.push_back(t);
-  });
-  ASSERT_EQ(seen.size(), 100u);
-  for (std::uint64_t t = 0; t < 100; ++t) EXPECT_EQ(seen[t], t);
 }
 
 TEST(Device, SetNumThreadsZeroResolvesAuto) {
@@ -312,7 +312,9 @@ TEST(Ledger, RejectsSharedStreamsAndWindowsBeforeThePrunedHorizon) {
 
 TEST(Timeline, RejectsTwoOperationsOnOneStreamAtOnce) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w) { w.charge_rounds(1000); };
+  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
+    w.charge_rounds(1000);
+  };
   device.launch("a", device.stream(0), 1.0, 10, body);
   EXPECT_NO_THROW(check_timeline(device));
   device.stream(0).reset();  // forget that stream 0 is busy

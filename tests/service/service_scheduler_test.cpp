@@ -180,8 +180,8 @@ TEST(ServiceScheduler, ShutdownDrainsWithoutWaitingOutDeadlines) {
 TEST(ServiceScheduler, IndependentGraphBatchesRunConcurrently) {
   // Two batches on different graphs may be in flight at once; the same
   // graph never overlaps itself. Formation is deterministic (everything
-  // queued while paused); the *executing* overlap is asserted loosely —
-  // wall-clock overlap is the bench harness's job.
+  // queued while paused); the *executing* overlap is asserted loosely,
+  // since it depends on host timing.
   ServiceConfig config = serial_engine_config();
   config.max_concurrent_batches = 2;
   config.start_paused = true;

@@ -1,7 +1,10 @@
 #include "harness/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -11,6 +14,24 @@ namespace {
 [[noreturn]] void fail(std::size_t offset, const std::string& what) {
   throw std::runtime_error("json parse error at offset " +
                            std::to_string(offset) + ": " + what);
+}
+
+void append_utf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
 }
 
 struct Parser {
@@ -39,6 +60,34 @@ struct Parser {
     return true;
   }
 
+  /// The four hex digits of a \u escape, starting at pos.
+  std::uint32_t parse_hex4() {
+    const char* begin = text.data() + pos;
+    const char* end = text.data() + std::min(pos + 4, text.size());
+    std::uint32_t value = 0;
+    const auto [ptr, ec] = std::from_chars(begin, end, value, 16);
+    if (ec != std::errc() || ptr != begin + 4) {
+      fail(pos, "malformed \\u escape");
+    }
+    pos += 4;
+    return value;
+  }
+
+  /// The code point of a \u escape whose 'u' was just consumed; a high
+  /// surrogate must be followed by a \u-escaped low surrogate (what
+  /// ensure_ascii writers emit for characters beyond the BMP).
+  std::uint32_t parse_code_point() {
+    const std::size_t at = pos - 2;
+    const std::uint32_t unit = parse_hex4();
+    if (unit >= 0xDC00 && unit <= 0xDFFF) fail(at, "unpaired low surrogate");
+    if (unit < 0xD800 || unit > 0xDBFF) return unit;
+    if (text.substr(pos, 2) != "\\u") fail(at, "unpaired high surrogate");
+    pos += 2;
+    const std::uint32_t low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail(at, "unpaired high surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+  }
+
   std::string parse_string() {
     expect('"');
     std::string out;
@@ -58,9 +107,8 @@ struct Parser {
           case 'r': out.push_back('\r'); break;
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
+          case 'u': append_utf8(out, parse_code_point()); break;
           default:
-            // \uXXXX and exotic escapes are not needed by the bench
-            // schema; reject instead of silently corrupting.
             fail(pos - 1, "unsupported escape sequence");
         }
       } else {

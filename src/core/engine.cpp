@@ -45,11 +45,21 @@ void validate_instance_tags(const EngineConfig& config,
                             std::size_t num_instances) {
   validate_instance_tags(std::span<const std::uint32_t>(config.instance_tags),
                          num_instances);
-  CSAW_CHECK_MSG(config.instance_cancel.empty() ||
-                     config.instance_cancel.size() == num_instances,
-                 "instance_cancel has " << config.instance_cancel.size()
-                                        << " tokens for " << num_instances
-                                        << " instances");
+  const std::vector<CancelToken>& tokens = config.control.instance_cancel;
+  CSAW_CHECK_MSG(tokens.empty() || tokens.size() == num_instances,
+                 "instance_cancel has " << tokens.size() << " tokens for "
+                                        << num_instances << " instances");
+}
+
+void complete_remaining(SampleStore& samples, const RunControl& control) {
+  if (!samples.streaming()) return;
+  const bool may_cancel = control.may_cancel();
+  for (std::uint32_t i = 0; i < samples.num_instances(); ++i) {
+    if (samples.completed(i)) continue;
+    if (may_cancel && control.instance_cancelled(i)) continue;
+    samples.complete(i);
+  }
+  samples.set_completion_callback({});
 }
 
 void validate_seeds(std::span<const std::vector<VertexId>> seeds,
@@ -277,8 +287,9 @@ SampleRun SamplingEngine::run(sim::Device& device,
 
   SampleRun run_result;
   run_result.samples.reset(num_instances);
-  if (config_.on_instance_complete) {
-    run_result.samples.set_completion_callback(config_.on_instance_complete);
+  const RunControl& control = config_.control;
+  if (control.on_instance_complete) {
+    run_result.samples.set_completion_callback(control.on_instance_complete);
   }
 
   device.set_num_threads(config_.num_threads);
@@ -294,20 +305,7 @@ SampleRun SamplingEngine::run(sim::Device& device,
     run_barrier(device, instances, run_result.samples);
   }
 
-  // Completion sweep: everything the pipelined chains didn't already
-  // fire (the whole run under kStepBarrier; chains skipped by a
-  // run-level cancel race under kPipelined). Cancelled instances never
-  // complete — their partial samples surface through the buffered
-  // result only.
-  if (run_result.samples.streaming()) {
-    const bool may_cancel = config_.may_cancel();
-    for (std::uint32_t i = 0; i < num_instances; ++i) {
-      if (run_result.samples.completed(i)) continue;
-      if (may_cancel && config_.instance_cancelled(i)) continue;
-      run_result.samples.complete(i);
-    }
-    run_result.samples.set_completion_callback({});
-  }
+  complete_remaining(run_result.samples, control);
 
   run_result.sim_seconds = device.synchronize() - t0;
   for (std::size_t i = log_begin; i < device.kernel_log().size(); ++i) {
@@ -325,15 +323,16 @@ void SamplingEngine::run_barrier(sim::Device& device,
                                  std::vector<InstanceState>& instances,
                                  SampleStore& samples) {
   const auto num_instances = static_cast<std::uint32_t>(instances.size());
+  const RunControl& control = config_.control;
   StepScratch scratch;
   for (std::uint32_t step = 0; step < spec_.depth; ++step) {
     // Cancellation poll at the step barrier: a cancelled instance is
     // deactivated before the step's kernels form their task lists, so
     // none of its work launches. Other instances' draws are unaffected
     // (counter-based RNG, per-instance state).
-    if (config_.may_cancel()) {
+    if (control.may_cancel()) {
       for (std::uint32_t i = 0; i < num_instances; ++i) {
-        if (instances[i].active && config_.instance_cancelled(i)) {
+        if (instances[i].active && control.instance_cancelled(i)) {
           instances[i].active = false;
         }
       }
@@ -375,6 +374,7 @@ void SamplingEngine::run_pipelined(sim::Device& device,
   // draws by (instance, depth, slot), so the interleaving never changes
   // them. The per-instance task order equals the barrier schedule's
   // affinity-group order, which is what makes the samples byte-identical.
+  const RunControl& control = config_.control;
   device.run_pipeline(
       "sample_pipeline", instances.size(),
       [&](std::uint64_t chain, sim::ChainContext& ctx, std::uint32_t worker) {
@@ -384,11 +384,11 @@ void SamplingEngine::run_pipelined(sim::Device& device,
         // Chain span: one per instance, covering its whole step loop.
         // Host-time only — the simulated schedule never sees the recorder.
         std::uint64_t chain_span = 0;
-        if (config_.should_trace()) {
-          chain_span = config_.trace->begin_span(
+        if (control.should_trace()) {
+          chain_span = control.trace->begin_span(
               "chain",
               {{"instance", std::to_string(config_.global_instance_id(i))},
-               {"batch", std::to_string(config_.trace_batch)}});
+               {"batch", std::to_string(control.trace_batch)}});
         }
         std::vector<std::uint32_t> positions;
         std::vector<TaskResult> results;
@@ -396,7 +396,7 @@ void SamplingEngine::run_pipelined(sim::Device& device,
              ++step) {
           // Per-step cancellation poll: stop this chain at the boundary;
           // other chains' samples are untouched.
-          if (config_.may_cancel() && config_.instance_cancelled(i)) break;
+          if (control.may_cancel() && control.instance_cancelled(i)) break;
           positions.clear();
           results.clear();
           if (spec_.layer_mode) {
@@ -435,16 +435,16 @@ void SamplingEngine::run_pipelined(sim::Device& device,
         // streaming flush point). A blocked subscriber parks this chain
         // in host time; simulated time is already fully accounted.
         if (samples.streaming() &&
-            !(config_.may_cancel() && config_.instance_cancelled(i))) {
+            !(control.may_cancel() && control.instance_cancelled(i))) {
           samples.complete(i);
         }
-        if (config_.should_trace()) {
-          config_.trace->end_span(
+        if (control.should_trace()) {
+          control.trace->end_span(
               chain_span, "chain",
               {{"edges", std::to_string(samples.edges(i).size())}});
         }
       },
-      config_.cancel, widths);
+      control.cancel, widths);
 }
 
 void SamplingEngine::select_frontiers(sim::Device& device,

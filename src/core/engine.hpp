@@ -117,6 +117,70 @@ enum class Schedule {
 /// Human-readable schedule name ("pipelined" / "step_barrier").
 std::string to_string(Schedule schedule);
 
+/// The per-run handles of one run: Sampler::run_tagged hands them to the
+/// engines as EngineConfig::control, ShardRouter::run_tagged polls them
+/// itself. Every field is optional; a default-constructed RunControl
+/// means "never cancelled, buffered, untraced" and costs the hot path one
+/// branch per site.
+struct RunControl {
+  /// Run-level cooperative cancellation: when this token fires, chains
+  /// stop at their next step boundary and not-yet-started chains are
+  /// skipped entirely. Which chains had already started is
+  /// thread-schedule-dependent, so a run-level token is only sound when
+  /// the *whole run's* output will be discarded (e.g. a single-request
+  /// batch). For per-request cancellation inside a coalesced batch use
+  /// instance_cancel, whose effect is byte-deterministic.
+  CancelToken cancel;
+  /// Per-instance cancellation tokens: empty (no per-instance
+  /// cancellation) or exactly one token per instance of the run. A fired
+  /// token stops that instance at its next step boundary and drops its
+  /// queued frontier work; the instance keeps the samples it completed,
+  /// and every other instance's samples are unchanged (counter-based
+  /// RNG, per-instance state). This is the form csaw::Service uses to
+  /// cancel one request of a coalesced batch.
+  std::vector<CancelToken> instance_cancel;
+  /// Per-instance completion subscription (instance index of the run):
+  /// fired exactly once per non-cancelled instance, as soon as that
+  /// instance's sample is final — from the executing chain in pipelined
+  /// schedules, from an end-of-run sweep otherwise. The subscriber may
+  /// move the row out of the store (streaming) or leave it. May be
+  /// invoked concurrently from host worker threads and may block
+  /// (backpressure); blocking parks the producing chain in host time
+  /// only, so samples and sim_seconds are unchanged. Null = buffered run.
+  SampleStore::CompletionCallback on_instance_complete;
+  /// Per-request trace recorder (telemetry/trace.hpp), null by default.
+  /// When set, engines emit chain spans (and the partition cache emits
+  /// transfer spans) attributed to `trace_batch`. Recording only touches
+  /// host time — simulated time and samples are byte-identical with or
+  /// without a recorder.
+  telemetry::TraceRecorder* trace = nullptr;
+  /// Batch id stamped on every span this run emits (the service uses its
+  /// dispatcher batch sequence number; standalone runs leave 0).
+  std::uint64_t trace_batch = 0;
+
+  /// True when a recorder is attached — the may_cancel() idiom: hot
+  /// sites test this single pointer before building any event.
+  bool should_trace() const noexcept { return trace != nullptr; }
+  /// True when any cancellation token is armed — engines use this to
+  /// skip per-entry polling entirely on the common path.
+  bool may_cancel() const noexcept {
+    return cancel.valid() || !instance_cancel.empty();
+  }
+  /// Whether instance `i` should stop (run-level or per-instance).
+  bool instance_cancelled(std::uint32_t i) const noexcept {
+    if (cancel.cancelled()) return true;
+    return !instance_cancel.empty() && instance_cancel[i].cancelled();
+  }
+};
+
+/// End-of-run completion sweep of a streaming store: fires completion for
+/// every instance not yet completed and not cancelled, then detaches the
+/// subscriber. Engines call it after their schedule returns, so whatever
+/// the schedule did not fire itself (the whole run under barrier
+/// schedules, zero-seed instances, chains a run-level cancel skipped)
+/// completes here. A no-op for a buffered store.
+void complete_remaining(SampleStore& samples, const RunControl& control);
+
 /// Engine-level configuration.
 struct EngineConfig {
   SelectConfig select;
@@ -153,53 +217,8 @@ struct EngineConfig {
   /// the csaw::Sampler facade defaults to kPipelined and plumbs its
   /// SamplerOptions::schedule through here.
   Schedule schedule = Schedule::kStepBarrier;
-  /// Run-level cooperative cancellation: when this token fires, chains
-  /// stop at their next step boundary and not-yet-started chains are
-  /// skipped entirely. Which chains had already started is
-  /// thread-schedule-dependent, so a run-level token is only sound when
-  /// the *whole run's* output will be discarded (e.g. a single-request
-  /// batch). For per-request cancellation inside a coalesced batch use
-  /// instance_cancel, whose effect is byte-deterministic.
-  CancelToken cancel;
-  /// Per-instance cancellation tokens: empty (no per-instance
-  /// cancellation) or exactly one token per local instance. A fired
-  /// token stops that instance at its next step boundary and drops its
-  /// queued frontier work; every other instance's samples are unchanged
-  /// (counter-based RNG, per-instance state).
-  std::vector<CancelToken> instance_cancel;
-  /// Per-instance completion subscription (local instance index): fired
-  /// exactly once per non-cancelled instance, as soon as that instance's
-  /// sample is final — from the executing chain in pipelined schedules,
-  /// from an end-of-run sweep otherwise. May be invoked concurrently
-  /// from host worker threads and may block (backpressure); blocking
-  /// parks the producing chain in host time only, so samples and
-  /// sim_seconds are unchanged. Null = buffered run, zero overhead.
-  SampleStore::CompletionCallback on_instance_complete;
-  /// Per-request trace recorder (telemetry/trace.hpp), null by default.
-  /// When set, engines emit chain spans (and the partition cache emits
-  /// transfer spans) attributed to `trace_batch`. Recording only touches
-  /// host time — simulated time and samples are byte-identical with or
-  /// without a recorder. Gated like cancellation: a null pointer costs
-  /// exactly one branch per site (see should_trace()).
-  telemetry::TraceRecorder* trace = nullptr;
-  /// Batch id stamped on every span this run emits (the service uses its
-  /// dispatcher batch sequence number; standalone runs leave 0).
-  std::uint64_t trace_batch = 0;
-
-  /// True when a recorder is attached — the may_cancel() idiom: hot
-  /// sites test this single pointer before building any event.
-  bool should_trace() const noexcept { return trace != nullptr; }
-
-  /// True when any cancellation token is armed — engines use this to
-  /// skip per-entry polling entirely on the common path.
-  bool may_cancel() const noexcept {
-    return cancel.valid() || !instance_cancel.empty();
-  }
-  /// Whether local instance `i` should stop (run-level or per-instance).
-  bool instance_cancelled(std::uint32_t i) const noexcept {
-    if (cancel.cancelled()) return true;
-    return !instance_cancel.empty() && instance_cancel[i].cancelled();
-  }
+  /// The per-run handles (cancellation, completion, tracing).
+  RunControl control;
 };
 
 /// Checks the instance-tag invariants (size matches the instance count,

@@ -219,7 +219,8 @@ RunResult Sampler::run_single_seed(std::span<const VertexId> seeds) {
 }
 
 RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
-                              std::span<const std::uint32_t> tags) {
+                              std::span<const std::uint32_t> tags,
+                              const RunControl& control) {
   CSAW_CHECK_MSG(tags.size() == seeds.size(),
                  "run_tagged needs one tag per instance: " << tags.size()
                      << " tags for " << seeds.size() << " seed lists");
@@ -227,34 +228,12 @@ RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
   // group a subspan, and per-group checks alone would accept duplicates
   // that straddle a group boundary.
   validate_instance_tags(tags, seeds.size());
-  return dispatch(seeds, options_.instance_id_offset, tags);
-}
-
-RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
-                              std::span<const std::uint32_t> tags,
-                              const RunControl& control) {
-  CSAW_CHECK_MSG(tags.size() == seeds.size(),
-                 "run_tagged needs one tag per instance: " << tags.size()
-                     << " tags for " << seeds.size() << " seed lists");
-  validate_instance_tags(tags, seeds.size());
   CSAW_CHECK_MSG(control.instance_cancel.empty() ||
                      control.instance_cancel.size() == seeds.size(),
                  "RunControl::instance_cancel has "
                      << control.instance_cancel.size() << " tokens for "
                      << seeds.size() << " seed lists");
-  // Run-scoped trace attribution; the guard clears it even when the run
-  // throws (TransferError), so a later untraced run stays untraced.
-  trace_ = control.trace;
-  trace_batch_ = control.trace_batch;
-  struct TraceReset {
-    Sampler* self;
-    ~TraceReset() {
-      self->trace_ = nullptr;
-      self->trace_batch_ = 0;
-    }
-  } reset{this};
-  return dispatch(seeds, options_.instance_id_offset, tags, control.cancel,
-                  control.instance_cancel, control.on_instance_complete);
+  return dispatch(seeds, options_.instance_id_offset, tags, control);
 }
 
 void Sampler::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
@@ -274,23 +253,19 @@ void Sampler::set_partition_cache(std::shared_ptr<PartitionCache> cache) {
 RunResult Sampler::dispatch(std::span<const std::vector<VertexId>> seeds,
                             std::uint32_t instance_id_offset,
                             std::span<const std::uint32_t> tags,
-                            CancelToken cancel,
-                            std::span<const CancelToken> instance_cancel,
-                            const SampleStore::CompletionCallback& on_complete) {
+                            const RunControl& control) {
   RunResult result;
   switch (decision_.resolved) {
     case ExecutionMode::kInMemory:
       result = run_in_memory(seeds, instance_id_offset, tags, /*device_id=*/0,
-                             cancel, instance_cancel, on_complete);
+                             control);
       break;
     case ExecutionMode::kOutOfMemory:
       result = run_out_of_memory(seeds, instance_id_offset, tags,
-                                 /*device_id=*/0, cancel, instance_cancel,
-                                 on_complete);
+                                 /*device_id=*/0, control);
       break;
     case ExecutionMode::kMultiDevice:
-      result = run_multi_device(seeds, instance_id_offset, tags, cancel,
-                                instance_cancel, on_complete);
+      result = run_multi_device(seeds, instance_id_offset, tags, control);
       break;
     case ExecutionMode::kAuto:
       CSAW_CHECK_MSG(false, "resolved mode can never be kAuto");
@@ -312,24 +287,18 @@ void Sampler::attach_executor(sim::Device& device) {
   if (ensure_pool() != nullptr) device.set_executor(pool_);
 }
 
-RunResult Sampler::run_in_memory(
-    std::span<const std::vector<VertexId>> seeds,
-    std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    std::uint32_t device_id, CancelToken cancel,
-    std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
+RunResult Sampler::run_in_memory(std::span<const std::vector<VertexId>> seeds,
+                                 std::uint32_t instance_id_offset,
+                                 std::span<const std::uint32_t> tags,
+                                 std::uint32_t device_id,
+                                 const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
   CsrGraphView view(*graph_);
   EngineConfig config = options_.engine_config();
   config.instance_id_offset = instance_id_offset;
   config.instance_tags.assign(tags.begin(), tags.end());
-  config.cancel = std::move(cancel);
-  config.instance_cancel.assign(instance_cancel.begin(),
-                                instance_cancel.end());
-  config.on_instance_complete = on_complete;
-  config.trace = trace_;
-  config.trace_batch = trace_batch_;
+  config.control = control;
   SamplingEngine engine(view, policy_, spec_, config);
   SampleRun run = engine.run(device, seeds);
 
@@ -344,20 +313,13 @@ RunResult Sampler::run_in_memory(
 RunResult Sampler::run_out_of_memory(
     std::span<const std::vector<VertexId>> seeds,
     std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    std::uint32_t device_id, CancelToken cancel,
-    std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
+    std::uint32_t device_id, const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
   OomConfig config = options_.oom_config();
   config.engine.instance_id_offset = instance_id_offset;
   config.engine.instance_tags.assign(tags.begin(), tags.end());
-  config.engine.cancel = std::move(cancel);
-  config.engine.instance_cancel.assign(instance_cancel.begin(),
-                                       instance_cancel.end());
-  config.engine.on_instance_complete = on_complete;
-  config.engine.trace = trace_;
-  config.engine.trace_batch = trace_batch_;
+  config.engine.control = control;
   if (parts_ == nullptr) {
     // Single-device dispatch only; the multi-device path pre-builds the
     // partitioning before its groups run concurrently.
@@ -391,8 +353,7 @@ RunResult Sampler::run_out_of_memory(
 RunResult Sampler::run_multi_device(
     std::span<const std::vector<VertexId>> seeds,
     std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    CancelToken cancel, std::span<const CancelToken> instance_cancel,
-    const SampleStore::CompletionCallback& on_complete) {
+    const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
 
   RunResult result;
@@ -425,30 +386,36 @@ RunResult Sampler::run_multi_device(
     const auto group = seeds.subspan(begin, end - begin);
     // Tagged runs split the tag span alongside the seed span: groups are
     // contiguous, so each device sees its requests' exact global ids.
-    // Cancellation tokens split the same way.
+    // Cancellation tokens split the same way; the run-level token and the
+    // trace recorder are shared (TraceRecorder is thread-safe).
     const auto group_tags =
         tags.empty() ? tags : tags.subspan(begin, end - begin);
-    const auto group_cancel =
-        instance_cancel.empty() ? instance_cancel
-                                : instance_cancel.subspan(begin, end - begin);
+    RunControl group_control;
+    group_control.cancel = control.cancel;
+    group_control.trace = control.trace;
+    group_control.trace_batch = control.trace_batch;
+    if (!control.instance_cancel.empty()) {
+      group_control.instance_cancel.assign(
+          control.instance_cancel.begin() + begin,
+          control.instance_cancel.begin() + end);
+    }
     // Completion callbacks fire with engine-local indices; re-base them
     // to run-local seed indices. Groups complete instances concurrently,
     // so the subscriber must be thread-safe (the service's streaming
     // bridge locks its chunk queue). Rows a subscriber moves out are
     // empty at merge time, matching the single-device contract.
-    SampleStore::CompletionCallback group_complete;
-    if (on_complete) {
-      group_complete = [&on_complete, begin](std::uint32_t i,
-                                             std::vector<Edge>& row) {
-        on_complete(begin + i, row);
-      };
+    if (control.on_instance_complete) {
+      group_control.on_instance_complete =
+          [&on_complete = control.on_instance_complete, begin](
+              std::uint32_t i, std::vector<Edge>& row) {
+            on_complete(begin + i, row);
+          };
     }
-    parts[d] =
-        decision_.out_of_memory
-            ? run_out_of_memory(group, instance_id_offset + begin, group_tags,
-                                d, cancel, group_cancel, group_complete)
-            : run_in_memory(group, instance_id_offset + begin, group_tags, d,
-                            cancel, group_cancel, group_complete);
+    parts[d] = decision_.out_of_memory
+                   ? run_out_of_memory(group, instance_id_offset + begin,
+                                       group_tags, d, group_control)
+                   : run_in_memory(group, instance_id_offset + begin,
+                                   group_tags, d, group_control);
   };
   if (pool_ != nullptr && options_.num_devices > 1) {
     pool_->parallel_for(options_.num_devices,

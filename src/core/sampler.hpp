@@ -121,40 +121,6 @@ struct ModeDecision {
 /// out-of-memory capable.
 std::string in_memory_only_reason(const SamplingSpec& spec);
 
-/// Cooperative cancellation handles for one run (the run_tagged overload).
-/// Both fields are optional; default-constructed RunControl means "never
-/// cancelled" and costs nothing on the hot path.
-struct RunControl {
-  /// Run-level token: once cancelled, remaining work of the WHOLE run is
-  /// skipped wholesale (chains that have not started never start). Only
-  /// sound when the entire run's output will be discarded — partial
-  /// output after a run-level cancel is not deterministic.
-  CancelToken cancel;
-  /// Per-instance tokens, one per seeds entry (or empty). A cancelled
-  /// instance stops at its next step boundary and keeps the samples it
-  /// completed; every OTHER instance's bytes are untouched — this is the
-  /// deterministic form csaw::Service uses to cancel one request of a
-  /// coalesced batch.
-  std::vector<CancelToken> instance_cancel;
-  /// Per-instance completion subscription (run-local instance index,
-  /// i.e. the seeds index — multi-device dispatch re-bases each group's
-  /// engine-local indices back to run-local before forwarding). Fired
-  /// exactly once per non-cancelled instance as soon as its sample is
-  /// final; the subscriber may move the row out of the store (streaming)
-  /// or leave it. May be invoked concurrently and may block
-  /// (backpressure) — blocking costs host time only, never simulated
-  /// time, so seps() is independent of consumer speed. Null = buffered.
-  SampleStore::CompletionCallback on_instance_complete;
-  /// Per-request trace recorder (telemetry/trace.hpp): when non-null the
-  /// engines emit chain spans and the partition cache emits transfer
-  /// spans, all stamped with `trace_batch`. Host-time only; samples and
-  /// sim_seconds are byte-identical with or without it. Null = off, one
-  /// branch per hot-path site.
-  telemetry::TraceRecorder* trace = nullptr;
-  /// Batch attribution stamped on every span of this run.
-  std::uint64_t trace_batch = 0;
-};
-
 /// The C-SAW front door: one facade over the in-memory engine (paper
 /// §IV), the out-of-memory engine (§V) and multi-device execution (§V-D).
 /// Users pick an algorithm (three bias hooks, or a registry id), hand in
@@ -217,29 +183,32 @@ class Sampler {
   /// into one run and still returns each request the exact bytes a solo
   /// run would have produced. The batch executes through the resolved
   /// execution mode like any other run (multi-device splits the tag span
-  /// with the seed span). Re-entrancy contract: one Sampler must run one
-  /// call at a time, but any number of Samplers may share one executor
-  /// pool (set_executor) and one partitioning (set_partitions) — and
-  /// those Samplers may run *concurrently*, each driven by its own
-  /// thread, up to the pool's external-slot capacity
-  /// (sim::ThreadPool::max_workers()): every driving thread holds a
-  /// unique worker identity, so the per-run engine scratch of
-  /// simultaneous runs never aliases. csaw::Service uses exactly this —
-  /// one batch-runner thread per in-flight batch, one shared pool sized
-  /// to max_concurrent_batches — to overlap independent-graph batches.
-  RunResult run_tagged(std::span<const std::vector<VertexId>> seeds,
-                       std::span<const std::uint32_t> tags);
-
-  /// run_tagged with cooperative cancellation: `control.cancel` skips the
-  /// whole run once fired (only sound when the run's output is
-  /// discarded); `control.instance_cancel[i]` (when non-empty: one token
-  /// per seeds entry, checked) stops instance i at its next step
-  /// boundary while every other instance's samples stay byte-identical
-  /// to an uncancelled run. Tokens are polled, never blocked on — an
-  /// already-finished run is unaffected by a late cancel.
+  /// with the seed span).
+  ///
+  /// `control` carries the run's handles (RunControl, core/engine.hpp):
+  /// `control.cancel` skips the whole run once fired (only sound when the
+  /// run's output is discarded); `control.instance_cancel[i]` (when
+  /// non-empty: one token per seeds entry, checked) stops instance i at
+  /// its next step boundary while every other instance's samples stay
+  /// byte-identical to an uncancelled run. Tokens are polled, never
+  /// blocked on — an already-finished run is unaffected by a late
+  /// cancel. A completion callback streams rows as instances finish, and
+  /// a trace recorder receives the run's chain and transfer spans; both
+  /// last for this call only.
+  ///
+  /// Re-entrancy contract: one Sampler must run one call at a time, but
+  /// any number of Samplers may share one executor pool (set_executor)
+  /// and one partitioning (set_partitions) — and those Samplers may run
+  /// *concurrently*, each driven by its own thread, up to the pool's
+  /// external-slot capacity (sim::ThreadPool::max_workers()): every
+  /// driving thread holds a unique worker identity, so the per-run
+  /// engine scratch of simultaneous runs never aliases. csaw::Service
+  /// uses exactly this — one batch-runner thread per in-flight batch, one
+  /// shared pool sized to max_concurrent_batches — to overlap
+  /// independent-graph batches.
   RunResult run_tagged(std::span<const std::vector<VertexId>> seeds,
                        std::span<const std::uint32_t> tags,
-                       const RunControl& control);
+                       const RunControl& control = {});
 
   /// Attaches an externally owned host pool shared with other samplers
   /// (the service tier passes one pool through every batch). Replaces the
@@ -268,32 +237,27 @@ class Sampler {
  private:
   /// Dispatches one run with an explicit global-id base offset (the
   /// batched path shifts it per chunk) or explicit per-instance tags
-  /// (the service path; tags win when non-empty). `cancel` /
-  /// `instance_cancel` carry the RunControl handles; the multi-device
-  /// path splits the instance_cancel span alongside the seed span.
+  /// (the service path; tags win when non-empty), under `control`.
   RunResult dispatch(std::span<const std::vector<VertexId>> seeds,
                      std::uint32_t instance_id_offset,
                      std::span<const std::uint32_t> tags = {},
-                     CancelToken cancel = {},
-                     std::span<const CancelToken> instance_cancel = {},
-                     const SampleStore::CompletionCallback& on_complete = {});
+                     const RunControl& control = {});
   RunResult run_in_memory(std::span<const std::vector<VertexId>> seeds,
                           std::uint32_t instance_id_offset,
                           std::span<const std::uint32_t> tags,
-                          std::uint32_t device_id, CancelToken cancel,
-                          std::span<const CancelToken> instance_cancel,
-                          const SampleStore::CompletionCallback& on_complete);
-  RunResult run_out_of_memory(
-      std::span<const std::vector<VertexId>> seeds,
-      std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-      std::uint32_t device_id, CancelToken cancel,
-      std::span<const CancelToken> instance_cancel,
-      const SampleStore::CompletionCallback& on_complete);
-  RunResult run_multi_device(
-      std::span<const std::vector<VertexId>> seeds,
-      std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-      CancelToken cancel, std::span<const CancelToken> instance_cancel,
-      const SampleStore::CompletionCallback& on_complete);
+                          std::uint32_t device_id, const RunControl& control);
+  RunResult run_out_of_memory(std::span<const std::vector<VertexId>> seeds,
+                              std::uint32_t instance_id_offset,
+                              std::span<const std::uint32_t> tags,
+                              std::uint32_t device_id,
+                              const RunControl& control);
+  /// Splits the run into per-device groups, each with its own RunControl:
+  /// the group's sub-range of instance tokens and a completion callback
+  /// re-based to run-local instance indices.
+  RunResult run_multi_device(std::span<const std::vector<VertexId>> seeds,
+                             std::uint32_t instance_id_offset,
+                             std::span<const std::uint32_t> tags,
+                             const RunControl& control);
 
   /// Creates the run-wide host pool on first use (width from
   /// num_threads / CSAW_THREADS); null when the resolved width is serial.
@@ -316,12 +280,6 @@ class Sampler {
   /// The persistent host thread pool shared by every device of this
   /// sampler (and reused across runs/batches). Null while serial.
   std::shared_ptr<sim::ThreadPool> pool_;
-  /// Run-scoped trace attribution, set from RunControl for the duration
-  /// of one run_tagged dispatch (a Sampler runs one call at a time, so a
-  /// member is sound; the multi-device path shares it across groups —
-  /// TraceRecorder is thread-safe). Null while tracing is off.
-  telemetry::TraceRecorder* trace_ = nullptr;
-  std::uint64_t trace_batch_ = 0;
 };
 
 }  // namespace csaw

@@ -97,9 +97,10 @@ OomRun OomEngine::run(sim::Device& device,
 
   queues_.assign(config_.num_partitions, FrontierQueue{});
   chain_of_.assign(num_instances, ~0u);
-  streaming_ = static_cast<bool>(config_.engine.on_instance_complete);
+  const RunControl& control = config_.engine.control;
+  streaming_ = static_cast<bool>(control.on_instance_complete);
   if (streaming_) {
-    result.samples.set_completion_callback(config_.engine.on_instance_complete);
+    result.samples.set_completion_callback(control.on_instance_complete);
     queued_.assign(num_instances, 0);
   }
 
@@ -118,7 +119,7 @@ OomRun OomEngine::run(sim::Device& device,
     // Re-applied every run: a service-owned cache shared across batches
     // follows the current batch's fault/retry options.
     cache_->set_fault_policy(config_.fault_injector, config_.transfer_retry);
-    cache_->set_trace(config_.engine.trace, config_.engine.trace_batch);
+    cache_->set_trace(control.trace, control.trace_batch);
     cache_->begin_run();  // fresh device, fresh simulated clock
     cache_before = cache_->metrics();
   }
@@ -143,9 +144,7 @@ OomRun OomEngine::run(sim::Device& device,
     for (std::uint32_t i = gang_begin; i < gang_end; ++i) {
       // Instances cancelled before the gang starts are never seeded —
       // the cheapest (and fully deterministic) form of the cancel poll.
-      if (config_.engine.may_cancel() && config_.engine.instance_cancelled(i)) {
-        continue;
-      }
+      if (control.may_cancel() && control.instance_cancelled(i)) continue;
       for (std::size_t s = 0; s < seeds[i].size(); ++s) {
         const VertexId seed = seeds[i][s];
         queues_[parts_->part_of(seed)].push(FrontierEntry{
@@ -163,20 +162,10 @@ OomRun OomEngine::run(sim::Device& device,
     }
   }
 
-  // Completion sweep: the barrier (wave) schedule tracks no per-instance
-  // counts, and zero-seed instances never enter a queue — both complete
-  // here. Cancelled instances never complete. Pipelined rounds already
-  // fired their instances (completed(i) guards the double fire).
-  if (streaming_) {
-    const bool may_cancel = config_.engine.may_cancel();
-    for (std::uint32_t i = 0; i < num_instances; ++i) {
-      if (result.samples.completed(i)) continue;
-      if (may_cancel && config_.engine.instance_cancelled(i)) continue;
-      result.samples.complete(i);
-    }
-    result.samples.set_completion_callback({});
-    streaming_ = false;
-  }
+  // The barrier (wave) schedule tracks no per-instance counts, and
+  // zero-seed instances never enter a queue — both complete here.
+  complete_remaining(result.samples, control);
+  streaming_ = false;
 
   result.sim_seconds = device.synchronize() - t0;
   result.metrics.kernel_imbalance = imbalance.mean();
@@ -319,7 +308,8 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
   constexpr std::uint32_t kNoChain = ~0u;
   constexpr std::uint32_t kNotResident = ~0u;
   std::vector<std::uint32_t> slot_of(config_.num_partitions, kNotResident);
-  const bool may_cancel = config_.engine.may_cancel();
+  const RunControl& control = config_.engine.control;
+  const bool may_cancel = control.may_cancel();
 
   for (;;) {
     for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
@@ -418,7 +408,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
         if (streaming_) --queued_[e.local];
         // Cancelled instances' pending entries are dropped at the round
         // boundary; surviving instances' processing order is untouched.
-        if (may_cancel && config_.engine.instance_cancelled(e.local)) continue;
+        if (may_cancel && control.instance_cancelled(e.local)) continue;
         if (chain_of_[e.local] == kNoChain) {
           chain_of_[e.local] =
               static_cast<std::uint32_t>(chain_instances.size());
@@ -442,13 +432,13 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
           // each residency round, unlike the in-memory engine's
           // one-span-per-instance shape. Host-time only.
           std::uint64_t chain_span = 0;
-          if (config_.engine.should_trace()) {
-            chain_span = config_.engine.trace->begin_span(
+          if (control.should_trace()) {
+            chain_span = control.trace->begin_span(
                 "chain",
                 {{"instance",
                   std::to_string(config_.engine.global_instance_id(
                       chain_instances[chain]))},
-                 {"batch", std::to_string(config_.engine.trace_batch)}});
+                 {"batch", std::to_string(control.trace_batch)}});
           }
           std::vector<FrontierEntry> batch;
           std::vector<FrontierEntry> children;
@@ -475,7 +465,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
             // chain abandons its remaining entries (and anything already
             // routed out) without touching other chains' work.
             if (may_cancel &&
-                config_.engine.instance_cancelled(chain_instances[chain])) {
+                control.instance_cancelled(chain_instances[chain])) {
               for (auto& m : mine) m.clear();
               out.clear();
               break;
@@ -508,13 +498,13 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
               progressed = config_.workload_aware;
             }
           }
-          if (config_.engine.should_trace()) {
-            config_.engine.trace->end_span(
+          if (control.should_trace()) {
+            control.trace->end_span(
                 chain_span, "chain",
                 {{"routed_out", std::to_string(out.size())}});
           }
         },
-        config_.engine.cancel, widths);
+        control.cancel, widths);
 
     // --- Cross-residency timing: one fused kernel window per partition
     // that ran, on its lane's stream, placed on the device's SM ledger.
@@ -601,7 +591,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     if (streaming_) {
       for (const std::uint32_t local : chain_instances) {
         if (queued_[local] != 0 || samples_->completed(local)) continue;
-        if (may_cancel && config_.engine.instance_cancelled(local)) continue;
+        if (may_cancel && control.instance_cancelled(local)) continue;
         samples_->complete(local);
       }
     }
@@ -612,12 +602,13 @@ void OomEngine::run_wave(sim::Device& device, sim::Stream& stream,
                          std::uint32_t p, double fraction,
                          OomMetrics& metrics) {
   std::vector<FrontierEntry> batch = queues_[p].drain();
-  if (config_.engine.may_cancel()) {
+  const RunControl& control = config_.engine.control;
+  if (control.may_cancel()) {
     // Wave boundary is the barrier path's cancellation point: a cancelled
     // instance's entries are dropped before the kernel forms, so the
     // surviving entries' task order (and bytes) match an uncancelled run.
     std::erase_if(batch, [&](const FrontierEntry& e) {
-      return config_.engine.instance_cancelled(e.local);
+      return control.instance_cancelled(e.local);
     });
   }
   if (batch.empty()) return;

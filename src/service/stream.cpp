@@ -71,6 +71,11 @@ std::optional<StreamChunk> SampleStream::next() {
 
 void SampleStream::cancel() {
   detail::StreamState& state = *state_;
+  // Fire the request's remaining instances before waking a parked
+  // producer: woken first, it could finish the remaining chains and the
+  // batch classify the request before the token fires, retiring it kOk.
+  // Harmless after the request retired — the token is never read again.
+  state.abort.cancel(CancelReason::kRequested);
   {
     std::lock_guard<std::mutex> lock(state.mu);
     state.abandoned = true;
@@ -78,9 +83,6 @@ void SampleStream::cancel() {
   }
   state.consumer_cv.notify_all();
   state.producer_cv.notify_all();
-  // Fire the request's remaining instances. Harmless after the request
-  // retired — the token is never read again.
-  state.abort.cancel(CancelReason::kRequested);
 }
 
 RequestOutcome SampleStream::outcome() const {

@@ -137,13 +137,7 @@ RunResult ShardRouter::run_tagged(
   }
 
   std::vector<char> failed(n, 0);
-  const bool may_cancel =
-      control.cancel.valid() || !control.instance_cancel.empty();
-  const auto instance_cancelled = [&](std::uint32_t local) {
-    if (control.cancel.cancelled()) return true;
-    return !control.instance_cancel.empty() &&
-           control.instance_cancel[local].cancelled();
-  };
+  const bool may_cancel = control.may_cancel();
   const auto fail_instance = [&](std::uint32_t local) {
     if (failed[local]) return;
     failed[local] = 1;
@@ -195,7 +189,7 @@ RunResult ShardRouter::run_tagged(
     for (const ShardWalker& start : w.residents) {
       ShardWalker walker = start;
       while (true) {
-        if (may_cancel && instance_cancelled(walker.local)) {
+        if (may_cancel && control.instance_cancelled(walker.local)) {
           // Keeps the steps it completed; no completion fires
           // (RunControl contract: only non-cancelled instances do).
           break;
@@ -284,7 +278,7 @@ RunResult ShardRouter::run_tagged(
       }
     }
 
-    if (control.cancel.valid() && control.cancel.cancelled()) {
+    if (control.cancel.cancelled()) {
       break;  // whole-run cancel: the run's output is discarded
     }
     bool any_residents = false;

@@ -49,7 +49,7 @@
 
 #include "algorithms/registry.hpp"
 #include "core/run_result.hpp"
-#include "core/sampler.hpp"
+#include "core/engine.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "select/its.hpp"

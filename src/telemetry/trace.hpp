@@ -13,9 +13,10 @@
 //
 // Gating contract: every instrumented hot-path site holds a
 // `TraceRecorder*` that is null by default and performs exactly one branch
-// when tracing is off (the `EngineConfig::may_cancel()` idiom). The
-// recorder is only reached when a user attached one via
-// `ServiceConfig::trace` (or directly on `RunControl`).
+// when tracing is off (the `RunControl::may_cancel()` idiom, whose
+// `should_trace()` tests this pointer). The recorder is only reached when
+// a user attached one via `ServiceConfig::trace` (or directly on
+// `RunControl::trace`).
 
 #include <atomic>
 #include <cstdint>

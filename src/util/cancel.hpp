@@ -19,8 +19,8 @@
 // belonging to instance i (its chains stop at the next step boundary,
 // its queued frontier entries are dropped). Per-instance RNG streams
 // are counter-based, so the bytes of every non-cancelled instance in
-// the same run are unchanged. A run-level token (EngineConfig::cancel)
-// is coarser — it stops whole chains as they come up for execution, in
+// the same run are unchanged. A run-level token (RunControl::cancel,
+// core/engine.hpp) is coarser — it stops whole chains as they come up for execution, in
 // a thread-schedule-dependent order — and is therefore only used when
 // every instance of the run is already condemned.
 

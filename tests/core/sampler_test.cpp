@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "algorithms/layer_sampling.hpp"
 #include "algorithms/mdrw.hpp"
@@ -10,8 +13,11 @@
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
+#include "oom/cache/partition_cache.hpp"
 #include "oom/partitioned_graph.hpp"
+#include "telemetry/trace.hpp"
 #include "util/check.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
 namespace {
@@ -357,6 +363,105 @@ TEST(Sampler, NewPartitioningAfterCachedRunStartsCold) {
   ASSERT_TRUE(repartitioned.oom.has_value());
   EXPECT_EQ(repartitioned.oom->partition_transfers,
             fresh.oom->partition_transfers);
+}
+
+/// The value of `key` in a trace event's args, or "" when absent.
+std::string trace_arg(const telemetry::TraceEvent& event,
+                      const std::string& key) {
+  for (const auto& [k, v] : event.args) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+TEST(Sampler, TracedRunStampsItsBatchOnEveryChainSpan) {
+  // RunControl::trace lasts for one run_tagged call: every chain span of
+  // the run carries its trace_batch and an instance tag of the run, in
+  // every execution mode (multi-device groups share the recorder), and a
+  // later untraced run on the same Sampler records nothing.
+  const CsrGraph g = generate_rmat(1024, 8192, 85);
+  const auto setup = biased_random_walk(8);
+  std::vector<std::vector<VertexId>> seeds;
+  std::vector<std::uint32_t> tags;
+  for (const VertexId seed : spread_seeds(g, 12)) {
+    seeds.push_back({seed});
+    tags.push_back(100 + 3 * static_cast<std::uint32_t>(tags.size()));
+  }
+  const std::set<std::string> tag_names = [&] {
+    std::set<std::string> names;
+    for (const std::uint32_t tag : tags) names.insert(std::to_string(tag));
+    return names;
+  }();
+
+  for (const ExecutionMode mode :
+       {ExecutionMode::kInMemory, ExecutionMode::kOutOfMemory,
+        ExecutionMode::kMultiDevice}) {
+    const std::string label = to_string(mode);
+    SamplerOptions options;
+    options.mode = mode;
+    if (mode == ExecutionMode::kMultiDevice) options.num_devices = 2;
+    Sampler sampler(g, setup, options);
+
+    telemetry::TraceRecorder trace;
+    RunControl control;
+    control.trace = &trace;
+    control.trace_batch = 42;
+    const RunResult traced = sampler.run_tagged(seeds, tags, control);
+    ASSERT_GT(traced.sampled_edges(), 0u) << label;
+
+    std::set<std::string> traced_instances;
+    std::size_t chains = 0;
+    for (const telemetry::TraceEvent& event : trace.snapshot()) {
+      if (event.name != "chain" ||
+          event.phase != telemetry::TracePhase::kBegin) {
+        continue;
+      }
+      ++chains;
+      EXPECT_EQ(trace_arg(event, "batch"), "42") << label;
+      traced_instances.insert(trace_arg(event, "instance"));
+    }
+    EXPECT_GE(chains, seeds.size()) << label;
+    EXPECT_EQ(traced_instances, tag_names) << label;
+
+    const std::size_t recorded = trace.event_count();
+    const RunResult untraced = sampler.run_tagged(seeds, tags);
+    expect_same_samples(untraced.samples, traced.samples, label);
+    EXPECT_EQ(trace.event_count(), recorded) << label;
+  }
+}
+
+TEST(Sampler, UntracedRunAfterAFailedTracedRunRecordsNothing) {
+  // A traced paged run that throws TransferError must not leave its
+  // recorder attached: the next (untraced) run on the same Sampler pages
+  // through the same persistent cache and must not record its transfers.
+  const CsrGraph g = generate_rmat(1024, 8192, 86);
+  const auto setup = biased_random_walk(8);
+  // Every walk starts in partition 0, so it is the run's first copy.
+  const std::vector<std::vector<VertexId>> seeds(8, std::vector<VertexId>{0});
+  std::vector<std::uint32_t> tags(seeds.size());
+  for (std::uint32_t i = 0; i < tags.size(); ++i) tags[i] = i;
+
+  SamplerOptions options;
+  options.mode = ExecutionMode::kOutOfMemory;
+  options.transfer_faults = std::make_shared<FaultInjector>();
+  const RunResult fresh = Sampler(g, setup, options).run_tagged(seeds, tags);
+
+  Sampler sampler(g, setup, options);
+  // More failures than the retry policy's attempts: the copy gives up.
+  options.transfer_faults->fail_next(0, options.transfer_retry.attempts + 1);
+  telemetry::TraceRecorder trace;
+  RunControl control;
+  control.trace = &trace;
+  control.trace_batch = 7;
+  EXPECT_THROW(sampler.run_tagged(seeds, tags, control), TransferError);
+  ASSERT_GT(trace.event_count(), 0u);  // the failed copy was traced
+
+  const std::size_t recorded = trace.event_count();
+  const RunResult after = sampler.run_tagged(seeds, tags);
+  expect_same_samples(after.samples, fresh.samples, "after the failure");
+  ASSERT_TRUE(after.oom.has_value());
+  EXPECT_GT(after.oom->partition_transfers, 0u);
+  EXPECT_EQ(trace.event_count(), recorded);
 }
 
 }  // namespace

@@ -211,13 +211,19 @@ TEST(ServiceScheduler, IndependentGraphBatchesRunConcurrently) {
 TEST(ServiceScheduler, TenantQuotaBoundsAFloodingTenant) {
   // "noisy" floods two graphs; with tenant_quota covering only one of
   // its requests, its second batch must defer — and "quiet", on a third
-  // graph, is dispatched into the freed slot instead of starving behind
-  // the flood. The deferral is deterministic: the dispatcher books the
-  // first batch's in-flight instances before the same locked scheduling
-  // pass evaluates the second request.
+  // graph, is dispatched into the second runner slot instead of starving
+  // behind the flood. The deferral is deterministic: a quantum covering
+  // noisy1's whole cost funds every head in one turn, so the ring order
+  // (noisy before quiet) forms noisy1 first and books its instances; the
+  // dispatcher then runs its next pass without releasing the lock, and
+  // that pass sees noisy2 over quota while noisy1 is still in flight.
+  // The quantum is pinned because under the auto quantum quiet's cheaper
+  // head forms first, and the only deferring pass races noisy1's
+  // retirement.
   ServiceConfig config = serial_engine_config();
   config.max_concurrent_batches = 2;
   config.tenant_quota = 4;
+  config.fairness_quantum = 4 * 4096;  // noisy1's estimated edge cost
   config.start_paused = true;
   Service service(config);
   service.add_graph("f1", graph_a());
@@ -235,7 +241,7 @@ TEST(ServiceScheduler, TenantQuotaBoundsAFloodingTenant) {
 
   // The quiet tenant's tiny batch rides the second runner slot while the
   // flood's first (heavy) batch occupies the first; the flood's second
-  // request is still quota-deferred at that point.
+  // request cannot form before that batch retires.
   EXPECT_GT(quiet.result.get().sampled_edges(), 0u);
   EXPECT_EQ(noisy2.result.wait_for(0ms), std::future_status::timeout)
       << "the flooding tenant overran its quota";

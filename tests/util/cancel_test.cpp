@@ -1,7 +1,7 @@
 // Unit coverage for the cooperative cancellation primitive: inert
 // default tokens, first-reason-wins firing, linked source chains
 // (client token -> service source -> deadline source, the serving tier's
-// exact topology), and the EngineConfig::may_cancel() gate that keeps
+// exact topology), and the RunControl::may_cancel() gate that keeps
 // unarmed runs off the polling path.
 #include <gtest/gtest.h>
 
@@ -124,32 +124,32 @@ TEST(Cancel, TokenOutlivesSource) {
 }
 
 TEST(Cancel, MayCancelGatesPolling) {
-  // Unarmed config: the engines skip per-entry polling entirely.
-  EngineConfig config;
-  EXPECT_FALSE(config.may_cancel());
-  EXPECT_FALSE(config.instance_cancelled(0));
+  // Unarmed control: the engines skip per-entry polling entirely.
+  RunControl control;
+  EXPECT_FALSE(control.may_cancel());
+  EXPECT_FALSE(control.instance_cancelled(0));
 
   // A run-level token arms the gate and condemns every instance.
   CancelSource run;
-  config.cancel = run.token();
-  EXPECT_TRUE(config.may_cancel());
-  EXPECT_FALSE(config.instance_cancelled(0));
+  control.cancel = run.token();
+  EXPECT_TRUE(control.may_cancel());
+  EXPECT_FALSE(control.instance_cancelled(0));
   run.cancel();
-  EXPECT_TRUE(config.instance_cancelled(0));
-  EXPECT_TRUE(config.instance_cancelled(7));
+  EXPECT_TRUE(control.instance_cancelled(0));
+  EXPECT_TRUE(control.instance_cancelled(7));
 }
 
 TEST(Cancel, InstanceTokensCancelOneInstance) {
-  EngineConfig config;
+  RunControl control;
   CancelSource second;
-  config.instance_cancel = {CancelToken{}, second.token(), CancelToken{}};
-  EXPECT_TRUE(config.may_cancel());  // armed even with inert entries
-  EXPECT_FALSE(config.instance_cancelled(1));
+  control.instance_cancel = {CancelToken{}, second.token(), CancelToken{}};
+  EXPECT_TRUE(control.may_cancel());  // armed even with inert entries
+  EXPECT_FALSE(control.instance_cancelled(1));
 
   second.cancel();
-  EXPECT_FALSE(config.instance_cancelled(0));
-  EXPECT_TRUE(config.instance_cancelled(1));
-  EXPECT_FALSE(config.instance_cancelled(2));
+  EXPECT_FALSE(control.instance_cancelled(0));
+  EXPECT_TRUE(control.instance_cancelled(1));
+  EXPECT_FALSE(control.instance_cancelled(2));
 }
 
 }  // namespace

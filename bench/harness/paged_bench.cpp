@@ -184,8 +184,8 @@ Json run_contention(std::ostream& log) {
     row.cell(static_cast<std::int64_t>(2));
     row.cell(static_cast<std::int64_t>(budget));
     row.cell(static_cast<std::int64_t>(stats.paged_batches));
-    row.cell(static_cast<std::int64_t>(stats.cache_hits));
-    row.cell(static_cast<std::int64_t>(stats.cache_evictions));
+    row.cell(static_cast<std::int64_t>(stats.oom.cache_hits));
+    row.cell(static_cast<std::int64_t>(stats.oom.cache_evictions));
     row.cell(seps, 0);
   }
   table.print(log);
@@ -197,9 +197,9 @@ Json run_contention(std::ostream& log) {
              static_cast<std::uint64_t>(kContentionWalkLength));
   record.set("cache_budget_bytes_per_graph", budget);
   record.set("paged_batches", stats.paged_batches);
-  record.set("cache_hits", stats.cache_hits);
-  record.set("cache_evictions", stats.cache_evictions);
-  record.set("prefetch_transfers", stats.cache_prefetch_transfers);
+  record.set("cache_hits", stats.oom.cache_hits);
+  record.set("cache_evictions", stats.oom.cache_evictions);
+  record.set("prefetch_transfers", stats.oom.prefetch_transfers);
   record.set("sampled_edges", stats.sampled_edges);
   record.set("sim_seconds", stats.sim_seconds);
   record.set("seps", seps);

@@ -61,9 +61,6 @@ void ShardMetrics::accumulate(const ShardMetrics& other) {
   for (std::size_t s = 0; s < other.forwarded_per_shard.size(); ++s) {
     forwarded_per_shard[s] += other.forwarded_per_shard[s];
   }
-  failed.insert(failed.end(), other.failed.begin(), other.failed.end());
-  std::sort(failed.begin(), failed.end());
-  failed.erase(std::unique(failed.begin(), failed.end()), failed.end());
 }
 
 double sampled_edges_per_second(std::uint64_t edges, double seconds) {

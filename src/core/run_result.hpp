@@ -50,8 +50,9 @@ struct OomMetrics {
   /// on device or its prefetch in flight).
   std::size_t cache_hits = 0;
   std::size_t cache_evictions = 0;
-  /// Speculative transfers issued behind the computing partition; counted
-  /// in partition_transfers/bytes_transferred too.
+  /// Speculative copies issued behind the computing partition, failed
+  /// ones included; each that lands counts in partition_transfers and
+  /// bytes_transferred too.
   std::size_t prefetch_transfers = 0;
   /// Simulated seconds of host-to-device copy time that overlapped a
   /// kernel — the transfer/compute overlap the cache buys.
@@ -102,7 +103,8 @@ struct ShardMetrics {
   std::vector<std::uint32_t> failed;
 
   /// Accumulates counters; per-shard vectors add elementwise (resizing
-  /// to the larger shard count) and `failed` merges sorted-unique.
+  /// to the larger shard count). `failed` is left as it is: its indices
+  /// are local to one run, so a union over runs names nothing.
   void accumulate(const ShardMetrics& other);
 };
 

@@ -13,30 +13,6 @@ double to_mib(std::uint64_t bytes) {
   return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
-/// Whether auto selection should page the graph, plus the footprint text
-/// used in the decision reason.
-bool graph_exceeds_budget(const CsrGraph& graph, const SamplerOptions& options,
-                          std::ostringstream& why) {
-  switch (options.memory_assumption) {
-    case MemoryAssumption::kExceeds:
-      why << "graph assumed to exceed device memory";
-      return true;
-    case MemoryAssumption::kFits:
-      why << "graph assumed to fit device memory";
-      return false;
-    case MemoryAssumption::kMeasure:
-      break;
-  }
-  const double budget = options.memory_budget_fraction *
-                        static_cast<double>(options.device_params.memory_bytes);
-  const bool exceeds = static_cast<double>(graph.bytes()) > budget;
-  why << "CSR footprint " << to_mib(graph.bytes()) << " MiB "
-      << (exceeds ? "exceeds" : "fits") << " "
-      << options.memory_budget_fraction * 100.0 << "% of "
-      << to_mib(options.device_params.memory_bytes) << " MiB device memory";
-  return exceeds;
-}
-
 /// The per-device backend auto selection: in-memory unless the graph
 /// exceeds the budget and the spec tolerates paged residency.
 void resolve_backend(const CsrGraph& graph, const SamplingSpec& spec,
@@ -44,7 +20,7 @@ void resolve_backend(const CsrGraph& graph, const SamplingSpec& spec,
                      std::ostringstream& why) {
   const std::string restriction = in_memory_only_reason(spec);
   std::ostringstream footprint;
-  const bool exceeds = graph_exceeds_budget(graph, options, footprint);
+  const bool exceeds = graph_exceeds_budget(graph, options, &footprint);
   if (!restriction.empty()) {
     decision.out_of_memory = false;
     why << "in-memory engine: " << restriction;
@@ -145,6 +121,30 @@ void merge_group(RunResult& into, const RunResult& part, std::uint32_t begin,
 }
 
 }  // namespace
+
+bool graph_exceeds_budget(const CsrGraph& graph, const SamplerOptions& options,
+                          std::ostream* why) {
+  std::ostringstream discard;
+  std::ostream& out = why != nullptr ? *why : discard;
+  switch (options.memory_assumption) {
+    case MemoryAssumption::kExceeds:
+      out << "graph assumed to exceed device memory";
+      return true;
+    case MemoryAssumption::kFits:
+      out << "graph assumed to fit device memory";
+      return false;
+    case MemoryAssumption::kMeasure:
+      break;
+  }
+  const double budget = options.memory_budget_fraction *
+                        static_cast<double>(options.device_params.memory_bytes);
+  const bool exceeds = static_cast<double>(graph.bytes()) > budget;
+  out << "CSR footprint " << to_mib(graph.bytes()) << " MiB "
+      << (exceeds ? "exceeds" : "fits") << " "
+      << options.memory_budget_fraction * 100.0 << "% of "
+      << to_mib(options.device_params.memory_bytes) << " MiB device memory";
+  return exceeds;
+}
 
 std::string in_memory_only_reason(const SamplingSpec& spec) {
   if (spec.select_frontier) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -120,6 +121,13 @@ struct ModeDecision {
 /// flag that requires whole-graph frontier state; empty when the spec is
 /// out-of-memory capable.
 std::string in_memory_only_reason(const SamplingSpec& spec);
+
+/// Whether kAuto should page `graph`: options.memory_assumption, or under
+/// kMeasure whether its CSR footprint exceeds memory_budget_fraction of
+/// the device's memory. When `why` is given, the footprint text of the
+/// decision reason is written to it.
+bool graph_exceeds_budget(const CsrGraph& graph, const SamplerOptions& options,
+                          std::ostream* why = nullptr);
 
 /// The C-SAW front door: one facade over the in-memory engine (paper
 /// §IV), the out-of-memory engine (§V) and multi-device execution (§V-D).

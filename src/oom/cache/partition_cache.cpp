@@ -47,8 +47,7 @@ bool PartitionCache::admits(std::uint64_t held_bytes,
 }
 
 std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
-                                                     sim::Device& device,
-                                                     OomMetrics* oom) {
+                                                     sim::Device& device) {
   const std::uint64_t bytes = parts_->part(p).bytes();
   sim::Stream& stream = device.stream(entries_[p].lane);
   const std::string label = "partition " + std::to_string(p);
@@ -70,7 +69,6 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
                              : injector_->next_attempt(p, attempt);
     if (outcome == FaultInjector::Outcome::kFail) {
       ++metrics_.transfer_faults;
-      if (oom != nullptr) ++oom->transfer_faults;
       if (trace_ != nullptr) {
         trace_->instant("transfer_fault",
                         {{"partition", std::to_string(p)},
@@ -89,7 +87,6 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
         return std::nullopt;
       }
       ++metrics_.transfer_retries;
-      if (oom != nullptr) ++oom->transfer_retries;
       if (trace_ != nullptr) {
         trace_->instant("transfer_retry",
                         {{"partition", std::to_string(p)},
@@ -107,11 +104,8 @@ std::optional<double> PartitionCache::issue_transfer(std::uint32_t p,
     const double ready =
         device.transfer().host_to_device(stream, bytes, label, not_before,
                                          scale);
+    ++metrics_.transfers;
     metrics_.bytes_loaded += bytes;
-    if (oom != nullptr) {
-      ++oom->partition_transfers;
-      oom->bytes_transferred += bytes;
-    }
     if (trace_ != nullptr) {
       trace_->end_span(span, "transfer",
                        {{"attempts", std::to_string(attempt + 1)},
@@ -195,8 +189,7 @@ bool PartitionCache::admit(std::uint32_t p,
 }
 
 double PartitionCache::acquire(std::uint32_t p, sim::Device& device,
-                               std::span<const std::size_t> pending,
-                               OomMetrics* oom) {
+                               std::span<const std::size_t> pending) {
   CSAW_CHECK(p < entries_.size());
   Entry& e = entries_[p];
   switch (e.state) {
@@ -217,7 +210,7 @@ double PartitionCache::acquire(std::uint32_t p, sim::Device& device,
                          << "leave no room for its " << parts_->bytes(p)
                          << " bytes");
       ++metrics_.demand_loads;
-      const std::optional<double> ready = issue_transfer(p, device, oom);
+      const std::optional<double> ready = issue_transfer(p, device);
       if (!ready.has_value()) {
         // Terminal copy failure: roll the load back so the partition is
         // simply on disk again — nothing pinned, nothing kLoading —
@@ -274,15 +267,14 @@ void PartitionCache::unpin(std::uint32_t p, bool used) {
 }
 
 bool PartitionCache::prefetch(std::uint32_t p, sim::Device& device,
-                              std::span<const std::size_t> pending,
-                              OomMetrics* oom) {
+                              std::span<const std::size_t> pending) {
   CSAW_CHECK(p < entries_.size());
   Entry& e = entries_[p];
   if (e.state != PartitionState::kOnDisk) return false;  // already on device
   if (in_flight_ != kNone) return false;  // one speculative copy at a time
   if (!admit(p, pending)) return false;
   ++metrics_.prefetch_loads;
-  const std::optional<double> ready = issue_transfer(p, device, oom);
+  const std::optional<double> ready = issue_transfer(p, device);
   if (!ready.has_value()) {
     // A failed speculative load is benign: roll back and decline — a
     // later acquire() will demand-load (and get a fresh fault site).
@@ -304,20 +296,6 @@ void PartitionCache::settle(double now) {
   }
 }
 
-void PartitionCache::set_fault_policy(
-    std::shared_ptr<FaultInjector> injector, RetryPolicy policy) {
-  CSAW_CHECK_MSG(policy.attempts >= 1,
-                 "transfer retry policy needs at least one attempt");
-  injector_ = std::move(injector);
-  policy_ = policy;
-}
-
-void PartitionCache::set_trace(telemetry::TraceRecorder* trace,
-                               std::uint64_t batch) {
-  trace_ = trace;
-  trace_batch_ = batch;
-}
-
 void PartitionCache::abort_round() {
   for (Entry& e : entries_) {
     if (e.state == PartitionState::kInUse) {
@@ -330,7 +308,12 @@ void PartitionCache::abort_round() {
   in_flight_ = kNone;
 }
 
-void PartitionCache::begin_run() {
+void PartitionCache::begin_run(std::shared_ptr<FaultInjector> injector,
+                               RetryPolicy policy,
+                               telemetry::TraceRecorder* trace,
+                               std::uint64_t batch) {
+  CSAW_CHECK_MSG(policy.attempts >= 1,
+                 "transfer retry policy needs at least one attempt");
   for (Entry& e : entries_) {
     CSAW_CHECK_MSG(e.pins == 0, "begin_run with a pinned partition");
     if (e.state == PartitionState::kLoading) {
@@ -339,6 +322,10 @@ void PartitionCache::begin_run() {
     e.ready_time = 0.0;  // fresh device, fresh clock
   }
   in_flight_ = kNone;
+  injector_ = std::move(injector);
+  policy_ = policy;
+  trace_ = trace;
+  trace_batch_ = batch;
 }
 
 void PartitionCache::set_budget_bytes(std::uint64_t bytes) {

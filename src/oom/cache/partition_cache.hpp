@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/run_result.hpp"
 #include "gpusim/device.hpp"
 #include "telemetry/trace.hpp"
 #include "oom/partitioned_graph.hpp"
@@ -66,13 +65,16 @@ std::string to_string(PartitionState state);
 
 /// Monotonic counters of one cache's lifetime (a csaw::Service keeps one
 /// cache per paged graph across batches, so hits accumulate across runs).
+/// Each event is counted here once; OomEngine::run reports a run's
+/// OomMetrics cache fields as the difference of these over the run.
 struct CacheMetrics {
   std::uint64_t demand_loads = 0;    ///< acquire() found the partition on disk
   std::uint64_t prefetch_loads = 0;  ///< speculative transfers issued
   /// acquire() found it on device / in flight, or a fill pin's window ran
   std::uint64_t hits = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t bytes_loaded = 0;  ///< demand + prefetch transfer bytes
+  std::uint64_t transfers = 0;     ///< demand + prefetch copies that landed
+  std::uint64_t bytes_loaded = 0;  ///< bytes of the copies that landed
   std::uint64_t transfer_faults = 0;   ///< injected copy failures observed
   std::uint64_t transfer_retries = 0;  ///< copies re-issued after a fault
 };
@@ -152,11 +154,9 @@ class PartitionCache {
   /// time at which p's bytes are on the device — the earliest moment a
   /// kernel over p may start. `pending` (per-partition frontier entry
   /// counts) steers victim selection away from partitions with queued
-  /// walkers; `oom` (optional) receives the transfer accounting the
-  /// barrier waves record inline.
+  /// walkers.
   double acquire(std::uint32_t p, sim::Device& device,
-                 std::span<const std::size_t> pending,
-                 OomMetrics* oom = nullptr);
+                 std::span<const std::size_t> pending);
 
   /// Drops one pin of p; the last release makes it kEvictable.
   void release(std::uint32_t p);
@@ -178,39 +178,33 @@ class PartitionCache {
   /// still in flight, or making room would require evicting a pinned or
   /// loading partition.
   bool prefetch(std::uint32_t p, sim::Device& device,
-                std::span<const std::size_t> pending,
-                OomMetrics* oom = nullptr);
+                std::span<const std::size_t> pending);
 
   /// Marks in-flight loads whose transfer completed by simulated time
   /// `now` as kResident. Call after each residency round with the round's
   /// end time.
   void settle(double now);
 
-  /// Rebases the cache onto a fresh device clock: every in-flight load is
-  /// treated as landed and all ready times rewind to 0. The Sampler
-  /// builds one sim::Device per run, so a cache surviving across runs
-  /// (the service tier) must begin_run() before reuse. Requires no pins.
-  void begin_run();
+  /// Starts a run: rebases the cache onto a fresh device clock (every
+  /// in-flight load is treated as landed and all ready times rewind to 0)
+  /// and takes the run's handles. `injector` (or nullptr) and `policy`
+  /// govern faulted copies (policy.attempts >= 1, checked); `trace` (or
+  /// nullptr) records every partition copy as a "transfer" span, stamped
+  /// with `batch`, with fault/retry instants inside it (host time only;
+  /// simulated timing is unchanged). The Sampler builds one sim::Device
+  /// per run, so a cache surviving across runs (the service tier) must
+  /// begin_run() before reuse, and follows each batch's options and
+  /// recorder. Requires no pins.
+  void begin_run(std::shared_ptr<FaultInjector> injector = nullptr,
+                 RetryPolicy policy = {},
+                 telemetry::TraceRecorder* trace = nullptr,
+                 std::uint64_t batch = 0);
 
   /// Sets the byte limit, evicting down to it if needed. Shrinking below
   /// the bytes of the pinned or loading partitions is a caller error
   /// (checked). The service tier calls this as paged graphs register and
   /// the per-graph device budget changes.
   void set_budget_bytes(std::uint64_t bytes);
-
-  /// Attaches (or detaches, with nullptr) a fault injector and the retry
-  /// policy governing faulted copies. The engine re-applies this at every
-  /// run, so a service-owned cache follows the current batch's options.
-  void set_fault_policy(std::shared_ptr<FaultInjector> injector,
-                        RetryPolicy policy);
-
-  /// Attaches (or detaches, with nullptr) a trace recorder: every
-  /// partition copy becomes a "transfer" span with fault/retry instants
-  /// inside it, stamped with `batch`. Like the fault policy, the engine
-  /// re-applies this at every run so a service-owned cache follows the
-  /// current batch's recorder. Host-time only; simulated transfer timing
-  /// is unchanged.
-  void set_trace(telemetry::TraceRecorder* trace, std::uint64_t batch);
 
   /// Exception-path recovery: drops every pin (pinned partitions become
   /// kEvictable) and marks in-flight loads kResident (their simulated
@@ -255,8 +249,7 @@ class PartitionCache {
   /// exponential backoff up to the policy's attempt bound. Returns the
   /// completion time of the successful copy, or nullopt when every
   /// attempt failed (callers roll the partition back to kOnDisk).
-  std::optional<double> issue_transfer(std::uint32_t p, sim::Device& device,
-                                       OomMetrics* oom);
+  std::optional<double> issue_transfer(std::uint32_t p, sim::Device& device);
   /// Picks the eviction victim: kEvictable before kResident, then fewest
   /// pending walkers, then least recently acquired, then lowest id.
   /// Returns kNone when nothing on device may be evicted.

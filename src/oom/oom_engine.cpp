@@ -116,11 +116,11 @@ OomRun OomEngine::run(sim::Device& device,
       cache_ = std::make_shared<PartitionCache>(
           parts_, CacheLimits{.partitions = config_.resident_partitions});
     }
-    // Re-applied every run: a service-owned cache shared across batches
-    // follows the current batch's fault/retry options.
-    cache_->set_fault_policy(config_.fault_injector, config_.transfer_retry);
-    cache_->set_trace(control.trace, control.trace_batch);
-    cache_->begin_run();  // fresh device, fresh simulated clock
+    // A fresh device and simulated clock, and this run's fault, retry
+    // and trace handles: a service-owned cache shared across batches
+    // follows the current batch.
+    cache_->begin_run(config_.fault_injector, config_.transfer_retry,
+                      control.trace, control.trace_batch);
     cache_before = cache_->metrics();
   }
 
@@ -170,11 +170,20 @@ OomRun OomEngine::run(sim::Device& device,
   result.sim_seconds = device.synchronize() - t0;
   result.metrics.kernel_imbalance = imbalance.mean();
   if (cached) {
+    // The cache counted every paged event once; the run's share is the
+    // difference over the run.
     const CacheMetrics& cm = cache_->metrics();
+    result.metrics.partition_transfers = cm.transfers - cache_before.transfers;
+    result.metrics.bytes_transferred =
+        cm.bytes_loaded - cache_before.bytes_loaded;
     result.metrics.cache_hits = cm.hits - cache_before.hits;
     result.metrics.cache_evictions = cm.evictions - cache_before.evictions;
     result.metrics.prefetch_transfers =
         cm.prefetch_loads - cache_before.prefetch_loads;
+    result.metrics.transfer_faults =
+        cm.transfer_faults - cache_before.transfer_faults;
+    result.metrics.transfer_retries =
+        cm.transfer_retries - cache_before.transfer_retries;
     result.metrics.transfer_overlap_seconds =
         device.transfer_kernel_overlap(transfer_begin, log_begin);
   }
@@ -380,8 +389,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     std::vector<double> ready(chosen_count, 0.0);
     const auto pin_slot = [&](std::size_t i) {
       ready[i] = i < ranked_count
-                     ? cache.acquire(chosen[i], device, pending,
-                                     &result.metrics)
+                     ? cache.acquire(chosen[i], device, pending)
                      : cache.pin(chosen[i]);
       slot_of[chosen[i]] = static_cast<std::uint32_t>(i);
     };
@@ -390,7 +398,7 @@ void OomEngine::run_cached_pipelined(sim::Device& device, OomRun& result,
     for (std::size_t i = warm_count; i < ranked_count; ++i) pin_slot(i);
     for (const std::uint32_t p : order) {
       if (cache.on_device(p)) continue;  // also skips every chosen one
-      cache.prefetch(p, device, pending, &result.metrics);
+      cache.prefetch(p, device, pending);
       break;
     }
 

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "algorithms/registry.hpp"
+#include "core/run_result.hpp"
+#include "gpusim/cost_model.hpp"
 #include "graph/csr.hpp"
 #include "util/cancel.hpp"
 
@@ -218,32 +220,25 @@ struct ServiceStats {
   /// first when present).
   std::vector<TenantStats> tenants;
 
-  // --- Paged traffic through the per-graph demand caches (the cache
-  // counters stay zero under kStepBarrier; all zero when no batch paged).
+  // --- Paged traffic through the per-graph demand caches.
   std::uint64_t paged_batches = 0;  ///< batches served by the OOM backend
-  /// Residency rounds served without a demand transfer — warm partitions,
-  /// including cross-batch reuse on the same graph.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_prefetch_transfers = 0;
-  /// Injected partition-copy faults observed by completed paged batches
-  /// and the copies re-issued to absorb them (terminal failures lose
-  /// their batch metrics; assert on the injector for exact totals).
-  std::uint64_t transfer_faults = 0;
-  std::uint64_t transfer_retries = 0;
+  /// RunResult::oom of every completed paged batch, accumulated: cache
+  /// hits include cross-batch reuse on the same graph, and the cache
+  /// counters stay zero under kStepBarrier. A batch that failed lost its
+  /// metrics; assert on the injector for exact fault totals.
+  OomMetrics oom;
 
   // --- Sharded traffic through the walk-shard router
   // (ServiceConfig::shards > 1; all zero when unsharded or when no
   // batch qualified for the routed path).
   std::uint64_t sharded_batches = 0;  ///< batches served by the ShardRouter
-  /// Walkers that crossed a shard boundary (one count per hop).
-  std::uint64_t forwarded_walkers = 0;
-  std::uint64_t shard_envelopes = 0;  ///< envelopes delivered
-  std::uint64_t shard_bytes_forwarded = 0;
-  /// Injected envelope-delivery faults observed by completed sharded
-  /// batches and the redeliveries issued to absorb them.
-  std::uint64_t shard_envelope_faults = 0;
-  std::uint64_t shard_envelope_retries = 0;
+  /// RunResult::shard of every completed sharded batch, accumulated
+  /// (`failed` stays empty: its indices are run-local). The per-shard
+  /// vectors are sized by the widest shard count seen.
+  ShardMetrics shard;
+
+  /// RunResult::stats of every completed batch, merged.
+  sim::KernelStats kernels;
 
   // --- Work served.
   std::uint64_t sampled_edges = 0;

@@ -164,20 +164,7 @@ void Service::add_graph(std::string name,
   // The footprint-vs-budget measure kAuto applies per batch, computed
   // once at registration so graphs() can report the residency plan before
   // any request runs.
-  switch (config_.options.memory_assumption) {
-    case MemoryAssumption::kExceeds:
-      entry.paged = true;
-      break;
-    case MemoryAssumption::kFits:
-      entry.paged = false;
-      break;
-    case MemoryAssumption::kMeasure:
-      entry.paged =
-          static_cast<double>(entry.graph->bytes()) >
-          config_.options.memory_budget_fraction *
-              static_cast<double>(config_.options.device_params.memory_bytes);
-      break;
-  }
+  entry.paged = graph_exceeds_budget(*entry.graph, config_.options);
   std::lock_guard<std::mutex> lock(mu_);
   const bool inserted = graphs_.emplace(std::move(name), std::move(entry))
                             .second;
@@ -621,13 +608,6 @@ std::string Service::metrics_text() const {
   // function of the counter state — what the golden test pins.
   const ServiceStats stats = this->stats();
   const ServiceHealth health = this->health();
-  sim::KernelStats kernels;
-  ShardMetrics shard_metrics;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    kernels = kernel_stats_;
-    shard_metrics = shard_metrics_;
-  }
 
   telemetry::MetricsRegistry out;
   const auto counter = [&out](const std::string& name,
@@ -686,44 +666,44 @@ std::string Service::metrics_text() const {
   counter("csaw_quota_deferrals_total",
           "Scheduling passes that skipped a request over tenant quota",
           stats.quota_deferrals);
-  counter("csaw_cache_hits_total", "Partition-cache hits", stats.cache_hits);
+  counter("csaw_cache_hits_total", "Partition-cache hits",
+          stats.oom.cache_hits);
   counter("csaw_cache_evictions_total", "Partition-cache evictions",
-          stats.cache_evictions);
+          stats.oom.cache_evictions);
   counter("csaw_cache_prefetch_transfers_total",
           "Partition transfers issued by the prefetcher",
-          stats.cache_prefetch_transfers);
+          stats.oom.prefetch_transfers);
   counter("csaw_transfer_faults_total", "Injected partition-copy faults",
-          stats.transfer_faults);
+          stats.oom.transfer_faults);
   counter("csaw_transfer_retries_total", "Partition-copy retries",
-          stats.transfer_retries);
+          stats.oom.transfer_retries);
   counter("csaw_batches_sharded_total",
           "Batches routed across walk shards", stats.sharded_batches);
   counter("csaw_shard_forwarded_walkers_total",
           "Walkers forwarded across a shard boundary",
-          stats.forwarded_walkers);
+          stats.shard.forwarded_walkers);
   counter("csaw_shard_envelopes_total",
           "Walker envelopes delivered over the simulated transport",
-          stats.shard_envelopes);
+          stats.shard.envelopes);
   counter("csaw_shard_bytes_forwarded_total",
           "Wire bytes of delivered walker envelopes",
-          stats.shard_bytes_forwarded);
+          stats.shard.bytes_forwarded);
   counter("csaw_shard_envelope_faults_total",
-          "Injected envelope-delivery faults", stats.shard_envelope_faults);
+          "Injected envelope-delivery faults", stats.shard.envelope_faults);
   counter("csaw_shard_envelope_retries_total", "Envelope redeliveries",
-          stats.shard_envelope_retries);
+          stats.shard.envelope_retries);
   // Per-shard attribution: present only once a sharded batch completed
   // (the vectors are sized by the widest shard count seen).
-  for (std::size_t s = 0; s < shard_metrics.steps_per_shard.size(); ++s) {
+  for (std::size_t s = 0; s < stats.shard.steps_per_shard.size(); ++s) {
     const std::string labels = "shard=\"" + std::to_string(s) + "\"";
     counter("csaw_shard_steps_total", "Walker steps computed per shard",
-            shard_metrics.steps_per_shard[s], labels);
+            stats.shard.steps_per_shard[s], labels);
   }
-  for (std::size_t s = 0; s < shard_metrics.forwarded_per_shard.size();
-       ++s) {
+  for (std::size_t s = 0; s < stats.shard.forwarded_per_shard.size(); ++s) {
     const std::string labels = "shard=\"" + std::to_string(s) + "\"";
     counter("csaw_shard_forwarded_total",
             "Walkers each shard forwarded away",
-            shard_metrics.forwarded_per_shard[s], labels);
+            stats.shard.forwarded_per_shard[s], labels);
   }
   counter("csaw_sampled_edges_total",
           "Edges delivered to completed requests", stats.sampled_edges);
@@ -784,7 +764,7 @@ std::string Service::metrics_text() const {
           static_cast<double>(tenant.peak_inflight_instances), labels);
   }
 
-  sim::visit_kernel_stats(kernels, [&](const char* field,
+  sim::visit_kernel_stats(stats.kernels, [&](const char* field,
                                        std::uint64_t value) {
     counter(std::string("csaw_kernel_") + field + "_total",
             "Accumulated simulated-kernel event counter", value);
@@ -1331,26 +1311,17 @@ void Service::retire_locked(std::vector<Pending>& riders,
     stats_.max_batch_requests =
         std::max<std::uint64_t>(stats_.max_batch_requests, num_requests);
     stats_.sim_seconds += whole->sim_seconds;
-    kernel_stats_.merge(whole->stats);
+    stats_.kernels.merge(whole->stats);
     h_batch_sim_->observe(whole->sim_seconds);
     if (whole->oom.has_value()) {
       ++stats_.paged_batches;
-      stats_.cache_hits += whole->oom->cache_hits;
-      stats_.cache_evictions += whole->oom->cache_evictions;
-      stats_.cache_prefetch_transfers += whole->oom->prefetch_transfers;
-      stats_.transfer_faults += whole->oom->transfer_faults;
-      stats_.transfer_retries += whole->oom->transfer_retries;
+      stats_.oom.accumulate(*whole->oom);
       h_transfer_retries_->observe(
           static_cast<double>(whole->oom->transfer_retries));
     }
     if (whole->shard.has_value()) {
       ++stats_.sharded_batches;
-      stats_.forwarded_walkers += whole->shard->forwarded_walkers;
-      stats_.shard_envelopes += whole->shard->envelopes;
-      stats_.shard_bytes_forwarded += whole->shard->bytes_forwarded;
-      stats_.shard_envelope_faults += whole->shard->envelope_faults;
-      stats_.shard_envelope_retries += whole->shard->envelope_retries;
-      shard_metrics_.accumulate(*whole->shard);
+      stats_.shard.accumulate(*whole->shard);
     }
   }
   for (std::size_t r = 0; r < riders.size(); ++r) {

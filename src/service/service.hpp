@@ -508,13 +508,6 @@ class Service {
   std::uint64_t next_ticket_ = 1;
   std::uint32_t next_rng_base_ = 0;
   ServiceStats stats_;
-  /// Kernel stats accumulated over every completed batch (under mu_);
-  /// exposed through metrics_text().
-  sim::KernelStats kernel_stats_;
-  /// Shard-routing metrics accumulated over every completed sharded
-  /// batch (under mu_) — the per-shard attribution metrics_text()
-  /// exposes (csaw_shard_steps_total{shard="s"} and friends).
-  ShardMetrics shard_metrics_;
   /// Always-on telemetry: the latency/occupancy histograms live here and
   /// record regardless of tracing (observation is a few relaxed atomic
   /// adds). metrics_text() merges a counter view of stats_ over it.

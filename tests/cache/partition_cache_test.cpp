@@ -76,17 +76,15 @@ TEST(PartitionCache, DemandLoadPinsAndCounts) {
   ASSERT_EQ(cache.state(0), PartitionState::kOnDisk);
   EXPECT_FALSE(cache.on_device(0));
 
-  OomMetrics oom;
-  const double ready = cache.acquire(0, device, pending, &oom);
+  const double ready = cache.acquire(0, device, pending);
   EXPECT_EQ(cache.state(0), PartitionState::kInUse);
   EXPECT_TRUE(cache.on_device(0));
   EXPECT_EQ(cache.resident_count(), 1u);
   EXPECT_GT(ready, 0.0);  // the simulated copy takes link time
   EXPECT_EQ(cache.metrics().demand_loads, 1u);
   EXPECT_EQ(cache.metrics().hits, 0u);
+  EXPECT_EQ(cache.metrics().transfers, 1u);
   EXPECT_EQ(cache.metrics().bytes_loaded, parts->bytes(0));
-  EXPECT_EQ(oom.partition_transfers, 1u);
-  EXPECT_EQ(oom.bytes_transferred, parts->bytes(0));
   EXPECT_EQ(device.transfer().log().size(), 1u);
 
   // A nested acquire pins again without another transfer, and the first
@@ -553,7 +551,7 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   auto parts = make_parts();
   PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
-  cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
+  cache.begin_run(injector, RetryPolicy{3, 1e-4});
   injector->fail_next(0, 2);  // attempts 0 and 1 fail, attempt 2 lands
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
@@ -563,8 +561,7 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   sim::Device clean_device;
   const double clean_ready = clean.acquire(0, clean_device, pending);
 
-  OomMetrics oom;
-  const double ready = cache.acquire(0, device, pending, &oom);
+  const double ready = cache.acquire(0, device, pending);
   EXPECT_EQ(cache.state(0), PartitionState::kInUse);
   // Two failed copies occupied the link, then the backoff, then the real
   // copy: the bytes land strictly later than the clean run, but they land.
@@ -573,12 +570,9 @@ TEST(TransferFaults, ScriptedFaultRetriesAndSucceeds) {
   EXPECT_EQ(cache.metrics().transfer_faults, 2u);
   EXPECT_EQ(cache.metrics().transfer_retries, 2u);
   EXPECT_EQ(cache.metrics().demand_loads, 1u);
-  // Only the successful copy counts as delivered bytes.
+  // Only the successful copy counts as a transfer and as delivered bytes.
+  EXPECT_EQ(cache.metrics().transfers, 1u);
   EXPECT_EQ(cache.metrics().bytes_loaded, parts->bytes(0));
-  EXPECT_EQ(oom.transfer_faults, 2u);
-  EXPECT_EQ(oom.transfer_retries, 2u);
-  EXPECT_EQ(oom.partition_transfers, 1u);
-  EXPECT_EQ(oom.bytes_transferred, parts->bytes(0));
   EXPECT_EQ(injector->attempts_seen(), 3u);
 }
 
@@ -586,7 +580,7 @@ TEST(TransferFaults, ExhaustedRetriesThrowAndRollBack) {
   auto parts = make_parts();
   PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
-  cache.set_fault_policy(injector, RetryPolicy{2, 1e-4});
+  cache.begin_run(injector, RetryPolicy{2, 1e-4});
   injector->fail_next(0, 5);  // more failures than the retry budget
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
@@ -617,7 +611,7 @@ TEST(TransferFaults, FailedPrefetchDeclinesWithoutResidue) {
   auto parts = make_parts();
   PartitionCache cache(parts, slots(2));
   auto injector = std::make_shared<FaultInjector>();
-  cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
+  cache.begin_run(injector, RetryPolicy{1, 1e-4});
   injector->fail_next(1, 1);
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
@@ -646,7 +640,7 @@ TEST(TransferFaults, RandomSlowSitesStretchTheCopy) {
   const double clean_ready = clean.acquire(0, clean_device, no_pending());
 
   PartitionCache cache(parts, slots(2));
-  cache.set_fault_policy(injector, RetryPolicy{3, 1e-4});
+  cache.begin_run(injector, RetryPolicy{3, 1e-4});
   sim::Device device;
   const double slow_ready = cache.acquire(0, device, no_pending());
   // Slow copies stretch the link occupancy by slow_factor but still
@@ -664,7 +658,7 @@ TEST(TransferFaults, RoundGuardRecoversAfterMidRoundThrow) {
   auto parts = make_parts();
   PartitionCache cache(parts, slots(3));
   auto injector = std::make_shared<FaultInjector>();
-  cache.set_fault_policy(injector, RetryPolicy{1, 1e-4});
+  cache.begin_run(injector, RetryPolicy{1, 1e-4});
   injector->fail_next(2, 1);
   sim::Device device;
   const std::vector<std::size_t> pending = no_pending();
@@ -686,7 +680,8 @@ TEST(TransferFaults, RoundGuardRecoversAfterMidRoundThrow) {
   EXPECT_EQ(cache.state(0), PartitionState::kEvictable);
   EXPECT_EQ(cache.state(1), PartitionState::kResident);
   EXPECT_EQ(cache.state(2), PartitionState::kOnDisk);
-  cache.begin_run();  // would CheckError on a leftover pin
+  // would CheckError on a leftover pin
+  cache.begin_run(injector, RetryPolicy{1, 1e-4});
   sim::Device next_run;
   cache.acquire(2, next_run, pending);  // fresh site: the load succeeds
   EXPECT_EQ(cache.state(2), PartitionState::kInUse);
@@ -731,6 +726,28 @@ TEST(PartitionCache, BeginRunRebasesOntoFreshDevice) {
   EXPECT_EQ(cache.acquire(1, run2, pending), 0.0);
   EXPECT_EQ(run2.transfer().log().size(), 0u);  // warm across runs
   EXPECT_EQ(cache.metrics().hits, 2u);
+}
+
+TEST(PartitionCache, BeginRunTakesTheRunsRetryPolicy) {
+  auto parts = make_parts();
+  PartitionCache cache(parts, slots(2));
+  // A policy must allow the copy itself.
+  EXPECT_THROW(cache.begin_run(nullptr, RetryPolicy{0, 1e-4}), CheckError);
+
+  // The handles last for one run: a fail-once site fails a 1-attempt
+  // run, and the next run, begun without an injector, is fault-free.
+  auto injector = std::make_shared<FaultInjector>();
+  injector->fail_next(0, 1);
+  injector->fail_next(0, 1);
+  cache.begin_run(injector, RetryPolicy{1, 1e-4});
+  sim::Device run1;
+  EXPECT_THROW(cache.acquire(0, run1, no_pending()), TransferError);
+  cache.begin_run();
+  sim::Device run2;
+  cache.acquire(0, run2, no_pending());
+  EXPECT_EQ(cache.metrics().transfer_faults, 1u);
+  EXPECT_EQ(cache.metrics().transfers, 1u);
+  EXPECT_EQ(injector->attempts_seen(), 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -462,6 +463,84 @@ TEST(Sampler, UntracedRunAfterAFailedTracedRunRecordsNothing) {
   ASSERT_TRUE(after.oom.has_value());
   EXPECT_GT(after.oom->partition_transfers, 0u);
   EXPECT_EQ(trace.event_count(), recorded);
+}
+
+TEST(Sampler, PagedRunReportsEveryCopyOnceInItsOomMetrics) {
+  // The partition cache counts each copy, fault and retry once and the
+  // run reports the difference over the run: a retried demand copy and a
+  // declined prefetch must reach RunResult::oom exactly, and agree with
+  // the run's own "transfer" spans.
+  const CsrGraph g = generate_rmat(1024, 8192, 86);
+  const auto setup = biased_random_walk(8);
+  std::vector<std::vector<VertexId>> seeds;
+  for (const VertexId seed : spread_seeds(g, 32)) seeds.push_back({seed});
+
+  SamplerOptions options;
+  options.mode = ExecutionMode::kOutOfMemory;
+  options.num_partitions = 8;
+  options.resident_partitions = 4;  // leaves a place for the prefetcher
+  options.transfer_faults = std::make_shared<FaultInjector>();
+  const RunResult clean = Sampler(g, setup, options).run(seeds);
+  ASSERT_TRUE(clean.oom.has_value());
+  EXPECT_EQ(clean.oom->transfer_faults, 0u);
+  EXPECT_EQ(clean.oom->transfer_retries, 0u);
+  ASSERT_GT(clean.oom->prefetch_transfers, 0u);
+
+  // Partition 0 (seed 0's) is the first demand copy: two failed attempts,
+  // then it lands. Partition 4's first copy in this shape is a prefetch;
+  // failing all three attempts makes the cache decline it, and the walks
+  // demand-load it later instead.
+  options.transfer_faults = std::make_shared<FaultInjector>();
+  options.transfer_faults->fail_next(0, 2);
+  options.transfer_faults->fail_next(4, options.transfer_retry.attempts);
+  telemetry::TraceRecorder trace;
+  RunControl control;
+  control.trace = &trace;
+  std::vector<std::uint32_t> tags(seeds.size());
+  for (std::uint32_t i = 0; i < tags.size(); ++i) tags[i] = i;
+  const RunResult faulted =
+      Sampler(g, setup, options).run_tagged(seeds, tags, control);
+  expect_same_samples(faulted.samples, clean.samples, "faulted");
+  ASSERT_TRUE(faulted.oom.has_value());
+  const OomMetrics& oom = *faulted.oom;
+  EXPECT_EQ(oom.transfer_faults, 2u + options.transfer_retry.attempts);
+  EXPECT_EQ(oom.transfer_retries, 2u + options.transfer_retry.attempts - 1);
+  // Every partition still lands once per load, so the landed copies and
+  // their bytes match the clean run; the declined prefetch was issued, so
+  // it counts as one, but the hit it would have earned is gone.
+  EXPECT_EQ(oom.partition_transfers, clean.oom->partition_transfers);
+  EXPECT_EQ(oom.bytes_transferred, clean.oom->bytes_transferred);
+  EXPECT_EQ(oom.prefetch_transfers, clean.oom->prefetch_transfers);
+  EXPECT_EQ(oom.cache_hits + 1, clean.oom->cache_hits);
+
+  // The same copies, read from the trace: a landed span carries its
+  // ready time, a failed one its outcome.
+  std::map<std::uint64_t, std::uint64_t> span_bytes;
+  std::size_t landed = 0;
+  std::size_t failed = 0;
+  std::uint64_t landed_bytes = 0;
+  std::size_t faults = 0;
+  std::size_t retries = 0;
+  for (const telemetry::TraceEvent& event : trace.snapshot()) {
+    if (event.name == "transfer" &&
+        event.phase == telemetry::TracePhase::kBegin) {
+      span_bytes[event.id] = std::stoull(trace_arg(event, "bytes"));
+    } else if (event.name == "transfer") {
+      if (trace_arg(event, "outcome") == "failed") {
+        ++failed;
+      } else {
+        ++landed;
+        landed_bytes += span_bytes.at(event.id);
+      }
+    }
+    if (event.name == "transfer_fault") ++faults;
+    if (event.name == "transfer_retry") ++retries;
+  }
+  EXPECT_EQ(failed, 1u);
+  EXPECT_EQ(landed, oom.partition_transfers);
+  EXPECT_EQ(landed_bytes, oom.bytes_transferred);
+  EXPECT_EQ(faults, oom.transfer_faults);
+  EXPECT_EQ(retries, oom.transfer_retries);
 }
 
 }  // namespace

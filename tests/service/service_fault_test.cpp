@@ -100,8 +100,8 @@ TEST(ServiceFault, RetriedFaultsAreByteInvisible) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(stats.transfer_faults, 2u);
-  EXPECT_EQ(stats.transfer_retries, 2u);
+  EXPECT_EQ(stats.oom.transfer_faults, 2u);
+  EXPECT_EQ(stats.oom.transfer_retries, 2u);
   // The injector was consulted for every attempt partition 0 made plus
   // one per other load site.
   EXPECT_GE(injector->attempts_seen(), 3u);

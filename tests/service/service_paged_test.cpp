@@ -101,7 +101,7 @@ TEST(ServicePaged, CacheStaysWarmAcrossBatches) {
   const RunResult second = run_one(service, walk_request("g", *graph_a()));
   const ServiceStats after_second = service.stats();
   EXPECT_EQ(after_second.paged_batches, 2u);
-  EXPECT_GT(after_second.cache_hits, after_first.cache_hits);
+  EXPECT_GT(after_second.oom.cache_hits, after_first.oom.cache_hits);
   expect_same_samples(first.samples, second.samples);
 }
 
@@ -140,7 +140,7 @@ TEST(ServicePaged, BudgetIsSlicedAcrossRegisteredPagedGraphs) {
   }
 
   // Bounded caches under walks that cross partitions must thrash a bit.
-  EXPECT_GT(service.stats().cache_evictions, 0u);
+  EXPECT_GT(service.stats().oom.cache_evictions, 0u);
 }
 
 TEST(ServicePaged, BarrierScheduleIsColdAndByteIdentical) {
@@ -155,8 +155,8 @@ TEST(ServicePaged, BarrierScheduleIsColdAndByteIdentical) {
   // exists anywhere — no hits, no prefetches, no reported budget.
   const ServiceStats stats = cold.stats();
   EXPECT_EQ(stats.paged_batches, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_prefetch_transfers, 0u);
+  EXPECT_EQ(stats.oom.cache_hits, 0u);
+  EXPECT_EQ(stats.oom.prefetch_transfers, 0u);
   EXPECT_EQ(cold.graphs().at(0).cache_budget_bytes, 0u);
   EXPECT_EQ(cold.graphs().at(0).cache_resident_bytes, 0u);
 

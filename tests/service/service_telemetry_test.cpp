@@ -403,5 +403,141 @@ TEST(ServiceTelemetry, EstimatedEdgeCostWeighsWalksAndTrees) {
             2u * (std::uint64_t{1} << 20));
 }
 
+/// The value of every exposition sample whose name starts with one of
+/// `prefixes`, keyed by name plus labels.
+std::map<std::string, std::string> exposition_samples(
+    const std::string& text, const std::vector<std::string>& prefixes) {
+  std::map<std::string, std::string> samples;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    for (const std::string& prefix : prefixes) {
+      if (line.rfind(prefix, 0) != 0) continue;
+      const std::size_t space = line.rfind(' ');
+      samples[line.substr(0, space)] = line.substr(space + 1);
+    }
+  }
+  return samples;
+}
+
+TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
+  // Single-request paged batches, then sharded batches, on one service:
+  // stats().oom and stats().shard are the sums of the requests' own
+  // RunResult::oom and RunResult::shard, stats().kernels the merge of
+  // their kernel stats, and every csaw_cache_*, csaw_transfer_*,
+  // csaw_shard_* and csaw_kernel_* sample of the exposition reads its
+  // field.
+  const auto paged_graph =
+      std::make_shared<const CsrGraph>(generate_rmat(2048, 16384, 98));
+  ServiceConfig config = serial_config();
+  config.shards = 2;
+  // The device holds the small graph but not the large one, so "paged"
+  // pages through a cache smaller than itself and "sharded" is routed.
+  config.options.memory_budget_fraction = 1.0;
+  config.options.device_params.memory_bytes =
+      (small_graph()->bytes() + paged_graph->bytes()) / 2;
+  auto transfer_faults = std::make_shared<FaultInjector>();
+  transfer_faults->fail_next(0, 2);
+  config.options.transfer_faults = transfer_faults;
+  auto shard_faults = std::make_shared<FaultInjector>();
+  shard_faults->fail_next(1, 1);
+  config.shard_faults = shard_faults;
+  Service service(config);
+  service.add_graph("paged", paged_graph);
+  service.add_graph("sharded", small_graph());
+
+  const auto request = [](const std::string& graph, const CsrGraph& g,
+                          std::uint32_t stride) {
+    std::vector<VertexId> seeds(8);
+    for (std::uint32_t i = 0; i < seeds.size(); ++i) {
+      seeds[i] = static_cast<VertexId>((i * stride) % g.num_vertices());
+    }
+    return SampleRequest::single_seeds(graph, AlgorithmId::kBiasedRandomWalk,
+                                       12, seeds);
+  };
+  OomMetrics want_oom;
+  ShardMetrics want_shard;
+  sim::KernelStats want_kernels;
+  for (const std::uint32_t stride : {131u, 257u, 131u}) {
+    const RunResult result = service.sample(request("paged", *paged_graph,
+                                                    stride));
+    ASSERT_TRUE(result.oom.has_value());
+    ASSERT_FALSE(result.shard.has_value());
+    want_oom.accumulate(*result.oom);
+    want_kernels.merge(result.stats);
+  }
+  for (const std::uint32_t stride : {131u, 389u}) {
+    const RunResult result =
+        service.sample(request("sharded", *small_graph(), stride));
+    ASSERT_TRUE(result.shard.has_value());
+    ASSERT_FALSE(result.oom.has_value());
+    want_shard.accumulate(*result.shard);
+    want_kernels.merge(result.stats);
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.paged_batches, 3u);
+  EXPECT_EQ(stats.sharded_batches, 2u);
+  EXPECT_EQ(stats.oom.partition_transfers, want_oom.partition_transfers);
+  EXPECT_EQ(stats.oom.bytes_transferred, want_oom.bytes_transferred);
+  EXPECT_DOUBLE_EQ(stats.oom.kernel_imbalance, want_oom.kernel_imbalance);
+  EXPECT_EQ(stats.oom.scheduling_rounds, want_oom.scheduling_rounds);
+  EXPECT_EQ(stats.oom.kernel_launches, want_oom.kernel_launches);
+  EXPECT_EQ(stats.oom.cache_hits, want_oom.cache_hits);
+  EXPECT_EQ(stats.oom.cache_evictions, want_oom.cache_evictions);
+  EXPECT_EQ(stats.oom.prefetch_transfers, want_oom.prefetch_transfers);
+  EXPECT_DOUBLE_EQ(stats.oom.transfer_overlap_seconds,
+                   want_oom.transfer_overlap_seconds);
+  EXPECT_EQ(stats.oom.transfer_faults, 2u);
+  EXPECT_EQ(stats.oom.transfer_retries, 2u);
+  EXPECT_GT(stats.oom.cache_hits, 0u);
+  EXPECT_GT(stats.oom.cache_evictions, 0u);
+
+  EXPECT_EQ(stats.shard.shards, 2u);
+  EXPECT_EQ(stats.shard.rounds, want_shard.rounds);
+  EXPECT_EQ(stats.shard.forwarded_walkers, want_shard.forwarded_walkers);
+  EXPECT_EQ(stats.shard.envelopes, want_shard.envelopes);
+  EXPECT_EQ(stats.shard.bytes_forwarded, want_shard.bytes_forwarded);
+  EXPECT_DOUBLE_EQ(stats.shard.transfer_seconds, want_shard.transfer_seconds);
+  EXPECT_EQ(stats.shard.envelope_faults, 1u);
+  EXPECT_EQ(stats.shard.envelope_retries, 1u);
+  EXPECT_EQ(stats.shard.steps_per_shard, want_shard.steps_per_shard);
+  EXPECT_EQ(stats.shard.forwarded_per_shard, want_shard.forwarded_per_shard);
+  EXPECT_TRUE(stats.shard.failed.empty());
+  EXPECT_GT(stats.shard.forwarded_walkers, 0u);
+
+  std::map<std::string, std::uint64_t> want = {
+      {"csaw_cache_hits_total", stats.oom.cache_hits},
+      {"csaw_cache_evictions_total", stats.oom.cache_evictions},
+      {"csaw_cache_prefetch_transfers_total", stats.oom.prefetch_transfers},
+      {"csaw_transfer_faults_total", stats.oom.transfer_faults},
+      {"csaw_transfer_retries_total", stats.oom.transfer_retries},
+      {"csaw_shard_forwarded_walkers_total", stats.shard.forwarded_walkers},
+      {"csaw_shard_envelopes_total", stats.shard.envelopes},
+      {"csaw_shard_bytes_forwarded_total", stats.shard.bytes_forwarded},
+      {"csaw_shard_envelope_faults_total", stats.shard.envelope_faults},
+      {"csaw_shard_envelope_retries_total", stats.shard.envelope_retries},
+  };
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::string labels = "{shard=\"" + std::to_string(s) + "\"}";
+    want["csaw_shard_steps_total" + labels] = stats.shard.steps_per_shard[s];
+    want["csaw_shard_forwarded_total" + labels] =
+        stats.shard.forwarded_per_shard[s];
+  }
+  sim::visit_kernel_stats(want_kernels, [&](const char* field,
+                                            std::uint64_t value) {
+    want[std::string("csaw_kernel_") + field + "_total"] = value;
+  });
+  const std::map<std::string, std::string> got = exposition_samples(
+      service.metrics_text(),
+      {"csaw_cache_", "csaw_transfer_", "csaw_shard_", "csaw_kernel_"});
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [name, value] : want) {
+    ASSERT_EQ(got.count(name), 1u) << name << " missing";
+    EXPECT_EQ(got.at(name), std::to_string(value)) << name;
+  }
+}
+
 }  // namespace
 }  // namespace csaw

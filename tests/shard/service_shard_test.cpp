@@ -94,9 +94,9 @@ TEST(ServiceSharding, ShardedBatchesAreCountedAndAttributed) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sharded_batches, 1u);
-  EXPECT_EQ(stats.forwarded_walkers, result.shard->forwarded_walkers);
-  EXPECT_EQ(stats.shard_envelopes, result.shard->envelopes);
-  EXPECT_EQ(stats.shard_bytes_forwarded, result.shard->bytes_forwarded);
+  EXPECT_EQ(stats.shard.forwarded_walkers, result.shard->forwarded_walkers);
+  EXPECT_EQ(stats.shard.envelopes, result.shard->envelopes);
+  EXPECT_EQ(stats.shard.bytes_forwarded, result.shard->bytes_forwarded);
   // Per-shard attribution reaches the exposition.
   const std::string text = service.metrics_text();
   EXPECT_NE(text.find("csaw_batches_sharded_total 1"), std::string::npos);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,121 @@ INSTANTIATE_TEST_SUITE_P(
                       OomToggles{true, true, true, "BA_WS_BAL"},
                       OomToggles{false, true, true, "WS_BAL_NoBatch"}),
     [](const auto& info) { return info.param.name; });
+
+/// FNV-1a over the bit patterns of everything a barrier run produces.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash_ ^= (v >> (8 * b)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::string_view s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (const char c : s) add(static_cast<std::uint64_t>(c));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+std::uint64_t barrier_digest(const sim::Device& device, const OomRun& run) {
+  Digest d;
+  for (const sim::KernelRecord& k : device.kernel_log()) {
+    d.add(k.name);
+    d.add(static_cast<std::uint64_t>(k.stream_id));
+    d.add(k.start);
+    d.add(k.end);
+    d.add(k.resource_fraction);
+    sim::visit_kernel_stats(k.stats, [&](std::string_view name,
+                                         std::uint64_t value) {
+      d.add(name);
+      d.add(value);
+    });
+  }
+  for (const sim::TransferRecord& t : device.transfer().log()) {
+    d.add(t.label);
+    d.add(t.bytes);
+    d.add(static_cast<std::uint64_t>(t.stream_id));
+    d.add(t.start);
+    d.add(t.end);
+  }
+  d.add(run.metrics.partition_transfers);
+  d.add(run.metrics.kernel_launches);
+  d.add(run.metrics.scheduling_rounds);
+  d.add(run.metrics.kernel_imbalance);
+  d.add(run.sim_seconds);
+  for (std::uint32_t i = 0; i < run.samples.num_instances(); ++i) {
+    d.add(static_cast<std::uint64_t>(run.samples.edges(i).size()));
+    for (const Edge& e : run.samples.edges(i)) {
+      d.add(static_cast<std::uint64_t>(e.src));
+      d.add(static_cast<std::uint64_t>(e.dst));
+      d.add(static_cast<double>(e.weight));
+    }
+  }
+  return d.value();
+}
+
+TEST(Oom, BarrierTimelineIsPinned) {
+  // The barrier waves behind Figs. 13-15, pinned bit for bit: every
+  // kernel record (name, stream, clock, share, stats), every transfer,
+  // the run's counters, its simulated time and its samples, for every
+  // BA x WS x BAL toggle with a walk and a neighbor-sampling spec, and a
+  // non-batched run that pages one gang of instances at a time. The
+  // digests do not depend on the host width.
+  const CsrGraph g = generate_rmat(1024, 8192, 62);
+  struct Case {
+    const char* spec;
+    bool batched, workload_aware, balancing;
+    std::uint32_t gang;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"walk", false, false, false, 1024, 0x2bd916686a6f99a0ull},
+      {"walk", false, false, true, 1024, 0xe87a647942ab9ecaull},
+      {"walk", false, true, false, 1024, 0x3963e21d99472191ull},
+      {"walk", false, true, true, 1024, 0xce9a030933200dacull},
+      {"walk", true, false, false, 1024, 0x2bd916686a6f99a0ull},
+      {"walk", true, false, true, 1024, 0xe87a647942ab9ecaull},
+      {"walk", true, true, false, 1024, 0x3963e21d99472191ull},
+      {"walk", true, true, true, 1024, 0xce9a030933200dacull},
+      {"neighbor", false, false, false, 1024, 0x3153b162646c3576ull},
+      {"neighbor", false, false, true, 1024, 0xa5bac48db207ef96ull},
+      {"neighbor", false, true, false, 1024, 0xc548cca0ffb74832ull},
+      {"neighbor", false, true, true, 1024, 0x6abde366118a3cdeull},
+      {"neighbor", true, false, false, 1024, 0x748a23411d963343ull},
+      {"neighbor", true, false, true, 1024, 0xaea9f32c66e618a8ull},
+      {"neighbor", true, true, false, 1024, 0x9fd8eadd250f0331ull},
+      {"neighbor", true, true, true, 1024, 0x0553662f9e0fc3a6ull},
+      {"walk", false, true, true, 12, 0x366f53973480e3e0ull},
+  };
+  for (const Case& c : cases) {
+    const auto setup = std::string_view(c.spec) == "walk"
+                           ? biased_random_walk(/*length=*/12)
+                           : biased_neighbor_sampling(2, 3);
+    for (const std::uint32_t threads : {1u, 4u}) {
+      OomConfig config;
+      config.num_partitions = 4;
+      config.resident_partitions = 2;
+      config.num_streams = 2;
+      config.batched = c.batched;
+      config.workload_aware = c.workload_aware;
+      config.block_balancing = c.balancing;
+      config.unbatched_gang_size = c.gang;
+      config.engine.num_threads = threads;
+      OomEngine oom(g, setup.policy, setup.spec, config);
+      sim::Device device;
+      const OomRun run = oom.run_single_seed(device, spread_seeds(g, 40));
+      EXPECT_EQ(barrier_digest(device, run), c.digest)
+          << c.spec << " BA=" << c.batched << " WS=" << c.workload_aware
+          << " BAL=" << c.balancing << " gang=" << c.gang
+          << " threads=" << threads;
+    }
+  }
+}
 
 TEST(Oom, WorkloadAwareSchedulingReducesTransfers) {
   // Fig. 15's mechanism: keeping the busiest partition resident until its

@@ -141,12 +141,14 @@ struct RunControl {
   std::vector<CancelToken> instance_cancel;
   /// Per-instance completion subscription (instance index of the run):
   /// fired exactly once per non-cancelled instance, as soon as that
-  /// instance's sample is final — from the executing chain in pipelined
-  /// schedules, from an end-of-run sweep otherwise. The subscriber may
-  /// move the row out of the store (streaming) or leave it. May be
-  /// invoked concurrently from host worker threads and may block
-  /// (backpressure); blocking parks the producing chain in host time
-  /// only, so samples and sim_seconds are unchanged. Null = buffered run.
+  /// instance's sample is final — from the executing chain in the
+  /// in-memory pipelined schedule, at a residency-round boundary in the
+  /// out-of-memory engine, from an end-of-run sweep otherwise. The
+  /// subscriber may move the row out of the store (streaming) or leave
+  /// it. May be invoked concurrently from host worker threads and may
+  /// block (backpressure); blocking parks the producing chain in host
+  /// time only, so samples and sim_seconds are unchanged. Null =
+  /// buffered run.
   SampleStore::CompletionCallback on_instance_complete;
   /// Per-request trace recorder (telemetry/trace.hpp), null by default.
   /// When set, engines emit chain spans (and the partition cache emits
@@ -176,8 +178,9 @@ struct RunControl {
 /// End-of-run completion sweep of a streaming store: fires completion for
 /// every instance not yet completed and not cancelled, then detaches the
 /// subscriber. Engines call it after their schedule returns, so whatever
-/// the schedule did not fire itself (the whole run under barrier
-/// schedules, zero-seed instances, chains a run-level cancel skipped)
+/// the schedule did not fire itself (the whole run under the in-memory
+/// barrier schedule, zero-seed instances, chains a run-level cancel
+/// skipped)
 /// completes here. A no-op for a buffered store.
 void complete_remaining(SampleStore& samples, const RunControl& control);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
 #include <utility>
 
 #include "util/check.hpp"
@@ -43,6 +44,27 @@ std::uint32_t Device::max_workers() const noexcept {
   const ThreadPool* pool = executor();
   return pool == nullptr ? 1u : pool->max_workers();
 }
+
+namespace {
+
+/// Intra-block imbalance of a step-barrier kernel: its tasks pack in
+/// order into blocks of kWarpsPerBlock warp slots, and a block's slots
+/// are occupied until its longest warp retires.
+std::uint64_t block_occupancy(std::span<const std::uint64_t> rounds) {
+  std::uint64_t occupied = 0;
+  for (std::size_t base = 0; base < rounds.size(); base += kWarpsPerBlock) {
+    const std::uint64_t width =
+        std::min<std::uint64_t>(kWarpsPerBlock, rounds.size() - base);
+    std::uint64_t longest = 0;
+    for (std::uint64_t w = 0; w < width; ++w) {
+      longest = std::max(longest, rounds[base + w]);
+    }
+    occupied += width * longest;
+  }
+  return occupied;
+}
+
+}  // namespace
 
 void Device::execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
                            const TaskAffinity& affinity, KernelStats& stats,
@@ -117,23 +139,9 @@ const KernelRecord& Device::record_kernel(
     std::string name, Stream& stream, double resource_fraction,
     std::uint64_t num_tasks, KernelStats stats,
     const std::vector<std::uint64_t>& rounds) {
-  // Intra-block imbalance: a block's warp slots are occupied until its
-  // longest warp retires (kWarpsPerBlock warps per block). Pipelined
-  // launches precompute the equivalent over per-chain totals and pass no
+  // Pipelined launches and waves precompute the occupancy and pass no
   // per-task rounds.
-  if (!rounds.empty()) {
-    std::uint64_t occupied = 0;
-    for (std::size_t base = 0; base < rounds.size(); base += kWarpsPerBlock) {
-      const std::uint64_t width =
-          std::min<std::uint64_t>(kWarpsPerBlock, rounds.size() - base);
-      std::uint64_t longest = 0;
-      for (std::uint64_t w = 0; w < width; ++w) {
-        longest = std::max(longest, rounds[base + w]);
-      }
-      occupied += width * longest;
-    }
-    stats.occupied_slot_rounds = occupied;
-  }
+  if (!rounds.empty()) stats.occupied_slot_rounds = block_occupancy(rounds);
 
   const double duration =
       num_tasks == 0 ? 0.0 : cost_.kernel_seconds(stats, resource_fraction);
@@ -183,6 +191,41 @@ ChainContext::Slot& ChainContext::begin_task(std::uint32_t kernel,
   return slot;
 }
 
+ChainContext::WaveTasks& ChainContext::begin_wave(std::uint32_t kernel,
+                                                  std::uint64_t group) {
+  CSAW_CHECK_MSG(kernel < slots_.size(),
+                 "chain task charged to kernel slot " << kernel << " of "
+                                                      << slots_.size());
+  if (waves_.empty() || waves_.back().kernel != kernel ||
+      waves_.back().group != group) {
+    WaveTasks& wave = waves_.emplace_back();
+    wave.kernel = kernel;
+    wave.group = group;
+  }
+  return waves_.back();
+}
+
+void Device::run_chains(std::vector<ChainContext>& chains,
+                        const ChainBody& body, const CancelToken& cancel) {
+  ThreadPool* pool = executor();
+  // Run-level cancellation: skip chains that have not started yet. An
+  // unarmed token short-circuits on a null pointer check, so the common
+  // path pays nothing.
+  const auto run_chain = [&](std::uint64_t c, std::uint32_t worker) {
+    if (cancel.valid() && cancel.cancelled()) return;
+    body(c, chains[c], worker);
+  };
+  if (pool == nullptr || pool->num_threads() <= 1 || chains.size() <= 1) {
+    const std::uint32_t worker = pool == nullptr ? 0 : pool->current_worker();
+    for (std::uint64_t c = 0; c < chains.size(); ++c) run_chain(c, worker);
+  } else {
+    pool->parallel_chains(
+        chains.size(), [&](std::size_t c, std::uint32_t worker) {
+          run_chain(c, worker);
+        });
+  }
+}
+
 std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     std::uint32_t num_kernels, std::uint64_t num_chains,
     const ChainBody& body, CancelToken cancel, ChainWidth widths) {
@@ -195,23 +238,7 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
   } else {
     chains.resize(num_chains, ChainContext(num_kernels));
   }
-  ThreadPool* pool = executor();
-  // Run-level cancellation: skip chains that have not started yet. An
-  // unarmed token short-circuits on a null pointer check, so the common
-  // path pays nothing.
-  const auto run_chain = [&](std::uint64_t c, std::uint32_t worker) {
-    if (cancel.valid() && cancel.cancelled()) return;
-    body(c, chains[c], worker);
-  };
-  if (pool == nullptr || pool->num_threads() <= 1 || num_chains <= 1) {
-    const std::uint32_t worker = pool == nullptr ? 0 : pool->current_worker();
-    for (std::uint64_t c = 0; c < num_chains; ++c) run_chain(c, worker);
-  } else {
-    pool->parallel_chains(
-        num_chains, [&](std::size_t c, std::uint32_t worker) {
-          run_chain(c, worker);
-        });
-  }
+  run_chains(chains, body, cancel);
 
   // Deterministic aggregation in chain order — the host schedule is
   // invisible.
@@ -231,6 +258,36 @@ std::vector<Device::PipelinedKernel> Device::execute_pipelined(
     shape.apply(out.stats);
   }
   return kernels;
+}
+
+std::vector<Device::Wave> Device::execute_waves(std::uint32_t num_kernels,
+                                                std::uint64_t num_chains,
+                                                const ChainBody& body,
+                                                CancelToken cancel) {
+  std::vector<ChainContext> chains(
+      num_chains, ChainContext(num_kernels, /*width=*/1, /*waves=*/true));
+  run_chains(chains, body, cancel);
+
+  // A wave's tasks in chain order, then in each chain's task order; the
+  // host schedule stays invisible.
+  std::map<std::pair<std::uint64_t, std::uint32_t>,
+           std::pair<KernelStats, std::vector<std::uint64_t>>>
+      merged;
+  for (const ChainContext& chain : chains) {
+    for (const ChainContext::WaveTasks& share : chain.waves_) {
+      auto& [stats, rounds] = merged[{share.group, share.kernel}];
+      stats.merge(share.stats);
+      rounds.insert(rounds.end(), share.rounds.begin(), share.rounds.end());
+    }
+  }
+  std::vector<Wave> waves;
+  waves.reserve(merged.size());
+  for (auto& [key, wave] : merged) {
+    auto& [stats, rounds] = wave;
+    stats.occupied_slot_rounds = block_occupancy(rounds);
+    waves.push_back(Wave{key.second, key.first, {stats, rounds.size()}});
+  }
+  return waves;
 }
 
 void PersistentKernelShape::add_chain(std::uint64_t span_rounds,

@@ -55,12 +55,13 @@ struct SmSegment {
 /// that record several fused kernels (the out-of-memory engine records one
 /// per resident partition) give each partition a slot; single-kernel
 /// launches pass 0. Every task of the chain runs `width` warps wide
-/// (ChainWidth).
+/// (ChainWidth). A context of Device::execute_waves keeps each task's
+/// stats and rounds per (kernel slot, group) instead.
 class ChainContext {
  public:
   explicit ChainContext(std::uint32_t num_kernels = 1,
-                        std::uint32_t width = 1)
-      : slots_(num_kernels), width_(width) {}
+                        std::uint32_t width = 1, bool waves = false)
+      : slots_(num_kernels), width_(width), keep_waves_(waves) {}
 
   /// Executes `fn` as one simulated warp-task of this chain, charged to
   /// kernel slot `kernel`. `group` identifies the chain's dependency
@@ -73,6 +74,11 @@ class ChainContext {
   /// is the pipelined hot loop, one call per simulated warp-task.
   template <typename Fn>
   void run_task(std::uint32_t kernel, std::uint64_t group, Fn&& fn) {
+    if (keep_waves_) {
+      WaveTasks& wave = begin_wave(kernel, group);
+      wave.rounds.push_back(run_warp_task(wave.stats, width_, fn));
+      return;
+    }
     Slot& slot = begin_task(kernel, group);
     slot.open_longest = std::max(
         slot.open_longest, run_warp_task(slot.stats, width_, fn));
@@ -99,12 +105,26 @@ class ChainContext {
     void close_group() noexcept;
   };
 
+  /// The tasks this chain charged to one (kernel slot, group) of a wave
+  /// execution, in the order it ran them.
+  struct WaveTasks {
+    std::uint32_t kernel = 0;
+    std::uint64_t group = 0;
+    KernelStats stats;
+    std::vector<std::uint64_t> rounds;  ///< each task's critical rounds
+  };
+
   /// Bounds-checks the slot and closes the previous group when `group`
   /// advances; returns the slot to charge.
   Slot& begin_task(std::uint32_t kernel, std::uint64_t group);
+  /// Bounds-checks the slot; returns the wave to charge, opening one
+  /// when (kernel, group) differs from the last task's.
+  WaveTasks& begin_wave(std::uint32_t kernel, std::uint64_t group);
 
   std::vector<Slot> slots_;
   std::uint32_t width_;
+  bool keep_waves_;
+  std::vector<WaveTasks> waves_;
 };
 
 /// How a pipelined launch gives warps to its chains.
@@ -283,6 +303,24 @@ class Device {
       std::uint32_t num_kernels, std::uint64_t num_chains,
       const ChainBody& body, CancelToken cancel, ChainWidth widths);
 
+  /// Every task that one (kernel slot, group) of a wave execution ran,
+  /// across its chains.
+  struct Wave {
+    std::uint32_t kernel = 0;
+    std::uint64_t group = 0;
+    PipelinedKernel tasks;
+  };
+
+  /// Runs the chains as execute_pipelined does, one warp per task, but
+  /// shapes each non-empty (kernel slot, group) as one step-barrier
+  /// kernel: the stats launch() would accumulate over the same tasks,
+  /// with the intra-block imbalance of their rounds packed into blocks
+  /// in chain order, then in each chain's task order. Returns the waves
+  /// in (group, kernel) order, each ready for record_pipelined.
+  std::vector<Wave> execute_waves(std::uint32_t num_kernels,
+                                  std::uint64_t num_chains,
+                                  const ChainBody& body, CancelToken cancel);
+
   /// Records one fused kernel of a pipelined execution on `stream`.
   const KernelRecord& record_pipelined(std::string name, Stream& stream,
                                        double resource_fraction,
@@ -373,6 +411,11 @@ class Device {
   void execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
                      const TaskAffinity& affinity, KernelStats& stats,
                      std::vector<std::uint64_t>& warp_rounds);
+  /// Runs every chain's body on its context (concurrently when an
+  /// executor is attached), skipping chains not yet started once
+  /// `cancel` fires.
+  void run_chains(std::vector<ChainContext>& chains, const ChainBody& body,
+                  const CancelToken& cancel);
   const KernelRecord& record_kernel(std::string name, Stream& stream,
                                     double resource_fraction,
                                     std::uint64_t num_tasks, KernelStats stats,

@@ -1,7 +1,5 @@
 #include "graph/io.hpp"
 
-#include <array>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -9,32 +7,6 @@
 #include "util/check.hpp"
 
 namespace csaw {
-namespace {
-
-constexpr std::array<char, 8> kMagic = {'C', 'S', 'A', 'W',
-                                        'C', 'S', 'R', '1'};
-
-template <typename T>
-void write_vector(std::ofstream& os, std::span<const T> data) {
-  const std::uint64_t count = data.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  os.write(reinterpret_cast<const char*>(data.data()),
-           static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T> read_vector(std::ifstream& is) {
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  CSAW_CHECK_MSG(is.good(), "truncated CSR file");
-  std::vector<T> data(count);
-  is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  CSAW_CHECK_MSG(is.good() || is.eof(), "truncated CSR file");
-  return data;
-}
-
-}  // namespace
 
 CsrGraph load_edge_list(const std::string& path, bool weighted,
                         bool symmetrize) {
@@ -57,43 +29,6 @@ CsrGraph load_edge_list(const std::string& path, bool weighted,
   options.keep_weights = weighted;
   options.symmetrize = symmetrize;
   return build_csr(std::move(edges), 0, options);
-}
-
-void save_edge_list(const CsrGraph& graph, const std::string& path) {
-  std::ofstream os(path);
-  CSAW_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  os << "# csaw edge list: " << graph.num_vertices() << " vertices, "
-     << graph.num_edges() << " directed edges\n";
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const auto adj = graph.neighbors(v);
-    for (std::size_t k = 0; k < adj.size(); ++k) {
-      os << v << ' ' << adj[k] << ' '
-         << graph.edge_weight(v, static_cast<EdgeIndex>(k)) << '\n';
-    }
-  }
-}
-
-void save_binary(const CsrGraph& graph, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  CSAW_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  os.write(kMagic.data(), kMagic.size());
-  write_vector(os, graph.row_ptr());
-  write_vector(os, graph.col_idx());
-  write_vector(os, graph.weights());
-  CSAW_CHECK_MSG(os.good(), "write failed for " << path);
-}
-
-CsrGraph load_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CSAW_CHECK_MSG(is.is_open(), "cannot open " << path);
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  CSAW_CHECK_MSG(is.good() && magic == kMagic,
-                 path << " is not a csaw binary CSR file");
-  auto row_ptr = read_vector<EdgeIndex>(is);
-  auto col_idx = read_vector<VertexId>(is);
-  auto weights = read_vector<float>(is);
-  return CsrGraph(std::move(row_ptr), std::move(col_idx), std::move(weights));
 }
 
 }  // namespace csaw

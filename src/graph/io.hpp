@@ -11,12 +11,4 @@ namespace csaw {
 CsrGraph load_edge_list(const std::string& path, bool weighted = false,
                         bool symmetrize = true);
 
-/// Writes one "u v weight" line per directed CSR edge.
-void save_edge_list(const CsrGraph& graph, const std::string& path);
-
-/// Binary CSR container (magic "CSAWCSR1", little-endian arrays). The
-/// fastest way to reload generated datasets between bench runs.
-void save_binary(const CsrGraph& graph, const std::string& path);
-CsrGraph load_binary(const std::string& path);
-
 }  // namespace csaw

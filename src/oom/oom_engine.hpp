@@ -70,11 +70,15 @@ struct OomRun {
 /// out of (BFS) order, which the counter-based RNG keeps equivalent to the
 /// in-memory schedule.
 ///
-/// EngineConfig::schedule picks one of two residency paths with
-/// byte-identical samples: kStepBarrier runs the paper's barriered waves
-/// (every chosen partition transferred each scheduling round, Figs.
-/// 13-15); kPipelined pages through a demand-driven PartitionCache
-/// (src/oom/cache/) whose partitions stay warm across rounds and runs.
+/// One round loop runs both schedules with byte-identical samples (Fig.
+/// 8: pick partitions by active vertices, transfer them, balance thread
+/// blocks by workload); EngineConfig::schedule sets each step's policy.
+/// kStepBarrier runs the paper's barriered waves (Figs. 13-15): every
+/// chosen partition is copied each round, and each (partition, pass)
+/// wave is one kernel at a fixed SM share. kPipelined pages through a
+/// demand-driven PartitionCache (src/oom/cache/) whose partitions stay
+/// warm across rounds and runs, one window per partition on the SM
+/// ledger.
 ///
 /// Restrictions: specs using select_frontier, layer_mode or
 /// sample_all_neighbors are in-memory-only (checked).
@@ -106,58 +110,49 @@ class OomEngine {
   void set_cache(std::shared_ptr<PartitionCache> cache);
 
  private:
-  struct RoundPlan {
-    std::vector<std::uint32_t> partitions;  // chosen for residency
-    std::vector<double> fractions;          // SM share per chosen partition
+  /// One round's plan: slot i computes partitions[i] and is kernel slot i
+  /// of the round's chains. Pipelined slots [0, warm) are warm ranked
+  /// partitions, [warm, ranked) cold ones and [ranked, end) the warm
+  /// fill; `order` ranks every runnable partition for the prefetch, and
+  /// `ready` is when each slot's bytes land. `shares` are the barrier
+  /// slots' fixed SM shares.
+  struct Round {
+    std::vector<std::uint32_t> partitions;
+    std::vector<std::uint32_t> order;
+    std::size_t warm = 0;
+    std::size_t ranked = 0;
+    std::vector<double> ready;
+    std::vector<double> shares;
   };
 
-  /// Runs the workload-aware / round-robin scheduling loop until every
-  /// partition queue is empty (one gang's worth of sampling).
-  void schedule_until_drained(sim::Device& device, OomRun& result,
-                              std::uint32_t& round_robin_cursor,
-                              RunningStat& imbalance);
+  /// The round loop over one gang's queues, until they are empty: plan,
+  /// residency, compute, record. Every round runs one chain per instance
+  /// with entries in the chosen partitions; it consumes them slot by slot
+  /// and pass by pass in (depth, slot) order on both schedules. `widths`
+  /// is pipelined_chain_width of the run (pipelined rounds only).
+  void run_rounds(sim::Device& device, OomRun& result,
+                  RunningStat& imbalance, std::uint32_t& round_robin_cursor,
+                  sim::ChainWidth widths);
 
-  /// Processes one wave (the current queue contents) of partition p as a
-  /// single kernel: vertex-grained (warp per entry) when batched,
-  /// instance-grained (warp per instance) otherwise.
-  void run_wave(sim::Device& device, sim::Stream& stream, std::uint32_t p,
-                double fraction, OomMetrics& metrics);
-
-  /// Demand-cache scheduling loop (the kPipelined schedule): each round
-  /// pins the scheduler's top-ranked partitions through the cache — as
-  /// many as fit its limits, keeping one place free for the prefetch
-  /// pipeline while partitions contend for a count limit — then fills the
-  /// places left with every other partition on the device (the warm
-  /// fill), and runs every instance with entries there as one chain
-  /// consuming its own entries round by round. A walker stepping into any
-  /// partition on the device is consumed within the round (§V-B).
-  /// Warm partitions skip their transfer entirely and the next-ranked
-  /// cold partition streams in behind the computing set. Each partition
-  /// that ran gets one kernel window on the device's SM ledger
-  /// (sim::Device::record_round): it opens at max(bytes-ready,
-  /// stream-ready), so a warm partition computes while the round's cold
-  /// transfers are still on the link, and shares the SMs earlier rounds
-  /// leave free with the round's other windows by the entries each
-  /// processed. No barrier at a residency boundary; rounds chain per
-  /// stream, never globally.
-  /// Per-instance processing order equals the barrier waves', so walk
-  /// samples are byte-identical to kStepBarrier; only transfers and the
-  /// simulated timeline change.
-  /// `widths` is pipelined_chain_width of the run's spec and seeds.
-  void run_cached_pipelined(sim::Device& device, OomRun& result,
-                            RunningStat& imbalance, sim::ChainWidth widths);
-
-  /// SM share per chosen partition of a barrier wave (thread-block
-  /// balancing, 3 in Fig. 8): proportional to its queued entries under
-  /// block_balancing, even otherwise.
-  std::vector<double> sm_fractions(
-      std::span<const std::uint32_t> partitions) const;
+  // The schedules' plan, residency and record policies (oom_engine.cpp).
+  Round plan_cached(std::span<const std::size_t> pending) const;
+  Round plan_waves(std::span<const std::size_t> pending,
+                   std::uint32_t& cursor) const;
+  void pin_round(sim::Device& device, Round& round,
+                 std::span<const std::size_t> pending);
+  void copy_round(sim::Device& device, const Round& round,
+                  OomMetrics& metrics);
+  std::span<const sim::KernelRecord> record_windows(
+      sim::Device& device, const Round& round,
+      std::span<const sim::Device::PipelinedKernel> kernels);
+  /// Returns each slot's summed kernel time.
+  std::vector<double> record_waves(sim::Device& device, const Round& round,
+                                   std::span<const sim::Device::Wave> waves,
+                                   OomMetrics& metrics);
 
   /// Samples one frontier entry against partition p. Next-depth frontier
-  /// entries go to `routed` (a per-task slot), not straight into the
-  /// partition queues — tasks of one wave run concurrently, and the
-  /// caller merges slots in task order after the kernel so queue contents
-  /// are byte-identical to the serial schedule.
+  /// entries go to `routed`, which the calling chain owns, not straight
+  /// into the partition queues: chains of one round run concurrently.
   void process_entry(std::uint32_t p, const FrontierEntry& entry,
                      sim::WarpContext& warp, WorkerScratch& scratch,
                      std::vector<FrontierEntry>& routed);
@@ -183,17 +178,17 @@ class OomEngine {
   std::vector<FrontierQueue> queues_;
   std::vector<InstanceState> instances_;
   SampleStore* samples_ = nullptr;
-  /// Pipelined residencies: local instance -> chain index of the current
-  /// round (~0u when the instance has no resident entries). Sized once
-  /// per run; run_cached_pipelined resets only the slots it assigned.
+  /// Local instance -> chain index of the current round (~0u when the
+  /// instance has no resident entries). Sized once per run; run_rounds
+  /// resets only the slots it assigned.
   std::vector<std::uint32_t> chain_of_;
   /// Streaming runs only: outstanding frontier entries per local
   /// instance across ALL partition queues. A chain finishing its round
   /// with entries left in non-resident queues is not done — the count
-  /// is, so the pipelined paths fire per-instance completion at the
-  /// first round boundary where an instance's count hits zero
-  /// (maintained on the driver thread: decremented at queue drain,
-  /// incremented at merge-back).
+  /// is, so run_rounds fires per-instance completion at the first round
+  /// boundary where an instance's count hits zero (maintained on the
+  /// driver thread: decremented at queue drain, incremented at
+  /// merge-back).
   std::vector<std::uint32_t> queued_;
   /// Whether this run has a completion subscriber (fixed at run entry).
   bool streaming_ = false;

@@ -224,8 +224,9 @@ struct ServiceStats {
   std::uint64_t paged_batches = 0;  ///< batches served by the OOM backend
   /// RunResult::oom of every completed paged batch, accumulated: cache
   /// hits include cross-batch reuse on the same graph, and the cache
-  /// counters stay zero under kStepBarrier. A batch that failed lost its
-  /// metrics; assert on the injector for exact fault totals.
+  /// counters stay zero under kStepBarrier. Of a batch that a copy
+  /// failed (kTransferFailed), only that copy's faults and retries are
+  /// booked; its other paged events are lost.
   OomMetrics oom;
 
   // --- Sharded traffic through the walk-shard router

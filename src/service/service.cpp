@@ -1005,6 +1005,8 @@ void Service::run_batch(std::vector<Pending> batch) {
   RunResult whole;
   bool failed = false;
   std::string error;
+  // The copy that failed a paged batch: no RunResult reports its faults.
+  OomMetrics failed_copy;
   try {
     // Plan: one flat instance list. Request r's instances occupy a
     // contiguous index range and carry the global ids [rng_base,
@@ -1166,6 +1168,9 @@ void Service::run_batch(std::vector<Pending> batch) {
     } catch (const TransferError& e) {
       batch_outcome = RequestOutcome::kTransferFailed;
       error = e.what();
+      // Every attempt faulted, and each after the first was a retry.
+      failed_copy.transfer_faults = e.attempts();
+      failed_copy.transfer_retries = e.attempts() - 1;
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -1181,6 +1186,7 @@ void Service::run_batch(std::vector<Pending> batch) {
   // counted completed or failed exactly once.
   {
     std::lock_guard<std::mutex> lock(mu_);
+    stats_.oom.accumulate(failed_copy);
     retire_locked(batch, fates, batch_id, failed ? nullptr : &whole);
   }
   if (trace != nullptr) {

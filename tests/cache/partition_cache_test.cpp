@@ -243,15 +243,18 @@ TEST(PartitionScheduler, RanksPendingThenResidencyThenId) {
   // never appears; 3 trails with fewer walkers.
   const std::vector<std::size_t> pending = {3, 3, 0, 2};
   const std::vector<std::uint32_t> order =
-      PartitionScheduler::rank(pending, cache);
+      PartitionScheduler::rank(pending, &cache);
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 0, 3}));
+  // Without a cache nothing is on the device: the tie goes to the lower id.
+  EXPECT_EQ(PartitionScheduler::rank(pending, nullptr),
+            (std::vector<std::uint32_t>{0, 1, 3}));
 
   // Off-device ties fall back to lowest id, and a drained frontier ranks
   // empty.
   const std::vector<std::size_t> flat = {2, 0, 2, 2};
-  EXPECT_EQ(PartitionScheduler::rank(flat, cache),
+  EXPECT_EQ(PartitionScheduler::rank(flat, &cache),
             (std::vector<std::uint32_t>{0, 2, 3}));
-  EXPECT_TRUE(PartitionScheduler::rank(no_pending(), cache).empty());
+  EXPECT_TRUE(PartitionScheduler::rank(no_pending(), &cache).empty());
 }
 
 TEST(PartitionedGraph, ByteAccounting) {

@@ -146,6 +146,76 @@ TEST(Device, ParallelLaunchMatchesSerialRecord) {
   EXPECT_EQ(a.duration(), b.duration());
 }
 
+TEST(Device, WavesRecordWhatLaunchRecordsOverTheSameTasks) {
+  // execute_waves shapes each (kernel slot, group) as the step-barrier
+  // kernel launch() records over the same tasks in chain order: five
+  // chains of uneven tasks over two slots and three groups, the odd
+  // chains visiting a group's slots in reverse, at 1 and 4 threads.
+  const auto tasks_of = [](std::uint64_t c, std::uint32_t k,
+                           std::uint64_t g) { return (c + g + k) % 3; };
+  const auto rounds_of = [](std::uint64_t c, std::uint32_t k,
+                            std::uint64_t g, std::uint64_t t) {
+    return 1 + (c * 7 + k * 3 + g * 5 + t) % 11;
+  };
+  const auto stats_of = [](const KernelStats& stats) {
+    std::vector<std::uint64_t> fields;
+    visit_kernel_stats(stats, [&](const char*, std::uint64_t value) {
+      fields.push_back(value);
+    });
+    return fields;
+  };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    Device device;
+    device.set_num_threads(threads);
+    const auto waves = device.execute_waves(
+        2, 5,
+        [&](std::uint64_t c, ChainContext& ctx, std::uint32_t) {
+          for (std::uint64_t g = 0; g < 3; ++g) {
+            for (std::uint32_t i = 0; i < 2; ++i) {
+              const std::uint32_t k = c % 2 == 0 ? i : 1 - i;
+              for (std::uint64_t t = 0; t < tasks_of(c, k, g); ++t) {
+                ctx.run_task(k, g, [&](WarpContext& warp) {
+                  warp.charge_rounds(rounds_of(c, k, g, t));
+                  warp.charge_global(8);
+                });
+              }
+            }
+          }
+        },
+        CancelToken{});
+    std::size_t w = 0;
+    for (std::uint64_t g = 0; g < 3; ++g) {
+      for (std::uint32_t k = 0; k < 2; ++k) {
+        std::vector<std::uint64_t> rounds;
+        for (std::uint64_t c = 0; c < 5; ++c) {
+          for (std::uint64_t t = 0; t < tasks_of(c, k, g); ++t) {
+            rounds.push_back(rounds_of(c, k, g, t));
+          }
+        }
+        Device reference;
+        const KernelRecord want = reference.run_kernel(
+            "k", rounds.size(),
+            [&](std::uint64_t t, WarpContext& warp, std::uint32_t) {
+              warp.charge_rounds(rounds[t]);
+              warp.charge_global(8);
+            });
+        ASSERT_LT(w, waves.size());
+        EXPECT_EQ(waves[w].group, g);
+        EXPECT_EQ(waves[w].kernel, k);
+        EXPECT_EQ(waves[w].tasks.num_tasks, rounds.size());
+        Device idle;
+        const KernelRecord& got =
+            idle.record_pipelined("k", idle.stream(0), 1.0, waves[w].tasks);
+        EXPECT_EQ(stats_of(got.stats), stats_of(want.stats))
+            << "group " << g << ", slot " << k << ", threads " << threads;
+        EXPECT_EQ(got.duration(), want.duration());
+        ++w;
+      }
+    }
+    EXPECT_EQ(w, waves.size());
+  }
+}
+
 TEST(Device, ParallelWorkerIdsIndexDisjointScratch) {
   // Regression for the shared-scratch aliasing hazard: each task stamps
   // its worker's scratch slot, recomputes, and verifies no other task

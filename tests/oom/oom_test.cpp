@@ -14,6 +14,7 @@
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
 #include "gpusim/timeline.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
 #include "../timeline_audit.hpp"
@@ -233,6 +234,42 @@ TEST(Oom, BarrierTimelineIsPinned) {
           << " BAL=" << c.balancing << " gang=" << c.gang
           << " threads=" << threads;
     }
+  }
+}
+
+TEST(Oom, BarrierStreamingCompletesInRoundOrder) {
+  // Completion fires at the round boundary where an instance has nothing
+  // left queued, on the barrier schedule as on the pipelined one.
+  // Instances 1 and 2 walk inside partition 0, which the workload-aware
+  // plan takes first, so they finish in round 1; instance 0 walks inside
+  // partition 3 and finishes in round 2.
+  const CsrGraph g = build_csr({{0, 1}, {6, 7}}, 8);
+  auto setup = simple_random_walk(/*length=*/4);
+  OomConfig c;
+  c.num_partitions = 4;
+  c.resident_partitions = 1;
+  c.engine.schedule = Schedule::kStepBarrier;
+  const std::vector<VertexId> seeds = {6, 0, 1};
+
+  OomEngine buffered(g, setup.policy, setup.spec, c);
+  sim::Device buffered_device;
+  const OomRun reference = buffered.run_single_seed(buffered_device, seeds);
+
+  std::vector<std::uint32_t> order;
+  std::vector<std::vector<Edge>> streamed(seeds.size());
+  c.engine.control.on_instance_complete = [&](std::uint32_t i,
+                                              std::vector<Edge>& edges) {
+    order.push_back(i);
+    streamed[i] = edges;
+  };
+  OomEngine streaming(g, setup.policy, setup.spec, c);
+  sim::Device device;
+  const OomRun run = streaming.run_single_seed(device, seeds);
+  EXPECT_EQ(run.metrics.scheduling_rounds, 2u);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 0}));
+  for (std::uint32_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_FALSE(streamed[i].empty());
+    EXPECT_EQ(streamed[i], reference.samples.edges(i)) << "instance " << i;
   }
 }
 

@@ -427,7 +427,9 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
   // RunResult::oom and RunResult::shard, stats().kernels the merge of
   // their kernel stats, and every csaw_cache_*, csaw_transfer_*,
   // csaw_shard_* and csaw_kernel_* sample of the exposition reads its
-  // field.
+  // field. A last paged batch fails its copy on every attempt, which
+  // books one fault more than retries, so no two of those lines read
+  // the same value.
   const auto paged_graph =
       std::make_shared<const CsrGraph>(generate_rmat(2048, 16384, 98));
   ServiceConfig config = serial_config();
@@ -476,7 +478,24 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
     want_kernels.merge(result.stats);
   }
 
+  const ServiceStats before_failure = service.stats();
+  for (std::uint32_t p = 0; p < config.options.num_partitions; ++p) {
+    transfer_faults->fail_forever(p);
+  }
+  try {
+    service.sample(request("paged", *paged_graph, 389));
+    FAIL() << "every copy fails, so the batch should have failed";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.outcome(), RequestOutcome::kTransferFailed);
+  }
+
   const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.transfer_failed, 1u);
+  const std::uint32_t attempts = config.options.transfer_retry.attempts;
+  EXPECT_EQ(stats.oom.transfer_faults - before_failure.oom.transfer_faults,
+            attempts);
+  EXPECT_EQ(stats.oom.transfer_retries - before_failure.oom.transfer_retries,
+            attempts - 1);
   EXPECT_EQ(stats.paged_batches, 3u);
   EXPECT_EQ(stats.sharded_batches, 2u);
   EXPECT_EQ(stats.oom.partition_transfers, want_oom.partition_transfers);
@@ -489,8 +508,8 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
   EXPECT_EQ(stats.oom.prefetch_transfers, want_oom.prefetch_transfers);
   EXPECT_DOUBLE_EQ(stats.oom.transfer_overlap_seconds,
                    want_oom.transfer_overlap_seconds);
-  EXPECT_EQ(stats.oom.transfer_faults, 2u);
-  EXPECT_EQ(stats.oom.transfer_retries, 2u);
+  EXPECT_EQ(stats.oom.transfer_faults, 2u + attempts);
+  EXPECT_EQ(stats.oom.transfer_retries, 2u + attempts - 1);
   EXPECT_GT(stats.oom.cache_hits, 0u);
   EXPECT_GT(stats.oom.cache_evictions, 0u);
 

@@ -9,9 +9,11 @@
 #include "algorithms/mdrw.hpp"
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
+#include "algorithms/registry.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+#include "../kernel_digest.hpp"
 
 namespace csaw {
 namespace {
@@ -283,6 +285,56 @@ TEST(Engine, StatsArePopulated) {
   EXPECT_GT(run.stats.global_bytes, 0u);
   EXPECT_GT(run.stats.sampled_vertices, 0u);
   EXPECT_EQ(run.stats.sampled_vertices, run.sampled_edges());
+}
+
+TEST(Engine, BarrierTimelineIsPinned) {
+  // The step-barrier schedule behind the per-step figure benches, pinned
+  // bit for bit for every Table I algorithm: every kernel record (name,
+  // stream, clock, share, stats), the samples and the simulated time of
+  // 40 seeded instances and one instance with no seed. The digests do not
+  // depend on the host width.
+  const CsrGraph g = generate_rmat(1024, 8192, 62, {}, /*weighted=*/true);
+  CsrGraphView view(g);
+  std::vector<std::vector<VertexId>> seeds;
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    if (i == 20) seeds.emplace_back();
+    seeds.push_back({static_cast<VertexId>((i * 97) % g.num_vertices())});
+  }
+  const std::map<AlgorithmId, std::uint64_t> digests = {
+      {AlgorithmId::kUnbiasedNeighborSampling, 0x50bf4a4d35e4c4fcull},
+      {AlgorithmId::kBiasedNeighborSampling, 0xa5f669eecbf0579eull},
+      {AlgorithmId::kForestFire, 0x7c6ac4d38902e235ull},
+      {AlgorithmId::kSnowball, 0x27ac310d3ead1152ull},
+      {AlgorithmId::kLayerSampling, 0xe1e3d4febd2087e6ull},
+      {AlgorithmId::kSimpleRandomWalk, 0x7f61926ab2f545afull},
+      {AlgorithmId::kDeepwalk, 0x7f61926ab2f545afull},
+      {AlgorithmId::kBiasedRandomWalk, 0xdbee2a93b061364bull},
+      {AlgorithmId::kMetropolisHastingsWalk, 0x9920addcd2e00e4eull},
+      {AlgorithmId::kRandomWalkWithJump, 0xf956115bca2c2634ull},
+      {AlgorithmId::kRandomWalkWithRestart, 0x6442147a27cb79fcull},
+      {AlgorithmId::kMultiDimRandomWalk, 0x7065f532f488ce93ull},
+      {AlgorithmId::kNode2vec, 0xd35f41612957eeb9ull},
+  };
+  ASSERT_EQ(digests.size(), all_algorithms().size());
+  for (const AlgorithmId id : all_algorithms()) {
+    const AlgorithmInfo info = algorithm_info(id);
+    const AlgorithmSetup setup =
+        make_algorithm(id, info.neighbors_per_step == "1" ? 12 : 3);
+    for (const std::uint32_t threads : {1u, 4u}) {
+      EngineConfig config;
+      config.schedule = Schedule::kStepBarrier;
+      config.num_threads = threads;
+      SamplingEngine engine(view, setup.policy, setup.spec, config);
+      sim::Device device;
+      const SampleRun run = engine.run(device, seeds);
+      testing::Digest d;
+      d.add_kernels(device);
+      d.add_samples(run.samples);
+      d.add(run.sim_seconds);
+      EXPECT_EQ(d.value(), digests.at(id))
+          << info.name << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+#include "../kernel_digest.hpp"
 #include "../timeline_audit.hpp"
 
 namespace csaw {
@@ -122,40 +122,9 @@ INSTANTIATE_TEST_SUITE_P(
                       OomToggles{false, true, true, "WS_BAL_NoBatch"}),
     [](const auto& info) { return info.param.name; });
 
-/// FNV-1a over the bit patterns of everything a barrier run produces.
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (v >> (8 * b)) & 0xff;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(std::string_view s) {
-    add(static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) add(static_cast<std::uint64_t>(c));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
 std::uint64_t barrier_digest(const sim::Device& device, const OomRun& run) {
-  Digest d;
-  for (const sim::KernelRecord& k : device.kernel_log()) {
-    d.add(k.name);
-    d.add(static_cast<std::uint64_t>(k.stream_id));
-    d.add(k.start);
-    d.add(k.end);
-    d.add(k.resource_fraction);
-    sim::visit_kernel_stats(k.stats, [&](std::string_view name,
-                                         std::uint64_t value) {
-      d.add(name);
-      d.add(value);
-    });
-  }
+  testing::Digest d;
+  d.add_kernels(device);
   for (const sim::TransferRecord& t : device.transfer().log()) {
     d.add(t.label);
     d.add(t.bytes);
@@ -168,14 +137,7 @@ std::uint64_t barrier_digest(const sim::Device& device, const OomRun& run) {
   d.add(run.metrics.scheduling_rounds);
   d.add(run.metrics.kernel_imbalance);
   d.add(run.sim_seconds);
-  for (std::uint32_t i = 0; i < run.samples.num_instances(); ++i) {
-    d.add(static_cast<std::uint64_t>(run.samples.edges(i).size()));
-    for (const Edge& e : run.samples.edges(i)) {
-      d.add(static_cast<std::uint64_t>(e.src));
-      d.add(static_cast<std::uint64_t>(e.dst));
-      d.add(static_cast<double>(e.weight));
-    }
-  }
+  d.add_samples(run.samples);
   return d.value();
 }
 

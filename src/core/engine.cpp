@@ -212,28 +212,12 @@ FrontierResult process_frontier_vertex(
 
     const std::uint32_t child_slot =
         cap > 0 ? item.slot * cap + static_cast<std::uint32_t>(s)
-                : 0;  // ordinal slots are assigned by advance_pools
+                : 0;  // ordinal slots are assigned by advance_instance
     result.next.emplace_back(next, child_slot);
   }
   warp.charge_global(result.sampled.size() * sizeof(Edge));
   return result;
 }
-
-struct SamplingEngine::StepScratch {
-  /// Selected pool positions per local instance (frontier of this step).
-  std::vector<std::vector<std::uint32_t>> frontier_positions;
-  /// One slot per warp-task of this step's sampling kernel, pre-sized
-  /// before launch so each task writes its own slot with no locks.
-  /// local_instance/pool_position are filled at task creation; the body
-  /// only moves its UPDATE results into `next`. Slots stay in task order
-  /// (instance-major), which is what advance_pools consumes.
-  std::vector<TaskResult> results;
-
-  void reset(std::size_t num_instances) {
-    frontier_positions.assign(num_instances, {});
-    results.clear();
-  }
-};
 
 SamplingEngine::SamplingEngine(const GraphView& view, Policy policy,
                                SamplingSpec spec, EngineConfig config)
@@ -298,12 +282,8 @@ SampleRun SamplingEngine::run(sim::Device& device,
   const std::size_t log_begin = device.kernel_log().size();
   const double t0 = device.synchronize();
 
-  if (config_.schedule == Schedule::kPipelined) {
-    run_pipelined(device, instances, run_result.samples,
-                  pipelined_chain_width(spec_, seeds));
-  } else {
-    run_barrier(device, instances, run_result.samples);
-  }
+  run_chains(device, instances, run_result.samples,
+             pipelined_chain_width(spec_, seeds));
 
   complete_remaining(run_result.samples, control);
 
@@ -319,64 +299,19 @@ SampleRun SamplingEngine::run_single_seed(sim::Device& device,
   return run(device, expand_single_seeds(seeds));
 }
 
-void SamplingEngine::run_barrier(sim::Device& device,
-                                 std::vector<InstanceState>& instances,
-                                 SampleStore& samples) {
-  const auto num_instances = static_cast<std::uint32_t>(instances.size());
-  const RunControl& control = config_.control;
-  StepScratch scratch;
-  for (std::uint32_t step = 0; step < spec_.depth; ++step) {
-    // Cancellation poll at the step barrier: a cancelled instance is
-    // deactivated before the step's kernels form their task lists, so
-    // none of its work launches. Other instances' draws are unaffected
-    // (counter-based RNG, per-instance state).
-    if (control.may_cancel()) {
-      for (std::uint32_t i = 0; i < num_instances; ++i) {
-        if (instances[i].active && control.instance_cancelled(i)) {
-          instances[i].active = false;
-        }
-      }
-    }
-    scratch.reset(num_instances);
-
-    if (spec_.layer_mode) {
-      sample_layer(device, instances, step, scratch, samples);
-    } else {
-      if (spec_.select_frontier) {
-        select_frontiers(device, instances, step, scratch);
-      } else {
-        for (std::uint32_t i = 0; i < num_instances; ++i) {
-          if (!instances[i].active) continue;
-          auto& positions = scratch.frontier_positions[i];
-          positions.resize(instances[i].pool.size());
-          std::iota(positions.begin(), positions.end(), 0u);
-        }
-      }
-      sample_neighbors(device, instances, step, scratch, samples);
-    }
-
-    advance_pools(instances, scratch);
-    if (std::none_of(instances.begin(), instances.end(),
-                     [](const InstanceState& s) { return s.active; })) {
-      break;
-    }
-  }
-}
-
-void SamplingEngine::run_pipelined(sim::Device& device,
-                                   std::vector<InstanceState>& instances,
-                                   SampleStore& samples,
-                                   sim::ChainWidth widths) {
+void SamplingEngine::run_chains(sim::Device& device,
+                                std::vector<InstanceState>& instances,
+                                SampleStore& samples,
+                                sim::ChainWidth widths) {
   // One chain per instance, running that instance's whole step loop.
   // Every mutable object a chain touches is its own (InstanceState, its
   // SampleStore row, chain-local positions/results) or per-worker
   // scratch, so chains interleave freely; the counter-based RNG addresses
   // draws by (instance, depth, slot), so the interleaving never changes
-  // them. The per-instance task order equals the barrier schedule's
-  // affinity-group order, which is what makes the samples byte-identical.
+  // them. Both schedules run this body, so their samples are
+  // byte-identical; only the recording differs.
   const RunControl& control = config_.control;
-  device.run_pipeline(
-      "sample_pipeline", instances.size(),
+  const sim::Device::ChainBody body =
       [&](std::uint64_t chain, sim::ChainContext& ctx, std::uint32_t worker) {
         const auto i = static_cast<std::uint32_t>(chain);
         InstanceState& inst = instances[i];
@@ -402,7 +337,6 @@ void SamplingEngine::run_pipelined(sim::Device& device,
           if (spec_.layer_mode) {
             if (!inst.pool.empty()) {
               TaskResult& r = results.emplace_back();
-              r.local_instance = i;
               ctx.run_task(0, step, [&](sim::WarpContext& warp) {
                 r.next = sample_layer_body(inst, i, step, warp, ws, samples);
               });
@@ -420,7 +354,6 @@ void SamplingEngine::run_pipelined(sim::Device& device,
             }
             for (const std::uint32_t position : positions) {
               TaskResult& r = results.emplace_back();
-              r.local_instance = i;
               r.pool_position = position;
               ctx.run_task(0, 2ull * step + 1, [&](sim::WarpContext& warp) {
                 r.next = sample_position_body(inst, i, position, step, warp,
@@ -443,25 +376,22 @@ void SamplingEngine::run_pipelined(sim::Device& device,
               chain_span, "chain",
               {{"edges", std::to_string(samples.edges(i).size())}});
         }
-      },
-      control.cancel, widths);
-}
-
-void SamplingEngine::select_frontiers(sim::Device& device,
-                                      std::vector<InstanceState>& instances,
-                                      std::uint32_t step,
-                                      StepScratch& scratch) {
-  std::vector<std::uint32_t> tasks;
-  for (std::uint32_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].active && !instances[i].pool.empty()) tasks.push_back(i);
+      };
+  if (config_.schedule == Schedule::kPipelined) {
+    device.run_pipeline("sample_pipeline", instances.size(), body,
+                        control.cancel, widths);
+    return;
   }
-
-  device.run_kernel(
-      "vertex_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
-        scratch.frontier_positions[tasks[t]] = select_frontier_body(
-            instances[tasks[t]], step, warp, workers_[worker]);
-      });
+  // Step barrier: the tasks every chain ran in one group (a step's
+  // frontier selection, its neighbor selection or its layer selection)
+  // form one kernel, recorded in group order on the default stream.
+  for (const sim::Device::Wave& wave :
+       device.execute_waves(1, instances.size(), body, control.cancel)) {
+    const char* name = spec_.layer_mode      ? "layer_select"
+                       : wave.group % 2 == 0 ? "vertex_select"
+                                             : "neighbor_select";
+    device.record_pipelined(name, device.stream(0), 1.0, wave.tasks);
+  }
 }
 
 std::vector<std::uint32_t> SamplingEngine::select_frontier_body(
@@ -488,45 +418,6 @@ std::vector<std::uint32_t> SamplingEngine::select_frontier_body(
       SelectCoords{inst.id, step, /*slot_base=*/0}, warp);
 }
 
-void SamplingEngine::sample_neighbors(sim::Device& device,
-                                      std::vector<InstanceState>& instances,
-                                      std::uint32_t step, StepScratch& scratch,
-                                      SampleStore& samples) {
-  // One warp per (instance, frontier vertex) — the paper's intra-warp
-  // parallelism unit (§IV-A).
-  struct Task {
-    std::uint32_t local_instance;
-    std::uint32_t pool_position;
-  };
-  std::vector<Task> tasks;
-  for (std::uint32_t i = 0; i < instances.size(); ++i) {
-    if (!instances[i].active) continue;
-    for (std::uint32_t position : scratch.frontier_positions[i]) {
-      tasks.push_back(Task{i, position});
-    }
-  }
-
-  scratch.results.resize(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    scratch.results[t].local_instance = tasks[t].local_instance;
-    scratch.results[t].pool_position = tasks[t].pool_position;
-  }
-
-  device.run_kernel(
-      "neighbor_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
-        const Task task = tasks[t];
-        scratch.results[t].next = sample_position_body(
-            instances[task.local_instance], task.local_instance,
-            task.pool_position, step, warp, workers_[worker], samples);
-      },
-      // Tasks of one instance share its visited set and sample vector:
-      // affinity serializes them in task order on one worker.
-      [&tasks](std::uint64_t t) {
-        return static_cast<std::uint64_t>(tasks[t].local_instance);
-      });
-}
-
 std::vector<std::pair<VertexId, std::uint32_t>>
 SamplingEngine::sample_position_body(InstanceState& inst,
                                      std::uint32_t local_instance,
@@ -544,29 +435,6 @@ SamplingEngine::sample_position_body(InstanceState& inst,
     samples.add(local_instance, e);
   }
   return std::move(result.next);
-}
-
-void SamplingEngine::sample_layer(sim::Device& device,
-                                  std::vector<InstanceState>& instances,
-                                  std::uint32_t step, StepScratch& scratch,
-                                  SampleStore& samples) {
-  std::vector<std::uint32_t> tasks;
-  for (std::uint32_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].active && !instances[i].pool.empty()) tasks.push_back(i);
-  }
-
-  scratch.results.resize(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    scratch.results[t].local_instance = tasks[t];
-  }
-
-  device.run_kernel(
-      "layer_select", tasks.size(),
-      [&](std::uint64_t t, sim::WarpContext& warp, std::uint32_t worker) {
-        scratch.results[t].next =
-            sample_layer_body(instances[tasks[t]], tasks[t], step, warp,
-                              workers_[worker], samples);
-      });
 }
 
 std::vector<std::pair<VertexId, std::uint32_t>>
@@ -644,28 +512,6 @@ SamplingEngine::sample_layer_body(InstanceState& inst,
     next.emplace_back(nxt, static_cast<std::uint32_t>(s));
   }
   return next;
-}
-
-void SamplingEngine::advance_pools(std::vector<InstanceState>& instances,
-                                   StepScratch& scratch) const {
-  // Task results are instance-major (the kernels build their task lists
-  // that way), so each instance's results form one contiguous run.
-  std::size_t run = 0;
-  for (std::uint32_t i = 0; i < instances.size(); ++i) {
-    InstanceState& inst = instances[i];
-    const std::size_t run_begin = run;
-    while (run < scratch.results.size() &&
-           scratch.results[run].local_instance == i) {
-      ++run;
-    }
-    const std::size_t run_end = run;
-    if (!inst.active) continue;
-
-    advance_instance(inst, scratch.frontier_positions[i],
-                     std::span<const TaskResult>(
-                         scratch.results.data() + run_begin,
-                         run_end - run_begin));
-  }
 }
 
 void SamplingEngine::advance_instance(

@@ -102,15 +102,17 @@ sim::ChainWidth pipelined_chain_width(
 enum class Schedule {
   /// Per-instance pipelining (paper §V, ThunderRW-style interleaving):
   /// instance i's step s+1 launches the moment *its own* step s
-  /// completes — instances never wait on each other. Executed as one
+  /// completes — instances never wait on each other. Recorded as one
   /// persistent fused kernel per run (per resident partition for the
   /// out-of-memory engine); samples are byte-identical to kStepBarrier
-  /// (counter-based RNG + per-chain state), only the simulated schedule —
-  /// and therefore sim_seconds / seps() — improves.
+  /// (both schedules run the same per-instance chains), only the
+  /// simulated schedule — and therefore sim_seconds / seps() — improves.
   kPipelined,
   /// One global barrier per step: every instance's step s finishes before
-  /// any instance's step s+1 starts (the PR 2 executor; one kernel launch
-  /// per step and kernel-granular cost accounting).
+  /// any instance's step s+1 starts. The same chains run, and the tasks
+  /// they ran in one step group are recorded as one kernel
+  /// (Device::execute_waves): one launch per step group and
+  /// kernel-granular cost accounting.
   kStepBarrier,
 };
 
@@ -142,8 +144,8 @@ struct RunControl {
   /// Per-instance completion subscription (instance index of the run):
   /// fired exactly once per non-cancelled instance, as soon as that
   /// instance's sample is final — from the executing chain in the
-  /// in-memory pipelined schedule, at a residency-round boundary in the
-  /// out-of-memory engine, from an end-of-run sweep otherwise. The
+  /// in-memory engine (either schedule), at a residency-round boundary in
+  /// the out-of-memory engine, from an end-of-run sweep otherwise. The
   /// subscriber may move the row out of the store (streaming) or leave
   /// it. May be invoked concurrently from host worker threads and may
   /// block (backpressure); blocking parks the producing chain in host
@@ -178,10 +180,9 @@ struct RunControl {
 /// End-of-run completion sweep of a streaming store: fires completion for
 /// every instance not yet completed and not cancelled, then detaches the
 /// subscriber. Engines call it after their schedule returns, so whatever
-/// the schedule did not fire itself (the whole run under the in-memory
-/// barrier schedule, zero-seed instances, chains a run-level cancel
-/// skipped)
-/// completes here. A no-op for a buffered store.
+/// the schedule did not fire itself (an out-of-memory instance that never
+/// queued work, such as one with no seed) completes here. A no-op for a
+/// buffered store.
 void complete_remaining(SampleStore& samples, const RunControl& control);
 
 /// Engine-level configuration.
@@ -291,13 +292,11 @@ struct FrontierResult {
   std::vector<std::pair<VertexId, std::uint32_t>> next;
 };
 
-/// Per-worker mutable scratch for parallel kernel execution: one slot per
-/// host worker, indexed by the worker identity Device::launch passes to
-/// the body. Selectors own CTPS/lane/detector buffers, and bias_scratch
-/// is the EDGEBIAS/VERTEXBIAS staging array — state that one warp-task
-/// must never observe from another (the engines used to share a single
-/// bias_scratch_ member across all kernel bodies, a latent aliasing
-/// hazard that per-worker scratch removes).
+/// Per-worker mutable scratch for parallel chain execution: one slot per
+/// host worker, indexed by the worker identity Device::run_chains passes
+/// to the chain body. Selectors own CTPS/lane/detector buffers, and
+/// bias_scratch is the EDGEBIAS/VERTEXBIAS staging array — state that one
+/// warp-task must never observe from another.
 struct WorkerScratch {
   ItsSelector neighbor_selector;
   /// Engaged only for engines with a frontier-selection kernel (the
@@ -329,9 +328,10 @@ FrontierResult process_frontier_vertex(
     const FrontierWorkItem& item, sim::WarpContext& warp,
     std::vector<float>& bias_scratch);
 
-/// The in-memory C-SAW engine: executes the Fig. 2(b) MAIN loop as a
-/// sequence of simulated GPU kernels (one warp per instance for frontier
-/// selection, one warp per frontier vertex for neighbor selection).
+/// The in-memory C-SAW engine: executes the Fig. 2(b) MAIN loop as one
+/// chain per instance on the simulated GPU (one warp-task per instance
+/// for frontier selection, one per frontier vertex for neighbor
+/// selection); the Schedule decides how the chains' tasks are recorded.
 class SamplingEngine {
  public:
   SamplingEngine(const GraphView& view, Policy policy, SamplingSpec spec,
@@ -350,13 +350,9 @@ class SamplingEngine {
                             std::span<const VertexId> seeds);
 
  private:
-  struct StepScratch;
-
-  /// One warp-task's output slot: which instance/pool entry it served and
-  /// the UPDATE results it produced. Pre-sized per task (barrier mode) or
-  /// chain-local (pipelined mode) so no task ever writes shared state.
+  /// One warp-task's output: the pool entry it served and the UPDATE
+  /// results it produced. Chain-local, so no task writes shared state.
   struct TaskResult {
-    std::uint32_t local_instance = 0;
     std::uint32_t pool_position = 0;
     std::vector<std::pair<VertexId, std::uint32_t>> next;
   };
@@ -364,31 +360,15 @@ class SamplingEngine {
   /// Grows the per-worker scratch to the device's execution width.
   void ensure_workers(std::uint32_t width);
 
-  // --- Step-barrier path: one kernel per step over all instances.
-  void run_barrier(sim::Device& device, std::vector<InstanceState>& instances,
-                   SampleStore& samples);
-  void select_frontiers(sim::Device& device,
-                        std::vector<InstanceState>& instances,
-                        std::uint32_t step, StepScratch& scratch);
-  void sample_neighbors(sim::Device& device,
-                        std::vector<InstanceState>& instances,
-                        std::uint32_t step, StepScratch& scratch,
-                        SampleStore& samples);
-  void sample_layer(sim::Device& device,
-                    std::vector<InstanceState>& instances, std::uint32_t step,
-                    StepScratch& scratch, SampleStore& samples);
-  void advance_pools(std::vector<InstanceState>& instances,
-                     StepScratch& scratch) const;
+  /// Runs one chain per instance, each running its instance's whole step
+  /// loop, and records the chains' tasks as the run's Schedule says: one
+  /// fused kernel, or one kernel per step group. `widths` is
+  /// pipelined_chain_width of the run's spec and seeds (the pipelined
+  /// schedule's only).
+  void run_chains(sim::Device& device, std::vector<InstanceState>& instances,
+                  SampleStore& samples, sim::ChainWidth widths);
 
-  // --- Pipelined path: one chain per instance running its whole step
-  // loop; each chain calls the same per-instance bodies the barrier
-  // kernels call, so the two schedules produce byte-identical samples.
-  /// `widths` is pipelined_chain_width of the run's spec and seeds.
-  void run_pipelined(sim::Device& device,
-                     std::vector<InstanceState>& instances,
-                     SampleStore& samples, sim::ChainWidth widths);
-
-  // --- Shared per-instance kernel bodies.
+  // --- Per-instance task bodies.
   /// VERTEXBIAS + SELECT over the FrontierPool; returns the selected pool
   /// positions (empty when nothing is selectable).
   std::vector<std::uint32_t> select_frontier_body(InstanceState& inst,
@@ -406,7 +386,7 @@ class SamplingEngine {
       InstanceState& inst, std::uint32_t local_instance, std::uint32_t step,
       sim::WarpContext& warp, WorkerScratch& ws, SampleStore& samples);
   /// Advances one instance's pool from this step's frontier positions and
-  /// task results (the per-instance body of advance_pools).
+  /// task results.
   void advance_instance(InstanceState& inst,
                         const std::vector<std::uint32_t>& frontier_positions,
                         std::span<const TaskResult> results) const;

@@ -16,8 +16,9 @@ namespace csaw {
 ///
 /// Streaming: a completion callback (set_completion_callback) subscribes
 /// to per-instance completion — the engines call complete(i) exactly once
-/// per instance whose sample is final, from the executing chain in
-/// pipelined schedules and from an end-of-run sweep otherwise. The
+/// per instance whose sample is final: from the executing chain in the
+/// in-memory engine, at a residency-round boundary in the out-of-memory
+/// engine, and from an end-of-run sweep otherwise. The
 /// subscriber may move the row out (the service's streaming bridge does,
 /// keeping peak memory bounded by the chunk budget instead of the whole
 /// run) or leave it in place. Without a subscriber complete() is a single

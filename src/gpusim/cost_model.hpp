@@ -88,8 +88,9 @@ struct KernelStats {
   /// Warp-slot rounds *occupied* including intra-block imbalance bubbles:
   /// a thread block's slots are held until its longest warp retires, so
   /// occupied >= lockstep_rounds, with the gap measuring wasted residency.
-  /// Filled in by Device::launch; 0 means "not measured" and the cost
-  /// model falls back to lockstep_rounds.
+  /// Filled in by the Device as it shapes a kernel from its chains; 0
+  /// means "not measured" and the cost model falls back to
+  /// lockstep_rounds.
   std::uint64_t occupied_slot_rounds = 0;
 
   // Algorithm-level events (drive Figs. 11-12 and sanity checks).

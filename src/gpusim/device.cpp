@@ -47,7 +47,7 @@ std::uint32_t Device::max_workers() const noexcept {
 
 namespace {
 
-/// Intra-block imbalance of a step-barrier kernel: its tasks pack in
+/// Intra-block imbalance of a step-barrier wave: its tasks pack in
 /// order into blocks of kWarpsPerBlock warp slots, and a block's slots
 /// are occupied until its longest warp retires.
 std::uint64_t block_occupancy(std::span<const std::uint64_t> rounds) {
@@ -65,113 +65,6 @@ std::uint64_t block_occupancy(std::span<const std::uint64_t> rounds) {
 }
 
 }  // namespace
-
-void Device::execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
-                           const TaskAffinity& affinity, KernelStats& stats,
-                           std::vector<std::uint64_t>& warp_rounds) {
-  warp_rounds.assign(num_tasks, 0);
-  ThreadPool* pool = executor();
-
-  if (pool == nullptr || pool->num_threads() <= 1 || num_tasks <= 1) {
-    // Legacy serial path: tasks in index order, one stats accumulator.
-    const std::uint32_t worker = pool == nullptr ? 0 : pool->current_worker();
-    for (std::uint64_t task = 0; task < num_tasks; ++task) {
-      const std::uint64_t before = stats.lockstep_rounds;
-      {
-        WarpContext warp(stats);
-        body(task, warp, worker);
-      }
-      warp_rounds[task] = stats.lockstep_rounds - before;
-    }
-    return;
-  }
-
-  // Affinity groups: contiguous runs of equal keys execute serially in
-  // task order on one worker (shared per-instance state stays race-free
-  // and mutation order matches the serial schedule).
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> groups;
-  if (affinity != nullptr) {
-    std::uint64_t begin = 0;
-    std::uint64_t key = affinity(0);
-    for (std::uint64_t task = 1; task < num_tasks; ++task) {
-      const std::uint64_t next = affinity(task);
-      if (next != key) {
-        groups.emplace_back(begin, task);
-        begin = task;
-        key = next;
-      }
-    }
-    groups.emplace_back(begin, num_tasks);
-  }
-
-  // Per-worker stats accumulators. Every KernelStats field is a sum or a
-  // max, so merging the partials in any order reproduces the serial
-  // accumulation byte for byte; warp_rounds are per-task slots and the
-  // intra-block imbalance is computed from them post-barrier, exactly as
-  // in the serial path.
-  std::vector<KernelStats> worker_stats(pool->max_workers());
-  const auto run_range = [&](std::uint64_t begin, std::uint64_t end,
-                             std::uint32_t worker) {
-    KernelStats& local = worker_stats[worker];
-    for (std::uint64_t task = begin; task < end; ++task) {
-      const std::uint64_t before = local.lockstep_rounds;
-      {
-        WarpContext warp(local);
-        body(task, warp, worker);
-      }
-      warp_rounds[task] = local.lockstep_rounds - before;
-    }
-  };
-
-  if (affinity == nullptr) {
-    pool->parallel_for(num_tasks, [&](std::size_t task, std::uint32_t worker) {
-      run_range(task, task + 1, worker);
-    });
-  } else {
-    pool->parallel_for(groups.size(), [&](std::size_t g, std::uint32_t worker) {
-      run_range(groups[g].first, groups[g].second, worker);
-    });
-  }
-  for (const KernelStats& partial : worker_stats) stats.merge(partial);
-}
-
-const KernelRecord& Device::record_kernel(
-    std::string name, Stream& stream, double resource_fraction,
-    std::uint64_t num_tasks, KernelStats stats,
-    const std::vector<std::uint64_t>& rounds) {
-  // Pipelined launches and waves precompute the occupancy and pass no
-  // per-task rounds.
-  if (!rounds.empty()) stats.occupied_slot_rounds = block_occupancy(rounds);
-
-  const double duration =
-      num_tasks == 0 ? 0.0 : cost_.kernel_seconds(stats, resource_fraction);
-  const double start = stream.ready_time();
-  stream.push(start, duration);
-
-  kernel_log_.push_back(KernelRecord{std::move(name), stream.id(), start,
-                                     start + duration, resource_fraction,
-                                     stats});
-  return kernel_log_.back();
-}
-
-const KernelRecord& Device::launch(std::string name, Stream& stream,
-                                   double resource_fraction,
-                                   std::uint64_t num_tasks,
-                                   const WorkerWarpBody& body,
-                                   const TaskAffinity& affinity) {
-  KernelStats stats;
-  std::vector<std::uint64_t> warp_rounds;
-  execute_tasks(num_tasks, body, affinity, stats, warp_rounds);
-  return record_kernel(std::move(name), stream, resource_fraction, num_tasks,
-                       stats, warp_rounds);
-}
-
-const KernelRecord& Device::run_kernel(std::string name,
-                                       std::uint64_t num_tasks,
-                                       const WorkerWarpBody& body,
-                                       const TaskAffinity& affinity) {
-  return launch(std::move(name), stream(0), 1.0, num_tasks, body, affinity);
-}
 
 void ChainContext::Slot::close_group() noexcept {
   span_rounds += open_longest;
@@ -313,8 +206,16 @@ void PersistentKernelShape::apply(KernelStats& stats) const noexcept {
 const KernelRecord& Device::record_pipelined(std::string name, Stream& stream,
                                              double resource_fraction,
                                              const PipelinedKernel& kernel) {
-  return record_kernel(std::move(name), stream, resource_fraction,
-                       kernel.num_tasks, kernel.stats, {});
+  const double duration =
+      kernel.num_tasks == 0
+          ? 0.0
+          : cost_.kernel_seconds(kernel.stats, resource_fraction);
+  const double start = stream.ready_time();
+  stream.push(start, duration);
+  kernel_log_.push_back(KernelRecord{std::move(name), stream.id(), start,
+                                     start + duration, resource_fraction,
+                                     kernel.stats});
+  return kernel_log_.back();
 }
 
 void Device::prune_ledger(double horizon) {

@@ -171,37 +171,22 @@ class PersistentKernelShape {
   std::uint64_t block_longest_ = 0;
 };
 
-/// One simulated GPU. Kernel bodies run eagerly on the host, accumulating
-/// KernelStats; the CostModel turns the stats into a simulated duration
-/// placed on the launch stream.
+/// One simulated GPU. Every kernel runs as chains of dependent warp-tasks
+/// (run_chains): the chain bodies run eagerly on the host, accumulating
+/// KernelStats per chain, and the CostModel turns the aggregated stats
+/// into a simulated duration placed on a stream.
 ///
-/// Host-side execution width: warp-tasks of one kernel run serially by
-/// default, or concurrently on a persistent work-stealing thread pool
+/// Host-side execution width: chains run serially by default, or
+/// concurrently on a persistent work-stealing thread pool
 /// (set_num_threads / set_executor). The parallel path is byte-identical
 /// to the serial one — the counter-based RNG makes sampling results
-/// order-independent, per-task outputs go to pre-sized slots, and stats
-/// are merged from per-worker accumulators whose fields are all sums and
-/// maxes — so `seps()`, kernel logs and samples do not depend on the
+/// order-independent, a chain's tasks run in program order on one
+/// worker, and stats are merged from per-chain accumulators in chain
+/// order — so `seps()`, kernel logs and samples do not depend on the
 /// thread count. Bodies must uphold their side of the contract: no two
-/// concurrent tasks may share mutable state (see WorkerWarpBody and
-/// TaskAffinity).
+/// chains may share mutable state (see ChainBody).
 class Device {
  public:
-  /// Kernel body: `worker` identifies the executing host thread in
-  /// [0, max_workers()) and indexes per-worker scratch. The body may only
-  /// mutate (a) state owned by its task (pre-sized per-task slots),
-  /// (b) scratch owned by `worker`, and (c) state owned by its affinity
-  /// group (see TaskAffinity).
-  using WorkerWarpBody =
-      std::function<void(std::uint64_t task, WarpContext&, std::uint32_t worker)>;
-
-  /// Maps a task index to an affinity key. Tasks in a *contiguous run* of
-  /// equal keys form a group executed serially in task order on one
-  /// worker — the hook for per-instance mutable state (visited bitmaps,
-  /// per-instance sample vectors) shared by neighboring tasks. nullptr
-  /// means every task is independent.
-  using TaskAffinity = std::function<std::uint64_t(std::uint64_t task)>;
-
   explicit Device(std::uint32_t id = 0, DeviceParams params = {});
 
   std::uint32_t id() const noexcept { return id_; }
@@ -233,29 +218,15 @@ class Device {
   /// runs sharing the pool.
   std::uint32_t max_workers() const noexcept;
 
-  /// Launches `num_tasks` warp-tasks of `body` on `stream`, holding
-  /// `resource_fraction` of the device's SMs. Returns the launch record
-  /// (also appended to the kernel log). Tasks run on the attached
-  /// executor (if any).
-  const KernelRecord& launch(std::string name, Stream& stream,
-                             double resource_fraction, std::uint64_t num_tasks,
-                             const WorkerWarpBody& body,
-                             const TaskAffinity& affinity = nullptr);
-
-  /// Convenience: full-device launch on the default stream.
-  const KernelRecord& run_kernel(std::string name, std::uint64_t num_tasks,
-                                 const WorkerWarpBody& body,
-                                 const TaskAffinity& affinity = nullptr);
-
-  // --- Pipelined (chain-granular) launches.
+  // --- Chain-granular launches.
   //
-  // The step-barrier launches above synchronize *every* task of a kernel
-  // before the next kernel starts. Pipelined launches instead hand the
-  // device `num_chains` independent chains of dependent task groups and
-  // let chains progress at their own pace (paper §V: per-instance
-  // pipelines are independent). Host side, each chain is one
-  // parallel_chains item; simulated side, the whole execution is modeled
-  // as a persistent kernel over the chains' dependency graphs:
+  // Every launch hands the device `num_chains` independent chains of
+  // dependent task groups. Host side, each chain is one parallel_chains
+  // item. Simulated side, execute_waves records every task group as one
+  // step-barrier kernel, while a pipelined execution lets chains
+  // progress at their own pace (paper §V: per-instance pipelines are
+  // independent) and is modeled as a persistent kernel over the chains'
+  // dependency graphs:
   //   - stats.max_warp_rounds = the longest chain's span (sum over its
   //     groups of the group's longest task — the dependency graph's
   //     critical path; no schedule finishes sooner),
@@ -271,10 +242,10 @@ class Device {
   // order, so results are byte-identical at any host width.
 
   /// Chain body: runs the whole chain `chain`, issuing its warp-tasks
-  /// through the ChainContext. Mutable-state rules are WorkerWarpBody's,
-  /// with the chain itself as the affinity group: the body may touch (a)
-  /// state owned by its chain, (b) scratch owned by `worker`, (c)
-  /// pre-sized per-chain output slots.
+  /// through the ChainContext. `worker` identifies the executing host
+  /// thread in [0, max_workers()). The body may only mutate (a) state
+  /// owned by its chain, (b) scratch owned by `worker`, and (c) pre-sized
+  /// per-chain output slots.
   using ChainBody =
       std::function<void(std::uint64_t chain, ChainContext&, std::uint32_t worker)>;
 
@@ -313,15 +284,16 @@ class Device {
 
   /// Runs the chains as execute_pipelined does, one warp per task, but
   /// shapes each non-empty (kernel slot, group) as one step-barrier
-  /// kernel: the stats launch() would accumulate over the same tasks,
-  /// with the intra-block imbalance of their rounds packed into blocks
-  /// in chain order, then in each chain's task order. Returns the waves
-  /// in (group, kernel) order, each ready for record_pipelined.
+  /// kernel: the sum of its tasks' stats, with the intra-block imbalance
+  /// of their rounds packed into blocks of kWarpsPerBlock in chain order,
+  /// then in each chain's task order. Returns the waves in (group,
+  /// kernel) order, each ready for record_pipelined.
   std::vector<Wave> execute_waves(std::uint32_t num_kernels,
                                   std::uint64_t num_chains,
                                   const ChainBody& body, CancelToken cancel);
 
-  /// Records one fused kernel of a pipelined execution on `stream`.
+  /// Records one fused kernel of a pipelined execution, or one wave, on
+  /// `stream`. A kernel that ran no task lasts zero seconds.
   const KernelRecord& record_pipelined(std::string name, Stream& stream,
                                        double resource_fraction,
                                        const PipelinedKernel& kernel);
@@ -406,20 +378,11 @@ class Device {
   ThreadPool* executor() const noexcept {
     return shared_pool_ ? shared_pool_.get() : owned_pool_.get();
   }
-  /// Runs the tasks (serially or on the executor), filling `stats` and
-  /// per-task `warp_rounds` slots identically either way.
-  void execute_tasks(std::uint64_t num_tasks, const WorkerWarpBody& body,
-                     const TaskAffinity& affinity, KernelStats& stats,
-                     std::vector<std::uint64_t>& warp_rounds);
   /// Runs every chain's body on its context (concurrently when an
   /// executor is attached), skipping chains not yet started once
   /// `cancel` fires.
   void run_chains(std::vector<ChainContext>& chains, const ChainBody& body,
                   const CancelToken& cancel);
-  const KernelRecord& record_kernel(std::string name, Stream& stream,
-                                    double resource_fraction,
-                                    std::uint64_t num_tasks, KernelStats stats,
-                                    const std::vector<std::uint64_t>& rounds);
 
   std::uint32_t id_;
   CostModel cost_;

@@ -83,7 +83,7 @@ void ThreadPool::run_batch(std::size_t num_items, const Task& fn,
 
   Batch batch(num_threads_);
   // Deterministic initial placement; stealing rebalances at runtime, and
-  // results must not depend on who executes what (Device::launch's
+  // results must not depend on who executes what (Device::run_chains'
   // contract). parallel_for deals contiguous chunks (worker w owns
   // [w*chunk, (w+1)*chunk) — cache-friendly for slot-indexed outputs);
   // parallel_chains deals round-robin (item i starts on worker i mod

@@ -31,7 +31,8 @@ std::uint32_t resolve_num_threads(std::uint32_t requested);
 /// queues when it runs dry. Which worker executes an item is therefore
 /// *not* deterministic — callers must make results independent of the
 /// schedule (per-item output slots, per-worker scratch, order-independent
-/// reductions), which is exactly the contract Device::launch builds on.
+/// reductions), which is exactly the contract Device::run_chains builds
+/// on.
 ///
 /// parallel_for is reentrant: an item may itself call parallel_for on the
 /// same pool (nested multi-device kernels). The caller participates in the
@@ -102,9 +103,7 @@ class ThreadPool {
   /// parallel_for variant for *dependency chains*: item c is an entire
   /// serial sequence of dependent tasks (one sampling instance's step
   /// chain — step s+1 of a chain starts the moment its own step s
-  /// returns, never waiting on other chains; that is the per-instance
-  /// pipelining TaskAffinity groups cannot express, because affinity only
-  /// serializes tasks *within* one launch). Semantics are parallel_for's
+  /// returns, never waiting on other chains). Semantics are parallel_for's
   /// (blocking, exception handling, reentrancy, schedule-independence
   /// contract); only the initial distribution differs: chain indices are
   /// dealt round-robin across worker queues (chain c starts on worker

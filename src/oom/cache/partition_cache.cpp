@@ -6,6 +6,18 @@
 
 namespace csaw {
 
+OomMetrics CacheMetrics::since(const CacheMetrics& before) const noexcept {
+  OomMetrics m;
+  m.partition_transfers = transfers - before.transfers;
+  m.bytes_transferred = bytes_loaded - before.bytes_loaded;
+  m.cache_hits = hits - before.hits;
+  m.cache_evictions = evictions - before.evictions;
+  m.prefetch_transfers = prefetch_loads - before.prefetch_loads;
+  m.transfer_faults = transfer_faults - before.transfer_faults;
+  m.transfer_retries = transfer_retries - before.transfer_retries;
+  return m;
+}
+
 std::string to_string(PartitionState state) {
   switch (state) {
     case PartitionState::kOnDisk:

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_result.hpp"
 #include "gpusim/device.hpp"
 #include "telemetry/trace.hpp"
 #include "oom/partitioned_graph.hpp"
@@ -29,10 +30,16 @@ class TransferError : public std::runtime_error {
 
   std::uint32_t partition() const noexcept { return partition_; }
   std::uint32_t attempts() const noexcept { return attempts_; }
+  /// What the failed run's cache counted for it, the failed copy
+  /// included: OomEngine::run fills it as the error leaves the run, since
+  /// the run returns no OomMetrics. All zero when thrown elsewhere.
+  const OomMetrics& paged() const noexcept { return paged_; }
+  void set_paged(const OomMetrics& paged) noexcept { paged_ = paged; }
 
  private:
   std::uint32_t partition_;
   std::uint32_t attempts_;
+  OomMetrics paged_;
 };
 
 /// Residency state of one graph partition in the demand-driven cache.
@@ -66,7 +73,8 @@ std::string to_string(PartitionState state);
 /// Monotonic counters of one cache's lifetime (a csaw::Service keeps one
 /// cache per paged graph across batches, so hits accumulate across runs).
 /// Each event is counted here once; OomEngine::run reports a run's
-/// OomMetrics cache fields as the difference of these over the run.
+/// OomMetrics cache fields as the difference of these over the run
+/// (since()).
 struct CacheMetrics {
   std::uint64_t demand_loads = 0;    ///< acquire() found the partition on disk
   std::uint64_t prefetch_loads = 0;  ///< speculative transfers issued
@@ -77,6 +85,10 @@ struct CacheMetrics {
   std::uint64_t bytes_loaded = 0;  ///< bytes of the copies that landed
   std::uint64_t transfer_faults = 0;   ///< injected copy failures observed
   std::uint64_t transfer_retries = 0;  ///< copies re-issued after a fault
+
+  /// The OomMetrics paging counters of the events counted since `before`,
+  /// an earlier snapshot of the same cache; every other field is zero.
+  OomMetrics since(const CacheMetrics& before) const noexcept;
 };
 
 /// What a PartitionCache may hold at once. The service tier gives each

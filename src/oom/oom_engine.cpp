@@ -170,7 +170,14 @@ OomRun OomEngine::run(sim::Device& device,
         if (streaming_) ++queued_[i];
       }
     }
-    run_rounds(device, result, imbalance, round_robin_cursor, widths);
+    try {
+      run_rounds(device, result, imbalance, round_robin_cursor, widths);
+    } catch (TransferError& e) {
+      // The failed run returns no OomMetrics: its caller books what the
+      // cache counted for it from the error.
+      if (cached) e.set_paged(cache_->metrics().since(cache_before));
+      throw;
+    }
   }
 
   // The rounds complete every instance they drained; zero-seed instances
@@ -179,25 +186,14 @@ OomRun OomEngine::run(sim::Device& device,
   streaming_ = false;
 
   result.sim_seconds = device.synchronize() - t0;
-  result.metrics.kernel_imbalance = imbalance.mean();
   if (cached) {
     // The cache counted every paged event once; the run's share is the
     // difference over the run.
-    const CacheMetrics& cm = cache_->metrics();
-    result.metrics.partition_transfers = cm.transfers - cache_before.transfers;
-    result.metrics.bytes_transferred =
-        cm.bytes_loaded - cache_before.bytes_loaded;
-    result.metrics.cache_hits = cm.hits - cache_before.hits;
-    result.metrics.cache_evictions = cm.evictions - cache_before.evictions;
-    result.metrics.prefetch_transfers =
-        cm.prefetch_loads - cache_before.prefetch_loads;
-    result.metrics.transfer_faults =
-        cm.transfer_faults - cache_before.transfer_faults;
-    result.metrics.transfer_retries =
-        cm.transfer_retries - cache_before.transfer_retries;
+    result.metrics.accumulate(cache_->metrics().since(cache_before));
     result.metrics.transfer_overlap_seconds =
         device.transfer_kernel_overlap(transfer_begin, log_begin);
   }
+  result.metrics.kernel_imbalance = imbalance.mean();
   for (std::size_t i = log_begin; i < device.kernel_log().size(); ++i) {
     result.stats.merge(device.kernel_log()[i].stats);
   }

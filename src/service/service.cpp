@@ -1005,8 +1005,9 @@ void Service::run_batch(std::vector<Pending> batch) {
   RunResult whole;
   bool failed = false;
   std::string error;
-  // The copy that failed a paged batch: no RunResult reports its faults.
-  OomMetrics failed_copy;
+  // What a failed paged batch's cache counted for it: no RunResult
+  // reports those events.
+  OomMetrics failed_paging;
   try {
     // Plan: one flat instance list. Request r's instances occupy a
     // contiguous index range and carry the global ids [rng_base,
@@ -1168,9 +1169,7 @@ void Service::run_batch(std::vector<Pending> batch) {
     } catch (const TransferError& e) {
       batch_outcome = RequestOutcome::kTransferFailed;
       error = e.what();
-      // Every attempt faulted, and each after the first was a retry.
-      failed_copy.transfer_faults = e.attempts();
-      failed_copy.transfer_retries = e.attempts() - 1;
+      failed_paging = e.paged();
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -1186,7 +1185,7 @@ void Service::run_batch(std::vector<Pending> batch) {
   // counted completed or failed exactly once.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.oom.accumulate(failed_copy);
+    stats_.oom.accumulate(failed_paging);
     retire_locked(batch, fates, batch_id, failed ? nullptr : &whole);
   }
   if (trace != nullptr) {

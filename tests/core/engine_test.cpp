@@ -337,5 +337,33 @@ TEST(Engine, BarrierTimelineIsPinned) {
   }
 }
 
+TEST(Engine, BarrierRunCancelledBeforeItStartsRecordsNothing) {
+  // Every instance cancelled before the run: no chain runs a task, so
+  // the step-barrier schedule records no kernel and samples no edge, and
+  // the run takes no simulated time.
+  const CsrGraph g = generate_rmat(256, 2048, 5);
+  CsrGraphView view(g);
+  for (const AlgorithmId id :
+       {AlgorithmId::kBiasedNeighborSampling, AlgorithmId::kLayerSampling,
+        AlgorithmId::kMultiDimRandomWalk, AlgorithmId::kBiasedRandomWalk}) {
+    const AlgorithmSetup setup = make_algorithm(id, 4);
+    for (const std::uint32_t threads : {1u, 4u}) {
+      CancelSource source;
+      source.cancel();
+      EngineConfig config;
+      config.schedule = Schedule::kStepBarrier;
+      config.num_threads = threads;
+      config.control.instance_cancel.assign(8, source.token());
+      SamplingEngine engine(view, setup.policy, setup.spec, config);
+      sim::Device device;
+      const SampleRun run = engine.run_single_seed(device, first_n_seeds(8));
+      EXPECT_TRUE(device.kernel_log().empty())
+          << algorithm_info(id).name << " threads=" << threads;
+      EXPECT_EQ(run.sampled_edges(), 0u);
+      EXPECT_EQ(run.sim_seconds, 0.0);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csaw

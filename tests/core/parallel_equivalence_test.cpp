@@ -1,8 +1,8 @@
 // The tentpole guarantee of the parallel kernel executor: samples, seps()
 // and per-kernel KernelStats are byte-identical between num_threads = 1
 // and any other width, across every execution mode. The counter-based
-// Philox RNG makes the random draws schedule-independent; per-task output
-// slots, per-worker scratch and task-affinity groups make the host
+// Philox RNG makes the random draws schedule-independent; chain-local
+// outputs, per-worker scratch and one chain per instance make the host
 // execution schedule-independent too.
 #include <gtest/gtest.h>
 

@@ -2,20 +2,56 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "gpusim/timeline.hpp"
 #include "util/check.hpp"
 
 namespace csaw::sim {
 namespace {
 
-TEST(Device, RunKernelExecutesEveryTask) {
+/// Runs `chains` chains of one task each, charging `rounds(chain)`
+/// lock-step rounds, and returns the one-slot pipelined kernel.
+template <typename Rounds>
+Device::PipelinedKernel chains_of_one_task(Device& device,
+                                           std::uint64_t chains,
+                                           Rounds rounds) {
+  return device.execute_pipelined(
+      1, chains,
+      [&](std::uint64_t c, ChainContext& ctx, std::uint32_t) {
+        ctx.run_task(0, 0, [&](WarpContext& w) { w.charge_rounds(rounds(c)); });
+      },
+      CancelToken{}, ChainWidth::kOneWarp)[0];
+}
+
+Device::PipelinedKernel uniform_kernel(Device& device, std::uint64_t chains,
+                                       std::uint64_t rounds) {
+  return chains_of_one_task(device, chains,
+                            [rounds](std::uint64_t) { return rounds; });
+}
+
+/// Every KernelStats field, in visit order.
+std::vector<std::uint64_t> stats_fields(const KernelStats& stats) {
+  std::vector<std::uint64_t> fields;
+  visit_kernel_stats(stats, [&](const char*, std::uint64_t value) {
+    fields.push_back(value);
+  });
+  return fields;
+}
+
+TEST(Device, RunPipelineExecutesEveryChain) {
   Device device;
-  std::vector<std::uint64_t> runs(5, 0);  // one slot per task
-  device.run_kernel("touch", 5,
-                    [&](std::uint64_t t, WarpContext& warp, std::uint32_t) {
-                      warp.charge_rounds(1);
-                      ++runs[t];
-                    });
+  std::vector<std::uint64_t> runs(5, 0);  // one slot per chain
+  device.run_pipeline(
+      "touch", 5,
+      [&](std::uint64_t c, ChainContext& ctx, std::uint32_t) {
+        ctx.run_task(0, 0, [&](WarpContext& warp) {
+          warp.charge_rounds(1);
+          ++runs[c];
+        });
+      },
+      CancelToken{}, ChainWidth::kOneWarp);
   EXPECT_EQ(runs, (std::vector<std::uint64_t>{1, 1, 1, 1, 1}));
   ASSERT_EQ(device.kernel_log().size(), 1u);
   EXPECT_EQ(device.kernel_log()[0].stats.warps, 5u);
@@ -24,22 +60,20 @@ TEST(Device, RunKernelExecutesEveryTask) {
 
 TEST(Device, KernelsOnOneStreamSerialize) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(1000);
-  };
-  const auto& first = device.run_kernel("a", 10, body);
+  const auto kernel = uniform_kernel(device, 10, 1000);
+  const auto& first = device.record_pipelined("a", device.stream(0), 1.0,
+                                               kernel);
   const double first_end = first.end;
-  const auto& second = device.run_kernel("b", 10, body);
+  const auto& second = device.record_pipelined("b", device.stream(0), 1.0,
+                                                kernel);
   EXPECT_GE(second.start, first_end);
 }
 
 TEST(Device, KernelsOnDifferentStreamsOverlap) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(1000);
-  };
-  device.launch("a", device.stream(0), 0.5, 10, body);
-  const auto& b = device.launch("b", device.stream(1), 0.5, 10, body);
+  const auto kernel = uniform_kernel(device, 10, 1000);
+  device.record_pipelined("a", device.stream(0), 0.5, kernel);
+  const auto& b = device.record_pipelined("b", device.stream(1), 0.5, kernel);
   EXPECT_EQ(b.start, 0.0);  // stream 1 was idle
 }
 
@@ -59,31 +93,25 @@ TEST(Device, TransferThenKernelOrdersOnStream) {
   auto& s = device.stream(1);
   const double copy_end = device.transfer().host_to_device(s, 1 << 20, "p");
   const auto& k =
-      device.launch("k", s, 1.0, 1,
-                    [](std::uint64_t, WarpContext& w, std::uint32_t) {
-                      w.charge_rounds(10);
-                    });
+      device.record_pipelined("k", s, 1.0, uniform_kernel(device, 1, 10));
   EXPECT_GE(k.start, copy_end);
 }
 
 TEST(Device, FractionSlowsKernel) {
   Device a, b;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(100000);
-  };
-  const auto& full = a.launch("k", a.stream(0), 1.0, 1000, body);
-  const auto& quarter = b.launch("k", b.stream(0), 0.25, 1000, body);
+  const auto& full =
+      a.record_pipelined("k", a.stream(0), 1.0, uniform_kernel(a, 1000, 100000));
+  const auto& quarter = b.record_pipelined("k", b.stream(0), 0.25,
+                                           uniform_kernel(b, 1000, 100000));
   EXPECT_GT(quarter.duration(), full.duration() * 2.0);
 }
 
 TEST(Device, KernelDurationsFilterByPrefix) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(1);
-  };
-  device.run_kernel("sample_p0", 1, body);
-  device.run_kernel("sample_p1", 1, body);
-  device.run_kernel("other", 1, body);
+  const auto kernel = uniform_kernel(device, 1, 1);
+  device.record_pipelined("sample_p0", device.stream(0), 1.0, kernel);
+  device.record_pipelined("sample_p1", device.stream(0), 1.0, kernel);
+  device.record_pipelined("other", device.stream(0), 1.0, kernel);
   EXPECT_EQ(device.kernel_durations("sample_").size(), 2u);
   EXPECT_EQ(device.kernel_durations("other").size(), 1u);
   EXPECT_EQ(device.kernel_durations("zzz").size(), 0u);
@@ -91,11 +119,10 @@ TEST(Device, KernelDurationsFilterByPrefix) {
 
 TEST(Device, TotalStatsAggregates) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(7);
-  };
-  device.run_kernel("a", 2, body);
-  device.run_kernel("b", 3, body);
+  device.record_pipelined("a", device.stream(0), 1.0,
+                          uniform_kernel(device, 2, 7));
+  device.record_pipelined("b", device.stream(0), 1.0,
+                          uniform_kernel(device, 3, 7));
   const KernelStats total = device.total_stats();
   EXPECT_EQ(total.warps, 5u);
   EXPECT_EQ(total.lockstep_rounds, 5u * 7u);
@@ -103,10 +130,8 @@ TEST(Device, TotalStatsAggregates) {
 
 TEST(Device, ResetRewindsClocksAndLogs) {
   Device device;
-  device.run_kernel("a", 4,
-                    [](std::uint64_t, WarpContext& w, std::uint32_t) {
-                      w.charge_rounds(100);
-                    });
+  device.record_pipelined("a", device.stream(0), 1.0,
+                          uniform_kernel(device, 4, 100));
   device.transfer().host_to_device(device.stream(0), 1024, "x");
   EXPECT_GT(device.synchronize(), 0.0);
   device.reset();
@@ -115,54 +140,122 @@ TEST(Device, ResetRewindsClocksAndLogs) {
   EXPECT_EQ(device.transfer().count(), 0u);
 }
 
-TEST(Device, EmptyKernelTakesNoTime) {
+TEST(Device, KernelWithNoTaskTakesNoTime) {
+  // No chain, or chains that run no task: the record is kept, and lasts
+  // zero seconds. A wave execution returns no wave for a group no chain
+  // charged.
   Device device;
-  device.run_kernel("empty", 0,
-                    [](std::uint64_t, WarpContext&, std::uint32_t) {});
+  device.run_pipeline("no_chain", 0,
+                      [](std::uint64_t, ChainContext&, std::uint32_t) {},
+                      CancelToken{}, ChainWidth::kOneWarp);
+  device.run_pipeline("no_task", 4,
+                      [](std::uint64_t, ChainContext&, std::uint32_t) {},
+                      CancelToken{}, ChainWidth::kOneWarp);
+  ASSERT_EQ(device.kernel_log().size(), 2u);
+  for (const KernelRecord& record : device.kernel_log()) {
+    EXPECT_EQ(record.stats.warps, 0u) << record.name;
+    EXPECT_EQ(record.duration(), 0.0) << record.name;
+  }
   EXPECT_EQ(device.synchronize(), 0.0);
+  EXPECT_TRUE(device
+                  .execute_waves(1, 4,
+                                 [](std::uint64_t, ChainContext&,
+                                    std::uint32_t) {},
+                                 CancelToken{})
+                  .empty());
 }
 
-TEST(Device, ParallelLaunchMatchesSerialRecord) {
-  // The same kernel on a serial and a 7-thread device: identical stats,
-  // identical simulated duration — the executor is invisible in the log.
-  auto body = [](std::uint64_t t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(1 + t % 13);
-    w.charge_global(64 * (t % 5));
+TEST(Device, ChainExceptionsPropagate) {
+  // A throwing chain body fails the whole execution, serially and on the
+  // pool, and the device stays usable.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    Device device;
+    device.set_num_threads(threads);
+    const Device::ChainBody body = [](std::uint64_t c, ChainContext& ctx,
+                                      std::uint32_t) {
+      ctx.run_task(0, 0, [&](WarpContext& w) {
+        w.charge_rounds(1);
+        if (c == 5) throw std::runtime_error("chain 5");
+      });
+    };
+    EXPECT_THROW(device.run_pipeline("k", 16, body, CancelToken{},
+                                     ChainWidth::kOneWarp),
+                 std::runtime_error)
+        << "threads " << threads;
+    EXPECT_THROW(device.execute_waves(1, 16, body, CancelToken{}),
+                 std::runtime_error)
+        << "threads " << threads;
+    EXPECT_TRUE(device.kernel_log().empty());
+    device.record_pipelined("after", device.stream(0), 1.0,
+                            uniform_kernel(device, 16, 1));
+    EXPECT_EQ(device.kernel_log().size(), 1u);
+  }
+}
+
+TEST(Device, ParallelChainsMatchSerialRecords) {
+  // The same chains on a serial and a 7-thread device: identical stats
+  // and simulated durations, pipelined and as waves — the executor is
+  // invisible in the log.
+  const Device::ChainBody body = [](std::uint64_t c, ChainContext& ctx,
+                                    std::uint32_t) {
+    for (std::uint64_t g = 0; g < 3; ++g) {
+      for (std::uint64_t t = 0; t < 1 + (c + g) % 4; ++t) {
+        ctx.run_task(0, g, [&](WarpContext& w) {
+          w.charge_rounds(1 + (c * 3 + t) % 13);
+          w.charge_global(64 * ((c + t) % 5));
+        });
+      }
+    }
   };
-  Device serial;
-  serial.set_num_threads(1);
-  const KernelRecord a = serial.run_kernel("k", 500, body);
-
-  Device parallel;
-  parallel.set_num_threads(7);
-  EXPECT_EQ(parallel.max_workers(), 7u);
-  const KernelRecord b = parallel.run_kernel("k", 500, body);
-
-  EXPECT_EQ(a.stats.warps, b.stats.warps);
-  EXPECT_EQ(a.stats.lockstep_rounds, b.stats.lockstep_rounds);
-  EXPECT_EQ(a.stats.global_bytes, b.stats.global_bytes);
-  EXPECT_EQ(a.stats.max_warp_rounds, b.stats.max_warp_rounds);
-  EXPECT_EQ(a.stats.occupied_slot_rounds, b.stats.occupied_slot_rounds);
-  EXPECT_EQ(a.duration(), b.duration());
+  const auto records = [&](std::uint32_t threads) {
+    Device device;
+    device.set_num_threads(threads);
+    EXPECT_EQ(device.max_workers(), threads);
+    device.run_pipeline("k", 500, body, CancelToken{}, ChainWidth::kOneWarp);
+    for (const Device::Wave& wave :
+         device.execute_waves(1, 500, body, CancelToken{})) {
+      device.record_pipelined("w", device.stream(0), 1.0, wave.tasks);
+    }
+    return device.kernel_log();
+  };
+  const std::vector<KernelRecord> serial = records(1);
+  const std::vector<KernelRecord> parallel = records(7);
+  ASSERT_EQ(serial.size(), 4u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t k = 0; k < serial.size(); ++k) {
+    EXPECT_EQ(stats_fields(parallel[k].stats), stats_fields(serial[k].stats))
+        << "kernel " << k;
+    EXPECT_EQ(parallel[k].start, serial[k].start) << "kernel " << k;
+    EXPECT_EQ(parallel[k].end, serial[k].end) << "kernel " << k;
+  }
 }
 
-TEST(Device, WavesRecordWhatLaunchRecordsOverTheSameTasks) {
-  // execute_waves shapes each (kernel slot, group) as the step-barrier
-  // kernel launch() records over the same tasks in chain order: five
-  // chains of uneven tasks over two slots and three groups, the odd
-  // chains visiting a group's slots in reverse, at 1 and 4 threads.
+TEST(Device, WavesRecordStepBarrierKernels) {
+  // execute_waves shapes each (kernel slot, group) as one step-barrier
+  // kernel over its tasks in chain order: five chains of uneven tasks
+  // over two slots and three groups, the odd chains visiting a group's
+  // slots in reverse, at 1 and 4 threads. Every stats field and the
+  // duration equal the record of a per-task launch of the same tasks,
+  // captured when the device still had one.
+  struct Want {
+    std::vector<std::uint64_t> stats;
+    double duration;
+  };
+  // clang-format off
+  const Want want[3][2] = {
+      {{{28, 32, 0, 0, 4, 9, 36, 0, 0, 0, 0}, 0x1.caa355904bf7p-14},
+       {{46, 48, 0, 0, 6, 12, 72, 0, 0, 0, 0}, 0x1.9a02275695ae6p-14}},
+      {{{25, 48, 0, 0, 6, 7, 42, 0, 0, 0, 0}, 0x1.efd1c52c6c22dp-15},
+       {{42, 40, 0, 0, 5, 11, 55, 0, 0, 0, 0}, 0x1.c0e97f84c11bap-14}},
+      {{{41, 40, 0, 0, 5, 12, 60, 0, 0, 0, 0}, 0x1.e7d0d7b2ec89p-14},
+       {{36, 32, 0, 0, 4, 11, 44, 0, 0, 0, 0}, 0x1.15f2d901dc442p-13}},
+  };
+  // clang-format on
   const auto tasks_of = [](std::uint64_t c, std::uint32_t k,
                            std::uint64_t g) { return (c + g + k) % 3; };
   const auto rounds_of = [](std::uint64_t c, std::uint32_t k,
                             std::uint64_t g, std::uint64_t t) {
     return 1 + (c * 7 + k * 3 + g * 5 + t) % 11;
-  };
-  const auto stats_of = [](const KernelStats& stats) {
-    std::vector<std::uint64_t> fields;
-    visit_kernel_stats(stats, [&](const char*, std::uint64_t value) {
-      fields.push_back(value);
-    });
-    return fields;
   };
   for (const std::uint32_t threads : {1u, 4u}) {
     Device device;
@@ -183,88 +276,57 @@ TEST(Device, WavesRecordWhatLaunchRecordsOverTheSameTasks) {
           }
         },
         CancelToken{});
+    ASSERT_EQ(waves.size(), 6u);
     std::size_t w = 0;
     for (std::uint64_t g = 0; g < 3; ++g) {
-      for (std::uint32_t k = 0; k < 2; ++k) {
-        std::vector<std::uint64_t> rounds;
-        for (std::uint64_t c = 0; c < 5; ++c) {
-          for (std::uint64_t t = 0; t < tasks_of(c, k, g); ++t) {
-            rounds.push_back(rounds_of(c, k, g, t));
-          }
-        }
-        Device reference;
-        const KernelRecord want = reference.run_kernel(
-            "k", rounds.size(),
-            [&](std::uint64_t t, WarpContext& warp, std::uint32_t) {
-              warp.charge_rounds(rounds[t]);
-              warp.charge_global(8);
-            });
-        ASSERT_LT(w, waves.size());
+      for (std::uint32_t k = 0; k < 2; ++k, ++w) {
+        std::uint64_t tasks = 0;
+        for (std::uint64_t c = 0; c < 5; ++c) tasks += tasks_of(c, k, g);
         EXPECT_EQ(waves[w].group, g);
         EXPECT_EQ(waves[w].kernel, k);
-        EXPECT_EQ(waves[w].tasks.num_tasks, rounds.size());
+        EXPECT_EQ(waves[w].tasks.num_tasks, tasks);
         Device idle;
         const KernelRecord& got =
             idle.record_pipelined("k", idle.stream(0), 1.0, waves[w].tasks);
-        EXPECT_EQ(stats_of(got.stats), stats_of(want.stats))
+        EXPECT_EQ(stats_fields(got.stats), want[g][k].stats)
             << "group " << g << ", slot " << k << ", threads " << threads;
-        EXPECT_EQ(got.duration(), want.duration());
-        ++w;
+        EXPECT_EQ(got.duration(), want[g][k].duration)
+            << "group " << g << ", slot " << k << ", threads " << threads;
       }
     }
-    EXPECT_EQ(w, waves.size());
   }
 }
 
 TEST(Device, ParallelWorkerIdsIndexDisjointScratch) {
-  // Regression for the shared-scratch aliasing hazard: each task stamps
-  // its worker's scratch slot, recomputes, and verifies no other task
-  // observed or clobbered it mid-flight. With the old single shared
-  // scratch member this interleaving corrupts the staged values.
+  // Regression for the shared-scratch aliasing hazard: each chain's tasks
+  // stamp their worker's scratch slot, recompute, and verify no other
+  // chain observed or clobbered it mid-flight. With one shared scratch
+  // this interleaving corrupts the staged values.
   Device device;
   device.set_num_threads(7);
   std::vector<std::vector<std::uint64_t>> scratch(device.max_workers());
 
-  constexpr std::uint64_t kTasks = 2000;
-  std::vector<std::uint64_t> sums(kTasks, 0);
-  device.run_kernel(
-      "scratch_isolation", kTasks,
-      [&](std::uint64_t t, WarpContext& warp, std::uint32_t worker) {
-        auto& mine = scratch[worker];
-        mine.assign(16 + t % 7, t + 1);  // stamp with a task-unique value
-        warp.charge_rounds(1);
-        std::uint64_t sum = 0;
-        for (const std::uint64_t v : mine) {
-          ASSERT_EQ(v, t + 1) << "task " << t << " observed foreign scratch";
-          sum += v;
+  constexpr std::uint64_t kChains = 500;
+  constexpr std::uint64_t kTasksPerChain = 4;
+  std::vector<std::uint64_t> sums(kChains, 0);
+  device.run_pipeline(
+      "scratch_isolation", kChains,
+      [&](std::uint64_t c, ChainContext& ctx, std::uint32_t worker) {
+        for (std::uint64_t t = 0; t < kTasksPerChain; ++t) {
+          ctx.run_task(0, t, [&](WarpContext& warp) {
+            auto& mine = scratch[worker];
+            mine.assign(16 + c % 7, c + 1);  // stamp with a chain-unique value
+            warp.charge_rounds(1);
+            for (const std::uint64_t v : mine) {
+              ASSERT_EQ(v, c + 1) << "chain " << c << " observed foreign scratch";
+              sums[c] += v;
+            }
+          });
         }
-        sums[t] = sum;
-      });
-  for (std::uint64_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(sums[t], (16 + t % 7) * (t + 1));
-  }
-}
-
-TEST(Device, AffinityGroupsRunInTaskOrder) {
-  // Tasks in a contiguous run of equal affinity keys share mutable state;
-  // the executor must serialize them in task index order.
-  Device device;
-  device.set_num_threads(7);
-  constexpr std::uint64_t kGroups = 64;
-  constexpr std::uint64_t kPerGroup = 10;
-  std::vector<std::vector<std::uint64_t>> per_group(kGroups);
-  device.run_kernel(
-      "affinity", kGroups * kPerGroup,
-      [&](std::uint64_t t, WarpContext& warp, std::uint32_t) {
-        warp.charge_rounds(1 + t % 3);
-        per_group[t / kPerGroup].push_back(t);
       },
-      [](std::uint64_t t) { return t / kPerGroup; });
-  for (std::uint64_t g = 0; g < kGroups; ++g) {
-    ASSERT_EQ(per_group[g].size(), kPerGroup);
-    for (std::uint64_t i = 0; i < kPerGroup; ++i) {
-      EXPECT_EQ(per_group[g][i], g * kPerGroup + i) << "group " << g;
-    }
+      CancelToken{}, ChainWidth::kOneWarp);
+  for (std::uint64_t c = 0; c < kChains; ++c) {
+    EXPECT_EQ(sums[c], kTasksPerChain * (16 + c % 7) * (c + 1));
   }
 }
 
@@ -382,13 +444,11 @@ TEST(Ledger, RejectsSharedStreamsAndWindowsBeforeThePrunedHorizon) {
 
 TEST(Timeline, RejectsTwoOperationsOnOneStreamAtOnce) {
   Device device;
-  auto body = [](std::uint64_t, WarpContext& w, std::uint32_t) {
-    w.charge_rounds(1000);
-  };
-  device.launch("a", device.stream(0), 1.0, 10, body);
+  const auto kernel = uniform_kernel(device, 10, 1000);
+  device.record_pipelined("a", device.stream(0), 1.0, kernel);
   EXPECT_NO_THROW(check_timeline(device));
   device.stream(0).reset();  // forget that stream 0 is busy
-  device.launch("b", device.stream(0), 1.0, 10, body);
+  device.record_pipelined("b", device.stream(0), 1.0, kernel);
   EXPECT_THROW(check_timeline(device), CheckError);
 }
 

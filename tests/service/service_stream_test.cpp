@@ -167,8 +167,9 @@ TEST(ServiceStream, MultiDeviceMatchesBuffered) {
 }
 
 TEST(ServiceStream, StepBarrierMatchesBuffered) {
-  // The barrier schedule has no per-chain completion point; the
-  // end-of-run sweep must still deliver every chunk.
+  // The barrier schedule records each step as its own kernel, but its
+  // chains fire completion as the pipelined ones do: every chunk must
+  // still arrive.
   ServiceConfig config;
   config.options.schedule = Schedule::kStepBarrier;
   expect_streamed_equals_buffered(config, "in-memory/barrier");

@@ -16,7 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/registry.hpp"
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
+#include "oom/cache/partition_cache.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
@@ -429,7 +432,8 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
   // csaw_shard_* and csaw_kernel_* sample of the exposition reads its
   // field. A last paged batch fails its copy on every attempt, which
   // books one fault more than retries, so no two of those lines read
-  // the same value.
+  // the same value; what else its cache counted is booked too
+  // (FailedPagedBatchBooksWhatItsCacheCounted).
   const auto paged_graph =
       std::make_shared<const CsrGraph>(generate_rmat(2048, 16384, 98));
   ServiceConfig config = serial_config();
@@ -498,20 +502,26 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
             attempts - 1);
   EXPECT_EQ(stats.paged_batches, 3u);
   EXPECT_EQ(stats.sharded_batches, 2u);
-  EXPECT_EQ(stats.oom.partition_transfers, want_oom.partition_transfers);
-  EXPECT_EQ(stats.oom.bytes_transferred, want_oom.bytes_transferred);
-  EXPECT_DOUBLE_EQ(stats.oom.kernel_imbalance, want_oom.kernel_imbalance);
-  EXPECT_EQ(stats.oom.scheduling_rounds, want_oom.scheduling_rounds);
-  EXPECT_EQ(stats.oom.kernel_launches, want_oom.kernel_launches);
-  EXPECT_EQ(stats.oom.cache_hits, want_oom.cache_hits);
-  EXPECT_EQ(stats.oom.cache_evictions, want_oom.cache_evictions);
-  EXPECT_EQ(stats.oom.prefetch_transfers, want_oom.prefetch_transfers);
-  EXPECT_DOUBLE_EQ(stats.oom.transfer_overlap_seconds,
+  // Before the failure, stats().oom is the sum of the requests' own.
+  const OomMetrics& booked = before_failure.oom;
+  EXPECT_EQ(booked.partition_transfers, want_oom.partition_transfers);
+  EXPECT_EQ(booked.bytes_transferred, want_oom.bytes_transferred);
+  EXPECT_DOUBLE_EQ(booked.kernel_imbalance, want_oom.kernel_imbalance);
+  EXPECT_EQ(booked.scheduling_rounds, want_oom.scheduling_rounds);
+  EXPECT_EQ(booked.kernel_launches, want_oom.kernel_launches);
+  EXPECT_EQ(booked.cache_hits, want_oom.cache_hits);
+  EXPECT_EQ(booked.cache_evictions, want_oom.cache_evictions);
+  EXPECT_EQ(booked.prefetch_transfers, want_oom.prefetch_transfers);
+  EXPECT_DOUBLE_EQ(booked.transfer_overlap_seconds,
                    want_oom.transfer_overlap_seconds);
+  EXPECT_GT(booked.cache_hits, 0u);
+  EXPECT_GT(booked.cache_evictions, 0u);
+  // No copy of the failed batch landed, and it ran no kernel.
+  EXPECT_EQ(stats.oom.partition_transfers, booked.partition_transfers);
+  EXPECT_EQ(stats.oom.bytes_transferred, booked.bytes_transferred);
+  EXPECT_EQ(stats.oom.scheduling_rounds, booked.scheduling_rounds);
   EXPECT_EQ(stats.oom.transfer_faults, 2u + attempts);
   EXPECT_EQ(stats.oom.transfer_retries, 2u + attempts - 1);
-  EXPECT_GT(stats.oom.cache_hits, 0u);
-  EXPECT_GT(stats.oom.cache_evictions, 0u);
 
   EXPECT_EQ(stats.shard.shards, 2u);
   EXPECT_EQ(stats.shard.rounds, want_shard.rounds);
@@ -551,6 +561,135 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
   const std::map<std::string, std::string> got = exposition_samples(
       service.metrics_text(),
       {"csaw_cache_", "csaw_transfer_", "csaw_shard_", "csaw_kernel_"});
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [name, value] : want) {
+    ASSERT_EQ(got.count(name), 1u) << name << " missing";
+    EXPECT_EQ(got.at(name), std::to_string(value)) << name;
+  }
+}
+
+TEST(ServiceTelemetry, FailedPagedBatchBooksWhatItsCacheCounted) {
+  // A paged batch whose copy of one partition fails on every attempt
+  // after other copies of the batch landed. stats().oom gains exactly
+  // what the graph's shared cache counted over the batch (the landed
+  // copies and their bytes, hits, evictions, prefetches, faults and
+  // retries), and the csaw_cache_* / csaw_transfer_* lines read it. A
+  // Sampler paging through a cache of the same budget, run through the
+  // same batches with the same faults, gives the cache's difference.
+  const auto graph =
+      std::make_shared<const CsrGraph>(generate_rmat(2048, 16384, 98));
+  ServiceConfig config = serial_config();
+  config.options.memory_budget_fraction = 1.0;
+  config.options.device_params.memory_bytes = graph->bytes() / 2;
+  const auto request = [&](std::uint32_t stride, std::uint32_t rng_base) {
+    std::vector<VertexId> seeds(8);
+    for (std::uint32_t i = 0; i < seeds.size(); ++i) {
+      seeds[i] = static_cast<VertexId>((i * stride) % graph->num_vertices());
+    }
+    SampleRequest r = SampleRequest::single_seeds(
+        "paged", AlgorithmId::kBiasedRandomWalk, 12, seeds);
+    r.rng_base = rng_base;
+    return r;
+  };
+  const SampleRequest warm = request(131, 0);
+  const SampleRequest failing = request(389, 100);
+
+  // The service's first batch builds the cache and fixes its budget.
+  auto faults = std::make_shared<FaultInjector>();
+  config.options.transfer_faults = faults;
+  Service service(config);
+  service.add_graph("paged", graph);
+  service.sample(warm);
+  const std::uint64_t budget = service.graphs().at(0).cache_budget_bytes;
+  ASSERT_GT(budget, 0u);
+
+  // The mirror: the same batches on a cache this test can read. It also
+  // picks the failing partition: one that batch loads after another copy
+  // of the batch landed.
+  struct Mirror {
+    std::shared_ptr<FaultInjector> faults = std::make_shared<FaultInjector>();
+    std::shared_ptr<PartitionCache> cache;
+    std::optional<Sampler> sampler;
+  };
+  const auto mirror_of = [&] {
+    Mirror m;
+    SamplerOptions options = config.options;
+    options.transfer_faults = m.faults;
+    m.cache = std::make_shared<PartitionCache>(
+        std::make_shared<const PartitionedGraph>(*graph,
+                                                 options.num_partitions),
+        CacheLimits{.bytes = budget});
+    m.sampler.emplace(*graph, make_algorithm(AlgorithmId::kBiasedRandomWalk,
+                                             12),
+                      options);
+    m.sampler->set_partition_cache(m.cache);
+    return m;
+  };
+  const auto run = [](Mirror& m, const SampleRequest& r) {
+    std::vector<std::uint32_t> tags(r.seeds.size());
+    for (std::uint32_t i = 0; i < tags.size(); ++i) tags[i] = r.rng_base + i;
+    m.sampler->run_tagged(r.seeds, tags);
+  };
+  std::optional<std::uint32_t> failed_partition;
+  CacheMetrics before_cache, after_cache;
+  for (std::uint32_t p = 0;
+       p < config.options.num_partitions && !failed_partition; ++p) {
+    Mirror m = mirror_of();
+    run(m, warm);
+    before_cache = m.cache->metrics();
+    m.faults->fail_forever(p);
+    try {
+      run(m, failing);
+      continue;  // the batch never needed partition p
+    } catch (const TransferError&) {
+    }
+    after_cache = m.cache->metrics();
+    if (after_cache.transfers > before_cache.transfers) failed_partition = p;
+  }
+  ASSERT_TRUE(failed_partition.has_value());
+
+  const ServiceStats before = service.stats();
+  faults->fail_forever(*failed_partition);
+  try {
+    service.sample(failing);
+    FAIL() << "partition " << *failed_partition << " never lands";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.outcome(), RequestOutcome::kTransferFailed);
+  }
+  const ServiceStats stats = service.stats();
+  const OomMetrics& was = before.oom;
+  const OomMetrics& is = stats.oom;
+  EXPECT_EQ(is.partition_transfers - was.partition_transfers,
+            after_cache.transfers - before_cache.transfers);
+  EXPECT_EQ(is.bytes_transferred - was.bytes_transferred,
+            after_cache.bytes_loaded - before_cache.bytes_loaded);
+  EXPECT_EQ(is.cache_hits - was.cache_hits,
+            after_cache.hits - before_cache.hits);
+  EXPECT_EQ(is.cache_evictions - was.cache_evictions,
+            after_cache.evictions - before_cache.evictions);
+  EXPECT_EQ(is.prefetch_transfers - was.prefetch_transfers,
+            after_cache.prefetch_loads - before_cache.prefetch_loads);
+  EXPECT_EQ(is.transfer_faults - was.transfer_faults,
+            after_cache.transfer_faults - before_cache.transfer_faults);
+  EXPECT_EQ(is.transfer_retries - was.transfer_retries,
+            after_cache.transfer_retries - before_cache.transfer_retries);
+  // It ran no kernel the stats could book.
+  EXPECT_EQ(is.scheduling_rounds, was.scheduling_rounds);
+  EXPECT_EQ(is.kernel_launches, was.kernel_launches);
+  EXPECT_EQ(is.transfer_overlap_seconds, was.transfer_overlap_seconds);
+  EXPECT_GT(is.partition_transfers, was.partition_transfers);
+  EXPECT_EQ(is.transfer_faults - was.transfer_faults,
+            config.options.transfer_retry.attempts);
+
+  const std::map<std::string, std::uint64_t> want = {
+      {"csaw_cache_hits_total", is.cache_hits},
+      {"csaw_cache_evictions_total", is.cache_evictions},
+      {"csaw_cache_prefetch_transfers_total", is.prefetch_transfers},
+      {"csaw_transfer_faults_total", is.transfer_faults},
+      {"csaw_transfer_retries_total", is.transfer_retries},
+  };
+  const std::map<std::string, std::string> got = exposition_samples(
+      service.metrics_text(), {"csaw_cache_", "csaw_transfer_"});
   EXPECT_EQ(got.size(), want.size());
   for (const auto& [name, value] : want) {
     ASSERT_EQ(got.count(name), 1u) << name << " missing";

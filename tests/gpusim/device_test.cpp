@@ -11,24 +11,16 @@
 namespace csaw::sim {
 namespace {
 
-/// Runs `chains` chains of one task each, charging `rounds(chain)`
-/// lock-step rounds, and returns the one-slot pipelined kernel.
-template <typename Rounds>
-Device::PipelinedKernel chains_of_one_task(Device& device,
-                                           std::uint64_t chains,
-                                           Rounds rounds) {
-  return device.execute_pipelined(
-      1, chains,
-      [&](std::uint64_t c, ChainContext& ctx, std::uint32_t) {
-        ctx.run_task(0, 0, [&](WarpContext& w) { w.charge_rounds(rounds(c)); });
-      },
-      CancelToken{}, ChainWidth::kOneWarp)[0];
-}
-
+/// Runs `chains` chains of one task each, charging `rounds` lock-step
+/// rounds, and returns the one-slot pipelined kernel.
 Device::PipelinedKernel uniform_kernel(Device& device, std::uint64_t chains,
                                        std::uint64_t rounds) {
-  return chains_of_one_task(device, chains,
-                            [rounds](std::uint64_t) { return rounds; });
+  return device.execute_pipelined(
+      1, chains,
+      [rounds](std::uint64_t, ChainContext& ctx, std::uint32_t) {
+        ctx.run_task(0, 0, [&](WarpContext& w) { w.charge_rounds(rounds); });
+      },
+      CancelToken{}, ChainWidth::kOneWarp)[0];
 }
 
 /// Every KernelStats field, in visit order.
@@ -99,8 +91,8 @@ TEST(Device, TransferThenKernelOrdersOnStream) {
 
 TEST(Device, FractionSlowsKernel) {
   Device a, b;
-  const auto& full =
-      a.record_pipelined("k", a.stream(0), 1.0, uniform_kernel(a, 1000, 100000));
+  const auto& full = a.record_pipelined("k", a.stream(0), 1.0,
+                                        uniform_kernel(a, 1000, 100000));
   const auto& quarter = b.record_pipelined("k", b.stream(0), 0.25,
                                            uniform_kernel(b, 1000, 100000));
   EXPECT_GT(quarter.duration(), full.duration() * 2.0);
@@ -315,10 +307,11 @@ TEST(Device, ParallelWorkerIdsIndexDisjointScratch) {
         for (std::uint64_t t = 0; t < kTasksPerChain; ++t) {
           ctx.run_task(0, t, [&](WarpContext& warp) {
             auto& mine = scratch[worker];
-            mine.assign(16 + c % 7, c + 1);  // stamp with a chain-unique value
+            mine.assign(16 + c % 7, c + 1);  // a chain-unique stamp
             warp.charge_rounds(1);
             for (const std::uint64_t v : mine) {
-              ASSERT_EQ(v, c + 1) << "chain " << c << " observed foreign scratch";
+              ASSERT_EQ(v, c + 1)
+                  << "chain " << c << " observed foreign scratch";
               sums[c] += v;
             }
           });

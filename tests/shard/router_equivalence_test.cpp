@@ -13,11 +13,14 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "shard/router.hpp"
+#include "util/fault_injector.hpp"
+#include "../kernel_digest.hpp"
 
 namespace csaw {
 namespace {
@@ -238,6 +241,131 @@ TEST(ShardRouterEquivalence, MakespanIsSlowestKernelOrWalkerPathPlusWire) {
   }
   EXPECT_GT(kernel_bound, 0u);
   EXPECT_GT(path_bound, 0u);
+}
+
+/// Everything a sharded run reports: samples, both clocks, the merged
+/// kernel stats and every ShardMetrics field.
+std::uint64_t router_digest(const RunResult& run) {
+  testing::Digest d;
+  d.add_samples(run.samples);
+  d.add(run.sim_seconds);
+  d.add(static_cast<std::uint64_t>(run.device_seconds.size()));
+  for (const double s : run.device_seconds) d.add(s);
+  sim::visit_kernel_stats(run.stats,
+                          [&](std::string_view name, std::uint64_t value) {
+                            d.add(name);
+                            d.add(value);
+                          });
+  const ShardMetrics& m = run.shard.value();
+  d.add(static_cast<std::uint64_t>(m.shards));
+  d.add(static_cast<std::uint64_t>(m.rounds));
+  d.add(m.forwarded_walkers);
+  d.add(m.envelopes);
+  d.add(m.bytes_forwarded);
+  d.add(m.transfer_seconds);
+  d.add(static_cast<std::uint64_t>(m.envelope_faults));
+  d.add(static_cast<std::uint64_t>(m.envelope_retries));
+  for (const auto* per_shard : {&m.steps_per_shard, &m.forwarded_per_shard}) {
+    d.add(static_cast<std::uint64_t>(per_shard->size()));
+    for (const std::uint64_t v : *per_shard) d.add(v);
+  }
+  d.add(static_cast<std::uint64_t>(m.failed.size()));
+  for (const std::uint32_t i : m.failed) d.add(static_cast<std::uint64_t>(i));
+  return d.value();
+}
+
+TEST(ShardRouterEquivalence, TimelineIsPinned) {
+  // The router's samples, simulated timeline and counters, pinned bit for
+  // bit for five walks at 1, 2 and 4 shards under three fault setups: a
+  // fault-free wire; one envelope to shard 1 % shards retried past two
+  // drops plus one to shard 0 that fails all 3 attempts; and the last
+  // shard dead. Tight envelopes and queues exercise backpressure. The
+  // digests do not depend on the host width.
+  const CsrGraph graph = test_graph();
+  const std::uint32_t kInstances = 24;
+  const auto seeds = expand_single_seeds(draw_seeds(graph, kInstances));
+  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
+  enum Faults { kNone, kScripted, kDeadShard };
+  struct Case {
+    AlgorithmId algorithm;
+    std::uint32_t shards;
+    std::uint64_t digest[3];  // indexed by Faults
+  };
+  const std::vector<Case> cases = {
+      {AlgorithmId::kDeepwalk,
+       1,
+       {0x441fb5bb322a357bull, 0x441fb5bb322a357bull, 0x3f2fc5259e63ad62ull}},
+      {AlgorithmId::kDeepwalk,
+       2,
+       {0x5c9c8bc6ed177e2aull, 0x0eb8559c38fd7320ull, 0xbe1fb2533fd725f1ull}},
+      {AlgorithmId::kDeepwalk,
+       4,
+       {0x1798af429c15e3d9ull, 0xf31a5ea506ebacc0ull, 0x51d7d31bc7348ef1ull}},
+      {AlgorithmId::kBiasedRandomWalk,
+       1,
+       {0xddac719fa41cc54eull, 0xddac719fa41cc54eull, 0x3f2fc5259e63ad62ull}},
+      {AlgorithmId::kBiasedRandomWalk,
+       2,
+       {0xd9ef940d3e55ee54ull, 0xb7b2db82702ef400ull, 0x6523f1c7bcfc44afull}},
+      {AlgorithmId::kBiasedRandomWalk,
+       4,
+       {0xa6cbe0fda33b4f61ull, 0xc518372365f4ff9full, 0x44c5149defc226bdull}},
+      {AlgorithmId::kNode2vec,
+       1,
+       {0xcf02cebd3acb8ec9ull, 0xcf02cebd3acb8ec9ull, 0x3f2fc5259e63ad62ull}},
+      {AlgorithmId::kNode2vec,
+       2,
+       {0x4db56e01ba699495ull, 0x275ac75d77cee49full, 0x5739c49fa41045abull}},
+      {AlgorithmId::kNode2vec,
+       4,
+       {0x3a9e01155ded0450ull, 0xf1e382ecf8168d0dull, 0xfde3ab8129ffba0bull}},
+      {AlgorithmId::kRandomWalkWithRestart,
+       1,
+       {0xd7b249a40c00f36cull, 0xd7b249a40c00f36cull, 0x3f2fc5259e63ad62ull}},
+      {AlgorithmId::kRandomWalkWithRestart,
+       2,
+       {0x7df9fec283754084ull, 0x8bbd4ad224dee26cull, 0xbe1fb2533fd725f1ull}},
+      {AlgorithmId::kRandomWalkWithRestart,
+       4,
+       {0xa9e3b30af929a13full, 0xb36774b9e2008b25ull, 0xec37ece6822ab5fdull}},
+      {AlgorithmId::kMetropolisHastingsWalk,
+       1,
+       {0x32e4b7f90f4c155eull, 0x32e4b7f90f4c155eull, 0x3f2fc5259e63ad62ull}},
+      {AlgorithmId::kMetropolisHastingsWalk,
+       2,
+       {0xddcbcda3c72e80d7ull, 0xb08b2f14c1ab00a2ull, 0x336811bebd1b1764ull}},
+      {AlgorithmId::kMetropolisHastingsWalk,
+       4,
+       {0xe04b6beec4d4e34aull, 0x631aab6725010c54ull, 0x47bde7d8fa30d57eull}},
+  };
+  for (const Case& c : cases) {
+    const AlgorithmSetup setup = make_algorithm(c.algorithm, /*length=*/16);
+    for (const Faults faults : {kNone, kScripted, kDeadShard}) {
+      for (const std::uint32_t threads : {1u, 4u}) {
+        std::shared_ptr<FaultInjector> injector;
+        if (faults == kScripted) {
+          injector = std::make_shared<FaultInjector>();
+          injector->fail_next(1 % c.shards, /*times=*/2);
+          injector->fail_next(0, /*times=*/5);
+        } else if (faults == kDeadShard) {
+          injector = std::make_shared<FaultInjector>();
+          injector->fail_forever(c.shards - 1);
+        }
+        ShardOptions options;
+        options.shards = c.shards;
+        options.num_threads = threads;
+        options.envelope_capacity = 3;
+        options.queue_capacity = 2;
+        options.retry.attempts = 3;
+        options.faults = injector;
+        ShardRouter router(graph, setup, options);
+        const RunResult got = router.run_tagged(seeds, tags);
+        EXPECT_EQ(router_digest(got), c.digest[faults])
+            << algorithm_info(c.algorithm).name << " shards=" << c.shards
+            << " faults=" << faults << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(ShardRouterEquivalence, NonWalkSpecsAreRejectedByThePredicate) {

@@ -17,16 +17,6 @@ std::string to_string(Schedule schedule) {
   return "unknown";
 }
 
-std::uint32_t EngineConfig::local_instance_id(std::uint32_t global) const {
-  if (instance_tags.empty()) return global - instance_id_offset;
-  const auto it =
-      std::lower_bound(instance_tags.begin(), instance_tags.end(), global);
-  CSAW_CHECK_MSG(it != instance_tags.end() && *it == global,
-                 "global instance id " << global
-                                       << " is not one of this run's tags");
-  return static_cast<std::uint32_t>(it - instance_tags.begin());
-}
-
 void validate_instance_tags(std::span<const std::uint32_t> tags,
                             std::size_t num_instances) {
   if (tags.empty()) return;
@@ -217,6 +207,26 @@ FrontierResult process_frontier_vertex(
   }
   warp.charge_global(result.sampled.size() * sizeof(Edge));
   return result;
+}
+
+void step_entry(const GraphView& view, const Policy& policy,
+                const SamplingSpec& spec, const StaticCtpsRows* rows,
+                const CounterStream& rng, WorkerScratch& scratch,
+                InstanceState& instance, const FrontierEntry& entry,
+                sim::WarpContext& warp, SampleStore& samples,
+                std::vector<FrontierEntry>& children) {
+  instance.prev_vertex = entry.prev;
+  const FrontierResult result = process_frontier_vertex(
+      view, policy, spec, rows, rng, scratch.neighbor_selector, instance,
+      FrontierWorkItem{entry.vertex, entry.instance, entry.depth, entry.slot},
+      warp, scratch.bias_scratch);
+  for (const Edge& e : result.sampled) samples.add(entry.local, e);
+
+  if (entry.depth + 1 >= spec.depth) return;  // walk/tree complete
+  for (const auto& [vertex, slot] : result.next) {
+    children.push_back(FrontierEntry{vertex, entry.instance, entry.local,
+                                     entry.depth + 1, slot, entry.vertex});
+  }
 }
 
 SamplingEngine::SamplingEngine(const GraphView& view, Policy policy,

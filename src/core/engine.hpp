@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/frontier_queue.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
@@ -207,9 +208,6 @@ struct EngineConfig {
   std::uint32_t global_instance_id(std::uint32_t i) const {
     return instance_tags.empty() ? instance_id_offset + i : instance_tags[i];
   }
-  /// Inverse of global_instance_id (binary search when tagged; the tags
-  /// are strictly increasing).
-  std::uint32_t local_instance_id(std::uint32_t global) const;
   /// Host threads executing the simulated warp-tasks: 0 = auto (the
   /// CSAW_THREADS environment variable, else hardware_concurrency), 1 =
   /// the legacy serial path. Samples, seps() and kernel logs are
@@ -311,10 +309,10 @@ struct WorkerScratch {
 };
 
 /// Executes GATHERNEIGHBORS + EDGEBIAS + SELECT + UPDATE for one frontier
-/// vertex against any GraphView. The in-memory engine, the OOM engine and
-/// the shard router all call exactly this function, which is what makes
-/// their equivalence tests meaningful. Visited filtering mutates
-/// `instance` when the spec requires it.
+/// vertex against any GraphView. The in-memory engine calls it directly,
+/// and the OOM engine and the shard router through step_entry, which is
+/// what makes their equivalence tests meaningful. Visited filtering
+/// mutates `instance` when the spec requires it.
 ///
 /// `rows` is static_ctps_rows(view, policy, spec), resolved once by the
 /// caller.
@@ -327,6 +325,20 @@ FrontierResult process_frontier_vertex(
     ItsSelector& selector, InstanceState& instance,
     const FrontierWorkItem& item, sim::WarpContext& warp,
     std::vector<float>& bias_scratch);
+
+/// One step of a frontier entry (Fig. 2(b) lines 5-8): samples
+/// `entry.vertex` through process_frontier_vertex with `instance`'s
+/// previous vertex set to `entry.prev`, adds the sampled edges to row
+/// `entry.local` of `samples`, and appends the next-depth entries to
+/// `children` (none at the spec's last depth). The OOM engine's chains
+/// and the shard router's workers step every entry through it; the
+/// caller owns `children`, so concurrent chains never share it.
+void step_entry(const GraphView& view, const Policy& policy,
+                const SamplingSpec& spec, const StaticCtpsRows* rows,
+                const CounterStream& rng, WorkerScratch& scratch,
+                InstanceState& instance, const FrontierEntry& entry,
+                sim::WarpContext& warp, SampleStore& samples,
+                std::vector<FrontierEntry>& children);
 
 /// The in-memory C-SAW engine: executes the Fig. 2(b) MAIN loop as one
 /// chain per instance on the simulated GPU (one warp-task per instance

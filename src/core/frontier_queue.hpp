@@ -14,10 +14,9 @@ namespace csaw {
 struct FrontierEntry {
   VertexId vertex = 0;
   std::uint32_t instance = 0;
-  /// Local (engine) index of `instance` — carried in the entry so the hot
-  /// path never runs the O(log n) global→local search tagged runs
-  /// otherwise need (EngineConfig::local_instance_id). Seeds stamp it;
-  /// children inherit it.
+  /// Local (run) index of `instance`: the result row the entry's edges go
+  /// to, carried so no step maps a global tag back to its row. Seeds
+  /// stamp it; children inherit it.
   std::uint32_t local = 0;
   std::uint32_t depth = 0;
   /// Position of this vertex in its instance's frontier at `depth` —

@@ -306,7 +306,8 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
       const auto process_one = [&](std::uint32_t p, const FrontierEntry& e,
                                    sim::WarpContext& warp) {
         children.clear();
-        process_entry(p, e, warp, ws, children);
+        step_entry(parts_->view(p), policy_, spec_, rows_, rng_, ws,
+                   instances_[e.local], e, warp, *samples_, children);
         for (const FrontierEntry& child : children) {
           const std::uint32_t slot = slot_of[parts_->part_of(child.vertex)];
           if (slot == kNotResident) {
@@ -621,30 +622,5 @@ std::vector<double> OomEngine::record_waves(
   }
   return seconds;
 }
-
-void OomEngine::process_entry(std::uint32_t p, const FrontierEntry& entry,
-                              sim::WarpContext& warp, WorkerScratch& scratch,
-                              std::vector<FrontierEntry>& routed) {
-  const PartitionView& view = parts_->view(p);
-  // The entry carries its local instance index, so tagged runs skip the
-  // O(log n) global→local search on every entry.
-  const std::uint32_t local = entry.local;
-  InstanceState& inst = instances_[local];
-  inst.prev_vertex = entry.prev;
-
-  const FrontierWorkItem item{entry.vertex, entry.instance, entry.depth,
-                              entry.slot};
-  FrontierResult result = process_frontier_vertex(
-      view, policy_, spec_, rows_, rng_, scratch.neighbor_selector, inst,
-      item, warp, scratch.bias_scratch);
-  for (const Edge& e : result.sampled) samples_->add(local, e);
-
-  if (entry.depth + 1 >= spec_.depth) return;  // walk/tree complete
-  for (const auto& [vertex, slot] : result.next) {
-    routed.push_back(FrontierEntry{vertex, entry.instance, entry.local,
-                                   entry.depth + 1, slot, entry.vertex});
-  }
-}
-
 
 }  // namespace csaw

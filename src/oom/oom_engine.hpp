@@ -150,13 +150,6 @@ class OomEngine {
                                    std::span<const sim::Device::Wave> waves,
                                    OomMetrics& metrics);
 
-  /// Samples one frontier entry against partition p. Next-depth frontier
-  /// entries go to `routed`, which the calling chain owns, not straight
-  /// into the partition queues: chains of one round run concurrently.
-  void process_entry(std::uint32_t p, const FrontierEntry& entry,
-                     sim::WarpContext& warp, WorkerScratch& scratch,
-                     std::vector<FrontierEntry>& routed);
-
   /// Grows the per-worker scratch to the device's execution width.
   void ensure_workers(std::uint32_t width);
 

@@ -1233,17 +1233,15 @@ RunResult Service::execute_batch(const SampleRequest& head,
       std::lock_guard<std::mutex> lock(mu_);
       graphs_.at(head.graph).shard_map = entry.shard_map;
     }
-    ShardOptions shard_options;
-    shard_options.shards = config_.shards;
-    shard_options.num_threads = config_.options.num_threads;
-    shard_options.envelope_capacity = config_.shard_envelope_capacity;
-    shard_options.queue_capacity = config_.shard_queue_capacity;
-    shard_options.retry = config_.options.transfer_retry;
-    shard_options.select = config_.options.select;
-    shard_options.seed = config_.options.seed;
-    shard_options.device_params = config_.options.device_params;
-    shard_options.faults = config_.shard_faults;
-    ShardRouter router(graph, setup, shard_options, entry.shard_map);
+    ShardRouter router(graph, setup, config_.options,
+                       ShardOptions{
+                           .shards = config_.shards,
+                           .envelope_capacity =
+                               config_.shard_envelope_capacity,
+                           .queue_capacity = config_.shard_queue_capacity,
+                           .faults = config_.shard_faults,
+                       },
+                       entry.shard_map);
     if (pool_ != nullptr) router.set_executor(pool_);
     return router.run_tagged(seeds, tags, control);
   }

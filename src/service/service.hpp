@@ -99,7 +99,9 @@ struct ServiceConfig {
   /// paged graphs, non-walk specs, multi-seed instances — silently run
   /// the ordinary path. 1 (the default) is exactly today's path.
   std::uint32_t shards = 1;
-  /// Max walkers per forwarded envelope (ShardOptions twin).
+  /// Max walkers per forwarded envelope. This, shard_queue_capacity and
+  /// shard_faults make the router's ShardOptions; its seed, SELECT,
+  /// threads, retry policy and device come from `options`.
   std::uint32_t shard_envelope_capacity = 64;
   /// Ingress-queue bound per shard; a full queue backpressures senders.
   std::uint32_t shard_queue_capacity = 32;

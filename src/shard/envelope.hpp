@@ -5,24 +5,9 @@
 #include <mutex>
 #include <vector>
 
-#include "graph/csr.hpp"
+#include "core/frontier_queue.hpp"
 
 namespace csaw {
-
-/// One in-flight walker as it crosses a shard boundary. This is the
-/// full resume state for a walk-shaped instance: the global Philox
-/// instance tag (which keys every draw, so the receiving shard
-/// continues the exact stream the sending shard would have used), the
-/// current and previous vertices, the original seed (restart/jump
-/// policies return to it), and the depth of the next step.
-struct ShardWalker {
-  std::uint32_t local = 0;  ///< run-local instance index (result row)
-  std::uint32_t tag = 0;    ///< global Philox instance tag
-  VertexId vertex = kInvalidVertex;
-  VertexId prev = kInvalidVertex;
-  VertexId seed = kInvalidVertex;
-  std::uint32_t depth = 0;  ///< next step to take
-};
 
 /// A batch of walkers moving from one shard to another. Envelopes are
 /// the unit of simulated transfer: `bytes()` feeds
@@ -33,14 +18,20 @@ struct ShardWalker {
 struct WalkerEnvelope {
   /// Simulated wire header: from/to/seq + walker count.
   static constexpr std::uint64_t kHeaderBytes = 16;
-  /// Simulated wire size of one walker record: tag + (vertex, prev,
-  /// seed, depth) + local index.
+  /// Simulated wire size of one walker record: the full resume state
+  /// of a walk-shaped instance — its global Philox tag (which keys every
+  /// draw, so the receiving shard continues the exact stream the sender
+  /// would have used), the current and previous vertices, the seed
+  /// (restart/jump policies return to it), the depth of the next step
+  /// and the run-local instance index, six 4-byte words. The host
+  /// carries each walker as the FrontierEntry step_entry takes; its
+  /// seed stays in the run's seed list, and its RNG slot is always 0.
   static constexpr std::uint64_t kWalkerBytes = 24;
 
   std::uint32_t from = 0;
   std::uint32_t to = 0;
   std::uint64_t seq = 0;  ///< per-source-shard monotone sequence number
-  std::vector<ShardWalker> walkers;
+  std::vector<FrontierEntry> walkers;
 
   std::uint64_t bytes() const noexcept {
     return kHeaderBytes + walkers.size() * kWalkerBytes;

@@ -26,17 +26,19 @@ namespace {
 struct ShardWorker {
   ShardWorker(const SelectConfig& select, std::uint32_t shards,
               std::uint32_t walkers)
-      : selector(select), egress(shards), walker_rounds(walkers, 0) {}
+      : scratch(select), egress(shards), walker_rounds(walkers, 0) {}
 
-  ItsSelector selector;
-  std::vector<float> bias_scratch;
-  /// prev/seed carrier for process_frontier_vertex; walk-shaped specs
-  /// never track visitation, so one scratch instance serves every
-  /// walker of the shard.
-  InstanceState scratch;
-  std::vector<ShardWalker> residents;
+  WorkerScratch scratch;
+  /// The instance state step_entry reads. Walk-shaped specs track no
+  /// visitation, so one state serves every walker resident here: its
+  /// seed is set when a walker's residency starts, and step_entry sets
+  /// the previous vertex from each entry.
+  InstanceState instance;
+  /// step_entry's output: a walk-shaped step yields at most one child.
+  std::vector<FrontierEntry> children;
+  std::vector<FrontierEntry> residents;
   /// Fresh boundary crossings of this round, bucketed by destination.
-  std::vector<std::vector<ShardWalker>> egress;
+  std::vector<std::vector<FrontierEntry>> egress;
   /// Per-step stats of every step this shard ran, summed over the run.
   sim::KernelStats stats;
   /// Critical rounds each walker (by run-local index) ran here on its
@@ -51,22 +53,23 @@ struct ShardWorker {
 }  // namespace
 
 ShardRouter::ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
-                         ShardOptions options,
+                         const SamplerOptions& options, ShardOptions shard,
                          std::shared_ptr<const ShardPartitionMap> map)
     : graph_(&graph),
       setup_(std::move(setup)),
-      options_(std::move(options)),
+      options_(options),
+      shard_(std::move(shard)),
       map_(std::move(map)) {
-  CSAW_CHECK(options_.shards >= 1);
-  CSAW_CHECK(options_.envelope_capacity >= 1);
-  CSAW_CHECK(options_.queue_capacity >= 1);
-  CSAW_CHECK(options_.retry.attempts >= 1);
+  CSAW_CHECK(shard_.shards >= 1);
+  CSAW_CHECK(shard_.envelope_capacity >= 1);
+  CSAW_CHECK(shard_.queue_capacity >= 1);
+  CSAW_CHECK(options_.transfer_retry.attempts >= 1);
   CSAW_CHECK_MSG(setup_.spec.walk_shaped(),
                  "ShardRouter requires a walk-shaped spec");
   if (!map_) {
-    map_ = std::make_shared<const ShardPartitionMap>(graph, options_.shards);
+    map_ = std::make_shared<const ShardPartitionMap>(graph, shard_.shards);
   }
-  CSAW_CHECK_MSG(map_->shards() == options_.shards,
+  CSAW_CHECK_MSG(map_->shards() == shard_.shards,
                  "partition map shard count mismatch");
   CSAW_CHECK_MSG(map_->num_vertices() == graph.num_vertices(),
                  "partition map built for a different graph");
@@ -94,17 +97,21 @@ RunResult ShardRouter::run_tagged(
     std::span<const std::vector<VertexId>> seeds,
     std::span<const std::uint32_t> tags, const RunControl& control) {
   const std::uint32_t n = static_cast<std::uint32_t>(seeds.size());
+  CSAW_CHECK_MSG(tags.size() == seeds.size(),
+                 "run_tagged needs one tag per instance: " << tags.size()
+                     << " tags for " << seeds.size() << " seed lists");
   validate_instance_tags(tags, n);
   CSAW_CHECK_MSG(control.instance_cancel.empty() ||
                      control.instance_cancel.size() == seeds.size(),
                  "instance_cancel must hold one token per instance");
-  const std::uint32_t num_shards = options_.shards;
+  const std::uint32_t num_shards = shard_.shards;
   const SamplingSpec& spec = setup_.spec;
   const Policy& policy = setup_.policy;
   const CsrGraphView view(*graph_);
   const StaticCtpsRows* rows = static_ctps_rows(view, policy, spec);
   const CounterStream rng(options_.seed);
   const sim::CostModel cost(options_.device_params);
+  const RetryPolicy& retry = options_.transfer_retry;
   telemetry::TraceRecorder* trace = control.trace;
   // Each walker's warps, as the in-memory pipelined launch of the same
   // walkers gives its chains.
@@ -133,7 +140,7 @@ RunResult ShardRouter::run_tagged(
   std::vector<std::uint64_t> next_seq(num_shards, 0);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     workers.emplace_back(options_.select, num_shards, n);
-    inbox.emplace_back(options_.queue_capacity);
+    inbox.emplace_back(shard_.queue_capacity);
   }
 
   std::vector<char> failed(n, 0);
@@ -144,7 +151,7 @@ RunResult ShardRouter::run_tagged(
     result.samples.put(local, {});  // discard the partial row
   };
   const auto fail_envelope = [&](const WalkerEnvelope& env) {
-    for (const ShardWalker& wk : env.walkers) fail_instance(wk.local);
+    for (const FrontierEntry& walker : env.walkers) fail_instance(walker.local);
   };
 
   // Seed scatter: walker i starts on the shard owning its seed. No
@@ -161,7 +168,7 @@ RunResult ShardRouter::run_tagged(
       continue;
     }
     workers[map_->owner(seed)].residents.push_back(
-        ShardWalker{i, tags[i], seed, kInvalidVertex, seed, 0});
+        FrontierEntry{seed, tags[i], i, 0, 0, kInvalidVertex});
   }
 
   sim::ThreadPool* pool = ensure_pool();
@@ -186,41 +193,30 @@ RunResult ShardRouter::run_tagged(
                     {"walkers", std::to_string(w.residents.size())}});
     }
     std::uint64_t round_steps = 0;
-    for (const ShardWalker& start : w.residents) {
-      ShardWalker walker = start;
+    for (FrontierEntry entry : w.residents) {
+      w.instance.seed_vertex = seeds[entry.local][0];
       while (true) {
-        if (may_cancel && control.instance_cancelled(walker.local)) {
+        if (may_cancel && control.instance_cancelled(entry.local)) {
           // Keeps the steps it completed; no completion fires
           // (RunControl contract: only non-cancelled instances do).
           break;
         }
-        w.scratch.id = walker.tag;
-        w.scratch.seed_vertex = walker.seed;
-        w.scratch.prev_vertex = walker.prev;
-        FrontierResult step;
-        w.walker_rounds[walker.local] += sim::run_warp_task(
-            w.stats, widths[walker.local], [&](sim::WarpContext& warp) {
-              step = process_frontier_vertex(
-                  view, policy, spec, rows, rng, w.selector, w.scratch,
-                  FrontierWorkItem{walker.vertex, walker.tag, walker.depth,
-                                   0},
-                  warp, w.bias_scratch);
+        w.children.clear();
+        w.walker_rounds[entry.local] += sim::run_warp_task(
+            w.stats, widths[entry.local], [&](sim::WarpContext& warp) {
+              step_entry(view, policy, spec, rows, rng, w.scratch, w.instance,
+                         entry, warp, result.samples, w.children);
             });
         ++round_steps;
-        for (const Edge& e : step.sampled) {
-          result.samples.add(walker.local, e);
-        }
-        CSAW_CHECK(step.next.size() <= 1);  // walk-shaped: one child max
-        if (step.next.empty() || walker.depth + 1 == spec.depth) {
-          result.samples.complete(walker.local);
+        CSAW_CHECK(w.children.size() <= 1);  // walk-shaped: one child max
+        if (w.children.empty()) {
+          result.samples.complete(entry.local);
           break;
         }
-        walker.prev = walker.vertex;
-        walker.vertex = step.next[0].first;
-        ++walker.depth;
-        const std::uint32_t dst = map_->owner(walker.vertex);
+        entry = w.children[0];
+        const std::uint32_t dst = map_->owner(entry.vertex);
         if (dst != static_cast<std::uint32_t>(item)) {
-          w.egress[dst].push_back(walker);
+          w.egress[dst].push_back(entry);
           ++w.forwarded;
           break;
         }
@@ -238,11 +234,11 @@ RunResult ShardRouter::run_tagged(
     // Terminal shard failures: fail exactly the instances whose
     // walkers are resident on or bound for a dead shard; everyone
     // else's bytes are untouched.
-    if (options_.faults) {
+    if (shard_.faults) {
       for (std::uint32_t s = 0; s < num_shards; ++s) {
-        if (!options_.faults->failed_forever(s)) continue;
-        for (const ShardWalker& wk : workers[s].residents) {
-          fail_instance(wk.local);
+        if (!shard_.faults->failed_forever(s)) continue;
+        for (const FrontierEntry& walker : workers[s].residents) {
+          fail_instance(walker.local);
         }
         workers[s].residents.clear();
         for (const WalkerEnvelope& env : inbox[s].drain()) {
@@ -272,9 +268,8 @@ RunResult ShardRouter::run_tagged(
             return a.from != b.from ? a.from < b.from : a.seq < b.seq;
           });
       for (WalkerEnvelope& env : arrived) {
-        for (const ShardWalker& wk : env.walkers) {
-          workers[s].residents.push_back(wk);
-        }
+        workers[s].residents.insert(workers[s].residents.end(),
+                                    env.walkers.begin(), env.walkers.end());
       }
     }
 
@@ -313,7 +308,7 @@ RunResult ShardRouter::run_tagged(
       for (std::uint32_t dst = 0; dst < num_shards; ++dst) {
         auto& hops = w.egress[dst];
         for (std::size_t at = 0; at < hops.size();
-             at += options_.envelope_capacity) {
+             at += shard_.envelope_capacity) {
           WalkerEnvelope env;
           env.from = src;
           env.to = dst;
@@ -321,7 +316,7 @@ RunResult ShardRouter::run_tagged(
           const std::size_t end =
               std::min(hops.size(),
                        at + static_cast<std::size_t>(
-                                options_.envelope_capacity));
+                                shard_.envelope_capacity));
           env.walkers.assign(hops.begin() + static_cast<std::ptrdiff_t>(at),
                              hops.begin() + static_cast<std::ptrdiff_t>(end));
           outbox[src].push_back(std::move(env));
@@ -332,7 +327,7 @@ RunResult ShardRouter::run_tagged(
       double src_seconds = 0.0;
       while (!outbox[src].empty()) {
         WalkerEnvelope& env = outbox[src].front();
-        if (options_.faults && options_.faults->failed_forever(env.to)) {
+        if (shard_.faults && shard_.faults->failed_forever(env.to)) {
           fail_envelope(env);
           outbox[src].pop_front();
           continue;
@@ -340,15 +335,14 @@ RunResult ShardRouter::run_tagged(
         if (inbox[env.to].full()) break;  // head-of-line backpressure
         const double wire = cost.transfer_seconds(env.bytes());
         bool delivered = false;
-        for (std::uint32_t attempt = 0; attempt < options_.retry.attempts;
-             ++attempt) {
+        for (std::uint32_t attempt = 0; attempt < retry.attempts; ++attempt) {
           if (attempt > 0) {
-            src_seconds += options_.retry.backoff_before(attempt);
+            src_seconds += retry.backoff_before(attempt);
             ++shard.envelope_retries;
           }
           const auto outcome =
-              options_.faults
-                  ? options_.faults->next_attempt(env.to, attempt)
+              shard_.faults
+                  ? shard_.faults->next_attempt(env.to, attempt)
                   : FaultInjector::Outcome::kOk;
           if (outcome == FaultInjector::Outcome::kFail) {
             ++shard.envelope_faults;
@@ -356,7 +350,7 @@ RunResult ShardRouter::run_tagged(
             continue;
           }
           src_seconds += outcome == FaultInjector::Outcome::kSlow
-                             ? wire * options_.faults->slow_factor()
+                             ? wire * shard_.faults->slow_factor()
                              : wire;
           delivered = true;
           break;

@@ -6,13 +6,14 @@
 // (ShardPartitionMap, edge-balanced contiguous ranges) and runs
 // walk-shaped sampling instances KnightKing-style (see
 // src/baselines/knightking.cpp run_walkers): supersteps of shard-local
-// compute followed by an all-to-all walker exchange. Within a
-// superstep each shard steps its resident walkers until they finish,
-// die, or step onto a vertex another shard owns; boundary-crossing
-// walkers are packed into WalkerEnvelopes and delivered over bounded
-// queues in *simulated* time, so forwarding cost lands in the same
-// CostModel (and therefore SEPS accounting) as kernels and partition
-// copies.
+// compute followed by an all-to-all walker exchange. A walker is a
+// FrontierEntry, and a step is step_entry (core/engine.hpp), the same
+// step the out-of-memory engine's chains take. Within a superstep each
+// shard steps its resident walkers until they finish, die, or step onto
+// a vertex another shard owns; boundary-crossing walkers are packed into
+// WalkerEnvelopes and delivered over bounded queues in *simulated* time,
+// so forwarding cost lands in the same CostModel (and therefore SEPS
+// accounting) as kernels and partition copies.
 //
 // Simulated charge: the supersteps are the host's schedule, not the
 // device's. Each shard runs one persistent kernel per run, with a chain
@@ -48,39 +49,31 @@
 #include <vector>
 
 #include "algorithms/registry.hpp"
-#include "core/run_result.hpp"
 #include "core/engine.hpp"
-#include "gpusim/cost_model.hpp"
+#include "core/run_result.hpp"
+#include "core/sampler.hpp"
 #include "gpusim/thread_pool.hpp"
-#include "select/its.hpp"
 #include "shard/partition_map.hpp"
 #include "util/fault_injector.hpp"
 
 namespace csaw {
 
-/// Knobs of one ShardRouter. Defaults mirror SamplerOptions where a
-/// knob has a single-device twin (seed, select, retry policy).
+/// The transport of one ShardRouter. Everything a single-device run
+/// also has (seed, SELECT, host threads, retry policy, device) comes
+/// from the SamplerOptions the router is built with.
 struct ShardOptions {
   /// Shard count (>= 1; 1 degenerates to a single worker, no
   /// forwarding).
   std::uint32_t shards = 2;
-  /// Host threads for the compute phase: 0 = auto (CSAW_THREADS, else
-  /// hardware_concurrency). Ignored when an executor is attached.
-  std::uint32_t num_threads = 0;
   /// Max walkers packed into one WalkerEnvelope.
   std::uint32_t envelope_capacity = 64;
   /// Max envelopes queued at one shard's ingress; a full queue
   /// backpressures the sender (head-of-line, retried next round).
   std::uint32_t queue_capacity = 32;
-  /// Retry policy of one envelope's delivery. An envelope failing every
-  /// attempt fails its walkers' instances.
-  RetryPolicy retry;
-  SelectConfig select;
-  std::uint64_t seed = 0xC5A30001ull;
-  sim::DeviceParams device_params;
   /// Optional deterministic fault injector consulted per delivery
   /// attempt, keyed by destination shard. nullptr (the default) means a
-  /// fault-free transport.
+  /// fault-free transport. An envelope failing every attempt of
+  /// SamplerOptions::transfer_retry fails its walkers' instances.
   std::shared_ptr<FaultInjector> faults;
 };
 
@@ -90,18 +83,18 @@ struct ShardOptions {
 /// routers may share one executor pool.
 class ShardRouter {
  public:
+  /// `options` supplies the seed, SELECT config, host threads
+  /// (num_threads), the envelope retry policy (transfer_retry) and the
+  /// simulated device (device_params); its other fields are unused.
   /// `map` shares a prebuilt partition map (the service builds one per
   /// registered graph); null builds a private one.
   ShardRouter(const CsrGraph& graph, AlgorithmSetup setup,
-              ShardOptions options,
+              const SamplerOptions& options, ShardOptions shard,
               std::shared_ptr<const ShardPartitionMap> map = nullptr);
-
-  const ShardPartitionMap& partition_map() const noexcept { return *map_; }
-  const ShardOptions& options() const noexcept { return options_; }
 
   /// Attaches an externally owned host pool (the service passes its
   /// batch pool). Replaces the lazily created per-router pool; the
-  /// pool's width wins over ShardOptions::num_threads.
+  /// pool's width wins over SamplerOptions::num_threads.
   void set_executor(std::shared_ptr<sim::ThreadPool> pool);
 
   /// Runs one walker per seeds entry (each entry must hold exactly one
@@ -121,7 +114,8 @@ class ShardRouter {
 
   const CsrGraph* graph_;
   AlgorithmSetup setup_;
-  ShardOptions options_;
+  SamplerOptions options_;
+  ShardOptions shard_;
   std::shared_ptr<const ShardPartitionMap> map_;
   std::shared_ptr<sim::ThreadPool> pool_;
   bool pool_resolved_ = false;

@@ -268,10 +268,9 @@ TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
       const std::uint32_t shards = pick(shard_rng, 1, 4);
       const std::uint32_t shard_threads =
           kWidths[pick(shard_rng, 0, std::size(kWidths) - 1)];
-      ShardOptions shard_options;
-      shard_options.shards = shards;
+      SamplerOptions shard_options;
       shard_options.num_threads = shard_threads;
-      ShardRouter router(graph, setup, shard_options);
+      ShardRouter router(graph, setup, shard_options, {.shards = shards});
       const RunResult sharded = router.run_tagged(
           expand_single_seeds(config.seeds), config.tags);
       expect_same_samples(sharded.samples, baseline.samples,

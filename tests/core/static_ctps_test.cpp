@@ -228,11 +228,11 @@ TEST(StaticCtpsEquivalence, ShardRouterMatchesThePerStepBuild) {
     const AlgorithmSetup setup = make_algorithm(id, /*length=*/12);
     if (!setup.spec.walk_shaped()) continue;  // MDRW
     const auto seeds = make_seeds(graph, id, kInstances);
-    ShardOptions options;
-    options.shards = 3;
+    SamplerOptions options;
     options.num_threads = 2;
-    ShardRouter rows(graph, setup, options);
-    ShardRouter per_step(graph, as_dynamic(setup), options);
+    const ShardOptions shard{.shards = 3};
+    ShardRouter rows(graph, setup, options, shard);
+    ShardRouter per_step(graph, as_dynamic(setup), options, shard);
     const RunResult want = per_step.run_tagged(seeds, tags);
     EXPECT_GT(want.shard->forwarded_walkers, 0u);
     expect_same_run(rows.run_tagged(seeds, tags), want,
@@ -487,9 +487,7 @@ TEST(StaticCtpsLaw, BiasedWalkStepOutOfAHubFollowsWeightTimesDegree) {
   EXPECT_LT(hub_step_chi_square(graph, paged.run_single_seed(hub)),
             kCritical);
 
-  ShardOptions options;
-  options.shards = 4;
-  ShardRouter sharded(graph, setup, options);
+  ShardRouter sharded(graph, setup, SamplerOptions{}, {.shards = 4});
   EXPECT_LT(hub_step_chi_square(graph, sharded.run_tagged(seeds, tags)),
             kCritical);
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "shard/envelope.hpp"
 #include "shard/router.hpp"
@@ -92,17 +93,18 @@ TEST(EnvelopeSizing, CapacityChangesEnvelopesNotBytesOfSamples) {
   std::vector<std::uint32_t> tags(seed_list.size());
   for (std::uint32_t i = 0; i < tags.size(); ++i) tags[i] = i;
 
+  SamplerOptions options;
+  options.num_threads = 1;
   ShardOptions roomy;
   roomy.shards = 3;
-  roomy.num_threads = 1;
-  ShardRouter baseline(graph, setup, roomy);
+  ShardRouter baseline(graph, setup, options, roomy);
   const RunResult want = baseline.run_tagged(seeds, tags);
   ASSERT_GT(want.shard->forwarded_walkers, 0u);
 
   ShardOptions tight = roomy;
   tight.envelope_capacity = 1;
   tight.queue_capacity = 1;
-  ShardRouter router(graph, setup, tight);
+  ShardRouter router(graph, setup, options, tight);
   const RunResult got = router.run_tagged(seeds, tags);
 
   ASSERT_EQ(got.samples.num_instances(), want.samples.num_instances());

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "shard/router.hpp"
 #include "util/fault_injector.hpp"
@@ -45,12 +46,11 @@ RunResult run_sharded(const CsrGraph& graph, std::uint32_t shards,
                       std::uint32_t length = 24) {
   const AlgorithmSetup setup =
       make_algorithm(AlgorithmId::kDeepwalk, length);
-  ShardOptions options;
-  options.shards = shards;
+  SamplerOptions options;
   options.num_threads = 1;
-  options.retry.attempts = attempts;
-  options.faults = std::move(faults);
-  ShardRouter router(graph, setup, options);
+  options.transfer_retry.attempts = attempts;
+  ShardRouter router(graph, setup, options,
+                     {.shards = shards, .faults = std::move(faults)});
   return router.run_tagged(walk_seeds(graph, instances),
                            identity_tags(instances));
 }

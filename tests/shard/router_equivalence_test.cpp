@@ -19,6 +19,7 @@
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "shard/router.hpp"
+#include "util/check.hpp"
 #include "util/fault_injector.hpp"
 #include "../kernel_digest.hpp"
 
@@ -87,10 +88,9 @@ TEST(ShardRouterEquivalence, ByteIdenticalAtEveryShardAndThreadCount) {
 
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
       for (const std::uint32_t threads : {1u, 2u, 7u}) {
-        ShardOptions options;
-        options.shards = shards;
+        SamplerOptions options;
         options.num_threads = threads;
-        ShardRouter router(graph, setup, options);
+        ShardRouter router(graph, setup, options, {.shards = shards});
         const RunResult got = router.run_tagged(seeds, tags);
         const std::string label = algorithm_info(algorithm).name +
                                   " shards=" + std::to_string(shards) +
@@ -117,18 +117,18 @@ TEST(ShardRouterEquivalence, SimulatedTimelineIndependentOfHostThreads) {
       make_algorithm(AlgorithmId::kDeepwalk, /*length=*/24);
 
   for (const std::uint32_t shards : {2u, 3u}) {
-    ShardOptions base;
-    base.shards = shards;
+    const ShardOptions shard{.shards = shards};
+    SamplerOptions base;
     base.num_threads = 1;
-    ShardRouter serial(graph, setup, base);
+    ShardRouter serial(graph, setup, base, shard);
     const RunResult want = serial.run_tagged(seeds, tags);
     EXPECT_GT(want.shard->forwarded_walkers, 0u);
     EXPECT_GT(want.shard->transfer_seconds, 0.0);
 
     for (const std::uint32_t threads : {2u, 7u}) {
-      ShardOptions options = base;
+      SamplerOptions options = base;
       options.num_threads = threads;
-      ShardRouter router(graph, setup, options);
+      ShardRouter router(graph, setup, options, shard);
       const RunResult got = router.run_tagged(seeds, tags);
       const std::string label = "shards=" + std::to_string(shards) +
                                 " threads=" + std::to_string(threads);
@@ -163,10 +163,9 @@ TEST(ShardRouterEquivalence, OneShardCostsExactlyTheInMemoryPipelinedRun) {
       }());
       const RunResult want = sampler.run_tagged(seeds, tags);
 
-      ShardOptions options;
-      options.shards = 1;
+      SamplerOptions options;
       options.num_threads = 1;
-      ShardRouter router(graph, setup, options);
+      ShardRouter router(graph, setup, options, {.shards = 1});
       const RunResult got = router.run_tagged(seeds, tags);
       const std::string label = algorithm_info(algorithm).name +
                                 " instances=" + std::to_string(instances);
@@ -213,11 +212,10 @@ TEST(ShardRouterEquivalence, MakespanIsSlowestKernelOrWalkerPathPlusWire) {
           sampler.run_tagged(seeds, tags).stats.max_warp_rounds);
 
       for (const std::uint32_t shards : {2u, 3u}) {
-        ShardOptions options;
-        options.shards = shards;
+        SamplerOptions options;
         options.num_threads = 1;
         options.device_params = params;
-        ShardRouter router(graph, setup, options);
+        ShardRouter router(graph, setup, options, {.shards = shards});
         const RunResult got = router.run_tagged(seeds, tags);
         const std::string label =
             algorithm_info(algorithm).name +
@@ -351,14 +349,14 @@ TEST(ShardRouterEquivalence, TimelineIsPinned) {
           injector = std::make_shared<FaultInjector>();
           injector->fail_forever(c.shards - 1);
         }
-        ShardOptions options;
-        options.shards = c.shards;
+        SamplerOptions options;
         options.num_threads = threads;
-        options.envelope_capacity = 3;
-        options.queue_capacity = 2;
-        options.retry.attempts = 3;
-        options.faults = injector;
-        ShardRouter router(graph, setup, options);
+        options.transfer_retry.attempts = 3;
+        ShardRouter router(graph, setup, options,
+                           {.shards = c.shards,
+                            .envelope_capacity = 3,
+                            .queue_capacity = 2,
+                            .faults = injector});
         const RunResult got = router.run_tagged(seeds, tags);
         EXPECT_EQ(router_digest(got), c.digest[faults])
             << algorithm_info(c.algorithm).name << " shards=" << c.shards
@@ -366,6 +364,17 @@ TEST(ShardRouterEquivalence, TimelineIsPinned) {
       }
     }
   }
+}
+
+TEST(ShardRouterEquivalence, RunTaggedNeedsOneTagPerInstance) {
+  // Like Sampler::run_tagged: a run without tags has no Philox stream to
+  // draw from, so it is rejected before any walker is seeded.
+  const CsrGraph graph = test_graph();
+  ShardRouter router(graph, make_algorithm(AlgorithmId::kDeepwalk, 4),
+                     SamplerOptions{}, {.shards = 2});
+  const auto seeds = expand_single_seeds(draw_seeds(graph, 3));
+  EXPECT_THROW(router.run_tagged(seeds, {}), CheckError);
+  EXPECT_THROW(router.run_tagged(seeds, draw_tags(2)), CheckError);
 }
 
 TEST(ShardRouterEquivalence, NonWalkSpecsAreRejectedByThePredicate) {

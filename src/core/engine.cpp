@@ -41,6 +41,20 @@ void validate_instance_tags(const EngineConfig& config,
                                         << num_instances << " instances");
 }
 
+void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
+                         std::span<const std::uint32_t> tags,
+                         const RunControl& control) {
+  CSAW_CHECK_MSG(tags.size() == seeds.size(),
+                 "run_tagged needs one tag per instance: " << tags.size()
+                     << " tags for " << seeds.size() << " seed lists");
+  validate_instance_tags(tags, seeds.size());
+  CSAW_CHECK_MSG(control.instance_cancel.empty() ||
+                     control.instance_cancel.size() == seeds.size(),
+                 "RunControl::instance_cancel has "
+                     << control.instance_cancel.size() << " tokens for "
+                     << seeds.size() << " seed lists");
+}
+
 void complete_remaining(SampleStore& samples, const RunControl& control) {
   if (!samples.streaming()) return;
   const bool may_cancel = control.may_cancel();

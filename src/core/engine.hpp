@@ -225,13 +225,20 @@ struct EngineConfig {
 
 /// Checks the instance-tag invariants (size matches the instance count,
 /// strictly increasing) at run entry; a no-op for untagged configs. The
-/// span form exists so Sampler::run_tagged can validate the *whole* tag
+/// span form exists so validate_tagged_run can check the *whole* tag
 /// list before a multi-device dispatch splits it into per-group subspans
 /// (each of which would pass the per-engine check on its own).
 void validate_instance_tags(std::span<const std::uint32_t> tags,
                             std::size_t num_instances);
 void validate_instance_tags(const EngineConfig& config,
                             std::size_t num_instances);
+
+/// Checks a tagged run's inputs at entry (Sampler::run_tagged and
+/// ShardRouter::run_tagged): exactly one tag per seed list, strictly
+/// increasing, and no instance_cancel tokens or one per seed list.
+void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
+                         std::span<const std::uint32_t> tags,
+                         const RunControl& control);
 
 /// Checks at run entry that every seed names a vertex of a graph with
 /// `num_vertices` vertices, naming the first that does not; instance

@@ -221,18 +221,10 @@ RunResult Sampler::run_single_seed(std::span<const VertexId> seeds) {
 RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
                               std::span<const std::uint32_t> tags,
                               const RunControl& control) {
-  CSAW_CHECK_MSG(tags.size() == seeds.size(),
-                 "run_tagged needs one tag per instance: " << tags.size()
-                     << " tags for " << seeds.size() << " seed lists");
   // Validate the whole span here: a multi-device dispatch hands each
   // group a subspan, and per-group checks alone would accept duplicates
   // that straddle a group boundary.
-  validate_instance_tags(tags, seeds.size());
-  CSAW_CHECK_MSG(control.instance_cancel.empty() ||
-                     control.instance_cancel.size() == seeds.size(),
-                 "RunControl::instance_cancel has "
-                     << control.instance_cancel.size() << " tokens for "
-                     << seeds.size() << " seed lists");
+  validate_tagged_run(seeds, tags, control);
   return dispatch(seeds, options_.instance_id_offset, tags, control);
 }
 

@@ -197,7 +197,6 @@ class Device {
   /// Returns stream `i`, creating streams up to that index. Stream 0 is
   /// the default stream.
   Stream& stream(std::size_t i = 0);
-  std::size_t stream_count() const noexcept { return streams_.size(); }
 
   /// Requests a host-side execution width: 0 = auto (CSAW_THREADS, else
   /// hardware_concurrency), 1 = serial, n = a pool of n threads. Creates

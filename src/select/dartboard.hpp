@@ -27,8 +27,6 @@ class Dartboard {
   std::vector<std::uint32_t> draw_distinct(std::uint32_t k, Xoshiro256& rng,
                                            std::uint64_t* trials = nullptr) const;
 
-  float max_bias() const noexcept { return max_bias_; }
-
  private:
   std::span<const float> biases_;
   float max_bias_ = 0.0f;

@@ -222,10 +222,9 @@ void Service::count_rejection_locked(RejectReason reason) {
 
 void Service::expire_deadlines_locked(
     std::chrono::steady_clock::time_point now) {
-  for (const std::uint64_t ticket : wheel_.expire(now)) {
-    const auto it = timed_.find(ticket);
-    if (it == timed_.end()) continue;  // retired; raced its own deadline
-    it->second.cancel(CancelReason::kDeadline);
+  while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+    timed_.at(deadlines_.begin()->second).cancel(CancelReason::kDeadline);
+    deadlines_.erase(deadlines_.begin());
   }
 }
 
@@ -402,11 +401,11 @@ Submission Service::submit_impl(SampleRequest request,
     if (pending.request.deadline.has_value()) {
       // Deadline-armed: the engines poll a service-owned source the
       // dispatcher can fire at expiry; a client cancel (or stream
-      // abandon) chains through its parent link. Registered in the
-      // wheel until retirement.
+      // abandon) chains through its parent link. Armed until it fires
+      // or the request retires.
       CancelSource source = CancelSource::linked(base_token);
       pending.run_token = source.token();
-      wheel_.add(pending.ticket, *pending.request.deadline);
+      deadlines_.emplace(*pending.request.deadline, pending.ticket);
       timed_.emplace(pending.ticket, std::move(source));
     } else {
       pending.run_token = base_token;
@@ -522,7 +521,7 @@ ServiceHealth Service::health() const {
   health.queue_depth = queue_.size();
   health.inflight_batches = batches_in_flight_;
   health.executing_batches = executing_batches_;
-  health.timed_requests = wheel_.size();
+  health.timed_requests = deadlines_.size();
   health.window = recent_.size();
   for (const RequestOutcome outcome : recent_) {
     switch (outcome) {
@@ -719,7 +718,7 @@ std::string Service::metrics_text() const {
         health.inflight_batches);
   gauge("csaw_executing_batches", "Batches inside an engine run",
         health.executing_batches);
-  gauge("csaw_timed_requests", "Deadlines armed in the timer wheel",
+  gauge("csaw_timed_requests", "Request deadlines armed and not yet fired",
         static_cast<double>(health.timed_requests));
   gauge("csaw_health_window", "Retired requests the outcome window covers",
         static_cast<double>(health.window));
@@ -986,20 +985,27 @@ Service::FormedBatch Service::form_batch_locked(std::size_t head_index) {
 
 void Service::run_batch(std::vector<Pending> batch) {
   const std::size_t num_requests = batch.size();
+  // Batch layout: request r's instances occupy the flat index range
+  // [first[r], first[r + 1]); first[num_requests] is the batch's size.
+  std::vector<std::uint32_t> first(num_requests + 1, 0);
+  bool cancellable = false;
+  bool any_stream = false;
+  for (std::size_t r = 0; r < num_requests; ++r) {
+    first[r + 1] = first[r] + batch[r].request.num_instances();
+    cancellable = cancellable || batch[r].run_token.valid();
+    any_stream = any_stream || batch[r].stream != nullptr;
+  }
+  const std::uint32_t num_instances = first[num_requests];
   telemetry::TraceRecorder* const trace = config_.trace.get();
   const std::uint64_t batch_id =
       next_batch_id_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t batch_span = 0;
   if (trace != nullptr) {
-    std::uint64_t instances = 0;
-    for (const Pending& pending : batch) {
-      instances += pending.request.num_instances();
-    }
     batch_span = trace->begin_span(
         "batch", {{"batch", std::to_string(batch_id)},
                   {"graph", batch.front().request.graph},
                   {"requests", std::to_string(num_requests)},
-                  {"instances", std::to_string(instances)}});
+                  {"instances", std::to_string(num_instances)}});
   }
   std::vector<Retirement> fates(num_requests);
   RunResult whole;
@@ -1009,66 +1015,52 @@ void Service::run_batch(std::vector<Pending> batch) {
   // reports those events.
   OomMetrics failed_paging;
   try {
-    // Plan: one flat instance list. Request r's instances occupy a
-    // contiguous index range and carry the global ids [rng_base,
-    // rng_base + k) as engine tags — the whole determinism story of the
-    // service is that these ids, not batch positions, address the random
-    // draws.
-    std::vector<std::vector<VertexId>> seeds;
-    std::vector<std::uint32_t> tags;
-    for (Pending& pending : batch) {
-      for (std::size_t i = 0; i < pending.request.seeds.size(); ++i) {
-        // Seed lists are dead after the run (the split below reads only
-        // num_instances, which moving the inner vectors preserves).
-        seeds.push_back(std::move(pending.request.seeds[i]));
-        tags.push_back(pending.rng_base + static_cast<std::uint32_t>(i));
-      }
-    }
-
+    // Plan: one flat instance list, built in one pass. Request r's
+    // instances carry the global ids [rng_base, rng_base + k) as engine
+    // tags — the whole determinism story of the service is that these
+    // ids, not batch positions, address the random draws.
+    //
     // Per-instance cancellation: each request's token repeats across its
     // instances, so cancelling one request stops exactly its rows while
     // every neighbor's bytes stay identical to a run without it. A batch
     // of plain requests (no token, no deadline) passes no tokens at all
     // and the engines skip the polls entirely.
-    RunControl control;
-    control.trace = trace;
-    control.trace_batch = batch_id;
-    bool cancellable = false;
-    bool any_stream = false;
-    for (const Pending& pending : batch) {
-      cancellable = cancellable || pending.run_token.valid();
-      any_stream = any_stream || pending.stream != nullptr;
-    }
-    if (cancellable) {
-      control.instance_cancel.reserve(seeds.size());
-      for (const Pending& pending : batch) {
-        control.instance_cancel.insert(control.instance_cancel.end(),
-                                       pending.request.seeds.size(),
-                                       pending.run_token);
-      }
-    }
-
-    // Streaming bridge: route each batch instance's completion callback
-    // to its request's chunk queue with the request-local index. Fired
-    // concurrently from engine workers; stream_push locks per stream and
-    // parks at the chunk budget (backpressure — host time only, so the
-    // batch's bytes and simulated timing are consumer-independent).
-    // Buffered neighbors in a mixed batch route nowhere and keep their
-    // rows for the split below.
+    //
+    // Streaming bridge: each instance's route names its request's chunk
+    // queue and request-local index. Buffered neighbors in a mixed batch
+    // route nowhere and keep their rows for the split below.
     struct InstanceRoute {
       detail::StreamState* stream = nullptr;
       std::uint32_t local = 0;
     };
+    std::vector<std::vector<VertexId>> seeds;
+    std::vector<std::uint32_t> tags;
     std::vector<InstanceRoute> routes;
-    if (any_stream) {
-      routes.reserve(seeds.size());
-      for (const Pending& pending : batch) {
-        const auto count =
-            static_cast<std::uint32_t>(pending.request.seeds.size());
-        for (std::uint32_t i = 0; i < count; ++i) {
+    RunControl control;
+    control.trace = trace;
+    control.trace_batch = batch_id;
+    seeds.reserve(num_instances);
+    tags.reserve(num_instances);
+    if (cancellable) control.instance_cancel.reserve(num_instances);
+    if (any_stream) routes.reserve(num_instances);
+    for (Pending& pending : batch) {
+      const std::uint32_t count = pending.request.num_instances();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        // Seed lists are dead after the run (the split below reads only
+        // `first`).
+        seeds.push_back(std::move(pending.request.seeds[i]));
+        tags.push_back(pending.rng_base + i);
+        if (cancellable) control.instance_cancel.push_back(pending.run_token);
+        if (any_stream) {
           routes.push_back(InstanceRoute{pending.stream.get(), i});
         }
       }
+    }
+    if (any_stream) {
+      // Fired concurrently from engine workers; stream_push locks per
+      // stream and parks at the chunk budget (backpressure — host time
+      // only, so the batch's bytes and simulated timing are
+      // consumer-independent).
       control.on_instance_complete = [this, &routes, trace, batch_id](
                                          std::uint32_t i,
                                          std::vector<Edge>& row) {
@@ -1099,26 +1091,18 @@ void Service::run_batch(std::vector<Pending> batch) {
       fates[r].outcome =
           cancel_outcome(batch[r].run_token.reason(), RequestOutcome::kOk);
     }
-    if (whole.shard.has_value() && !whole.shard->failed.empty()) {
+    if (whole.shard.has_value()) {
       // A terminally failed shard fails exactly the requests whose
       // instances were resident on (or bound for) it — `failed` holds
-      // batch-local instance indices, sorted, so one monotone pass maps
-      // them back to request ranges. A token that already fired keeps
+      // batch-local instance indices. A token that already fired keeps
       // its truer cancellation outcome.
-      std::size_t f = 0;
-      std::uint32_t base = 0;
-      for (std::size_t r = 0; r < num_requests; ++r) {
-        const std::uint32_t count = batch[r].request.num_instances();
-        bool hit = false;
-        while (f < whole.shard->failed.size() &&
-               whole.shard->failed[f] < base + count) {
-          hit = true;
-          ++f;
-        }
-        if (hit && fates[r].outcome == RequestOutcome::kOk) {
+      for (const std::uint32_t f : whole.shard->failed) {
+        const auto r = static_cast<std::size_t>(
+            std::upper_bound(first.begin(), first.end(), f) - first.begin() -
+            1);
+        if (fates[r].outcome == RequestOutcome::kOk) {
           fates[r].outcome = RequestOutcome::kShardFailed;
         }
-        base += count;
       }
     }
 
@@ -1128,21 +1112,19 @@ void Service::run_batch(std::vector<Pending> batch) {
     // request's own bytes; the schedule-shaped fields (sim_seconds,
     // device_seconds, stats, oom, shard) describe the batch the request
     // rode on.
-    std::uint32_t offset = 0;
     for (std::size_t r = 0; r < num_requests; ++r) {
-      const std::uint32_t count = batch[r].request.num_instances();
       Retirement& fate = fates[r];
       if (fate.outcome != RequestOutcome::kOk) {
         fate.error = "request " + to_string(fate.outcome) + " mid-batch";
-        offset += count;
         continue;
       }
+      const std::uint32_t count = first[r + 1] - first[r];
       RunResult& result = fate.result;
       result.samples.reset(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         // Row moves, not per-edge copies: the batch store is dead after
         // the split.
-        result.samples.put(i, whole.samples.take(offset + i));
+        result.samples.put(i, whole.samples.take(first[r] + i));
       }
       result.sim_seconds = whole.sim_seconds;
       result.device_seconds = whole.device_seconds;
@@ -1151,7 +1133,6 @@ void Service::run_batch(std::vector<Pending> batch) {
       result.mode_reason = whole.mode_reason;
       result.oom = whole.oom;
       result.shard = whole.shard;
-      offset += count;
     }
   } catch (...) {
     // A failed batch fails every request in it; the service itself stays
@@ -1345,8 +1326,10 @@ void Service::retire_locked(std::vector<Pending>& riders,
       stats_.sampled_edges += edges;
       tenant.sampled_edges += edges;
     }
-    wheel_.remove(rider.ticket);
-    timed_.erase(rider.ticket);
+    if (rider.request.deadline.has_value()) {
+      deadlines_.erase({*rider.request.deadline, rider.ticket});
+      timed_.erase(rider.ticket);
+    }
   }
   while (recent_.size() > config_.health_window) recent_.pop_front();
 
@@ -1413,7 +1396,7 @@ void Service::dispatcher_main() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Deadlines come first on every pass: fire the cancel source of
-    // every expired wheel entry (in-flight requests stop at their next
+    // every expired deadline (in-flight requests stop at their next
     // step boundary), then fail still-queued condemned requests —
     // expired or client-cancelled — without ever dispatching them.
     expire_deadlines_locked(std::chrono::steady_clock::now());
@@ -1442,10 +1425,11 @@ void Service::dispatcher_main() {
     // Sleep until the next actionable instant, whichever comes first:
     // a new arrival / retiring batch / policy change (work_cv_), the
     // earliest batching window still being held open, or the earliest
-    // request deadline in the wheel. Every wait is bounded by the wheel
-    // — an in-flight deadline always fires without any timer thread.
-    std::optional<std::chrono::steady_clock::time_point> wake =
-        wheel_.next_wakeup();
+    // armed request deadline. Every wait is bounded by the first armed
+    // deadline — an in-flight deadline always fires without any timer
+    // thread.
+    std::optional<std::chrono::steady_clock::time_point> wake;
+    if (!deadlines_.empty()) wake = deadlines_.begin()->first;
     if (choice.has_waiting &&
         (!wake.has_value() || choice.next_deadline < *wake)) {
       wake = choice.next_deadline;

@@ -20,7 +20,6 @@
 #include "service/request.hpp"
 #include "shard/partition_map.hpp"
 #include "service/stream.hpp"
-#include "service/timer_wheel.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/fault_injector.hpp"
@@ -138,7 +137,7 @@ struct ServiceHealth {
   std::uint64_t queue_depth = 0;        ///< admitted, not yet in a batch
   std::uint32_t inflight_batches = 0;   ///< formed (ready or executing)
   std::uint32_t executing_batches = 0;  ///< inside an engine run
-  std::uint64_t timed_requests = 0;     ///< deadlines armed in the wheel
+  std::uint64_t timed_requests = 0;     ///< deadlines armed, not yet fired
   /// Recent-outcome window: of the last `window` retired requests
   /// (bounded by ServiceConfig::health_window), how many failed. A
   /// rising ratio flags a fault burst long before lifetime counters
@@ -431,9 +430,9 @@ class Service {
                          std::shared_ptr<detail::StreamState> stream);
   /// Bumps the per-reason rejection counter (under mu_).
   void count_rejection_locked(RejectReason reason);
-  /// Fires the cancel source (reason kDeadline) of every wheel deadline
-  /// <= now: queued requests are condemned for the next sweep, in-flight
-  /// ones stop at their next step boundary (under mu_).
+  /// Fires the cancel source (reason kDeadline) of every armed deadline
+  /// <= now and disarms it: queued requests are condemned for the next
+  /// sweep, in-flight ones stop at their next step boundary (under mu_).
   void expire_deadlines_locked(std::chrono::steady_clock::time_point now);
   /// Fails every still-queued request whose token has fired (client
   /// cancel or expired deadline) without dispatching it (under mu_).
@@ -466,9 +465,9 @@ class Service {
                           const RunControl& control);
   /// The one retire path (under mu_): books every rider's `fates` entry
   /// into the lifetime counters, its tenant's slice and the health
-  /// window (and, for an executed batch, `whole`), drops its wheel entry
-  /// and cancel source, then closes its spans and delivers through its
-  /// stream or promise.
+  /// window (and, for an executed batch, `whole`), disarms its deadline
+  /// and drops its cancel source, then closes its spans and delivers
+  /// through its stream or promise.
   /// `batch_id` 0 means the riders died in the queue; `whole` is null
   /// there and for a failed batch.
   void retire_locked(std::vector<Pending>& riders,
@@ -526,10 +525,12 @@ class Service {
   /// Batch ids for trace attribution (monotonic; a runner takes one per
   /// run_batch outside mu_).
   std::atomic<std::uint64_t> next_batch_id_{1};
-  /// Dispatcher-owned deadline index: one entry per admitted request
-  /// with a deadline, from admission to retirement. No timer threads —
-  /// the dispatcher bounds its waits with wheel_.next_wakeup().
-  TimerWheel wheel_;
+  /// Armed request deadlines as (deadline, ticket), earliest first: one
+  /// entry per admitted request with a deadline, from admission until it
+  /// fires or the request retires. No timer threads — the dispatcher
+  /// bounds its waits with the first entry.
+  std::set<std::pair<std::chrono::steady_clock::time_point, std::uint64_t>>
+      deadlines_;
   /// ticket -> the service-owned cancel source of each deadline-armed
   /// request (what expire_deadlines_locked fires). Erased at retirement.
   std::map<std::uint64_t, CancelSource> timed_;

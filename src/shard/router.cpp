@@ -97,13 +97,7 @@ RunResult ShardRouter::run_tagged(
     std::span<const std::vector<VertexId>> seeds,
     std::span<const std::uint32_t> tags, const RunControl& control) {
   const std::uint32_t n = static_cast<std::uint32_t>(seeds.size());
-  CSAW_CHECK_MSG(tags.size() == seeds.size(),
-                 "run_tagged needs one tag per instance: " << tags.size()
-                     << " tags for " << seeds.size() << " seed lists");
-  validate_instance_tags(tags, n);
-  CSAW_CHECK_MSG(control.instance_cancel.empty() ||
-                     control.instance_cancel.size() == seeds.size(),
-                 "instance_cancel must hold one token per instance");
+  validate_tagged_run(seeds, tags, control);
   const std::uint32_t num_shards = shard_.shards;
   const SamplingSpec& spec = setup_.spec;
   const Policy& policy = setup_.policy;
@@ -134,14 +128,13 @@ RunResult ShardRouter::run_tagged(
 
   std::vector<ShardWorker> workers;
   workers.reserve(num_shards);
-  // Ingress queues: deque because a mutex-holding queue is immovable.
-  std::deque<EnvelopeQueue> inbox;
-  std::vector<std::deque<WalkerEnvelope>> outbox(num_shards);
-  std::vector<std::uint64_t> next_seq(num_shards, 0);
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     workers.emplace_back(options_.select, num_shards, n);
-    inbox.emplace_back(shard_.queue_capacity);
   }
+  // Each shard's ingress link, at most queue_capacity envelopes, and each
+  // shard's envelopes still waiting to be sent.
+  std::vector<std::vector<WalkerEnvelope>> inbox(num_shards);
+  std::vector<std::deque<WalkerEnvelope>> outbox(num_shards);
 
   std::vector<char> failed(n, 0);
   const bool may_cancel = control.may_cancel();
@@ -241,9 +234,8 @@ RunResult ShardRouter::run_tagged(
           fail_instance(walker.local);
         }
         workers[s].residents.clear();
-        for (const WalkerEnvelope& env : inbox[s].drain()) {
-          fail_envelope(env);
-        }
+        for (const WalkerEnvelope& env : inbox[s]) fail_envelope(env);
+        inbox[s].clear();
         for (std::uint32_t src = 0; src < num_shards; ++src) {
           auto& pending = outbox[src];
           for (auto it = pending.begin(); it != pending.end();) {
@@ -258,19 +250,14 @@ RunResult ShardRouter::run_tagged(
       }
     }
 
-    // Ingress: restore the deterministic (from, seq) order no matter
-    // how producer pushes interleaved, then hand walkers over.
+    // Ingress: hand walkers over in delivery order, which the
+    // single-threaded exchange makes deterministic.
     for (std::uint32_t s = 0; s < num_shards; ++s) {
-      auto arrived = inbox[s].drain();
-      std::stable_sort(
-          arrived.begin(), arrived.end(),
-          [](const WalkerEnvelope& a, const WalkerEnvelope& b) {
-            return a.from != b.from ? a.from < b.from : a.seq < b.seq;
-          });
-      for (WalkerEnvelope& env : arrived) {
+      for (const WalkerEnvelope& env : inbox[s]) {
         workers[s].residents.insert(workers[s].residents.end(),
                                     env.walkers.begin(), env.walkers.end());
       }
+      inbox[s].clear();
     }
 
     if (control.cancel.cancelled()) {
@@ -310,9 +297,7 @@ RunResult ShardRouter::run_tagged(
         for (std::size_t at = 0; at < hops.size();
              at += shard_.envelope_capacity) {
           WalkerEnvelope env;
-          env.from = src;
           env.to = dst;
-          env.seq = next_seq[src]++;
           const std::size_t end =
               std::min(hops.size(),
                        at + static_cast<std::size_t>(
@@ -332,7 +317,9 @@ RunResult ShardRouter::run_tagged(
           outbox[src].pop_front();
           continue;
         }
-        if (inbox[env.to].full()) break;  // head-of-line backpressure
+        if (inbox[env.to].size() >= shard_.queue_capacity) {
+          break;  // head-of-line backpressure
+        }
         const double wire = cost.transfer_seconds(env.bytes());
         bool delivered = false;
         for (std::uint32_t attempt = 0; attempt < retry.attempts; ++attempt) {
@@ -373,8 +360,7 @@ RunResult ShardRouter::run_tagged(
                {"bytes", std::to_string(env.bytes())}});
           trace->end_span(fid, "forward");
         }
-        const std::uint32_t to = env.to;
-        CSAW_CHECK(inbox[to].try_push(std::move(outbox[src].front())));
+        inbox[env.to].push_back(std::move(env));
         outbox[src].pop_front();
       }
       round_transfer = std::max(round_transfer, src_seconds);

@@ -11,9 +11,12 @@
 // step the out-of-memory engine's chains take. Within a superstep each
 // shard steps its resident walkers until they finish, die, or step onto
 // a vertex another shard owns; boundary-crossing walkers are packed into
-// WalkerEnvelopes and delivered over bounded queues in *simulated* time,
-// so forwarding cost lands in the same CostModel (and therefore SEPS
-// accounting) as kernels and partition copies.
+// WalkerEnvelopes and delivered in *simulated* time, so forwarding cost
+// lands in the same CostModel (and therefore SEPS accounting) as kernels
+// and partition copies. The exchange runs on one thread: each shard's
+// ingress is a plain list of at most ShardOptions::queue_capacity
+// envelopes, filled in source-shard order, and a full list holds the
+// sender's next envelope back a round (head-of-line backpressure).
 //
 // Simulated charge: the supersteps are the host's schedule, not the
 // device's. Each shard runs one persistent kernel per run, with a chain

@@ -31,7 +31,6 @@ class Counter {
   void add(std::uint64_t delta) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  void inc() noexcept { add(1); }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }

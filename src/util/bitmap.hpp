@@ -45,7 +45,6 @@ class AtomicBitmap {
 
   std::size_t size() const noexcept { return bits_; }
   BitmapLayout layout() const noexcept { return layout_; }
-  std::size_t word_count() const noexcept { return words_.size(); }
 
  private:
   struct Slot {

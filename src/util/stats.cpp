@@ -47,32 +47,6 @@ double RunningStat::sample_variance() const noexcept {
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  CSAW_CHECK(buckets > 0);
-  CSAW_CHECK(hi > lo);
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::uint64_t Histogram::count(std::size_t bucket) const {
-  CSAW_CHECK(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::fraction(std::size_t bucket) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bucket)) / static_cast<double>(total_);
-}
-
 double chi_square(const std::vector<std::uint64_t>& observed,
                   const std::vector<double>& expected_probability) {
   CSAW_CHECK(observed.size() == expected_probability.size());

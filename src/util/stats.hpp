@@ -32,25 +32,6 @@ class RunningStat {
   double max_ = 0.0;
 };
 
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Used by tests that check sampling distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t count(std::size_t bucket) const;
-  std::uint64_t total() const noexcept { return total_; }
-  /// Fraction of samples in `bucket`.
-  double fraction(std::size_t bucket) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Pearson chi-square statistic of observed counts against expected
 /// probabilities. Buckets with expected probability 0 must have 0 observed
 /// count (checked). Returns the statistic; degrees of freedom is

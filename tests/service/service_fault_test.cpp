@@ -113,7 +113,7 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   // kTransferFailed, the cache settles consistent (nothing pinned,
   // nothing stuck kLoading), and the next batch on the same graph
   // succeeds byte-identically to a fault-free run. One rider has a
-  // deadline armed, so the failure path must retire its timer too; the
+  // deadline armed, so the failure path must disarm it too; the
   // riders' request spans and the batch span close typed, in order.
   Service clean(paged_config());
   clean.add_graph("g", paged_graph());
@@ -236,8 +236,8 @@ TEST(ServiceFault, ExpiredDeadlineIsRejectedAtAdmission) {
 
 TEST(ServiceFault, QueuedRequestFailsFastWhenItsDeadlineExpires) {
   // The dispatcher owns the timer: even with the scheduler paused (the
-  // request can never dispatch), the wheel wakes the dispatcher at the
-  // deadline and the queued request fails without an engine run.
+  // request can never dispatch), the armed deadline wakes the dispatcher
+  // and the queued request fails without an engine run.
   ServiceConfig config;
   config.start_paused = true;
   Service service(config);
@@ -265,6 +265,55 @@ TEST(ServiceFault, QueuedRequestFailsFastWhenItsDeadlineExpires) {
   EXPECT_EQ(stats.batches, 0u);  // never dispatched
   EXPECT_EQ(service.health().timed_requests, 0u);  // timer retired
   service.resume();
+}
+
+TEST(ServiceFault, OnlyTheDueDeadlineFiresAndTheOtherStaysArmed) {
+  // Two armed deadlines in a paused service, one due in 20 ms and one an
+  // hour away: the dispatcher fires the first alone, in queue, and keeps
+  // the second armed until its request completes after resume().
+  ServiceConfig config;
+  config.start_paused = true;
+  Service service(config);
+  service.add_graph(
+      "g", std::make_shared<const CsrGraph>(generate_rmat(512, 4096, 95)));
+
+  SampleRequest soon = SampleRequest::single_seeds(
+      "g", AlgorithmId::kBiasedRandomWalk, 4, std::vector<VertexId>{1, 2, 3});
+  soon.rng_base = kBase;
+  soon.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  SampleRequest later = SampleRequest::single_seeds(
+      "g", AlgorithmId::kBiasedRandomWalk, 4, std::vector<VertexId>{4, 5, 6});
+  later.rng_base = kBase + 100;
+  later.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  Submission a = service.submit(std::move(soon));
+  Submission b = service.submit(std::move(later));
+  ASSERT_TRUE(a.accepted());
+  ASSERT_TRUE(b.accepted());
+  EXPECT_EQ(service.health().timed_requests, 2u);
+
+  ASSERT_EQ(a.result.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  try {
+    a.result.get();
+    FAIL() << "the request past its deadline should have failed";
+  } catch (const RequestError& e) {
+    EXPECT_EQ(e.outcome(), RequestOutcome::kDeadlineExceeded);
+  }
+  ServiceHealth health = service.health();
+  EXPECT_EQ(health.timed_requests, 1u);
+  EXPECT_EQ(health.queue_depth, 1u);
+  EXPECT_EQ(b.result.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  service.resume();
+  service.drain();
+  EXPECT_GT(b.result.get().sampled_edges(), 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(service.health().timed_requests, 0u);
 }
 
 TEST(ServiceFault, CancelledQueuedRequestIsSweptNotDispatched) {

@@ -1,10 +1,9 @@
-// Envelope batching and ordering: wire-size accounting, bounded-queue
-// backpressure, (from, seq) order restoration, and the router-level
-// guarantee that envelope/queue sizing perturbs only the simulated
-// timeline — never the sampled bytes.
+// Envelope batching: wire-size accounting, and the router-level
+// guarantee that envelope/queue sizing (and the backpressure a tight
+// ingress queue adds) perturbs only the simulated timeline — never the
+// sampled bytes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,63 +16,12 @@
 namespace csaw {
 namespace {
 
-WalkerEnvelope make_envelope(std::uint32_t from, std::uint32_t to,
-                             std::uint64_t seq, std::size_t walkers) {
-  WalkerEnvelope env;
-  env.from = from;
-  env.to = to;
-  env.seq = seq;
-  env.walkers.resize(walkers);
-  return env;
-}
-
 TEST(WalkerEnvelope, WireBytesCountHeaderAndWalkers) {
-  EXPECT_EQ(make_envelope(0, 1, 0, 0).bytes(), WalkerEnvelope::kHeaderBytes);
-  EXPECT_EQ(make_envelope(0, 1, 0, 5).bytes(),
+  WalkerEnvelope env;
+  EXPECT_EQ(env.bytes(), WalkerEnvelope::kHeaderBytes);
+  env.walkers.resize(5);
+  EXPECT_EQ(env.bytes(),
             WalkerEnvelope::kHeaderBytes + 5 * WalkerEnvelope::kWalkerBytes);
-}
-
-TEST(EnvelopeQueue, BoundedPushAndDrain) {
-  EnvelopeQueue queue(2);
-  EXPECT_TRUE(queue.try_push(make_envelope(0, 1, 0, 1)));
-  EXPECT_TRUE(queue.try_push(make_envelope(2, 1, 0, 1)));
-  EXPECT_TRUE(queue.full());
-  // At capacity: the push is rejected, the sender keeps the envelope.
-  EXPECT_FALSE(queue.try_push(make_envelope(3, 1, 0, 1)));
-  EXPECT_EQ(queue.size(), 2u);
-
-  const auto drained = queue.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(queue.size(), 0u);
-  EXPECT_FALSE(queue.full());
-  EXPECT_TRUE(queue.try_push(make_envelope(3, 1, 1, 1)));
-}
-
-TEST(EnvelopeQueue, ReceiverRestoresFromSeqOrder) {
-  // Producers push in an adversarial interleaving; the receiver's
-  // stable sort by (from, seq) — the router's ingress step — must
-  // restore the per-source sequence order.
-  EnvelopeQueue queue(8);
-  ASSERT_TRUE(queue.try_push(make_envelope(2, 0, 1, 1)));
-  ASSERT_TRUE(queue.try_push(make_envelope(1, 0, 0, 1)));
-  ASSERT_TRUE(queue.try_push(make_envelope(2, 0, 0, 1)));
-  ASSERT_TRUE(queue.try_push(make_envelope(1, 0, 1, 1)));
-
-  auto arrived = queue.drain();
-  std::stable_sort(arrived.begin(), arrived.end(),
-                   [](const WalkerEnvelope& a, const WalkerEnvelope& b) {
-                     return a.from != b.from ? a.from < b.from
-                                             : a.seq < b.seq;
-                   });
-  ASSERT_EQ(arrived.size(), 4u);
-  EXPECT_EQ(arrived[0].from, 1u);
-  EXPECT_EQ(arrived[0].seq, 0u);
-  EXPECT_EQ(arrived[1].from, 1u);
-  EXPECT_EQ(arrived[1].seq, 1u);
-  EXPECT_EQ(arrived[2].from, 2u);
-  EXPECT_EQ(arrived[2].seq, 0u);
-  EXPECT_EQ(arrived[3].from, 2u);
-  EXPECT_EQ(arrived[3].seq, 1u);
 }
 
 TEST(EnvelopeSizing, CapacityChangesEnvelopesNotBytesOfSamples) {

@@ -72,18 +72,6 @@ TEST(RunningStat, MergeWithEmpty) {
   EXPECT_EQ(b.mean(), 5.0);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps to bucket 0
-  h.add(100.0);   // clamps to bucket 9
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.5);
-}
-
 TEST(ChiSquare, ZeroForPerfectFit) {
   const std::vector<std::uint64_t> obs = {25, 25, 25, 25};
   const std::vector<double> p(4, 0.25);

@@ -12,10 +12,14 @@ It also validates repo-path references written in backticks (the
 dominant cross-link style in these docs): a `...` token is checked when
 it starts with a known top-level directory (`src/`, `docs/`, `tests/`,
 `bench/`, `examples/`, `tools/`, `.github/`) or names a root-level
-`.md` file — those must exist relative to the repo root. Layer-relative
-mentions like `engine.hpp` inside a table are skipped on purpose (they
-are prose, not pointers), as are `.json` names, which usually refer to
-generated artifacts.
+`.md` file — those must exist relative to the repo root. `.json` names
+are skipped, since they usually refer to generated artifacts.
+
+In a table with a "Key files" column (ARCHITECTURE.md's layer map), each
+bare name in that column must exist under one of the directories named
+in the row's first cell (`src/analysis/`, ...), so `engine.hpp` in the
+`src/core/` row and `../core/static_ctps.hpp` in the `src/select/` row
+are both checked. Bare names elsewhere are prose, not pointers.
 
 With `--sources DIR...` it instead scans every file under the given
 directories (code comments, printed banners) for `*.md` names; each
@@ -99,6 +103,34 @@ def repo_paths_of(path: Path):
                 yield number, token
 
 
+def table_cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.strip().strip("|").split("|")]
+
+
+def key_files_of(path: Path):
+    """(line, name, row directories) for every bare name in the "Key
+    files" column of a table (see module doc)."""
+    column = None
+    for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.lstrip().startswith("|"):
+            column = None  # a table ends at its first non-row line
+            continue
+        cells = table_cells(line)
+        if column is None:
+            lowered = [cell.lower() for cell in cells]
+            if "key files" in lowered:
+                column = lowered.index("key files")
+            continue
+        if column >= len(cells) or set(cells[0]) <= set("-: "):
+            continue  # the header's separator row
+        dirs = [token for token in BACKTICK_RE.findall(cells[0])
+                if token.endswith("/")]
+        for token in BACKTICK_RE.findall(cells[column]):
+            if not token.startswith(CHECKED_PREFIXES):
+                yield number, token, dirs
+
+
 def check_sources(dirs: list[str]) -> list[str]:
     """`*.md` names cited anywhere under `dirs` that name no file at the
     repo root or under docs/."""
@@ -152,6 +184,11 @@ def check_markdown(names: list[str]) -> list[str]:
             if not (REPO_ROOT / candidate).exists():
                 errors.append(f"{name}:{line}: stale repo path "
                               f"`{token}` (no such file in the repo)")
+        for line, token, dirs in key_files_of(source):
+            if not any((REPO_ROOT / d / token).exists() for d in dirs):
+                where = ", ".join(dirs) or "no row directory"
+                errors.append(f"{name}:{line}: stale key file `{token}` "
+                              f"(not under {where})")
     return errors
 
 

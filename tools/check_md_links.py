@@ -103,10 +103,6 @@ def repo_paths_of(path: Path):
                 yield number, token
 
 
-def table_cells(line: str) -> list[str]:
-    return [cell.strip() for cell in line.strip().strip("|").split("|")]
-
-
 def key_files_of(path: Path):
     """(line, name, row directories) for every bare name in the "Key
     files" column of a table (see module doc)."""
@@ -116,7 +112,7 @@ def key_files_of(path: Path):
         if not line.lstrip().startswith("|"):
             column = None  # a table ends at its first non-row line
             continue
-        cells = table_cells(line)
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if column is None:
             lowered = [cell.lower() for cell in cells]
             if "key files" in lowered:

@@ -18,9 +18,9 @@ std::string to_string(Schedule schedule) {
 }
 
 void validate_instance_tags(std::span<const std::uint32_t> tags,
+                            const RunControl& control,
                             std::size_t num_instances) {
-  if (tags.empty()) return;
-  CSAW_CHECK_MSG(tags.size() == num_instances,
+  CSAW_CHECK_MSG(tags.empty() || tags.size() == num_instances,
                  "instance tags have " << tags.size() << " entries for "
                                        << num_instances << " instances");
   for (std::size_t i = 1; i < tags.size(); ++i) {
@@ -29,16 +29,11 @@ void validate_instance_tags(std::span<const std::uint32_t> tags,
                        << tags[i] << " at index " << i << " follows "
                        << tags[i - 1] << ")");
   }
-}
-
-void validate_instance_tags(const EngineConfig& config,
-                            std::size_t num_instances) {
-  validate_instance_tags(std::span<const std::uint32_t>(config.instance_tags),
-                         num_instances);
-  const std::vector<CancelToken>& tokens = config.control.instance_cancel;
+  const std::vector<CancelToken>& tokens = control.instance_cancel;
   CSAW_CHECK_MSG(tokens.empty() || tokens.size() == num_instances,
-                 "instance_cancel has " << tokens.size() << " tokens for "
-                                        << num_instances << " instances");
+                 "RunControl::instance_cancel has "
+                     << tokens.size() << " tokens for " << num_instances
+                     << " instances");
 }
 
 void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
@@ -47,12 +42,7 @@ void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
   CSAW_CHECK_MSG(tags.size() == seeds.size(),
                  "run_tagged needs one tag per instance: " << tags.size()
                      << " tags for " << seeds.size() << " seed lists");
-  validate_instance_tags(tags, seeds.size());
-  CSAW_CHECK_MSG(control.instance_cancel.empty() ||
-                     control.instance_cancel.size() == seeds.size(),
-                 "RunControl::instance_cancel has "
-                     << control.instance_cancel.size() << " tokens for "
-                     << seeds.size() << " seed lists");
+  validate_instance_tags(tags, control, seeds.size());
 }
 
 void complete_remaining(SampleStore& samples, const RunControl& control) {
@@ -285,7 +275,8 @@ sim::ChainWidth pipelined_chain_width(
 SampleRun SamplingEngine::run(sim::Device& device,
                               std::span<const std::vector<VertexId>> seeds) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
-  validate_instance_tags(config_, num_instances);
+  validate_instance_tags(config_.instance_tags, config_.control,
+                         num_instances);
   validate_seeds(seeds, view_->num_vertices());
   std::vector<InstanceState> instances(num_instances);
   for (std::uint32_t i = 0; i < num_instances; ++i) {

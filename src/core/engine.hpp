@@ -121,10 +121,10 @@ enum class Schedule {
 std::string to_string(Schedule schedule);
 
 /// The per-run handles of one run: Sampler::run_tagged hands them to the
-/// engines as EngineConfig::control, ShardRouter::run_tagged polls them
-/// itself. Every field is optional; a default-constructed RunControl
-/// means "never cancelled, buffered, untraced" and costs the hot path one
-/// branch per site.
+/// in-memory engine as EngineConfig::control and to OomEngine::run as an
+/// argument, ShardRouter::run_tagged polls them itself. Every field is
+/// optional; a default-constructed RunControl means "never cancelled,
+/// buffered, untraced" and costs the hot path one branch per site.
 struct RunControl {
   /// Run-level cooperative cancellation: when this token fires, chains
   /// stop at their next step boundary and not-yet-started chains are
@@ -223,14 +223,14 @@ struct EngineConfig {
   RunControl control;
 };
 
-/// Checks the instance-tag invariants (size matches the instance count,
-/// strictly increasing) at run entry; a no-op for untagged configs. The
-/// span form exists so validate_tagged_run can check the *whole* tag
-/// list before a multi-device dispatch splits it into per-group subspans
-/// (each of which would pass the per-engine check on its own).
+/// Checks a run's per-instance inputs at engine entry: `tags` is empty
+/// or holds one strictly increasing global id per instance, and
+/// control.instance_cancel holds no token or one per instance.
+/// validate_tagged_run checks the *whole* tag list this way before a
+/// multi-device dispatch splits it into per-group subspans (each of
+/// which would pass the per-engine check on its own).
 void validate_instance_tags(std::span<const std::uint32_t> tags,
-                            std::size_t num_instances);
-void validate_instance_tags(const EngineConfig& config,
+                            const RunControl& control,
                             std::size_t num_instances);
 
 /// Checks a tagged run's inputs at entry (Sampler::run_tagged and

@@ -61,7 +61,7 @@ struct OomMetrics {
   /// without an injector.
   std::size_t transfer_faults = 0;
   /// Partition copies re-issued after a fault (bounded by
-  /// OomConfig::transfer_retry per load).
+  /// SamplerOptions::transfer_retry per load).
   std::size_t transfer_retries = 0;
 
   /// Accumulates counters; kernel_imbalance is averaged weighted by

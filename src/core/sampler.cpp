@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "oom/oom_engine.hpp"
 #include "util/check.hpp"
 
 namespace csaw {
@@ -177,21 +178,6 @@ EngineConfig SamplerOptions::engine_config() const {
   return config;
 }
 
-OomConfig SamplerOptions::oom_config() const {
-  OomConfig config;
-  config.num_partitions = num_partitions;
-  config.resident_partitions = resident_partitions;
-  config.num_streams = num_streams;
-  config.batched = oom_batched;
-  config.workload_aware = oom_workload_aware;
-  config.block_balancing = oom_block_balancing;
-  config.unbatched_gang_size = oom_unbatched_gang_size;
-  config.transfer_retry = transfer_retry;
-  config.fault_injector = transfer_faults;
-  config.engine = engine_config();
-  return config;
-}
-
 Sampler::Sampler(const CsrGraph& graph, Policy policy, SamplingSpec spec,
                  SamplerOptions options)
     : graph_(&graph),
@@ -308,18 +294,16 @@ RunResult Sampler::run_out_of_memory(
     std::uint32_t device_id, const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
-  OomConfig config = options_.oom_config();
-  config.engine.instance_id_offset = instance_id_offset;
-  config.engine.instance_tags.assign(tags.begin(), tags.end());
-  config.engine.control = control;
+  SamplerOptions options = options_;
+  options.instance_id_offset = instance_id_offset;
   if (parts_ == nullptr) {
     // Single-device dispatch only; the multi-device path pre-builds the
     // partitioning before its groups run concurrently.
     parts_ = std::make_shared<const PartitionedGraph>(
         *graph_, options_.num_partitions);
   }
-  OomEngine engine(*graph_, policy_, spec_, config, parts_);
-  if (config.engine.schedule == Schedule::kPipelined &&
+  OomEngine engine(*graph_, policy_, spec_, options, parts_);
+  if (options_.schedule == Schedule::kPipelined &&
       decision_.resolved == ExecutionMode::kOutOfMemory) {
     // Single-device paging shares one persistent cache across runs and
     // batches (warm partitions). Multi-device groups skip this: each
@@ -331,15 +315,7 @@ RunResult Sampler::run_out_of_memory(
     }
     engine.set_cache(cache_);
   }
-  OomRun run = engine.run(device, seeds);
-
-  RunResult result;
-  result.samples = std::move(run.samples);
-  result.sim_seconds = run.sim_seconds;
-  result.device_seconds = {run.sim_seconds};
-  result.stats = run.stats;
-  result.oom = run.metrics;
-  return result;
+  return engine.run(device, seeds, tags, control);
 }
 
 RunResult Sampler::run_multi_device(

@@ -11,9 +11,12 @@
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
 #include "gpusim/device.hpp"
-#include "oom/oom_engine.hpp"
+#include "util/fault_injector.hpp"
 
 namespace csaw {
+
+class PartitionCache;
+class PartitionedGraph;
 
 /// What auto mode selection assumes about the CSR footprint vs. the
 /// device-memory budget. The paper's evaluation "pretends" bench-scale
@@ -33,7 +36,7 @@ struct SamplerOptions {
   /// Execution-mode request; kAuto resolves it per graph + spec.
   ExecutionMode mode = ExecutionMode::kAuto;
 
-  // --- Engine knobs (previously EngineConfig).
+  // --- Engine knobs.
   SelectConfig select;
   std::uint64_t seed = 0xC5A30001ull;
   /// Added to local instance indices to form the global instance id used
@@ -68,8 +71,9 @@ struct SamplerOptions {
   /// schedule — sim_seconds, seps(), kernel log shape — changes.
   Schedule schedule = Schedule::kPipelined;
 
-  // --- Out-of-memory knobs (previously OomConfig), used whenever the
-  // out-of-memory backend is selected on any device.
+  // --- Out-of-memory knobs (OomEngine), used whenever the out-of-memory
+  // backend is selected on any device. The defaults are the paper's Fig.
+  // 13 setup: 4 partitions, 2 resident, 2 streams.
   std::uint32_t num_partitions = 4;
   /// Partitions on the device at once: per barrier wave, and the limit of
   /// this sampler's private demand cache (whatever their bytes; a service
@@ -78,9 +82,18 @@ struct SamplerOptions {
   /// Streams of the kStepBarrier waves; the demand cache gives each
   /// partition on the device a stream of its own.
   std::uint32_t num_streams = 2;
+  /// The optimization toggles of Fig. 13's legend: BA, batched
+  /// multi-instance sampling (§V-C); WS, workload-aware partition
+  /// scheduling (§V-B); BAL, thread-block based workload balancing
+  /// (§V-B).
   bool oom_batched = true;
   bool oom_workload_aware = true;
   bool oom_block_balancing = true;
+  /// Without batching, per-instance frontier queues and bitmaps occupy
+  /// device memory, so only a gang of instances can be in flight at once;
+  /// each gang pays its own partition transfers (the amortization loss
+  /// batched multi-instance sampling removes, §V-C). Gang size in
+  /// instances.
   std::uint32_t oom_unbatched_gang_size = 1024;
 
   // --- Paged-I/O fault tolerance (kPipelined demand-cache path only).
@@ -99,10 +112,8 @@ struct SamplerOptions {
   /// auto selection pages it (headroom for frontier queues and samples).
   double memory_budget_fraction = 0.9;
 
-  /// The engine-level slice of these options (legacy config shape).
+  /// The in-memory engine's slice of these options (SamplingEngine).
   EngineConfig engine_config() const;
-  /// The out-of-memory slice of these options (legacy config shape).
-  OomConfig oom_config() const;
 };
 
 /// The resolved execution plan, fixed at Sampler construction.

@@ -32,7 +32,7 @@ class TransferError : public std::runtime_error {
   std::uint32_t attempts() const noexcept { return attempts_; }
   /// What the failed run's cache counted for it, the failed copy
   /// included: OomEngine::run fills it as the error leaves the run, since
-  /// the run returns no OomMetrics. All zero when thrown elsewhere.
+  /// the failed run returns no RunResult. All zero when thrown elsewhere.
   const OomMetrics& paged() const noexcept { return paged_; }
   void set_paged(const OomMetrics& paged) noexcept { paged_ = paged; }
 
@@ -93,8 +93,8 @@ struct CacheMetrics {
 
 /// What a PartitionCache may hold at once. The service tier gives each
 /// paged graph's cache a byte slice of the device budget; a Sampler's
-/// private cache holds OomConfig::resident_partitions partitions, whatever
-/// their size. A limit left at its default does not bind.
+/// private cache holds SamplerOptions::resident_partitions partitions,
+/// whatever their size. A limit left at its default does not bind.
 struct CacheLimits {
   /// Ceiling on the summed PartitionedGraph::bytes of resident partitions.
   std::uint64_t bytes = std::numeric_limits<std::uint64_t>::max();

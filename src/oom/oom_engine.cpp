@@ -41,32 +41,27 @@ std::vector<double> sm_fractions(std::span<const std::uint32_t> partitions,
 }  // namespace
 
 OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
-                     OomConfig config)
-    : OomEngine(graph, std::move(policy), std::move(spec), config,
-                std::make_shared<const PartitionedGraph>(
-                    graph, config.num_partitions)) {}
-
-OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
-                     OomConfig config,
+                     const SamplerOptions& options,
                      std::shared_ptr<const PartitionedGraph> parts)
     : graph_(&graph),
       policy_(std::move(policy)),
       spec_(std::move(spec)),
-      config_(config),
-      rng_(config.engine.seed),
+      options_(options),
+      rng_(options.seed),
       select_config_([&] {
-        SelectConfig c = config.engine.select;
+        SelectConfig c = options.select;
         c.with_replacement = spec_.with_replacement;
         return c;
       }()),
-      parts_(std::move(parts)) {
-  CSAW_CHECK(parts_ != nullptr);
+      parts_(parts != nullptr ? std::move(parts)
+                              : std::make_shared<const PartitionedGraph>(
+                                    graph, options.num_partitions)) {
   CSAW_CHECK_MSG(&parts_->whole() == graph_,
                  "shared PartitionedGraph belongs to a different graph");
-  CSAW_CHECK_MSG(parts_->num_parts() == config.num_partitions,
+  CSAW_CHECK_MSG(parts_->num_parts() == options.num_partitions,
                  "shared PartitionedGraph has "
-                     << parts_->num_parts() << " partitions, config wants "
-                     << config.num_partitions);
+                     << parts_->num_parts() << " partitions, options want "
+                     << options.num_partitions);
   CSAW_CHECK_MSG(!spec_.select_frontier && !spec_.layer_mode &&
                      !spec_.sample_all_neighbors,
                  "spec requires whole-graph frontier state; "
@@ -74,9 +69,9 @@ OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
   CSAW_CHECK_MSG(spec_.effective_branching_cap() > 0,
                  "out-of-order sampling needs order-independent RNG slots; "
                  "set SamplingSpec::branching_cap");
-  CSAW_CHECK(config.resident_partitions >= 1);
-  CSAW_CHECK(config.resident_partitions <= config.num_partitions);
-  CSAW_CHECK(config.num_streams >= 1);
+  CSAW_CHECK(options.resident_partitions >= 1);
+  CSAW_CHECK(options.resident_partitions <= options.num_partitions);
+  CSAW_CHECK(options.num_streams >= 1);
   rows_ = static_ctps_rows(GraphView(*graph_), policy_, spec_);
 }
 
@@ -96,46 +91,49 @@ void OomEngine::ensure_workers(std::uint32_t width) {
   }
 }
 
-OomRun OomEngine::run(sim::Device& device,
-                      std::span<const std::vector<VertexId>> seeds) {
+RunResult OomEngine::run(sim::Device& device,
+                         std::span<const std::vector<VertexId>> seeds,
+                         std::span<const std::uint32_t> tags,
+                         const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
-  validate_instance_tags(config_.engine, num_instances);
+  validate_instance_tags(tags, control, num_instances);
   validate_seeds(seeds, graph_->num_vertices());
   instances_.assign(num_instances, InstanceState());
   for (std::uint32_t i = 0; i < num_instances; ++i) {
-    instances_[i].init(config_.engine.global_instance_id(i), seeds[i],
-                       graph_->num_vertices(), spec_.filter_visited);
+    instances_[i].init(tags.empty() ? options_.instance_id_offset + i : tags[i],
+                       seeds[i], graph_->num_vertices(), spec_.filter_visited);
   }
 
-  OomRun result;
+  RunResult result;
+  result.mode = ExecutionMode::kOutOfMemory;
   result.samples.reset(num_instances);
   samples_ = &result.samples;
+  OomMetrics metrics;
 
-  queues_.assign(config_.num_partitions, FrontierQueue{});
+  queues_.assign(options_.num_partitions, FrontierQueue{});
   chain_of_.assign(num_instances, kNoChain);
-  const RunControl& control = config_.engine.control;
   streaming_ = static_cast<bool>(control.on_instance_complete);
   if (streaming_) {
     result.samples.set_completion_callback(control.on_instance_complete);
     queued_.assign(num_instances, 0);
   }
 
-  device.set_num_threads(config_.engine.num_threads);
+  device.set_num_threads(options_.num_threads);
   ensure_workers(device.max_workers());
 
   // The pipelined schedule pages through the demand cache; kStepBarrier
   // runs the paper's barriered waves and never touches it.
-  const bool cached = config_.engine.schedule == Schedule::kPipelined;
+  const bool cached = options_.schedule == Schedule::kPipelined;
   CacheMetrics cache_before;
   if (cached) {
     if (cache_ == nullptr) {
       cache_ = std::make_shared<PartitionCache>(
-          parts_, CacheLimits{.partitions = config_.resident_partitions});
+          parts_, CacheLimits{.partitions = options_.resident_partitions});
     }
     // A fresh device and simulated clock, and this run's fault, retry
     // and trace handles: a service-owned cache shared across batches
     // follows the current batch.
-    cache_->begin_run(config_.fault_injector, config_.transfer_retry,
+    cache_->begin_run(options_.transfer_faults, options_.transfer_retry,
                       control.trace, control.trace_batch);
     cache_before = cache_->metrics();
   }
@@ -151,8 +149,8 @@ OomRun OomEngine::run(sim::Device& device,
   // queue set; the non-batched baseline can only keep a gang of
   // per-instance queues resident and pays transfers per gang (§V-C).
   const std::uint32_t gang =
-      config_.batched ? std::max(num_instances, 1u)
-                      : std::max(config_.unbatched_gang_size, 1u);
+      options_.oom_batched ? std::max(num_instances, 1u)
+                           : std::max(options_.oom_unbatched_gang_size, 1u);
 
   for (std::uint32_t gang_begin = 0;
        gang_begin < std::max(num_instances, 1u); gang_begin += gang) {
@@ -165,15 +163,16 @@ OomRun OomEngine::run(sim::Device& device,
       for (std::size_t s = 0; s < seeds[i].size(); ++s) {
         const VertexId seed = seeds[i][s];
         queues_[parts_->part_of(seed)].push(FrontierEntry{
-            seed, config_.engine.global_instance_id(i), /*local=*/i,
+            seed, instances_[i].id, /*local=*/i,
             /*depth=*/0, static_cast<std::uint32_t>(s), kInvalidVertex});
         if (streaming_) ++queued_[i];
       }
     }
     try {
-      run_rounds(device, result, imbalance, round_robin_cursor, widths);
+      run_rounds(device, control, metrics, imbalance, round_robin_cursor,
+                 widths);
     } catch (TransferError& e) {
-      // The failed run returns no OomMetrics: its caller books what the
+      // The failed run returns no result: its caller books what the
       // cache counted for it from the error.
       if (cached) e.set_paged(cache_->metrics().since(cache_before));
       throw;
@@ -186,14 +185,16 @@ OomRun OomEngine::run(sim::Device& device,
   streaming_ = false;
 
   result.sim_seconds = device.synchronize() - t0;
+  result.device_seconds = {result.sim_seconds};
   if (cached) {
     // The cache counted every paged event once; the run's share is the
     // difference over the run.
-    result.metrics.accumulate(cache_->metrics().since(cache_before));
-    result.metrics.transfer_overlap_seconds =
+    metrics.accumulate(cache_->metrics().since(cache_before));
+    metrics.transfer_overlap_seconds =
         device.transfer_kernel_overlap(transfer_begin, log_begin);
   }
-  result.metrics.kernel_imbalance = imbalance.mean();
+  metrics.kernel_imbalance = imbalance.mean();
+  result.oom = metrics;
   for (std::size_t i = log_begin; i < device.kernel_log().size(); ++i) {
     result.stats.merge(device.kernel_log()[i].stats);
   }
@@ -201,23 +202,22 @@ OomRun OomEngine::run(sim::Device& device,
   return result;
 }
 
-OomRun OomEngine::run_single_seed(sim::Device& device,
+RunResult OomEngine::run_single_seed(sim::Device& device,
                                   std::span<const VertexId> seeds) {
   return run(device, expand_single_seeds(seeds));
 }
 
-void OomEngine::run_rounds(sim::Device& device, OomRun& result,
-                           RunningStat& imbalance,
+void OomEngine::run_rounds(sim::Device& device, const RunControl& control,
+                           OomMetrics& metrics, RunningStat& imbalance,
                            std::uint32_t& round_robin_cursor,
                            sim::ChainWidth widths) {
-  const bool cached = config_.engine.schedule == Schedule::kPipelined;
-  std::vector<std::size_t> pending(config_.num_partitions, 0);
-  std::vector<std::uint32_t> slot_of(config_.num_partitions, kNotResident);
-  const RunControl& control = config_.engine.control;
+  const bool cached = options_.schedule == Schedule::kPipelined;
+  std::vector<std::size_t> pending(options_.num_partitions, 0);
+  std::vector<std::uint32_t> slot_of(options_.num_partitions, kNotResident);
   const bool may_cancel = control.may_cancel();
 
   for (;;) {
-    for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
+    for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
       pending[p] = queues_[p].size();
     }
     // --- Plan: the partitions that compute this round, one kernel slot
@@ -238,7 +238,7 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
       round_guard.emplace(*cache_);
       pin_round(device, round, pending);
     } else {
-      copy_round(device, round, result.metrics);
+      copy_round(device, round, metrics);
     }
 
     // Split the chosen queues by instance into chains: each chain
@@ -296,8 +296,7 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
       if (control.should_trace()) {
         chain_span = control.trace->begin_span(
             "chain",
-            {{"instance", std::to_string(config_.engine.global_instance_id(
-                              chain.instance))},
+            {{"instance", std::to_string(instances_[chain.instance].id)},
              {"batch", std::to_string(control.trace_batch)}});
       }
       std::vector<FrontierEntry> batch;
@@ -340,7 +339,7 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
                     });
           const std::uint32_t p = chosen[i];
           const auto slot = static_cast<std::uint32_t>(i);
-          if (config_.batched) {
+          if (options_.oom_batched) {
             // BA: a warp per entry (vertex-grained, §V-C).
             for (const FrontierEntry& e : batch) {
               ctx.run_task(slot, pass, [&](sim::WarpContext& warp) {
@@ -354,7 +353,7 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
               for (const FrontierEntry& e : batch) process_one(p, e, warp);
             });
           }
-          progressed = config_.workload_aware;
+          progressed = options_.oom_workload_aware;
         }
       }
       if (control.should_trace()) {
@@ -375,7 +374,7 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
            record_windows(device, round, kernels)) {
         slot_seconds.push_back(record.duration());
         round_end = std::max(round_end, record.end);
-        ++result.metrics.kernel_launches;
+        ++metrics.kernel_launches;
       }
       for (std::size_t i = 0; i < chosen_count; ++i) {
         if (i < round.ranked) {
@@ -391,9 +390,9 @@ void OomEngine::run_rounds(sim::Device& device, OomRun& result,
           device, round,
           device.execute_waves(static_cast<std::uint32_t>(chosen_count),
                                chains.size(), body, control.cancel),
-          result.metrics);
+          metrics);
     }
-    ++result.metrics.scheduling_rounds;
+    ++metrics.scheduling_rounds;
     RunningStat per_round;
     for (const double seconds : slot_seconds) per_round.add(seconds);
     if (slot_seconds.size() >= 2 && per_round.mean() > 0.0) {
@@ -461,7 +460,7 @@ OomEngine::Round OomEngine::plan_cached(
   // fill), so a walker stepping into one is consumed this round instead
   // of waiting for the next (§V-B).
   const std::size_t places = std::min<std::size_t>(cache.limits().partitions,
-                                                   config_.num_partitions);
+                                                   options_.num_partitions);
   const std::size_t max_compute =
       round.order.size() <= places || places < 4 ? places : places - 1;
   const std::uint32_t in_flight = cache.in_flight();
@@ -488,7 +487,7 @@ OomEngine::Round OomEngine::plan_cached(
   }
   round.ranked = chosen.size();
   CSAW_CHECK_MSG(round.ranked > 0, "no runnable partition fits the cache");
-  for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
+  for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
     if (cache.on_device(p) && p != in_flight &&
         std::find(chosen.begin(), chosen.end(), p) == chosen.end()) {
       choose(p);
@@ -503,24 +502,24 @@ OomEngine::Round OomEngine::plan_waves(std::span<const std::size_t> pending,
                                        std::uint32_t& cursor) const {
   Round round;
   std::vector<std::uint32_t>& chosen = round.partitions;
-  if (config_.workload_aware) {
+  if (options_.oom_workload_aware) {
     // Most active vertices first. Nothing stays on the device between
     // barrier rounds, so ties go to the lower id.
     chosen = PartitionScheduler::rank(pending, nullptr);
     chosen.resize(std::min<std::size_t>(chosen.size(),
-                                        config_.resident_partitions));
+                                        options_.resident_partitions));
   } else {
     // Baseline: the next active partitions in id order from a cursor.
-    for (std::uint32_t step = 0; step < config_.num_partitions &&
-                                 chosen.size() < config_.resident_partitions;
+    for (std::uint32_t step = 0; step < options_.num_partitions &&
+                                 chosen.size() < options_.resident_partitions;
          ++step) {
-      const std::uint32_t p = (cursor + step) % config_.num_partitions;
+      const std::uint32_t p = (cursor + step) % options_.num_partitions;
       if (pending[p] > 0) chosen.push_back(p);
     }
-    if (!chosen.empty()) cursor = (chosen.back() + 1) % config_.num_partitions;
+    if (!chosen.empty()) cursor = (chosen.back() + 1) % options_.num_partitions;
   }
   if (!chosen.empty()) {
-    round.shares = sm_fractions(chosen, pending, config_.block_balancing);
+    round.shares = sm_fractions(chosen, pending, options_.oom_block_balancing);
   }
   return round;
 }
@@ -556,7 +555,7 @@ void OomEngine::copy_round(sim::Device& device, const Round& round,
                            OomMetrics& metrics) {
   for (std::size_t i = 0; i < round.partitions.size(); ++i) {
     const std::uint32_t p = round.partitions[i];
-    device.transfer().host_to_device(device.stream(i % config_.num_streams),
+    device.transfer().host_to_device(device.stream(i % options_.num_streams),
                                      parts_->part(p).bytes(),
                                      "partition " + std::to_string(p));
     ++metrics.partition_transfers;
@@ -586,7 +585,7 @@ std::span<const sim::KernelRecord> OomEngine::record_windows(
     windows.push_back(sim::Device::RoundWindow{
         "oom_cached_p" + std::to_string(p), cache_->stream_index(p),
         round.ready[i],
-        static_cast<double>(config_.block_balancing
+        static_cast<double>(options_.oom_block_balancing
                                 ? tasks
                                 : std::min<std::uint64_t>(tasks, 1)),
         kernels[i]});
@@ -594,7 +593,7 @@ std::span<const sim::KernelRecord> OomEngine::record_windows(
   // No later window opens before a stream of a partition on the device
   // is ready, nor before the link frees for a cold one's copy.
   double horizon = device.transfer().link_free();
-  for (std::uint32_t p = 0; p < config_.num_partitions; ++p) {
+  for (std::uint32_t p = 0; p < options_.num_partitions; ++p) {
     if (cache_->on_device(p)) {
       horizon = std::min(horizon,
                          device.stream(cache_->stream_index(p)).ready_time());
@@ -616,7 +615,7 @@ std::vector<double> OomEngine::record_waves(
     const std::string name =
         "oom_sample_p" + std::to_string(round.partitions[slot]);
     seconds[slot] += device.record_pipelined(
-        name, device.stream(slot % config_.num_streams), round.shares[slot],
+        name, device.stream(slot % options_.num_streams), round.shares[slot],
         wave.tasks).duration();
     ++metrics.kernel_launches;
   }

@@ -7,62 +7,13 @@
 
 #include "core/engine.hpp"
 #include "core/frontier_queue.hpp"
+#include "core/run_result.hpp"
+#include "core/sampler.hpp"
 #include "oom/cache/partition_cache.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "util/stats.hpp"
 
 namespace csaw {
-
-/// Configuration of the out-of-memory engine (paper §V). The three
-/// optimization toggles map one-to-one onto the legend of Fig. 13:
-///   batched          — BA, batched multi-instance sampling (§V-C)
-///   workload_aware   — WS, workload-aware partition scheduling (§V-B)
-///   block_balancing  — BAL, thread-block based workload balancing (§V-B)
-struct OomConfig {
-  std::uint32_t num_partitions = 4;
-  /// Partitions the device memory can hold at once (the paper's Fig. 13
-  /// setup: 4 partitions, 2 resident, 2 CUDA streams). A private demand
-  /// cache holds this many partitions, whatever their bytes.
-  std::uint32_t resident_partitions = 2;
-  /// Streams of the barrier waves. The demand cache gives each partition
-  /// on the device its own stream instead.
-  std::uint32_t num_streams = 2;
-  bool batched = true;
-  bool workload_aware = true;
-  bool block_balancing = true;
-  /// Without batching, per-instance frontier queues and bitmaps occupy
-  /// device memory, so only a gang of instances can be in flight at once;
-  /// each gang pays its own partition transfers (the amortization loss
-  /// batched multi-instance sampling removes, §V-C). Gang size in
-  /// instances.
-  std::uint32_t unbatched_gang_size = 1024;
-  /// Retry policy of a partition copy on the cached path. A load that
-  /// fails every attempt throws TransferError, failing the batch; the
-  /// cache settles back consistent.
-  RetryPolicy transfer_retry;
-  /// Optional fault injector consulted per copy attempt, keyed by
-  /// partition id (cached path only — the barrier waves' copies never
-  /// fail). nullptr = fault-free I/O, the default.
-  std::shared_ptr<FaultInjector> fault_injector;
-  EngineConfig engine;
-};
-
-/// Result of one out-of-memory engine run (OomMetrics regenerates
-/// Figs. 13-15; it lives in core/run_result.hpp so the Sampler facade can
-/// report it uniformly). Prefer csaw::Sampler (sampler.hpp), which returns
-/// the unified RunResult regardless of execution mode.
-struct OomRun {
-  SampleStore samples;
-  OomMetrics metrics;
-  sim::KernelStats stats;
-  /// Simulated makespan including transfers (the paper's out-of-memory
-  /// SEPS definition includes partition transfer time).
-  double sim_seconds = 0.0;
-
-  double seps() const {
-    return sampled_edges_per_second(samples.total_edges(), sim_seconds);
-  }
-};
 
 /// Out-of-memory C-SAW (paper §V): contiguous vertex-range partitions are
 /// paged into simulated device memory; per-partition frontier queues carry
@@ -72,7 +23,7 @@ struct OomRun {
 ///
 /// One round loop runs both schedules with byte-identical samples (Fig.
 /// 8: pick partitions by active vertices, transfer them, balance thread
-/// blocks by workload); EngineConfig::schedule sets each step's policy.
+/// blocks by workload); SamplerOptions::schedule sets each step's policy.
 /// kStepBarrier runs the paper's barriered waves (Figs. 13-15): every
 /// chosen partition is copied each round, and each (partition, pass)
 /// wave is one kernel at a fixed SM share. kPipelined pages through a
@@ -84,27 +35,36 @@ struct OomRun {
 /// sample_all_neighbors are in-memory-only (checked).
 class OomEngine {
  public:
+  /// `options` supplies what every backend reads (seed, SELECT config,
+  /// host threads, schedule) and the out-of-memory knobs: partitions,
+  /// resident partitions, streams, the BA/WS/BAL toggles of Fig. 13, the
+  /// unbatched gang size and the paged-I/O retry policy and faults. Its
+  /// other fields are unused. `parts` shares a prebuilt partitioning (an
+  /// O(V+E) pass: batched serving through csaw::Sampler partitions once
+  /// and streams every batch's engine over it); it must partition `graph`
+  /// into options.num_partitions ranges (checked). Null builds one.
   OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
-            OomConfig config);
+            const SamplerOptions& options,
+            std::shared_ptr<const PartitionedGraph> parts = nullptr);
 
-  /// Shares a prebuilt partitioning instead of building one (an O(V+E)
-  /// pass): batched serving through csaw::Sampler partitions once and
-  /// streams every batch's engine over it. `parts` must partition `graph`
-  /// into config.num_partitions ranges (checked).
-  OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
-            OomConfig config, std::shared_ptr<const PartitionedGraph> parts);
+  /// Runs all instances; seeds[i] are instance i's seed vertices. `tags`
+  /// (empty, or one strictly increasing global id per seeds entry,
+  /// checked) override the ids instance_id_offset + i, as in
+  /// Sampler::run_tagged; `control` carries the run's handles. Fills the
+  /// samples, sim_seconds (partition transfers included, the paper's
+  /// out-of-memory SEPS definition), device_seconds, stats, mode and oom.
+  RunResult run(sim::Device& device,
+                std::span<const std::vector<VertexId>> seeds,
+                std::span<const std::uint32_t> tags = {},
+                const RunControl& control = {});
 
-  /// Runs all instances; seeds[i] are instance i's seed vertices.
-  OomRun run(sim::Device& device,
-             std::span<const std::vector<VertexId>> seeds);
-
-  OomRun run_single_seed(sim::Device& device,
-                         std::span<const VertexId> seeds);
+  RunResult run_single_seed(sim::Device& device,
+                            std::span<const VertexId> seeds);
 
   /// Shares a partition cache built over the same PartitionedGraph
   /// (checked): the service tier keeps one cache per paged graph so
   /// residency survives across batches. Without this, the first pipelined
-  /// run builds a private cache holding OomConfig::resident_partitions
+  /// run builds a private cache holding SamplerOptions::resident_partitions
   /// partitions.
   /// kStepBarrier runs never use the cache.
   void set_cache(std::shared_ptr<PartitionCache> cache);
@@ -130,9 +90,9 @@ class OomEngine {
   /// with entries in the chosen partitions; it consumes them slot by slot
   /// and pass by pass in (depth, slot) order on both schedules. `widths`
   /// is pipelined_chain_width of the run (pipelined rounds only).
-  void run_rounds(sim::Device& device, OomRun& result,
-                  RunningStat& imbalance, std::uint32_t& round_robin_cursor,
-                  sim::ChainWidth widths);
+  void run_rounds(sim::Device& device, const RunControl& control,
+                  OomMetrics& metrics, RunningStat& imbalance,
+                  std::uint32_t& round_robin_cursor, sim::ChainWidth widths);
 
   // The schedules' plan, residency and record policies (oom_engine.cpp).
   Round plan_cached(std::span<const std::size_t> pending) const;
@@ -159,7 +119,7 @@ class OomEngine {
   /// static_ctps_rows over the whole graph, shared by every partition
   /// view (a partition keeps its vertices' adjacency in CSR order).
   const StaticCtpsRows* rows_ = nullptr;
-  OomConfig config_;
+  SamplerOptions options_;
   CounterStream rng_;
   SelectConfig select_config_;
   std::vector<WorkerScratch> workers_;

@@ -224,9 +224,11 @@ struct ServiceStats {
   std::uint64_t paged_batches = 0;  ///< batches served by the OOM backend
   /// RunResult::oom of every completed paged batch, accumulated: cache
   /// hits include cross-batch reuse on the same graph, and the cache
-  /// counters stay zero under kStepBarrier. Of a batch that a copy
-  /// failed (kTransferFailed), only that copy's faults and retries are
-  /// booked; its other paged events are lost.
+  /// counters stay zero under kStepBarrier. A batch that a copy failed
+  /// (kTransferFailed) books everything its cache counted for it
+  /// (TransferError::paged()): the copies that landed and their bytes,
+  /// hits, evictions, prefetches, and the failed copy's faults and
+  /// retries (ServiceTelemetry.FailedPagedBatchBooksWhatItsCacheCounted).
   OomMetrics oom;
 
   // --- Sharded traffic through the walk-shard router

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "algorithms/registry.hpp"
+#include "oom/cache/partition_cache.hpp"
 #include "shard/router.hpp"
 #include "util/check.hpp"
 

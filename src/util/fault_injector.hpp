@@ -42,6 +42,7 @@
 // nondeterministically; tests that need exact placement use scripted
 // sites, or one single-threaded consumer (the router's exchange phase).
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -59,8 +60,10 @@ struct RetryPolicy {
   /// Simulated seconds before the first retry; doubles per further retry.
   double backoff = 1e-4;
 
+  /// backoff * 2^(retry - 1), exact for every retry (an integer shift
+  /// would overflow past retry 32).
   double backoff_before(std::uint32_t retry) const noexcept {
-    return backoff * static_cast<double>(1u << (retry - 1));
+    return std::ldexp(backoff, static_cast<int>(retry) - 1);
   }
 };
 

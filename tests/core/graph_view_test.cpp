@@ -161,12 +161,13 @@ TEST_P(EdgeRefWeight, InMemoryWalk) {
 
 TEST_P(EdgeRefWeight, OutOfMemoryWalk) {
   const AlgorithmSetup setup = checked(biased_random_walk(12));
-  OomConfig config;
-  config.num_partitions = 4;
-  config.resident_partitions = 2;
-  OomEngine engine(graph_, setup.policy, setup.spec, config);
+  SamplerOptions options;
+  options.schedule = Schedule::kStepBarrier;
+  options.num_partitions = 4;
+  options.resident_partitions = 2;
+  OomEngine engine(graph_, setup.policy, setup.spec, options);
   sim::Device device;
-  const OomRun run = engine.run_single_seed(device, seeds());
+  const RunResult run = engine.run_single_seed(device, seeds());
   EXPECT_GT(calls_.load(), 0u);
   EXPECT_EQ(mismatches_.load(), 0u);
   expect_sampled_weights(run.samples);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algorithms/layer_sampling.hpp"
@@ -14,6 +15,7 @@
 #include "algorithms/random_walks.hpp"
 #include "algorithms/snowball.hpp"
 #include "graph/generators.hpp"
+#include "oom/oom_engine.hpp"
 #include "oom/cache/partition_cache.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "telemetry/trace.hpp"
@@ -541,6 +543,69 @@ TEST(Sampler, PagedRunReportsEveryCopyOnceInItsOomMetrics) {
   EXPECT_EQ(landed_bytes, oom.bytes_transferred);
   EXPECT_EQ(faults, oom.transfer_faults);
   EXPECT_EQ(retries, oom.transfer_retries);
+}
+
+TEST(Sampler, OutOfMemoryModeAddsOnlyTheModeReasonToTheEngine) {
+  // The facade's out-of-memory mode builds an OomEngine from its own
+  // options and returns the engine's result: a direct engine on the same
+  // SamplerOptions yields the same samples, clocks, stats and OomMetrics,
+  // cold and then warm, under both schedules.
+  const CsrGraph g = generate_rmat(1024, 8192, 87);
+  const auto setup = biased_random_walk(10);
+  const auto seeds = expand_single_seeds(spread_seeds(g, 48));
+  const auto kernel_stats = [](const sim::KernelStats& stats) {
+    std::vector<std::uint64_t> values;
+    sim::visit_kernel_stats(stats, [&](std::string_view, std::uint64_t v) {
+      values.push_back(v);
+    });
+    return values;
+  };
+  const auto oom_fields = [](const OomMetrics& m) {
+    return std::vector<double>{
+        static_cast<double>(m.partition_transfers),
+        static_cast<double>(m.bytes_transferred),
+        m.kernel_imbalance,
+        static_cast<double>(m.scheduling_rounds),
+        static_cast<double>(m.kernel_launches),
+        static_cast<double>(m.cache_hits),
+        static_cast<double>(m.cache_evictions),
+        static_cast<double>(m.prefetch_transfers),
+        m.transfer_overlap_seconds,
+        static_cast<double>(m.transfer_faults),
+        static_cast<double>(m.transfer_retries)};
+  };
+
+  for (const Schedule schedule :
+       {Schedule::kStepBarrier, Schedule::kPipelined}) {
+    SamplerOptions options;
+    options.mode = ExecutionMode::kOutOfMemory;
+    options.schedule = schedule;
+    options.num_partitions = 8;
+    options.resident_partitions = 4;
+    options.instance_id_offset = 7;
+    Sampler sampler(g, setup, options);
+    OomEngine engine(g, setup.policy, setup.spec, options);
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string label =
+          std::string(schedule == Schedule::kPipelined ? "pipelined "
+                                                       : "barrier ") +
+          pass;
+      const RunResult facade = sampler.run(seeds);
+      sim::Device device(0, options.device_params);
+      const RunResult direct = engine.run(device, seeds);
+      expect_same_samples(facade.samples, direct.samples, label);
+      EXPECT_EQ(facade.sim_seconds, direct.sim_seconds) << label;
+      EXPECT_EQ(facade.device_seconds, direct.device_seconds) << label;
+      EXPECT_EQ(kernel_stats(facade.stats), kernel_stats(direct.stats))
+          << label;
+      ASSERT_TRUE(facade.oom.has_value() && direct.oom.has_value())
+          << label;
+      EXPECT_EQ(oom_fields(*facade.oom), oom_fields(*direct.oom)) << label;
+      EXPECT_EQ(facade.mode, direct.mode) << label;
+      EXPECT_TRUE(direct.mode_reason.empty()) << label;
+      EXPECT_FALSE(facade.mode_reason.empty()) << label;
+    }
+  }
 }
 
 }  // namespace

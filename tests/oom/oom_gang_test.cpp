@@ -28,18 +28,20 @@ TEST_P(GangSizes, SamplesAreIndependentOfGangSize) {
   auto setup = biased_random_walk(8);
   const auto seeds = spread_seeds(g, 48);
 
-  OomConfig batched;
-  batched.batched = true;
+  SamplerOptions batched;
+  batched.schedule = Schedule::kStepBarrier;
+  batched.oom_batched = true;
   OomEngine reference_engine(g, setup.policy, setup.spec, batched);
   sim::Device d0;
-  const OomRun reference = reference_engine.run_single_seed(d0, seeds);
+  const RunResult reference = reference_engine.run_single_seed(d0, seeds);
 
-  OomConfig ganged;
-  ganged.batched = false;
-  ganged.unbatched_gang_size = GetParam();
+  SamplerOptions ganged;
+  ganged.schedule = Schedule::kStepBarrier;
+  ganged.oom_batched = false;
+  ganged.oom_unbatched_gang_size = GetParam();
   OomEngine engine(g, setup.policy, setup.spec, ganged);
   sim::Device d1;
-  const OomRun run = engine.run_single_seed(d1, seeds);
+  const RunResult run = engine.run_single_seed(d1, seeds);
 
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i))
@@ -53,13 +55,13 @@ TEST_P(GangSizes, TransfersScaleWithGangCount) {
   const auto seeds = spread_seeds(g, 64);
 
   auto transfers = [&](std::uint32_t gang_size, bool batched) {
-    OomConfig c;
-    c.batched = batched;
-    c.unbatched_gang_size = gang_size;
+    SamplerOptions c;
+    c.schedule = Schedule::kStepBarrier;
+    c.oom_batched = batched;
+    c.oom_unbatched_gang_size = gang_size;
     OomEngine engine(g, setup.policy, setup.spec, c);
     sim::Device device;
-    return engine.run_single_seed(device, seeds)
-        .metrics.partition_transfers;
+    return engine.run_single_seed(device, seeds).oom->partition_transfers;
   };
   const auto merged = transfers(0xFFFFFFFF, true);
   const auto ganged = transfers(GetParam(), false);
@@ -84,13 +86,14 @@ TEST(OomGang, MetropolisHastingsBitIdenticalUnderGangScheduling) {
   sim::Device d_in;
   const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
 
-  OomConfig config;
-  config.batched = false;
-  config.unbatched_gang_size = 7;  // deliberately unaligned
-  config.workload_aware = false;
-  OomEngine engine(g, setup.policy, setup.spec, config);
+  SamplerOptions options;
+  options.schedule = Schedule::kStepBarrier;
+  options.oom_batched = false;
+  options.oom_unbatched_gang_size = 7;  // deliberately unaligned
+  options.oom_workload_aware = false;
+  OomEngine engine(g, setup.policy, setup.spec, options);
   sim::Device d_oom;
-  const OomRun run = engine.run_single_seed(d_oom, seeds);
+  const RunResult run = engine.run_single_seed(d_oom, seeds);
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i));
   }
@@ -102,9 +105,10 @@ TEST(OomGang, SimulatedTimeWorsensWithSmallGangs) {
   const auto seeds = spread_seeds(g, 96);
 
   auto seconds = [&](std::uint32_t gang_size) {
-    OomConfig c;
-    c.batched = false;
-    c.unbatched_gang_size = gang_size;
+    SamplerOptions c;
+    c.schedule = Schedule::kStepBarrier;
+    c.oom_batched = false;
+    c.oom_unbatched_gang_size = gang_size;
     OomEngine engine(g, setup.policy, setup.spec, c);
     sim::Device device;
     return engine.run_single_seed(device, seeds).sim_seconds;
@@ -115,12 +119,13 @@ TEST(OomGang, SimulatedTimeWorsensWithSmallGangs) {
 TEST(OomGang, SingleInstanceStillWorks) {
   const CsrGraph g = generate_rmat(256, 2048, 75);
   auto setup = biased_neighbor_sampling(2, 2);
-  OomConfig config;
-  config.batched = false;
-  config.unbatched_gang_size = 4;
-  OomEngine engine(g, setup.policy, setup.spec, config);
+  SamplerOptions options;
+  options.schedule = Schedule::kStepBarrier;
+  options.oom_batched = false;
+  options.oom_unbatched_gang_size = 4;
+  OomEngine engine(g, setup.policy, setup.spec, options);
   sim::Device device;
-  const OomRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{5});
   EXPECT_EQ(run.samples.num_instances(), 1u);
   EXPECT_GT(run.samples.total_edges(), 0u);

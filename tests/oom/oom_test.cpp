@@ -30,6 +30,14 @@ std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
   return seeds;
 }
 
+/// The schedule these tests ran on before they took SamplerOptions, whose
+/// defaults to kPipelined).
+SamplerOptions barrier_options() {
+  SamplerOptions options;
+  options.schedule = Schedule::kStepBarrier;
+  return options;
+}
+
 struct OomToggles {
   bool batched;
   bool workload_aware;
@@ -37,21 +45,21 @@ struct OomToggles {
   const char* name;
 };
 
-class OomConfigs : public ::testing::TestWithParam<OomToggles> {
+class OomOptions : public ::testing::TestWithParam<OomToggles> {
  protected:
-  OomConfig config() const {
-    OomConfig c;
-    c.num_partitions = 4;
-    c.resident_partitions = 2;
-    c.num_streams = 2;
-    c.batched = GetParam().batched;
-    c.workload_aware = GetParam().workload_aware;
-    c.block_balancing = GetParam().balancing;
-    return c;
+  SamplerOptions options() const {
+    SamplerOptions o = barrier_options();
+    o.num_partitions = 4;
+    o.resident_partitions = 2;
+    o.num_streams = 2;
+    o.oom_batched = GetParam().batched;
+    o.oom_workload_aware = GetParam().workload_aware;
+    o.oom_block_balancing = GetParam().balancing;
+    return o;
   }
 };
 
-TEST_P(OomConfigs, WalkMatchesInMemoryBitForBit) {
+TEST_P(OomOptions, WalkMatchesInMemoryBitForBit) {
   // The §V-B correctness claim, made testable by counter-based RNG: the
   // out-of-memory engine must produce exactly the sample the in-memory
   // engine produces, whatever the schedule.
@@ -64,9 +72,9 @@ TEST_P(OomConfigs, WalkMatchesInMemoryBitForBit) {
   sim::Device d_in;
   const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
 
-  OomEngine oom(g, setup.policy, setup.spec, config());
+  OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device d_oom;
-  const OomRun run = oom.run_single_seed(d_oom, seeds);
+  const RunResult run = oom.run_single_seed(d_oom, seeds);
 
   ASSERT_EQ(run.samples.num_instances(), reference.samples.num_instances());
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
@@ -75,7 +83,7 @@ TEST_P(OomConfigs, WalkMatchesInMemoryBitForBit) {
   }
 }
 
-TEST_P(OomConfigs, MetropolisHastingsAlsoMatches) {
+TEST_P(OomOptions, MetropolisHastingsAlsoMatches) {
   const CsrGraph g = generate_rmat(512, 4096, 52);
   auto setup = metropolis_hastings_walk(10);
   const auto seeds = spread_seeds(g, 16);
@@ -85,22 +93,22 @@ TEST_P(OomConfigs, MetropolisHastingsAlsoMatches) {
   sim::Device d_in;
   const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
 
-  OomEngine oom(g, setup.policy, setup.spec, config());
+  OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device d_oom;
-  const OomRun run = oom.run_single_seed(d_oom, seeds);
+  const RunResult run = oom.run_single_seed(d_oom, seeds);
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_EQ(run.samples.edges(i), reference.samples.edges(i));
   }
 }
 
-TEST_P(OomConfigs, NeighborSamplingInvariantsHold) {
+TEST_P(OomOptions, NeighborSamplingInvariantsHold) {
   const CsrGraph g = generate_rmat(1024, 8192, 53);
   auto setup = biased_neighbor_sampling(2, 3);
   const auto seeds = spread_seeds(g, 32);
 
-  OomEngine oom(g, setup.policy, setup.spec, config());
+  OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device device;
-  const OomRun run = oom.run_single_seed(device, seeds);
+  const RunResult run = oom.run_single_seed(device, seeds);
 
   EXPECT_GT(run.samples.total_edges(), 0u);
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
@@ -114,7 +122,7 @@ TEST_P(OomConfigs, NeighborSamplingInvariantsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Toggles, OomConfigs,
+    Toggles, OomOptions,
     ::testing::Values(OomToggles{false, false, false, "Baseline"},
                       OomToggles{true, false, false, "BA"},
                       OomToggles{true, true, false, "BA_WS"},
@@ -122,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
                       OomToggles{false, true, true, "WS_BAL_NoBatch"}),
     [](const auto& info) { return info.param.name; });
 
-std::uint64_t barrier_digest(const sim::Device& device, const OomRun& run) {
+std::uint64_t barrier_digest(const sim::Device& device, const RunResult& run) {
   testing::Digest d;
   d.add_kernels(device);
   for (const sim::TransferRecord& t : device.transfer().log()) {
@@ -132,10 +140,10 @@ std::uint64_t barrier_digest(const sim::Device& device, const OomRun& run) {
     d.add(t.start);
     d.add(t.end);
   }
-  d.add(run.metrics.partition_transfers);
-  d.add(run.metrics.kernel_launches);
-  d.add(run.metrics.scheduling_rounds);
-  d.add(run.metrics.kernel_imbalance);
+  d.add(run.oom->partition_transfers);
+  d.add(run.oom->kernel_launches);
+  d.add(run.oom->scheduling_rounds);
+  d.add(run.oom->kernel_imbalance);
   d.add(run.sim_seconds);
   d.add_samples(run.samples);
   return d.value();
@@ -179,18 +187,18 @@ TEST(Oom, BarrierTimelineIsPinned) {
                            ? biased_random_walk(/*length=*/12)
                            : biased_neighbor_sampling(2, 3);
     for (const std::uint32_t threads : {1u, 4u}) {
-      OomConfig config;
-      config.num_partitions = 4;
-      config.resident_partitions = 2;
-      config.num_streams = 2;
-      config.batched = c.batched;
-      config.workload_aware = c.workload_aware;
-      config.block_balancing = c.balancing;
-      config.unbatched_gang_size = c.gang;
-      config.engine.num_threads = threads;
-      OomEngine oom(g, setup.policy, setup.spec, config);
+      SamplerOptions options = barrier_options();
+      options.num_partitions = 4;
+      options.resident_partitions = 2;
+      options.num_streams = 2;
+      options.oom_batched = c.batched;
+      options.oom_workload_aware = c.workload_aware;
+      options.oom_block_balancing = c.balancing;
+      options.oom_unbatched_gang_size = c.gang;
+      options.num_threads = threads;
+      OomEngine oom(g, setup.policy, setup.spec, options);
       sim::Device device;
-      const OomRun run = oom.run_single_seed(device, spread_seeds(g, 40));
+      const RunResult run = oom.run_single_seed(device, spread_seeds(g, 40));
       EXPECT_EQ(barrier_digest(device, run), c.digest)
           << c.spec << " BA=" << c.batched << " WS=" << c.workload_aware
           << " BAL=" << c.balancing << " gang=" << c.gang
@@ -207,27 +215,29 @@ TEST(Oom, BarrierStreamingCompletesInRoundOrder) {
   // partition 3 and finishes in round 2.
   const CsrGraph g = build_csr({{0, 1}, {6, 7}}, 8);
   auto setup = simple_random_walk(/*length=*/4);
-  OomConfig c;
+  SamplerOptions c;
   c.num_partitions = 4;
   c.resident_partitions = 1;
-  c.engine.schedule = Schedule::kStepBarrier;
+  c.schedule = Schedule::kStepBarrier;
   const std::vector<VertexId> seeds = {6, 0, 1};
 
   OomEngine buffered(g, setup.policy, setup.spec, c);
   sim::Device buffered_device;
-  const OomRun reference = buffered.run_single_seed(buffered_device, seeds);
+  const RunResult reference = buffered.run_single_seed(buffered_device, seeds);
 
   std::vector<std::uint32_t> order;
   std::vector<std::vector<Edge>> streamed(seeds.size());
-  c.engine.control.on_instance_complete = [&](std::uint32_t i,
-                                              std::vector<Edge>& edges) {
+  RunControl control;
+  control.on_instance_complete = [&](std::uint32_t i,
+                                     std::vector<Edge>& edges) {
     order.push_back(i);
     streamed[i] = edges;
   };
   OomEngine streaming(g, setup.policy, setup.spec, c);
   sim::Device device;
-  const OomRun run = streaming.run_single_seed(device, seeds);
-  EXPECT_EQ(run.metrics.scheduling_rounds, 2u);
+  const RunResult run =
+      streaming.run(device, expand_single_seeds(seeds), {}, control);
+  EXPECT_EQ(run.oom->scheduling_rounds, 2u);
   EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 0}));
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
     EXPECT_FALSE(streamed[i].empty());
@@ -243,13 +253,13 @@ TEST(Oom, WorkloadAwareSchedulingReducesTransfers) {
   const auto seeds = spread_seeds(g, 128);
 
   auto run_with = [&](bool workload_aware) {
-    OomConfig c;
+    SamplerOptions c = barrier_options();
     c.num_partitions = 4;
     c.resident_partitions = 2;
-    c.workload_aware = workload_aware;
+    c.oom_workload_aware = workload_aware;
     OomEngine oom(g, setup.policy, setup.spec, c);
     sim::Device device;
-    return oom.run_single_seed(device, seeds).metrics.partition_transfers;
+    return oom.run_single_seed(device, seeds).oom->partition_transfers;
   };
   EXPECT_LE(run_with(true), run_with(false));
 }
@@ -263,14 +273,14 @@ TEST(Oom, BatchingChangesWorkDistributionNotLaunches) {
   const auto seeds = spread_seeds(g, 64);
 
   auto run_mode = [&](bool batched) {
-    OomConfig c;
-    c.batched = batched;
+    SamplerOptions c = barrier_options();
+    c.oom_batched = batched;
     OomEngine oom(g, setup.policy, setup.spec, c);
     sim::Device device;
     return oom.run_single_seed(device, seeds);
   };
-  const OomRun batched = run_mode(true);
-  const OomRun grouped = run_mode(false);
+  const RunResult batched = run_mode(true);
+  const RunResult grouped = run_mode(false);
   // Identical logical work (same total frontier entries -> same sampled
   // edges), but fewer, longer warps without batching.
   EXPECT_EQ(batched.samples.total_edges(), grouped.samples.total_edges());
@@ -284,10 +294,10 @@ TEST(Oom, BatchingImprovesSimulatedTime) {
   const auto seeds = spread_seeds(g, 96);
 
   auto seconds = [&](bool batched) {
-    OomConfig c;
-    c.batched = batched;
-    c.workload_aware = false;
-    c.block_balancing = false;
+    SamplerOptions c = barrier_options();
+    c.oom_batched = batched;
+    c.oom_workload_aware = false;
+    c.oom_block_balancing = false;
     OomEngine oom(g, setup.policy, setup.spec, c);
     sim::Device device;
     return oom.run_single_seed(device, seeds).sim_seconds;
@@ -300,9 +310,9 @@ TEST(Oom, MultiSeedInstancesWork) {
   auto setup = unbiased_neighbor_sampling(2, 2);
   const std::vector<std::vector<VertexId>> seeds = {
       {0, 5, 9}, {1}, {2, 3}};
-  OomEngine oom(g, setup.policy, setup.spec, OomConfig{});
+  OomEngine oom(g, setup.policy, setup.spec, barrier_options());
   sim::Device device;
-  const OomRun run = oom.run(device, seeds);
+  const RunResult run = oom.run(device, seeds);
   EXPECT_EQ(run.samples.num_instances(), 3u);
   EXPECT_GT(run.samples.total_edges(), 0u);
 }
@@ -310,21 +320,39 @@ TEST(Oom, MultiSeedInstancesWork) {
 TEST(Oom, RejectsInMemoryOnlySpecs) {
   const CsrGraph g = generate_rmat(256, 1024, 58);
   auto snow = snowball(2);
-  EXPECT_THROW(OomEngine(g, snow.policy, snow.spec, OomConfig{}), CheckError);
+  EXPECT_THROW(OomEngine(g, snow.policy, snow.spec, barrier_options()),
+               CheckError);
 
-  OomConfig bad;
+  SamplerOptions bad = barrier_options();
   bad.resident_partitions = 9;
   bad.num_partitions = 4;
   auto ns = unbiased_neighbor_sampling(2, 2);
   EXPECT_THROW(OomEngine(g, ns.policy, ns.spec, bad), CheckError);
 }
 
+TEST(Oom, RunRejectsMalformedTagsAndCancelTokens) {
+  // A direct caller hands tags and cancel tokens straight to the engine,
+  // which checks them before it indexes either by instance.
+  const CsrGraph g = generate_rmat(256, 1024, 58);
+  auto setup = biased_random_walk(/*length=*/4);
+  OomEngine oom(g, setup.policy, setup.spec, barrier_options());
+  const auto seeds = expand_single_seeds(std::vector<VertexId>{1, 2});
+  sim::Device device;
+  const std::vector<std::uint32_t> unsorted = {5, 3};
+  EXPECT_THROW(oom.run(device, seeds, unsorted), CheckError);
+  const std::vector<std::uint32_t> one_tag = {5};
+  EXPECT_THROW(oom.run(device, seeds, one_tag), CheckError);
+  RunControl one_token;
+  one_token.instance_cancel.resize(1);
+  EXPECT_THROW(oom.run(device, seeds, {}, one_token), CheckError);
+}
+
 TEST(Oom, ForestFireRunsWithBranchingCap) {
   const CsrGraph g = generate_rmat(512, 4096, 59);
   auto setup = forest_fire(0.7, 2);
-  OomEngine oom(g, setup.policy, setup.spec, OomConfig{});
+  OomEngine oom(g, setup.policy, setup.spec, barrier_options());
   sim::Device device;
-  const OomRun run = oom.run_single_seed(device, spread_seeds(g, 32));
+  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 32));
   EXPECT_GT(run.samples.total_edges(), 0u);
   for (std::uint32_t i = 0; i < 32; ++i) {
     for (const Edge& e : run.samples.edges(i)) {
@@ -341,10 +369,10 @@ TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
   // lasts the cost model's duration at its cap.
   const CsrGraph g = generate_rmat(1024, 8192, 61);
   auto setup = biased_random_walk(/*length=*/12);
-  OomConfig c;
+  SamplerOptions c;
   c.num_partitions = 4;
   c.resident_partitions = 3;
-  c.engine.schedule = Schedule::kPipelined;
+  c.schedule = Schedule::kPipelined;
   OomEngine oom(g, setup.policy, setup.spec, c);
   sim::Device device;
   // Each of 24 walkers is one block wide (CostModel::cooperative_widths),
@@ -388,10 +416,10 @@ TEST(Oom, CachedRoundsNeverOversubscribeTheSms) {
     for (const auto& [partitions, resident] :
          std::vector<std::pair<std::uint32_t, std::uint32_t>>{
              {4, 3}, {8, 4}, {8, 5}, {8, 6}, {8, 7}}) {
-      OomConfig c;
+      SamplerOptions c;
       c.num_partitions = partitions;
       c.resident_partitions = resident;
-      c.engine.schedule = Schedule::kPipelined;
+      c.schedule = Schedule::kPipelined;
       OomEngine oom(g, setup.policy, setup.spec, c);
       sim::Device device;
       oom.run_single_seed(device, spread_seeds(g, 128));
@@ -412,35 +440,35 @@ TEST(Oom, FullyResidentHubWindowTakesTheSmsOthersFree) {
   // other windows ended by 0.37 ms.
   const CsrGraph g = generate_rmat(8192, 65536, 0xC5A7);
   auto setup = biased_random_walk(/*length=*/32);
-  OomConfig c;
+  SamplerOptions c;
   c.num_partitions = 4;
   c.resident_partitions = 4;
-  c.engine.schedule = Schedule::kPipelined;
+  c.schedule = Schedule::kPipelined;
   OomEngine oom(g, setup.policy, setup.spec, c);
   std::vector<VertexId> seeds(256);
   for (std::uint32_t i = 0; i < 256; ++i) {
     seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
   }
   sim::Device device;
-  const OomRun run = oom.run_single_seed(device, seeds);
-  EXPECT_EQ(run.metrics.scheduling_rounds, 1u);
+  const RunResult run = oom.run_single_seed(device, seeds);
+  EXPECT_EQ(run.oom->scheduling_rounds, 1u);
   EXPECT_LE(run.sim_seconds, 0.8e-3);
 }
 
 TEST(Oom, TransfersAndMetricsPopulated) {
   const CsrGraph g = generate_rmat(1024, 8192, 60);
   auto setup = biased_neighbor_sampling(2, 2);
-  OomEngine oom(g, setup.policy, setup.spec, OomConfig{});
+  OomEngine oom(g, setup.policy, setup.spec, barrier_options());
   sim::Device device;
-  const OomRun run = oom.run_single_seed(device, spread_seeds(g, 64));
+  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 64));
 
-  EXPECT_GT(run.metrics.partition_transfers, 0u);
-  EXPECT_GT(run.metrics.bytes_transferred, 0u);
-  EXPECT_GT(run.metrics.scheduling_rounds, 0u);
-  EXPECT_GT(run.metrics.kernel_launches, 0u);
+  EXPECT_GT(run.oom->partition_transfers, 0u);
+  EXPECT_GT(run.oom->bytes_transferred, 0u);
+  EXPECT_GT(run.oom->scheduling_rounds, 0u);
+  EXPECT_GT(run.oom->kernel_launches, 0u);
   EXPECT_GT(run.sim_seconds, 0.0);
   EXPECT_GT(run.stats.warps, 0u);
-  EXPECT_EQ(device.transfer().count(), run.metrics.partition_transfers);
+  EXPECT_EQ(device.transfer().count(), run.oom->partition_transfers);
 }
 
 }  // namespace

@@ -218,11 +218,11 @@ TEST(PagedDeterminism, WarmFillFinishesAWalkerInOneRound) {
   auto parts = std::make_shared<const PartitionedGraph>(g, 4);
   auto cache =
       std::make_shared<PartitionCache>(parts, CacheLimits{.partitions = 4});
-  OomConfig config;
-  config.num_partitions = 4;
-  config.resident_partitions = 4;
-  config.engine.schedule = Schedule::kPipelined;
-  OomEngine engine(g, setup.policy, setup.spec, config, parts);
+  SamplerOptions options;
+  options.num_partitions = 4;
+  options.resident_partitions = 4;
+  options.schedule = Schedule::kPipelined;
+  OomEngine engine(g, setup.policy, setup.spec, options, parts);
   engine.set_cache(cache);
   std::vector<VertexId> warm(64);
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -236,13 +236,13 @@ TEST(PagedDeterminism, WarmFillFinishesAWalkerInOneRound) {
 
   const std::vector<VertexId> one = {0};
   sim::Device device;
-  const OomRun run = engine.run_single_seed(device, one);
-  EXPECT_EQ(run.metrics.scheduling_rounds, 1u);
-  EXPECT_EQ(run.metrics.partition_transfers, 0u);
+  const RunResult run = engine.run_single_seed(device, one);
+  EXPECT_EQ(run.oom->scheduling_rounds, 1u);
+  EXPECT_EQ(run.oom->partition_transfers, 0u);
   // Hits only for partitions whose windows ran: the walk's own.
-  EXPECT_GE(run.metrics.cache_hits, 2u);
-  EXPECT_LE(run.metrics.cache_hits, 4u);
-  EXPECT_EQ(run.metrics.kernel_launches, run.metrics.cache_hits);
+  EXPECT_GE(run.oom->cache_hits, 2u);
+  EXPECT_LE(run.oom->cache_hits, 4u);
+  EXPECT_EQ(run.oom->kernel_launches, run.oom->cache_hits);
 
   SamplerOptions in_memory;
   in_memory.mode = ExecutionMode::kInMemory;

@@ -3,7 +3,8 @@
 // destination shard. The transports' own tests (tests/cache,
 // tests/shard, tests/service) stay the end-to-end proofs; these pin the
 // model itself — scripted FIFO sites, site boundaries, failed-forever
-// keys, seeded placement, slow sites, the attempt counter and the lock.
+// keys, seeded placement, slow sites, the attempt counter and the lock,
+// and the retry policy's backoff.
 #include "util/fault_injector.hpp"
 
 #include <gtest/gtest.h>
@@ -129,6 +130,18 @@ TEST(FaultInjector, AttemptsSeenCountsEveryConsult) {
   faults.next_attempt(1, 0);  // dead key
   faults.next_attempt(2, 0);  // clean key
   EXPECT_EQ(faults.attempts_seen(), 4u);
+}
+
+TEST(RetryPolicy, BackoffDoublesPerRetryPastThirtyTwo) {
+  // A policy with 34 or more attempts reaches retry 33 when a key keeps
+  // failing; the delay keeps doubling there instead of wrapping.
+  RetryPolicy retry;
+  retry.backoff = 1e-4;
+  EXPECT_EQ(retry.backoff_before(1), 1e-4);
+  EXPECT_EQ(retry.backoff_before(2), 2e-4);
+  EXPECT_EQ(retry.backoff_before(32), 1e-4 * 2147483648.0);
+  EXPECT_EQ(retry.backoff_before(33), 1e-4 * 4294967296.0);
+  EXPECT_EQ(retry.backoff_before(64), 1e-4 * 9223372036854775808.0);
 }
 
 TEST(FaultInjector, ConcurrentConsultsKeepEveryKeysScript) {

@@ -21,6 +21,13 @@ in the row's first cell (`src/analysis/`, ...), so `engine.hpp` in the
 `src/core/` row and `../core/static_ctps.hpp` in the `src/select/` row
 are both checked. Bare names elsewhere are prose, not pointers.
 
+A backticked `Type::member` name (`OomEngine::run`,
+`sim::Device::record_round`, `TransferError::paged()`; leading
+namespaces declared under src/ are dropped, `std::` names are skipped)
+must name a class, struct, union, enum or alias defined under `src/`,
+and `member` must appear in a file that defines it or in that file's
+`.hpp`/`.cpp` sibling, so a deleted type or member cannot stay cited.
+
 With `--sources DIR...` it instead scans every file under the given
 directories (code comments, printed banners) for `*.md` names; each
 must name a file at the repo root or under `docs/`.
@@ -45,6 +52,13 @@ SOURCE_MD_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 LINK_RE = re.compile(r"!?\[(?:[^\[\]]|\[[^\]]*\])*\]\(([^()\s]+(?:\([^)]*\))?)\)")
 HEADING_RE = re.compile(r"^\s{0,3}(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE_RE = re.compile(r"^\s*(```|~~~)")
+# `A::B::member...`: the qualifier chain, then the member's identifier
+# (anything after it, such as a call's arguments, is ignored).
+CODE_NAME_RE = re.compile(r"^((?:\w+::)+)(\w+)")
+TYPE_DEF_RE = re.compile(
+    r"\b(?:class|struct|union|enum(?:\s+class)?)\s+(\w+)\b(?!\s*;)"
+    r"|\busing\s+(\w+)\s*=")
+NAMESPACE_RE = re.compile(r"^\s*namespace\s+(\w+(?:::\w+)*)\s*\{", re.M)
 
 
 def github_anchor(heading: str) -> str:
@@ -87,8 +101,8 @@ def links_of(path: Path):
                 yield number, target
 
 
-def repo_paths_of(path: Path):
-    """Backtick tokens that claim to be repo paths (see module doc)."""
+def backticks_of(path: Path):
+    """(line, token) for every backticked token outside code fences."""
     in_fence = False
     for number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -98,9 +112,14 @@ def repo_paths_of(path: Path):
         if in_fence:
             continue
         for match in BACKTICK_RE.finditer(line):
-            token = match.group(1)
-            if token.startswith(CHECKED_PREFIXES) or ROOT_FILE_RE.match(token):
-                yield number, token
+            yield number, match.group(1)
+
+
+def repo_paths_of(path: Path):
+    """Backtick tokens that claim to be repo paths (see module doc)."""
+    for number, token in backticks_of(path):
+        if token.startswith(CHECKED_PREFIXES) or ROOT_FILE_RE.match(token):
+            yield number, token
 
 
 def key_files_of(path: Path):
@@ -125,6 +144,49 @@ def key_files_of(path: Path):
         for token in BACKTICK_RE.findall(cells[column]):
             if not token.startswith(CHECKED_PREFIXES):
                 yield number, token, dirs
+
+
+class SourceIndex:
+    """The types and namespaces src/ defines, and each file's text."""
+
+    def __init__(self, root: Path):
+        self.type_files: dict[str, set[Path]] = {}
+        self.namespaces: set[str] = set()
+        self.text: dict[Path, str] = {}
+        for path in sorted(root.rglob("*")):
+            if path.suffix not in (".hpp", ".cpp"):
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            self.text[path] = text
+            for match in TYPE_DEF_RE.finditer(text):
+                name = match.group(1) or match.group(2)
+                self.type_files.setdefault(name, set()).add(path)
+            for match in NAMESPACE_RE.finditer(text):
+                self.namespaces.update(match.group(1).split("::"))
+
+    def stale(self, token: str) -> str | None:
+        """Why `token` names nothing under src/, or None when it does."""
+        match = CODE_NAME_RE.match(token)
+        scopes = match.group(1).split("::")[:-1]
+        member = match.group(2)
+        if scopes[0] == "std":
+            return None
+        while scopes and scopes[0] in self.namespaces:
+            scopes.pop(0)
+        if not scopes:
+            return None  # a namespace-qualified free name
+        owner = scopes[-1]
+        files = self.type_files.get(owner)
+        if not files:
+            return f"no type {owner} is defined under src/"
+        word = re.compile(rf"\b{member}\b")
+        for path in files:
+            for sibling in (path.with_suffix(".hpp"), path.with_suffix(".cpp")):
+                if word.search(self.text.get(sibling, "")):
+                    return None
+        where = ", ".join(str(path.relative_to(REPO_ROOT))
+                          for path in sorted(files))
+        return f"no member {member} in {where}"
 
 
 def check_sources(dirs: list[str]) -> list[str]:
@@ -152,6 +214,7 @@ def check_sources(dirs: list[str]) -> list[str]:
 
 def check_markdown(names: list[str]) -> list[str]:
     errors: list[str] = []
+    index = SourceIndex(REPO_ROOT / "src")
     for name in names:
         source = Path(name)
         if not source.exists():
@@ -185,6 +248,11 @@ def check_markdown(names: list[str]) -> list[str]:
                 where = ", ".join(dirs) or "no row directory"
                 errors.append(f"{name}:{line}: stale key file `{token}` "
                               f"(not under {where})")
+        for line, token in backticks_of(source):
+            why = index.stale(token) if CODE_NAME_RE.match(token) else None
+            if why is not None:
+                errors.append(f"{name}:{line}: stale code name `{token}` "
+                              f"({why})")
     return errors
 
 

@@ -27,12 +27,6 @@ using namespace csaw;
 std::vector<double> exact_marginals(const std::vector<float>& biases,
                                     std::uint32_t k);
 
-double total_of(const std::vector<float>& b) {
-  double t = 0;
-  for (float x : b) t += x;
-  return t;
-}
-
 void enumerate(const std::vector<float>& biases, std::vector<bool>& taken,
                double prob, std::uint32_t left, std::vector<double>& mass) {
   if (left == 0) return;

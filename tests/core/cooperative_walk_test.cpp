@@ -13,9 +13,12 @@
 #include "algorithms/registry.hpp"
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_same_samples;
 
 SamplerOptions options(Schedule schedule,
                        ExecutionMode mode = ExecutionMode::kInMemory) {
@@ -41,19 +44,6 @@ std::vector<std::vector<VertexId>> nested_seeds(const CsrGraph& g,
   return seeds;
 }
 
-void expect_same_samples(const RunResult& got, const RunResult& want) {
-  ASSERT_EQ(got.samples.num_instances(), want.samples.num_instances());
-  for (std::uint32_t i = 0; i < want.samples.num_instances(); ++i) {
-    const auto a = got.samples.edges(i);
-    const auto b = want.samples.edges(i);
-    ASSERT_EQ(a.size(), b.size()) << "instance " << i;
-    for (std::size_t e = 0; e < a.size(); ++e) {
-      EXPECT_EQ(a[e].src, b[e].src) << "instance " << i;
-      EXPECT_EQ(a[e].dst, b[e].dst) << "instance " << i;
-    }
-  }
-}
-
 TEST(CooperativeWalk, OneChainHubStepSplitsItsTilesAcrossABlock) {
   // Hub 0 has 512 neighbors: 16 tiles of 32 lanes. One walker of one
   // step takes a whole block (8 warps), 2 tiles each.
@@ -66,7 +56,7 @@ TEST(CooperativeWalk, OneChainHubStepSplitsItsTilesAcrossABlock) {
       Sampler(star, setup, options(Schedule::kStepBarrier)).run(hub);
   const RunResult block =
       Sampler(star, setup, options(Schedule::kPipelined)).run(hub);
-  expect_same_samples(block, one_warp);
+  expect_same_samples(block.samples, one_warp.samples, "block");
 
   const std::uint64_t warps = 8;
   const std::uint64_t tiles = 16;
@@ -205,7 +195,8 @@ TEST(CooperativeWalk, UnbatchedOomTaskOfSeveralWalkersKeepsOneWarp) {
   SamplerOptions waves = unbatched;
   waves.schedule = Schedule::kStepBarrier;
   const RunResult run = Sampler(g, setup, unbatched).run(seeds);
-  expect_same_samples(run, Sampler(g, setup, waves).run(seeds));
+  expect_same_samples(run.samples, Sampler(g, setup, waves).run(seeds).samples,
+                      "waves");
   const std::uint64_t golden[] = {90142, 4177384, 0,    0, 563, 902,
                                   167004, 1600,  0, 0, 1600};
   std::size_t field = 0;

@@ -1,13 +1,13 @@
-// Seeded cross-mode determinism fuzzer: ~50 randomized configurations
+// Seeded cross-path determinism fuzzer: ~50 randomized configurations
 // (graph generator and size, algorithm, walk depth, instance count, tag
-// layout, paged-capacity knobs) each run through every execution mode,
-// both kernel schedules and host widths 1/2/7, asserting byte-identical
-// per-instance samples against an in-memory step-barrier serial baseline
-// — plus exact seps() equality across host widths for a fixed
-// (mode, schedule), since host threading must never reach the simulated
-// timeline. Walk-shaped configs additionally run through the shard
-// router at a random shard count in {1..4}, byte-exact against the same
-// baseline.
+// layout, paged-capacity knobs, shard count) each run through a slice of
+// the execution-path matrix (tests/paths.hpp) shaped by the config:
+// every Sampler backend under both schedules, the shard router and one
+// service path, each at a rotated host width, and one of them at every
+// width. The matrix holds each run to the in-memory step-barrier serial
+// oracle under its path's contract, and the swept family to exact
+// equality of samples, clocks (hence seps()) and stats across widths,
+// since host threading must never reach the simulated timeline.
 //
 // Every random choice derives from one master seed, printed at the start
 // of the suite and overridable via CSAW_FUZZ_SEED, so any failure
@@ -25,14 +25,21 @@
 
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
-#include "shard/router.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
 constexpr std::uint64_t kDefaultMasterSeed = 0xC5A7F00Dull;
 constexpr std::uint32_t kNumConfigs = 50;
-constexpr std::uint32_t kWidths[] = {1, 2, 7};
+
+using testing::Contract;
+using testing::execution_paths;
+using testing::expect_matrix;
+using testing::Front;
+using testing::kWidths;
+using testing::Path;
+using testing::PathShape;
 
 std::uint64_t master_seed() {
   static const std::uint64_t seed = [] {
@@ -66,14 +73,11 @@ struct FuzzConfig {
   std::vector<std::uint32_t> tags;
   bool contiguous_tags = false;
   std::vector<VertexId> seeds;
-  // Paged-capacity knobs, used whenever the OOM backend executes.
+  // Paged-capacity knobs of the paged paths, and the router's shard
+  // count.
   std::uint32_t num_partitions = 4;
   std::uint32_t resident_partitions = 2;
-  bool oom_capable = false;
-  /// One edge per step (Table I "neighbors per step" == 1): the class
-  /// whose bytes are order-independent of frontier processing, and hence
-  /// the class covered by the cross-backend byte contract.
-  bool is_walk = false;
+  std::uint32_t shards = 1;
 
   std::string describe() const {
     std::string kind = graph_kind == GraphKind::kRmat            ? "rmat"
@@ -93,7 +97,8 @@ struct FuzzConfig {
            (contiguous_tags ? " tags=contiguous@" : " tags=gapped@") +
            std::to_string(tags.front()) + " parts=" +
            std::to_string(num_partitions) + "/" +
-           std::to_string(resident_partitions);
+           std::to_string(resident_partitions) + " shards=" +
+           std::to_string(shards);
   }
 };
 
@@ -114,7 +119,7 @@ FuzzConfig draw_config(std::uint64_t config_seed) {
   // A spread over Table I: walks (single walker, second-order, restart,
   // accept/stay) and multi-neighbor sampling (uniform, biased, forest
   // fire, layer, frontier-pool). in_memory_only specs stay in the pool —
-  // the OOM/multi-device legs simply gate on capability below.
+  // the paged paths state them unsupported.
   constexpr AlgorithmId kPool[] = {
       AlgorithmId::kSimpleRandomWalk,
       AlgorithmId::kBiasedRandomWalk,
@@ -166,43 +171,47 @@ CsrGraph build_graph(const FuzzConfig& config) {
   }
 }
 
-RunResult run_config(const FuzzConfig& config, const CsrGraph& graph,
-                     ExecutionMode mode, Schedule schedule,
-                     std::uint32_t threads) {
-  SamplerOptions options;
-  options.mode = mode;
-  options.schedule = schedule;
-  options.num_threads = threads;
-  options.num_partitions = config.num_partitions;
-  options.resident_partitions = config.resident_partitions;
-  if (mode == ExecutionMode::kOutOfMemory) {
-    options.memory_assumption = MemoryAssumption::kExceeds;
+/// The slice of the matrix one config runs: every Sampler and router
+/// family at one host width, rotated so the corpus as a whole covers every
+/// pairing; one service family, rotated the same way; and one family at
+/// every width, where host width must be invisible down to the simulated
+/// timeline (hence seps()) for every algorithm class. A branching spec
+/// that pages sweeps a paged family: the width law is all its known
+/// difference leaves to check.
+std::vector<Path> fuzz_slice(const std::vector<Path>& matrix,
+                             const AlgorithmSetup& setup,
+                             std::uint32_t rotation) {
+  std::vector<std::string> services;
+  std::vector<std::string> others;
+  std::vector<std::string> known_differences;
+  for (const Path& path : matrix) {
+    auto& families = path.front == Front::kService ? services
+                     : path.contract(setup) == Contract::kKnownDifference
+                         ? known_differences
+                         : others;
+    if (families.empty() || families.back() != path.family) {
+      families.push_back(path.family);
+    }
   }
-  if (mode == ExecutionMode::kMultiDevice) {
-    options.num_devices = 2;
-    // Page the per-device backends too when the byte contract reaches
-    // them (OOM-capable walks); samplers keep in-memory backends so the
-    // leg stays comparable against the in-memory baseline.
-    options.memory_assumption = config.oom_capable && config.is_walk
-                                    ? MemoryAssumption::kExceeds
-                                    : MemoryAssumption::kFits;
+  const std::string& service = services[rotation % services.size()];
+  const auto& sweepable =
+      known_differences.empty() ? others : known_differences;
+  const std::string& swept = sweepable[(rotation / 3) % sweepable.size()];
+  std::vector<Path> slice;
+  std::uint32_t family = 0;
+  for (std::size_t p = 0; p < matrix.size(); ++p) {
+    const Path& path = matrix[p];
+    if (p > 0 && matrix[p - 1].family != path.family) ++family;
+    if (path.front == Front::kService && path.family != service) continue;
+    if (path.family == swept ||
+        path.threads() == kWidths[(rotation + family) % std::size(kWidths)]) {
+      slice.push_back(path);
+    }
   }
-  Sampler sampler(graph,
-                  make_algorithm(config.algorithm, config.depth_or_length),
-                  options);
-  const auto seeds = expand_single_seeds(config.seeds);
-  return sampler.run_tagged(seeds, config.tags);
+  return slice;
 }
 
-void expect_same_samples(const SampleStore& got, const SampleStore& want,
-                         const std::string& label) {
-  ASSERT_EQ(got.num_instances(), want.num_instances()) << label;
-  for (std::uint32_t i = 0; i < got.num_instances(); ++i) {
-    ASSERT_EQ(got.edges(i), want.edges(i)) << label << ", instance " << i;
-  }
-}
-
-TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
+TEST(DeterminismFuzz, EveryConfigMatchesTheOracleOnTheMatrix) {
   std::mt19937_64 master(master_seed());
   for (std::uint32_t c = 0; c < kNumConfigs; ++c) {
     FuzzConfig config = draw_config(master());
@@ -214,100 +223,26 @@ TEST(DeterminismFuzz, EveryConfigMatchesSerialBarrierBaseline) {
       config.seeds.push_back(static_cast<VertexId>(
           seed_rng() % graph.num_vertices()));
     }
-    const AlgorithmSetup setup =
-        make_algorithm(config.algorithm, config.depth_or_length);
-    config.oom_capable = in_memory_only_reason(setup.spec).empty();
-    config.is_walk =
-        algorithm_info(config.algorithm).neighbors_per_step == "1";
+    // The shard count comes from its own rng so it never perturbs the
+    // other draws.
+    std::mt19937_64 shard_rng(config.config_seed ^ 0x54a4dull);
+    config.shards = pick(shard_rng, 1, 4);
     SCOPED_TRACE("config #" + std::to_string(c) + " " + config.describe());
 
-    // Baseline: serial host, in-memory engine, step-barrier schedule.
-    const RunResult baseline =
-        run_config(config, graph, ExecutionMode::kInMemory,
-                   Schedule::kStepBarrier, /*threads=*/1);
-    ASSERT_EQ(baseline.samples.num_instances(), config.num_instances);
-
-    // Cross-mode / cross-schedule legs vs the baseline, scoped to the
-    // contract the repo makes (tests/oom/paged_determinism_test.cpp):
-    // walks are byte-identical across every backend; multi-neighbor
-    // samplers only across in-memory-backed executions, because the
-    // paged backend's frontier grouping feeds next-depth slot
-    // assignment. One host width per leg, rotated deterministically so
-    // the corpus as a whole covers every pairing.
-    std::vector<ExecutionMode> modes = {ExecutionMode::kInMemory,
-                                        ExecutionMode::kMultiDevice};
-    if (config.oom_capable && config.is_walk) {
-      modes.push_back(ExecutionMode::kOutOfMemory);
-    }
-    std::uint32_t rotation = static_cast<std::uint32_t>(config.config_seed);
-    for (const ExecutionMode mode : modes) {
-      for (const Schedule schedule :
-           {Schedule::kPipelined, Schedule::kStepBarrier}) {
-        const std::uint32_t threads = kWidths[rotation++ % std::size(kWidths)];
-        const std::string label = to_string(mode) +
-                                  (schedule == Schedule::kPipelined
-                                       ? "/pipelined @ "
-                                       : "/barrier @ ") +
-                                  std::to_string(threads) + " threads";
-        const RunResult got =
-            run_config(config, graph, mode, schedule, threads);
-        // Pipelining may interleave two instances' appends only across
-        // instances, never within one — per-instance bytes stay
-        // order-exact on in-memory backends for every algorithm class.
-        expect_same_samples(got.samples, baseline.samples, label);
-      }
-    }
-
-    // Sharded leg: walk-shaped specs route through the shard tier at a
-    // random shard count, and the bytes must not notice — Philox streams
-    // are keyed by the global instance tag, so shard placement (like
-    // host threading) is invisible. Drawn from its own rng so the leg
-    // never perturbs which cross-mode pairings the corpus covers.
-    if (setup.spec.walk_shaped()) {
-      std::mt19937_64 shard_rng(config.config_seed ^ 0x54a4dull);
-      const std::uint32_t shards = pick(shard_rng, 1, 4);
-      const std::uint32_t shard_threads =
-          kWidths[pick(shard_rng, 0, std::size(kWidths) - 1)];
-      SamplerOptions shard_options;
-      shard_options.num_threads = shard_threads;
-      ShardRouter router(graph, setup, shard_options, {.shards = shards});
-      const RunResult sharded = router.run_tagged(
-          expand_single_seeds(config.seeds), config.tags);
-      expect_same_samples(sharded.samples, baseline.samples,
-                          "sharded @ " + std::to_string(shards) +
-                              " shards, " + std::to_string(shard_threads) +
-                              " threads");
-    }
-
-    // Host-width sweep on one fixed (mode, schedule): bytes AND the
-    // simulated timeline (hence seps()) must be exactly identical — host
-    // threading is invisible to the cost model, not just to the samples.
-    // OOM-capable samplers sweep the paged backend here, which is how
-    // the corpus still exercises paged sampling outside the walk class.
-    const ExecutionMode sweep_mode = config.oom_capable && !config.is_walk
-                                         ? ExecutionMode::kOutOfMemory
-                                         : modes[rotation % modes.size()];
-    const Schedule sweep_schedule = (rotation / modes.size()) % 2 == 0
-                                        ? Schedule::kPipelined
-                                        : Schedule::kStepBarrier;
-    const std::string sweep_label =
-        "width sweep on " + to_string(sweep_mode);
-    RunResult first =
-        run_config(config, graph, sweep_mode, sweep_schedule, kWidths[0]);
-    if (sweep_mode != ExecutionMode::kOutOfMemory || config.is_walk) {
-      expect_same_samples(first.samples, baseline.samples, sweep_label);
-    }
-    for (std::size_t w = 1; w < std::size(kWidths); ++w) {
-      const RunResult wide =
-          run_config(config, graph, sweep_mode, sweep_schedule, kWidths[w]);
-      // Same mode and schedule: host width must be invisible down to the
-      // append order, for every algorithm class.
-      expect_same_samples(wide.samples, first.samples, sweep_label);
-      ASSERT_EQ(wide.sim_seconds, first.sim_seconds)
-          << sweep_label << " @ " << kWidths[w] << " threads";
-      ASSERT_EQ(wide.seps(), first.seps())
-          << sweep_label << " @ " << kWidths[w] << " threads";
-    }
+    // Every path of the slice against the in-memory step-barrier serial
+    // oracle, under the contract each path states for the spec
+    // (tests/paths.hpp): walks are byte-identical on every backend;
+    // branching specs on a paged backend are the known difference of
+    // ROADMAP item 6, held to the width law only.
+    const PathShape shape{config.num_partitions,
+                          {config.resident_partitions},
+                          {config.shards}};
+    const AlgorithmSetup setup =
+        make_algorithm(config.algorithm, config.depth_or_length);
+    expect_matrix(fuzz_slice(execution_paths(shape), setup,
+                             static_cast<std::uint32_t>(config.config_seed)),
+                  graph, {config.algorithm, config.depth_or_length},
+                  config.seeds, config.tags);
   }
 }
 

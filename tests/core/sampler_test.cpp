@@ -21,67 +21,41 @@
 #include "telemetry/trace.hpp"
 #include "util/check.hpp"
 #include "util/fault_injector.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
-  }
-  return seeds;
-}
+using testing::expect_matrix;
+using testing::expect_same_samples;
+using testing::find_path;
+using testing::Front;
+using testing::gapped_tags;
+using testing::Path;
+using testing::paths_where;
+using testing::spread_seeds;
 
-void expect_same_samples(const SampleStore& a, const SampleStore& b,
-                         const std::string& label) {
-  ASSERT_EQ(a.num_instances(), b.num_instances()) << label;
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << label << ", instance " << i;
-  }
+/// One path per Sampler backend and schedule, at one host thread.
+std::vector<Path> sampler_paths() {
+  return paths_where([](const Path& path) {
+    return path.front == Front::kSampler && path.threads() == 1;
+  });
 }
 
 TEST(Sampler, ModeInvariantSamples) {
-  // The facade's core guarantee: Auto, explicit in-memory, explicit
-  // out-of-memory and 2-device multi-device runs produce byte-identical
-  // SampleStore contents for the same seeds (counter-based RNG).
+  // The facade's core guarantee: every Sampler backend and schedule of
+  // the matrix (tests/paths.hpp) produces the in-memory oracle's
+  // SampleStore contents for the same seeds (counter-based RNG), and
+  // reports the devices and paged metrics it ran on.
   const CsrGraph g = generate_rmat(1024, 8192, 71);
-  const auto setup = biased_random_walk(10);
-  const auto seeds = spread_seeds(g, 40);
-
-  SamplerOptions in_memory;
-  in_memory.mode = ExecutionMode::kInMemory;
-  Sampler reference(g, setup, in_memory);
-  const RunResult ref = reference.run_single_seed(seeds);
-  ASSERT_GT(ref.sampled_edges(), 0u);
-  EXPECT_EQ(ref.mode, ExecutionMode::kInMemory);
-  EXPECT_EQ(ref.device_seconds.size(), 1u);
-  EXPECT_FALSE(ref.oom.has_value());
-
-  {
-    Sampler sampler(g, setup);  // kAuto; the stand-in fits 16 GB
-    EXPECT_EQ(sampler.decision().resolved, ExecutionMode::kInMemory);
-    const RunResult run = sampler.run_single_seed(seeds);
-    expect_same_samples(run.samples, ref.samples, "auto");
-  }
-  {
-    SamplerOptions options;
-    options.mode = ExecutionMode::kOutOfMemory;
-    Sampler sampler(g, setup, options);
-    const RunResult run = sampler.run_single_seed(seeds);
-    expect_same_samples(run.samples, ref.samples, "out-of-memory");
-    ASSERT_TRUE(run.oom.has_value());
-    EXPECT_GT(run.oom->partition_transfers, 0u);
-  }
-  {
-    SamplerOptions options;
-    options.mode = ExecutionMode::kMultiDevice;
-    options.num_devices = 2;
-    Sampler sampler(g, setup, options);
-    const RunResult run = sampler.run_single_seed(seeds);
-    expect_same_samples(run.samples, ref.samples, "multi-device");
-    EXPECT_EQ(run.device_seconds.size(), 2u);
-  }
+  expect_matrix(paths_where([](const Path& path) {
+                  return path.front == Front::kSampler;
+                }),
+                g, {AlgorithmId::kBiasedRandomWalk, 10}, spread_seeds(g, 40),
+                gapped_tags(40));
+  // kAuto on a graph that fits the default device stays in memory.
+  EXPECT_EQ(Sampler(g, biased_random_walk(10)).decision().resolved,
+            ExecutionMode::kInMemory);
 }
 
 TEST(Sampler, AutoPagesWhenGraphExceedsBudget) {
@@ -181,24 +155,13 @@ TEST(Sampler, RunBatchesMatchesAcrossBackends) {
   const CsrGraph g = generate_rmat(1024, 8192, 78);
   const auto setup = biased_random_walk(6);
   const auto seeds = spread_seeds(g, 20);
-
-  SamplerOptions in_memory;
-  in_memory.mode = ExecutionMode::kInMemory;
-  const RunResult ref = Sampler(g, setup, in_memory).run_single_seed(seeds);
-
-  SamplerOptions oom;
-  oom.mode = ExecutionMode::kOutOfMemory;
-  const RunResult batched_oom =
-      Sampler(g, setup, oom).run_batches_single_seed(seeds, 6);
-  expect_same_samples(batched_oom.samples, ref.samples, "batched-oom");
-  ASSERT_TRUE(batched_oom.oom.has_value());
-
-  SamplerOptions multi;
-  multi.mode = ExecutionMode::kMultiDevice;
-  multi.num_devices = 2;
-  const RunResult batched_multi =
-      Sampler(g, setup, multi).run_batches_single_seed(seeds, 6);
-  expect_same_samples(batched_multi.samples, ref.samples, "batched-multi");
+  const RunResult ref = Sampler(g, setup).run_single_seed(seeds);
+  for (const Path& path : sampler_paths()) {
+    const RunResult batched =
+        Sampler(g, setup, path.options).run_batches_single_seed(seeds, 6);
+    expect_same_samples(batched.samples, ref.samples, path.label());
+    EXPECT_EQ(batched.oom.has_value(), path.pages()) << path.label();
+  }
 }
 
 TEST(Sampler, RegistryConstructorRuns) {
@@ -231,22 +194,15 @@ TEST(Sampler, TaggedRunMatchesOffsetRunsPerRange) {
   // run_tagged is the service tier's coalescing primitive: one engine run
   // whose instances carry explicit global ids. A coalesced run over two
   // id ranges must reproduce, byte for byte, the two offset runs that
-  // would have served each range alone — in every execution mode.
+  // would have served each range alone — on every Sampler path.
   const CsrGraph g = generate_rmat(1024, 8192, 82);
   const auto setup = biased_random_walk(8);
   const auto seeds_a = spread_seeds(g, 6);
   const auto seeds_b = spread_seeds(g, 9);
 
-  for (const ExecutionMode mode :
-       {ExecutionMode::kInMemory, ExecutionMode::kOutOfMemory,
-        ExecutionMode::kMultiDevice, ExecutionMode::kAuto}) {
-    SamplerOptions options;
-    options.mode = mode;
-    if (mode == ExecutionMode::kMultiDevice) options.num_devices = 2;
-    if (mode == ExecutionMode::kOutOfMemory) {
-      options.memory_assumption = MemoryAssumption::kExceeds;
-    }
-    const std::string label = to_string(mode);
+  for (const Path& path : sampler_paths()) {
+    const SamplerOptions& options = path.options;
+    const std::string label = path.label();
 
     SamplerOptions solo_a = options;
     solo_a.instance_id_offset = 40;
@@ -298,10 +254,7 @@ TEST(Sampler, TaggedRunRejectsMalformedTags) {
   // Multi-device dispatch splits the tag span per group; a duplicate
   // straddling the group boundary must still be rejected up front (each
   // single-instance subspan would pass a per-engine check).
-  SamplerOptions multi;
-  multi.mode = ExecutionMode::kMultiDevice;
-  multi.num_devices = 2;
-  Sampler split(g, setup, multi);
+  Sampler split(g, setup, find_path("multi-device/pipelined").options);
   const std::vector<std::vector<VertexId>> two_seeds = {{0}, {1}};
   const std::vector<std::uint32_t> straddling = {3, 3};
   EXPECT_THROW(split.run_tagged(two_seeds, straddling), CheckError);
@@ -310,32 +263,26 @@ TEST(Sampler, TaggedRunRejectsMalformedTags) {
 TEST(Sampler, RejectsOutOfRangeSeedsBeforeRunning) {
   // Instance setup indexes the visited bitmap by seed, so a seed past the
   // last vertex must be rejected before it, naming the seed, by both
-  // engines in either schedule.
+  // engines on every Sampler path.
   const CsrGraph g = generate_rmat(512, 4096, 83);
   const auto setup = biased_neighbor_sampling(2, 2);
   const VertexId bad = g.num_vertices() + 70;
   const std::vector<VertexId> seeds = {0, bad};
-  for (const ExecutionMode mode :
-       {ExecutionMode::kInMemory, ExecutionMode::kOutOfMemory}) {
-    for (const Schedule schedule :
-         {Schedule::kPipelined, Schedule::kStepBarrier}) {
-      SamplerOptions options;
-      options.mode = mode;
-      options.schedule = schedule;
-      Sampler sampler(g, setup, options);
-      try {
-        sampler.run_single_seed(seeds);
-        ADD_FAILURE() << "seed " << bad << " was accepted";
-      } catch (const CheckError& e) {
-        EXPECT_NE(std::string(e.what()).find("seed " + std::to_string(bad)),
-                  std::string::npos)
-            << e.what();
-      }
-      // The sampler stays usable for valid seeds.
-      EXPECT_GT(sampler.run_single_seed(std::vector<VertexId>{0, 1})
-                    .sampled_edges(),
-                0u);
+  for (const Path& path : sampler_paths()) {
+    Sampler sampler(g, setup, path.options);
+    try {
+      sampler.run_single_seed(seeds);
+      ADD_FAILURE() << path.label() << ": seed " << bad << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("seed " + std::to_string(bad)),
+                std::string::npos)
+          << path.label() << ": " << e.what();
     }
+    // The sampler stays usable for valid seeds.
+    EXPECT_GT(
+        sampler.run_single_seed(std::vector<VertexId>{0, 1}).sampled_edges(),
+        0u)
+        << path.label();
   }
 }
 
@@ -379,8 +326,8 @@ std::string trace_arg(const telemetry::TraceEvent& event,
 
 TEST(Sampler, TracedRunStampsItsBatchOnEveryChainSpan) {
   // RunControl::trace lasts for one run_tagged call: every chain span of
-  // the run carries its trace_batch and an instance tag of the run, in
-  // every execution mode (multi-device groups share the recorder), and a
+  // the run carries its trace_batch and an instance tag of the run, on
+  // every Sampler path (multi-device groups share the recorder), and a
   // later untraced run on the same Sampler records nothing.
   const CsrGraph g = generate_rmat(1024, 8192, 85);
   const auto setup = biased_random_walk(8);
@@ -396,14 +343,9 @@ TEST(Sampler, TracedRunStampsItsBatchOnEveryChainSpan) {
     return names;
   }();
 
-  for (const ExecutionMode mode :
-       {ExecutionMode::kInMemory, ExecutionMode::kOutOfMemory,
-        ExecutionMode::kMultiDevice}) {
-    const std::string label = to_string(mode);
-    SamplerOptions options;
-    options.mode = mode;
-    if (mode == ExecutionMode::kMultiDevice) options.num_devices = 2;
-    Sampler sampler(g, setup, options);
+  for (const Path& path : sampler_paths()) {
+    const std::string label = path.label();
+    Sampler sampler(g, setup, path.options);
 
     telemetry::TraceRecorder trace;
     RunControl control;

@@ -29,9 +29,15 @@
 #include "service/service.hpp"
 #include "shard/router.hpp"
 #include "util/stats.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_same_run;
+using testing::gapped_tags;
+using testing::shard_options;
+using testing::spread_seeds;
 
 /// With-replacement walks whose EDGEBIAS is static or absent.
 constexpr AlgorithmId kStaticWalks[] = {
@@ -70,35 +76,6 @@ std::vector<std::vector<VertexId>> make_seeds(const CsrGraph& graph,
     }
   }
   return seeds;
-}
-
-/// Gapped, strictly increasing tags (the layout service batches produce).
-std::vector<std::uint32_t> make_tags(std::uint32_t n) {
-  std::vector<std::uint32_t> tags;
-  for (std::uint32_t i = 0, tag = 5; i < n; ++i, tag += 1 + i % 3) {
-    tags.push_back(tag);
-  }
-  return tags;
-}
-
-void expect_same_run(const RunResult& got, const RunResult& want,
-                     const std::string& label) {
-  ASSERT_EQ(got.samples.num_instances(), want.samples.num_instances())
-      << label;
-  for (std::uint32_t i = 0; i < got.samples.num_instances(); ++i) {
-    ASSERT_EQ(got.samples.edges(i), want.samples.edges(i))
-        << label << ", instance " << i;
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> got_stats;
-  std::vector<std::pair<std::string, std::uint64_t>> want_stats;
-  visit_kernel_stats(got.stats, [&](const char* name, std::uint64_t value) {
-    got_stats.emplace_back(name, value);
-  });
-  visit_kernel_stats(want.stats, [&](const char* name, std::uint64_t value) {
-    want_stats.emplace_back(name, value);
-  });
-  EXPECT_EQ(got_stats, want_stats) << label;
-  EXPECT_EQ(got.sim_seconds, want.sim_seconds) << label;
 }
 
 SamplerOptions sampler_options(ExecutionMode mode, Schedule schedule) {
@@ -181,7 +158,7 @@ TEST(StaticCtpsEquivalence, SamplerPathsMatchThePerStepBuild) {
   const CsrGraph graph = test_graph();
   const CsrGraphView view(graph);
   constexpr std::uint32_t kInstances = 24;
-  const std::vector<std::uint32_t> tags = make_tags(kInstances);
+  const std::vector<std::uint32_t> tags = gapped_tags(kInstances, 5, 3);
   for (const AlgorithmId id : kStaticWalks) {
     const AlgorithmSetup setup = make_algorithm(id, /*length=*/12);
     const StaticCtpsRows* table =
@@ -223,14 +200,14 @@ TEST(StaticCtpsEquivalence, SamplerPathsMatchThePerStepBuild) {
 TEST(StaticCtpsEquivalence, ShardRouterMatchesThePerStepBuild) {
   const CsrGraph graph = test_graph();
   constexpr std::uint32_t kInstances = 24;
-  const std::vector<std::uint32_t> tags = make_tags(kInstances);
+  const std::vector<std::uint32_t> tags = gapped_tags(kInstances, 5, 3);
   for (const AlgorithmId id : kStaticWalks) {
     const AlgorithmSetup setup = make_algorithm(id, /*length=*/12);
     if (!setup.spec.walk_shaped()) continue;  // MDRW
     const auto seeds = make_seeds(graph, id, kInstances);
     SamplerOptions options;
     options.num_threads = 2;
-    const ShardOptions shard{.shards = 3};
+    const ShardOptions shard = shard_options(3);
     ShardRouter rows(graph, setup, options, shard);
     ShardRouter per_step(graph, as_dynamic(setup), options, shard);
     const RunResult want = per_step.run_tagged(seeds, tags);
@@ -487,7 +464,7 @@ TEST(StaticCtpsLaw, BiasedWalkStepOutOfAHubFollowsWeightTimesDegree) {
   EXPECT_LT(hub_step_chi_square(graph, paged.run_single_seed(hub)),
             kCritical);
 
-  ShardRouter sharded(graph, setup, SamplerOptions{}, {.shards = 4});
+  ShardRouter sharded(graph, setup, SamplerOptions{}, shard_options(4));
   EXPECT_LT(hub_step_chi_square(graph, sharded.run_tagged(seeds, tags)),
             kCritical);
 }
@@ -508,15 +485,6 @@ AlgorithmSetup counted_walk(std::uint32_t length) {
   return setup;
 }
 
-std::vector<VertexId> spread(const CsrGraph& graph, std::uint32_t n,
-                             std::uint32_t offset) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = (i * 53 + offset) % graph.num_vertices();
-  }
-  return seeds;
-}
-
 /// Every vertex has a row, so walks never evaluate the bias per step.
 CsrGraph dense_graph() { return make_complete(48); }
 
@@ -529,7 +497,7 @@ TEST(StaticCtpsConcurrency, FirstUseFromPoolWorkersBuildsOnce) {
     options.num_threads = 1;
     Sampler sampler(graph, counted_walk(16), options);
     const RunResult run = sampler.run_single_seed(
-        spread(graph, 8, static_cast<std::uint32_t>(item)));
+        spread_seeds(graph, 8, 53, static_cast<std::uint32_t>(item)));
     EXPECT_GT(run.sampled_edges(), 0u);
   });
   // Every edge's bias was evaluated by the one build and never again.
@@ -545,7 +513,7 @@ TEST(StaticCtpsConcurrency, TwoSamplersOnOneGraphBuildOnce) {
     options.num_threads = 2;
     options.schedule = schedule;
     Sampler sampler(graph, counted_walk(16), options);
-    return sampler.run_single_seed(spread(graph, 32, offset));
+    return sampler.run_single_seed(spread_seeds(graph, 32, 53, offset));
   };
   auto a = std::async(std::launch::async, run_sampler, 1,
                       Schedule::kPipelined);
@@ -571,7 +539,7 @@ TEST(StaticCtpsConcurrency, ConcurrentServiceBatchesBuildOnce) {
       for (std::uint32_t r = 0; r < 4; ++r) {
         const RunResult result = service.sample(SampleRequest::single_seeds(
             "g", AlgorithmId::kBiasedRandomWalk, /*length=*/12,
-            spread(*graph, 8, c * 4 + r)));
+            spread_seeds(*graph, 8, 53, c * 4 + r)));
         edges += result.sampled_edges();
       }
     });

@@ -12,25 +12,13 @@
 #include "algorithms/neighbor_sampling.hpp"
 #include "algorithms/random_walks.hpp"
 #include "graph/generators.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
-  }
-  return seeds;
-}
-
-void expect_same_samples(const SampleStore& a, const SampleStore& b,
-                         const std::string& label) {
-  ASSERT_EQ(a.num_instances(), b.num_instances()) << label;
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << label << ", instance " << i;
-  }
-}
+using testing::expect_same_samples;
+using testing::spread_seeds;
 
 RunResult run_on_devices(const CsrGraph& g, const AlgorithmSetup& setup,
                          const std::vector<VertexId>& seeds,

@@ -7,17 +7,12 @@
 #include "graph/generators.hpp"
 #include "oom/oom_engine.hpp"
 #include "../timeline_audit.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 53) % g.num_vertices());
-  }
-  return seeds;
-}
+using testing::spread_seeds;
 
 class GangSizes : public ::testing::TestWithParam<std::uint32_t> {};
 
@@ -26,7 +21,7 @@ TEST_P(GangSizes, SamplesAreIndependentOfGangSize) {
   // the counter-based RNG keys draws by instance, not schedule.
   const CsrGraph g = generate_rmat(512, 4096, 71);
   auto setup = biased_random_walk(8);
-  const auto seeds = spread_seeds(g, 48);
+  const auto seeds = spread_seeds(g, 48, 53);
 
   SamplerOptions batched;
   batched.schedule = Schedule::kStepBarrier;
@@ -52,7 +47,7 @@ TEST_P(GangSizes, SamplesAreIndependentOfGangSize) {
 TEST_P(GangSizes, TransfersScaleWithGangCount) {
   const CsrGraph g = generate_rmat(1024, 8192, 72);
   auto setup = biased_neighbor_sampling(2, 2);
-  const auto seeds = spread_seeds(g, 64);
+  const auto seeds = spread_seeds(g, 64, 53);
 
   auto transfers = [&](std::uint32_t gang_size, bool batched) {
     SamplerOptions c;
@@ -79,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GangSizes,
 TEST(OomGang, MetropolisHastingsBitIdenticalUnderGangScheduling) {
   const CsrGraph g = generate_rmat(512, 4096, 73);
   auto setup = metropolis_hastings_walk(12);
-  const auto seeds = spread_seeds(g, 24);
+  const auto seeds = spread_seeds(g, 24, 53);
 
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
@@ -102,7 +97,7 @@ TEST(OomGang, MetropolisHastingsBitIdenticalUnderGangScheduling) {
 TEST(OomGang, SimulatedTimeWorsensWithSmallGangs) {
   const CsrGraph g = generate_rmat(1024, 8192, 74);
   auto setup = unbiased_neighbor_sampling(2, 2);
-  const auto seeds = spread_seeds(g, 96);
+  const auto seeds = spread_seeds(g, 96, 53);
 
   auto seconds = [&](std::uint32_t gang_size) {
     SamplerOptions c;

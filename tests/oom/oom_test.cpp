@@ -18,17 +18,12 @@
 #include "util/check.hpp"
 #include "../kernel_digest.hpp"
 #include "../timeline_audit.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 97) % g.num_vertices());
-  }
-  return seeds;
-}
+using testing::spread_seeds;
 
 /// The schedule these tests ran on before they took SamplerOptions, whose
 /// defaults to kPipelined).
@@ -65,7 +60,7 @@ TEST_P(OomOptions, WalkMatchesInMemoryBitForBit) {
   // engine produces, whatever the schedule.
   const CsrGraph g = generate_rmat(1024, 8192, 51);
   auto setup = biased_random_walk(/*length=*/12);
-  const auto seeds = spread_seeds(g, 40);
+  const auto seeds = spread_seeds(g, 40, 97);
 
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
@@ -86,7 +81,7 @@ TEST_P(OomOptions, WalkMatchesInMemoryBitForBit) {
 TEST_P(OomOptions, MetropolisHastingsAlsoMatches) {
   const CsrGraph g = generate_rmat(512, 4096, 52);
   auto setup = metropolis_hastings_walk(10);
-  const auto seeds = spread_seeds(g, 16);
+  const auto seeds = spread_seeds(g, 16, 97);
 
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
@@ -104,7 +99,7 @@ TEST_P(OomOptions, MetropolisHastingsAlsoMatches) {
 TEST_P(OomOptions, NeighborSamplingInvariantsHold) {
   const CsrGraph g = generate_rmat(1024, 8192, 53);
   auto setup = biased_neighbor_sampling(2, 3);
-  const auto seeds = spread_seeds(g, 32);
+  const auto seeds = spread_seeds(g, 32, 97);
 
   OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device device;
@@ -198,7 +193,7 @@ TEST(Oom, BarrierTimelineIsPinned) {
       options.num_threads = threads;
       OomEngine oom(g, setup.policy, setup.spec, options);
       sim::Device device;
-      const RunResult run = oom.run_single_seed(device, spread_seeds(g, 40));
+      const RunResult run = oom.run_single_seed(device, spread_seeds(g, 40, 97));
       EXPECT_EQ(barrier_digest(device, run), c.digest)
           << c.spec << " BA=" << c.batched << " WS=" << c.workload_aware
           << " BAL=" << c.balancing << " gang=" << c.gang
@@ -250,7 +245,7 @@ TEST(Oom, WorkloadAwareSchedulingReducesTransfers) {
   // queue drains avoids re-transferring it every round.
   const CsrGraph g = generate_rmat(2048, 16384, 54);
   auto setup = biased_neighbor_sampling(2, 3);
-  const auto seeds = spread_seeds(g, 128);
+  const auto seeds = spread_seeds(g, 128, 97);
 
   auto run_with = [&](bool workload_aware) {
     SamplerOptions c = barrier_options();
@@ -270,7 +265,7 @@ TEST(Oom, BatchingChangesWorkDistributionNotLaunches) {
   // versus instance-grained (a warp per instance, entries serialized).
   const CsrGraph g = generate_rmat(1024, 8192, 55);
   auto setup = biased_neighbor_sampling(2, 3);
-  const auto seeds = spread_seeds(g, 64);
+  const auto seeds = spread_seeds(g, 64, 97);
 
   auto run_mode = [&](bool batched) {
     SamplerOptions c = barrier_options();
@@ -291,7 +286,7 @@ TEST(Oom, BatchingChangesWorkDistributionNotLaunches) {
 TEST(Oom, BatchingImprovesSimulatedTime) {
   const CsrGraph g = generate_rmat(1024, 8192, 56);
   auto setup = unbiased_neighbor_sampling(2, 3);
-  const auto seeds = spread_seeds(g, 96);
+  const auto seeds = spread_seeds(g, 96, 97);
 
   auto seconds = [&](bool batched) {
     SamplerOptions c = barrier_options();
@@ -352,7 +347,7 @@ TEST(Oom, ForestFireRunsWithBranchingCap) {
   auto setup = forest_fire(0.7, 2);
   OomEngine oom(g, setup.policy, setup.spec, barrier_options());
   sim::Device device;
-  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 32));
+  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 32, 97));
   EXPECT_GT(run.samples.total_edges(), 0u);
   for (std::uint32_t i = 0; i < 32; ++i) {
     for (const Edge& e : run.samples.edges(i)) {
@@ -377,7 +372,7 @@ TEST(Oom, CachedWindowsRunOnTheSmsTheirBlocksOccupy) {
   sim::Device device;
   // Each of 24 walkers is one block wide (CostModel::cooperative_widths),
   // so a window holds a block per chain it runs.
-  oom.run_single_seed(device, spread_seeds(g, 24));
+  oom.run_single_seed(device, spread_seeds(g, 24, 97));
 
   const double sm_count = device.cost_model().params().sm_count;
   const auto block_cap = [&](const sim::KernelRecord& k) {
@@ -422,7 +417,7 @@ TEST(Oom, CachedRoundsNeverOversubscribeTheSms) {
       c.schedule = Schedule::kPipelined;
       OomEngine oom(g, setup.policy, setup.spec, c);
       sim::Device device;
-      oom.run_single_seed(device, spread_seeds(g, 128));
+      oom.run_single_seed(device, spread_seeds(g, 128, 97));
       const double use = sim::check_timeline(device);
       EXPECT_LE(use, 1.0 + 1e-9) << "seed " << seed << ", " << resident
                                  << " of " << partitions << " resident";
@@ -445,12 +440,8 @@ TEST(Oom, FullyResidentHubWindowTakesTheSmsOthersFree) {
   c.resident_partitions = 4;
   c.schedule = Schedule::kPipelined;
   OomEngine oom(g, setup.policy, setup.spec, c);
-  std::vector<VertexId> seeds(256);
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
-  }
   sim::Device device;
-  const RunResult run = oom.run_single_seed(device, seeds);
+  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 256));
   EXPECT_EQ(run.oom->scheduling_rounds, 1u);
   EXPECT_LE(run.sim_seconds, 0.8e-3);
 }
@@ -460,7 +451,7 @@ TEST(Oom, TransfersAndMetricsPopulated) {
   auto setup = biased_neighbor_sampling(2, 2);
   OomEngine oom(g, setup.policy, setup.spec, barrier_options());
   sim::Device device;
-  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 64));
+  const RunResult run = oom.run_single_seed(device, spread_seeds(g, 64, 97));
 
   EXPECT_GT(run.oom->partition_transfers, 0u);
   EXPECT_GT(run.oom->bytes_transferred, 0u);

@@ -1,40 +1,40 @@
 // The cached OOM path's contract: the demand-driven partition cache of
 // the kPipelined schedule decides *when* bytes move, never *which* bytes
-// are sampled. Samples must be byte-identical to the kStepBarrier waves
-// at every cache capacity and host thread count, the simulated schedule
-// must not depend on the thread count, and the cache must actually earn
-// its keep — fewer transfers and better seps() than the barrier waves,
-// which re-transfer every chosen partition every round. Walk algorithms only: their sample bytes are order-independent
-// (counter-based RNG, no visited filtering), which is exactly the class
-// the byte-contract covers.
+// are sampled. On the paged paths of the matrix (tests/paths.hpp) at
+// eight partitions and capacities 1 (thrash), 4 and 8 (all resident),
+// walks return the oracle's bytes at every capacity, schedule and host
+// width, and the simulated schedule does not depend on the width. The
+// cache must also earn its keep — fewer transfers and better seps() than
+// the barrier waves, which re-transfer every chosen partition every
+// round. Walk algorithms only: branching specs on a paged backend are
+// the known difference of ROADMAP item 6.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "algorithms/node2vec.hpp"
 #include "algorithms/random_walks.hpp"
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "oom/oom_engine.hpp"
+#include "../paths.hpp"
 #include "../timeline_audit.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_matrix;
+using testing::Front;
+using testing::gapped_tags;
+using testing::Path;
+using testing::paths_where;
+using testing::spread_seeds;
 
 constexpr std::uint32_t kPartitions = 8;
 
 const CsrGraph& paged_graph() {
   static const CsrGraph g = generate_rmat(2048, 16384, 77);
   return g;
-}
-
-std::vector<VertexId> spread_seeds(std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 97) % paged_graph().num_vertices());
-  }
-  return seeds;
 }
 
 SamplerOptions paged_options(Schedule schedule, std::uint32_t capacity,
@@ -49,11 +49,6 @@ SamplerOptions paged_options(Schedule schedule, std::uint32_t capacity,
   return options;
 }
 
-/// The byte reference: the paper's barriered waves, serial host.
-SamplerOptions barrier_options() {
-  return paged_options(Schedule::kStepBarrier, 2, 1);
-}
-
 SamplerOptions cached_options(std::uint32_t capacity, std::uint32_t threads) {
   return paged_options(Schedule::kPipelined, capacity, threads);
 }
@@ -61,85 +56,37 @@ SamplerOptions cached_options(std::uint32_t capacity, std::uint32_t threads) {
 RunResult run_walk(const AlgorithmSetup& setup, const SamplerOptions& options,
                    std::uint32_t num_seeds = 48) {
   Sampler sampler(paged_graph(), setup, options);
-  return sampler.run_single_seed(spread_seeds(num_seeds));
+  return sampler.run_single_seed(spread_seeds(paged_graph(), num_seeds, 97));
 }
 
 void expect_same_samples(const RunResult& a, const RunResult& b,
                          const char* what) {
-  ASSERT_EQ(a.samples.num_instances(), b.samples.num_instances()) << what;
-  for (std::uint32_t i = 0; i < a.samples.num_instances(); ++i) {
-    EXPECT_EQ(a.samples.edges(i), b.samples.edges(i))
-        << what << ": instance " << i << " diverged";
-  }
+  testing::expect_same_samples(a.samples, b.samples, what);
 }
 
-class PagedCapacities : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(PagedCapacities, WalkBytesMatchBarrierAtEveryThreadCount) {
-  // One barrier-wave reference (serial), compared against the cached
-  // path at this capacity across host widths. The samples may not depend
-  // on residency schedule, eviction pressure (capacity 1 = thrash, 8 =
-  // everything resident) or thread count.
-  const auto setup = biased_random_walk(/*length=*/12);
-  const RunResult barrier = run_walk(setup, barrier_options());
-  ASSERT_TRUE(barrier.oom.has_value());
-
-  const std::uint32_t capacity = GetParam();
-  double first_seconds = -1.0;
-  for (const std::uint32_t threads : {1u, 2u, 7u}) {
-    const RunResult cached =
-        run_walk(setup, cached_options(capacity, threads));
-    ASSERT_TRUE(cached.oom.has_value());
-    expect_same_samples(cached, barrier, "cached vs barrier");
-    // The simulated schedule is a pure function of the run, not of host
-    // parallelism: byte-equal timing across widths.
-    if (first_seconds < 0.0) {
-      first_seconds = cached.sim_seconds;
-    } else {
-      EXPECT_EQ(cached.sim_seconds, first_seconds)
-          << "thread count leaked into the simulated schedule at capacity "
-          << capacity << ", " << threads << " threads";
-    }
-  }
+/// The paged Sampler paths: both schedules at each capacity.
+std::vector<Path> paged_paths() {
+  return paths_where(
+      [](const Path& path) {
+        return path.front == Front::kSampler &&
+               path.options.mode == ExecutionMode::kOutOfMemory;
+      },
+      {kPartitions, {1, 4, kPartitions}, {}});
 }
 
-TEST_P(PagedCapacities, DynamicBiasWalkAlsoMatches) {
+TEST(PagedDeterminism, WalkBytesMatchTheOracleAtEveryCapacityAndWidth) {
+  // The samples may not depend on residency schedule, eviction pressure
+  // or thread count.
+  expect_matrix(paged_paths(), paged_graph(),
+                {AlgorithmId::kBiasedRandomWalk, 12},
+                spread_seeds(paged_graph(), 48, 97), gapped_tags(48));
+}
+
+TEST(PagedDeterminism, DynamicBiasWalkAlsoMatches) {
   // node2vec's bias depends on the previous step (kDynamic), the hardest
   // case for residency reordering: the cache must still be invisible.
-  const auto setup = node2vec(/*length=*/10, /*p=*/2.0, /*q=*/0.5);
-  const RunResult barrier = run_walk(setup, barrier_options(), 24);
-  const RunResult cached = run_walk(setup, cached_options(GetParam(), 2), 24);
-  expect_same_samples(cached, barrier, "node2vec cached vs barrier");
-}
-
-INSTANTIATE_TEST_SUITE_P(Capacities, PagedCapacities,
-                         ::testing::Values(1u, 4u, kPartitions),
-                         [](const auto& info) {
-                           return "Capacity" + std::to_string(info.param);
-                         });
-
-TEST(PagedDeterminism, TaggedRunsMatchSoloOffsets) {
-  // The service-tier entry point: instance i tagged with global id t must
-  // produce, through the cache, the bytes a solo barrier run would have
-  // produced at instance_id_offset t.
-  const auto setup = biased_random_walk(/*length=*/12);
-  const auto seeds = spread_seeds(8);
-  std::vector<std::vector<VertexId>> seed_lists;
-  for (const VertexId s : seeds) seed_lists.push_back({s});
-  const std::vector<std::uint32_t> tags = {3, 10, 11, 40, 41, 42, 90, 200};
-
-  Sampler cached(paged_graph(), setup, cached_options(4, 2));
-  const RunResult tagged = cached.run_tagged(seed_lists, tags);
-
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    SamplerOptions solo_options = barrier_options();
-    solo_options.instance_id_offset = tags[i];
-    Sampler solo(paged_graph(), setup, solo_options);
-    const RunResult reference = solo.run_single_seed({&seeds[i], 1});
-    EXPECT_EQ(tagged.samples.edges(static_cast<std::uint32_t>(i)),
-              reference.samples.edges(0))
-        << "tag " << tags[i];
-  }
+  expect_matrix(paged_paths(), paged_graph(), {AlgorithmId::kNode2vec, 10},
+                spread_seeds(paged_graph(), 24, 97), gapped_tags(24));
 }
 
 TEST(PagedDeterminism, CacheEarnsItsTransfers) {
@@ -224,10 +171,7 @@ TEST(PagedDeterminism, WarmFillFinishesAWalkerInOneRound) {
   options.schedule = Schedule::kPipelined;
   OomEngine engine(g, setup.policy, setup.spec, options, parts);
   engine.set_cache(cache);
-  std::vector<VertexId> warm(64);
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    warm[i] = static_cast<VertexId>((i * 97) % g.num_vertices());
-  }
+  const std::vector<VertexId> warm = spread_seeds(g, 64, 97);
   {
     sim::Device device;
     engine.run_single_seed(device, warm);
@@ -275,13 +219,14 @@ TEST(PagedDeterminism, BatchedServingStaysWarmAcrossChunks) {
   // than chunk-count times the partition set — and the bytes still match
   // one big barrier run.
   const auto setup = biased_random_walk(/*length=*/12);
-  const auto seeds = spread_seeds(48);
+  const auto seeds = spread_seeds(paged_graph(), 48, 97);
 
   Sampler cached(paged_graph(), setup, cached_options(kPartitions, 2));
   const RunResult chunked = cached.run_batches_single_seed(seeds, 12);
   ASSERT_TRUE(chunked.oom.has_value());
 
-  const RunResult barrier = run_walk(setup, barrier_options());
+  const RunResult barrier =
+      run_walk(setup, paged_options(Schedule::kStepBarrier, 2, 1));
   expect_same_samples(chunked, barrier, "chunked cached vs whole barrier");
 
   // With every partition fitting, only the first chunk's demand loads

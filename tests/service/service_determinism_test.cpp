@@ -1,235 +1,66 @@
 // The service's headline guarantee: a request's samples are byte-identical
-// whether it ran alone or coalesced into any batch, across all four
-// execution modes and at any host thread count. Each instance draws from
-// the Philox stream addressed by its request's rng_base — carried through
+// whether it ran alone or coalesced into any batch, on every engine
+// backend and at any host thread count. Each instance draws from the
+// Philox stream addressed by its request's rng_base — carried through
 // the engines as an explicit per-instance tag — so neither batch
-// composition nor the executing schedule can reach the bytes. The solo
-// reference is a plain csaw::Sampler run at the same offset, which also
-// proves the service adds nothing to the facade's own contract.
+// composition, a concurrent batch on the shared pool, nor the executing
+// schedule can reach the bytes. The buffered service paths of the matrix
+// (tests/paths.hpp) are held to the in-memory oracle, which also proves
+// the service adds nothing to the facade's own contract: solo, each run
+// of adjacent tags is one request served alone; coalesced, the runs are
+// cut into requests of 1, 2 and 3 instances, queued out of order into one
+// batch beside a busy batch on another graph.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/sampler.hpp"
 #include "graph/generators.hpp"
-#include "service/service.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
-constexpr std::uint32_t kWidths[] = {1, 2, 7};
-constexpr std::uint32_t kWalkLength = 8;
+using testing::expect_matrix;
+using testing::Front;
+using testing::gapped_tags;
+using testing::Path;
+using testing::paths_where;
+using testing::spread_seeds;
+
 constexpr std::uint32_t kInstances = 10;
-constexpr std::uint32_t kBase = 64;  // the probed request's stream range
 
-const std::shared_ptr<const CsrGraph>& shared_graph() {
-  static const auto g =
-      std::make_shared<const CsrGraph>(generate_rmat(1024, 8192, 93));
+const CsrGraph& test_graph() {
+  static const CsrGraph g = generate_rmat(1024, 8192, 93);
   return g;
 }
 
-/// Independent graph for the concurrent-batch scenario: its batch may
-/// execute simultaneously with the probe's on the shared pool.
-const std::shared_ptr<const CsrGraph>& other_graph() {
-  static const auto g =
-      std::make_shared<const CsrGraph>(generate_rmat(1024, 8192, 94));
-  return g;
+std::vector<Path> buffered_service_paths() {
+  return paths_where([](const Path& path) {
+    return path.front == Front::kService && !path.streamed;
+  });
 }
 
-std::vector<VertexId> spread_seeds(std::uint32_t n, std::uint32_t stride) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] =
-        static_cast<VertexId>((i * stride) % shared_graph()->num_vertices());
-  }
-  return seeds;
+TEST(ServiceDeterminism, OneRequestMatchesTheOracleSoloOrCoalesced) {
+  // Adjacent tags from 64: solo, the whole run is one request.
+  expect_matrix(buffered_service_paths(), test_graph(),
+                {AlgorithmId::kBiasedRandomWalk, 8},
+                spread_seeds(test_graph(), kInstances),
+                gapped_tags(kInstances, 64, /*cycle=*/1));
 }
 
-SamplerOptions mode_options(ExecutionMode mode, std::uint32_t width) {
-  SamplerOptions options;
-  options.mode = mode;
-  options.num_threads = width;
-  if (mode == ExecutionMode::kMultiDevice) options.num_devices = 2;
-  if (mode == ExecutionMode::kOutOfMemory) {
-    options.memory_assumption = MemoryAssumption::kExceeds;
-  }
-  return options;
+TEST(ServiceDeterminism, GappedRequestsMatchTheOracle) {
+  expect_matrix(buffered_service_paths(), test_graph(),
+                {AlgorithmId::kBiasedRandomWalk, 8},
+                spread_seeds(test_graph(), kInstances, 37),
+                gapped_tags(kInstances));
 }
 
-SampleRequest probe_request() {
-  SampleRequest request = SampleRequest::single_seeds(
-      "g", AlgorithmId::kBiasedRandomWalk, kWalkLength,
-      spread_seeds(kInstances, 131));
-  request.rng_base = kBase;
-  return request;
-}
-
-/// A compatible decoy whose stream range [base, base+n) stays clear of
-/// the probe's.
-SampleRequest decoy_request(std::uint32_t base, std::uint32_t n,
-                            std::uint32_t stride) {
-  SampleRequest request = SampleRequest::single_seeds(
-      "g", AlgorithmId::kBiasedRandomWalk, kWalkLength,
-      spread_seeds(n, stride));
-  request.rng_base = base;
-  return request;
-}
-
-void expect_same_samples(const SampleStore& a, const SampleStore& b,
-                         const std::string& label) {
-  ASSERT_EQ(a.num_instances(), b.num_instances()) << label;
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << label << ", instance " << i;
-  }
-}
-
-void expect_solo_coalesced_equivalence(ExecutionMode mode) {
-  // The facade reference: the probe's exact bytes, straight through
-  // csaw::Sampler at the probe's stream offset, serial host.
-  SamplerOptions reference_options = mode_options(mode, /*width=*/1);
-  reference_options.instance_id_offset = kBase;
-  Sampler reference(*shared_graph(),
-                    make_algorithm(AlgorithmId::kBiasedRandomWalk,
-                                   kWalkLength),
-                    reference_options);
-  const RunResult expected =
-      reference.run_single_seed(spread_seeds(kInstances, 131));
-  ASSERT_GT(expected.sampled_edges(), 0u);
-
-  for (const std::uint32_t width : kWidths) {
-    const std::string label =
-        to_string(mode) + " @ " + std::to_string(width) + " threads";
-
-    // Solo: the probe is the only request the service ever sees.
-    {
-      ServiceConfig config;
-      config.options = mode_options(mode, width);
-      config.start_paused = true;
-      Service service(config);
-      service.add_graph("g", shared_graph());
-      Submission probe = service.submit(probe_request());
-      ASSERT_TRUE(probe.accepted()) << label;
-      service.resume();
-      const RunResult solo = probe.result.get();
-      expect_same_samples(solo.samples, expected.samples, label + ", solo");
-      EXPECT_EQ(service.stats().batches, 1u) << label;
-    }
-
-    // Coalesced: the probe shares its batch with decoys on both sides of
-    // its stream range, queued in an order that interleaves them.
-    {
-      ServiceConfig config;
-      config.options = mode_options(mode, width);
-      config.start_paused = true;
-      Service service(config);
-      service.add_graph("g", shared_graph());
-      Submission low = service.submit(decoy_request(0, 7, 37));
-      Submission probe = service.submit(probe_request());
-      Submission high = service.submit(decoy_request(200, 5, 211));
-      ASSERT_TRUE(low.accepted() && probe.accepted() && high.accepted())
-          << label;
-      service.resume();
-      service.drain();
-
-      const RunResult coalesced = probe.result.get();
-      expect_same_samples(coalesced.samples, expected.samples,
-                          label + ", coalesced");
-      // All three really shared one engine run — otherwise this test
-      // proves nothing.
-      const ServiceStats stats = service.stats();
-      EXPECT_EQ(stats.batches, 1u) << label;
-      EXPECT_EQ(stats.coalesced_requests, 3u) << label;
-
-      // The decoys are requests of their own and get their own streams'
-      // bytes back: the equivalence is per request, not just for the
-      // probed one.
-      SamplerOptions low_options = mode_options(mode, /*width=*/1);
-      low_options.instance_id_offset = 0;
-      Sampler low_reference(*shared_graph(),
-                            make_algorithm(AlgorithmId::kBiasedRandomWalk,
-                                           kWalkLength),
-                            low_options);
-      const RunResult low_expected =
-          low_reference.run_single_seed(spread_seeds(7, 37));
-      expect_same_samples(low.result.get().samples, low_expected.samples,
-                          label + ", low decoy");
-    }
-
-    // Concurrent: the probe's batch shares the pool with a simultaneous
-    // independent-graph batch from another tenant — two engine runs,
-    // two batch-runner threads, one executor. The scheduler may overlap
-    // them in any way; the probe's bytes must not care.
-    {
-      ServiceConfig config;
-      config.options = mode_options(mode, width);
-      config.max_concurrent_batches = 2;
-      config.start_paused = true;
-      Service service(config);
-      service.add_graph("g", shared_graph());
-      service.add_graph("other", other_graph());
-      SampleRequest neighbor = SampleRequest::single_seeds(
-          "other", AlgorithmId::kBiasedRandomWalk, 4 * kWalkLength,
-          spread_seeds(24, 59));
-      neighbor.tenant = "other-tenant";
-      Submission busy = service.submit(std::move(neighbor));
-      Submission probe = service.submit(probe_request());
-      ASSERT_TRUE(busy.accepted() && probe.accepted()) << label;
-      service.resume();
-      service.drain();
-
-      expect_same_samples(probe.result.get().samples, expected.samples,
-                          label + ", concurrent");
-      ASSERT_GT(busy.result.get().sampled_edges(), 0u) << label;
-      const ServiceStats stats = service.stats();
-      EXPECT_EQ(stats.batches, 2u) << label;  // distinct graphs: no merge
-    }
-  }
-}
-
-TEST(ServiceDeterminism, InMemory) {
-  expect_solo_coalesced_equivalence(ExecutionMode::kInMemory);
-}
-
-TEST(ServiceDeterminism, OutOfMemory) {
-  expect_solo_coalesced_equivalence(ExecutionMode::kOutOfMemory);
-}
-
-TEST(ServiceDeterminism, MultiDevice) {
-  expect_solo_coalesced_equivalence(ExecutionMode::kMultiDevice);
-}
-
-TEST(ServiceDeterminism, Auto) {
-  expect_solo_coalesced_equivalence(ExecutionMode::kAuto);
-}
-
-TEST(ServiceDeterminism, BatchCompositionIsInvisible) {
-  // Same probe, three different batch shapes (alone, one neighbor, many
-  // neighbors of varying size): one set of bytes.
-  const SamplerOptions options = mode_options(ExecutionMode::kAuto, 2);
-  std::vector<SampleStore> runs;
-  for (const std::uint32_t decoys : {0u, 1u, 4u}) {
-    ServiceConfig config;
-    config.options = options;
-    config.start_paused = true;
-    Service service(config);
-    service.add_graph("g", shared_graph());
-    Submission probe = service.submit(probe_request());
-    std::vector<Submission> extra;
-    for (std::uint32_t d = 0; d < decoys; ++d) {
-      extra.push_back(
-          service.submit(decoy_request(200 + 16 * d, 3 + d, 17 + d)));
-    }
-    service.resume();
-    service.drain();
-    runs.push_back(probe.result.get().samples);
-    for (Submission& s : extra) s.result.get();
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    expect_same_samples(runs[r], runs[0],
-                        "batch shape " + std::to_string(r));
-  }
+TEST(ServiceDeterminism, NeighborSamplingMatchesTheOracle) {
+  // Off the paged backends, branching requests keep the contract too.
+  expect_matrix(buffered_service_paths(), test_graph(),
+                {AlgorithmId::kBiasedNeighborSampling, 2, 3},
+                spread_seeds(test_graph(), kInstances),
+                gapped_tags(kInstances));
 }
 
 }  // namespace

@@ -21,9 +21,12 @@
 #include "oom/partitioned_graph.hpp"
 #include "telemetry/trace.hpp"
 #include "util/fault_injector.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_same_samples;
 
 constexpr std::uint32_t kWalkLength = 8;
 constexpr std::uint32_t kBase = 64;
@@ -70,13 +73,6 @@ RunResult run_one(Service& service, SampleRequest request) {
   return submission.result.get();
 }
 
-void expect_same_samples(const SampleStore& a, const SampleStore& b) {
-  ASSERT_EQ(a.num_instances(), b.num_instances());
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << "instance " << i;
-  }
-}
-
 TEST(ServiceFault, RetriedFaultsAreByteInvisible) {
   // Acceptance contract 1: partition 0 fails its first two copy attempts
   // and the default 3-attempt budget absorbs them — the batch's samples
@@ -96,7 +92,7 @@ TEST(ServiceFault, RetriedFaultsAreByteInvisible) {
   service.add_graph("g", paged_graph());
   const RunResult run = run_one(service, walk_request());
 
-  expect_same_samples(run.samples, ref.samples);
+  expect_same_samples(run.samples, ref.samples, "retried");
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
@@ -199,7 +195,7 @@ TEST(ServiceFault, ExhaustedRetryFailsOnlyThatBatch) {
   // The scripted site was consumed by the failure: the same request
   // succeeds on the next batch, and its bytes match the fault-free run.
   const RunResult retry = run_one(service, walk_request());
-  expect_same_samples(retry.samples, ref.samples);
+  expect_same_samples(retry.samples, ref.samples, "retry");
   stats = service.stats();
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 2u);

@@ -19,9 +19,13 @@
 #include "graph/generators.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "../timeline_audit.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_same_samples;
+using testing::spread_seeds;
 
 constexpr std::uint32_t kWalkLength = 8;
 constexpr std::uint32_t kBase = 64;
@@ -40,12 +44,8 @@ const std::shared_ptr<const CsrGraph>& graph_b() {
 
 SampleRequest walk_request(const std::string& graph, const CsrGraph& g,
                            std::uint32_t n = 12) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
-  }
   SampleRequest request = SampleRequest::single_seeds(
-      graph, AlgorithmId::kBiasedRandomWalk, kWalkLength, seeds);
+      graph, AlgorithmId::kBiasedRandomWalk, kWalkLength, spread_seeds(g, n));
   request.rng_base = kBase;
   return request;
 }
@@ -62,13 +62,6 @@ RunResult run_one(Service& service, SampleRequest request) {
   EXPECT_TRUE(submission.accepted());
   service.drain();
   return submission.result.get();
-}
-
-void expect_same_samples(const SampleStore& a, const SampleStore& b) {
-  ASSERT_EQ(a.num_instances(), b.num_instances());
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << "instance " << i;
-  }
 }
 
 TEST(ServicePaged, CacheStaysWarmAcrossBatches) {
@@ -102,7 +95,7 @@ TEST(ServicePaged, CacheStaysWarmAcrossBatches) {
   const ServiceStats after_second = service.stats();
   EXPECT_EQ(after_second.paged_batches, 2u);
   EXPECT_GT(after_second.oom.cache_hits, after_first.oom.cache_hits);
-  expect_same_samples(first.samples, second.samples);
+  expect_same_samples(first.samples, second.samples, "warm");
 }
 
 TEST(ServicePaged, BudgetIsSlicedAcrossRegisteredPagedGraphs) {
@@ -164,7 +157,7 @@ TEST(ServicePaged, BarrierScheduleIsColdAndByteIdentical) {
   Service warm(paged_config());
   warm.add_graph("g", graph_a());
   const RunResult cached = run_one(warm, walk_request("g", *graph_a()));
-  expect_same_samples(cached.samples, uncached.samples);
+  expect_same_samples(cached.samples, uncached.samples, "barrier");
 }
 
 }  // namespace

@@ -19,9 +19,12 @@
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::spread_seeds;
 
 using namespace std::chrono_literals;
 
@@ -35,15 +38,6 @@ const std::shared_ptr<const CsrGraph>& graph_b() {
   static const auto g =
       std::make_shared<const CsrGraph>(generate_rmat(1024, 8192, 98));
   return g;
-}
-
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n,
-                                   std::uint32_t stride = 131) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * stride) % g.num_vertices());
-  }
-  return seeds;
 }
 
 SampleRequest walk_request(const std::string& graph, std::uint32_t instances,
@@ -258,7 +252,9 @@ TEST(ServiceScheduler, TenantQuotaBoundsAFloodingTenant) {
       EXPECT_EQ(tenant.completed, 2u);
       EXPECT_LE(tenant.peak_inflight_instances, 4u);  // the quota held
     }
-    if (tenant.tenant == "quiet") EXPECT_EQ(tenant.completed, 1u);
+    if (tenant.tenant == "quiet") {
+      EXPECT_EQ(tenant.completed, 1u);
+    }
   }
 }
 

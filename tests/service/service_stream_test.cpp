@@ -1,12 +1,12 @@
 // The streaming delivery contract (Service::submit_streaming): the
 // concatenation of a stream's chunks, ordered by request-local instance
 // index, is byte-identical to the buffered RunResult of the same request
-// — across execution modes (in-memory, barrier-wave paged, demand-cache
-// paged, multi-device), host widths 1/2/7 and consumer speeds; a slow consumer's
-// in-flight chunks never exceed ServiceConfig::stream_chunk_budget; and
-// cancellation / deadline expiry mid-stream deliver the already-completed
-// chunks before surfacing the PR 7 RequestOutcome taxonomy as a typed
-// RequestError. Abandoning a stream cancels the request's remaining
+// — on every streamed service path of the matrix (tests/paths.hpp: each
+// engine backend, solo or coalesced, host widths 1/2/7) and at any
+// consumer speed; a slow consumer's in-flight chunks never exceed
+// ServiceConfig::stream_chunk_budget; and cancellation / deadline expiry
+// mid-stream deliver the already-completed chunks before surfacing the
+// PR 7 RequestOutcome taxonomy as a typed RequestError. Abandoning a stream cancels the request's remaining
 // instances instead of parking the batch forever.
 #include "service/service.hpp"
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
@@ -27,7 +28,13 @@ namespace {
 constexpr std::uint32_t kWalkLength = 8;
 constexpr std::uint32_t kInstances = 12;
 constexpr std::uint32_t kBase = 64;
-constexpr std::uint32_t kWidths[] = {1, 2, 7};
+
+using testing::expect_matrix;
+using testing::Front;
+using testing::gapped_tags;
+using testing::Path;
+using testing::paths_where;
+using testing::spread_seeds;
 
 const std::shared_ptr<const CsrGraph>& shared_graph() {
   static const auto g =
@@ -35,19 +42,11 @@ const std::shared_ptr<const CsrGraph>& shared_graph() {
   return g;
 }
 
-std::vector<VertexId> spread_seeds(std::uint32_t n, std::uint32_t stride) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] =
-        static_cast<VertexId>((i * stride) % shared_graph()->num_vertices());
-  }
-  return seeds;
-}
-
 SampleRequest walk_request(std::uint32_t n = kInstances,
                            std::uint32_t length = kWalkLength) {
   SampleRequest request = SampleRequest::single_seeds(
-      "g", AlgorithmId::kBiasedRandomWalk, length, spread_seeds(n, 131));
+      "g", AlgorithmId::kBiasedRandomWalk, length,
+      spread_seeds(*shared_graph(), n));
   request.rng_base = kBase;
   return request;
 }
@@ -76,103 +75,22 @@ void expect_stream_equals_buffered(
   }
 }
 
-/// One buffered run and one streamed run of the identical request (same
-/// pinned Philox base) through one service; the streamed bytes must
-/// reassemble into the buffered ones exactly.
-void expect_streamed_equals_buffered(const ServiceConfig& base_config,
-                                     const std::string& label) {
-  for (const std::uint32_t width : kWidths) {
-    ServiceConfig config = base_config;
-    config.options.num_threads = width;
-    Service service(config);
-    service.add_graph("g", shared_graph());
-    const std::string case_label =
-        label + " @ " + std::to_string(width) + " threads";
-
-    Submission buffered = service.submit(walk_request());
-    ASSERT_TRUE(buffered.accepted()) << case_label;
-    const RunResult reference = buffered.result.get();
-    ASSERT_GT(reference.sampled_edges(), 0u) << case_label;
-
-    StreamSubmission streaming = service.submit_streaming(walk_request());
-    ASSERT_TRUE(streaming.accepted()) << case_label;
-    ASSERT_NE(streaming.stream, nullptr) << case_label;
-    EXPECT_EQ(streaming.rng_base, kBase) << case_label;
-    const auto rows = drain_stream(*streaming.stream);
-    expect_stream_equals_buffered(rows, reference.samples, case_label);
-    EXPECT_EQ(streaming.stream->outcome(), RequestOutcome::kOk) << case_label;
-    EXPECT_EQ(streaming.stream->delivered_chunks(), kInstances) << case_label;
-    EXPECT_EQ(streaming.stream->delivered_edges(),
-              reference.sampled_edges())
-        << case_label;
-
-    // Both runs retired cleanly and the streamed request booked its
-    // edges even though its rows were moved out mid-run.
-    service.drain();
-    const ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.completed, 2u) << case_label;
-    EXPECT_EQ(stats.failed, 0u) << case_label;
-    EXPECT_EQ(stats.sampled_edges, 2 * reference.sampled_edges())
-        << case_label;
+TEST(ServiceStream, StreamedPathsMatchTheOracle) {
+  // Every streamed service path of the matrix (tests/paths.hpp): the
+  // reassembled chunks are the oracle's bytes, each instance arrives
+  // once, the stream ends kOk with one chunk per instance, and the
+  // service books the streamed edges although their rows moved out
+  // mid-run. Adjacent tags make the solo run one request of twelve
+  // chunks; gapped tags make it several.
+  const auto paths = paths_where([](const Path& path) {
+    return path.front == Front::kService && path.streamed;
+  });
+  for (const std::uint32_t cycle : {1u, 5u}) {
+    expect_matrix(paths, *shared_graph(),
+                  {AlgorithmId::kBiasedRandomWalk, kWalkLength},
+                  spread_seeds(*shared_graph(), kInstances),
+                  gapped_tags(kInstances, kBase, cycle));
   }
-}
-
-TEST(ServiceStream, InMemoryMatchesBuffered) {
-  ServiceConfig config;  // small graph, kAuto: in-memory
-  expect_streamed_equals_buffered(config, "in-memory");
-}
-
-ServiceConfig paged_config(Schedule schedule) {
-  ServiceConfig config;
-  config.options.memory_assumption = MemoryAssumption::kExceeds;
-  config.options.schedule = schedule;
-  return config;
-}
-
-TEST(ServiceStream, BarrierPagedMatchesBuffered) {
-  expect_streamed_equals_buffered(paged_config(Schedule::kStepBarrier),
-                                  "paged/barrier");
-}
-
-TEST(ServiceStream, DemandCachePagedMatchesBuffered) {
-  expect_streamed_equals_buffered(paged_config(Schedule::kPipelined),
-                                  "paged/demand-cache");
-}
-
-TEST(ServiceStream, DemandCachePagedMatchesBarrierBytes) {
-  // The two paged schedules differ in when partitions move, never in the
-  // rows a request gets back.
-  const auto buffered = [](Schedule schedule) {
-    Service service(paged_config(schedule));
-    service.add_graph("g", shared_graph());
-    Submission submission = service.submit(walk_request());
-    EXPECT_TRUE(submission.accepted());
-    return submission.result.get();
-  };
-  const RunResult barrier = buffered(Schedule::kStepBarrier);
-  const RunResult cached = buffered(Schedule::kPipelined);
-  ASSERT_GT(barrier.sampled_edges(), 0u);
-  ASSERT_EQ(cached.samples.num_instances(), barrier.samples.num_instances());
-  for (std::uint32_t i = 0; i < barrier.samples.num_instances(); ++i) {
-    EXPECT_EQ(cached.samples.edges(i), barrier.samples.edges(i))
-        << "instance " << i;
-  }
-}
-
-TEST(ServiceStream, MultiDeviceMatchesBuffered) {
-  ServiceConfig config;
-  config.options.mode = ExecutionMode::kMultiDevice;
-  config.options.num_devices = 2;
-  expect_streamed_equals_buffered(config, "multi-device");
-}
-
-TEST(ServiceStream, StepBarrierMatchesBuffered) {
-  // The barrier schedule records each step as its own kernel, but its
-  // chains fire completion as the pipelined ones do: every chunk must
-  // still arrive.
-  ServiceConfig config;
-  config.options.schedule = Schedule::kStepBarrier;
-  expect_streamed_equals_buffered(config, "in-memory/barrier");
 }
 
 TEST(ServiceStream, SlowConsumerIsBoundedByBudget) {

@@ -24,9 +24,12 @@
 #include "service/service.hpp"
 #include "telemetry/trace.hpp"
 #include "util/fault_injector.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::spread_seeds;
 
 using telemetry::TraceEvent;
 using telemetry::TracePhase;
@@ -45,12 +48,9 @@ ServiceConfig serial_config() {
 
 SampleRequest walk_request(std::uint32_t instances, std::uint32_t length,
                            const std::string& tenant = {}) {
-  std::vector<VertexId> seeds(instances);
-  for (std::uint32_t i = 0; i < instances; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % small_graph()->num_vertices());
-  }
   SampleRequest request = SampleRequest::single_seeds(
-      "g", AlgorithmId::kBiasedRandomWalk, length, seeds);
+      "g", AlgorithmId::kBiasedRandomWalk, length,
+      spread_seeds(*small_graph(), instances));
   request.tenant = tenant;
   return request;
 }
@@ -455,12 +455,8 @@ TEST(ServiceTelemetry, PagedAndShardCountersReachStatsAndExposition) {
 
   const auto request = [](const std::string& graph, const CsrGraph& g,
                           std::uint32_t stride) {
-    std::vector<VertexId> seeds(8);
-    for (std::uint32_t i = 0; i < seeds.size(); ++i) {
-      seeds[i] = static_cast<VertexId>((i * stride) % g.num_vertices());
-    }
     return SampleRequest::single_seeds(graph, AlgorithmId::kBiasedRandomWalk,
-                                       12, seeds);
+                                       12, spread_seeds(g, 8, stride));
   };
   OomMetrics want_oom;
   ShardMetrics want_shard;
@@ -582,12 +578,9 @@ TEST(ServiceTelemetry, FailedPagedBatchBooksWhatItsCacheCounted) {
   config.options.memory_budget_fraction = 1.0;
   config.options.device_params.memory_bytes = graph->bytes() / 2;
   const auto request = [&](std::uint32_t stride, std::uint32_t rng_base) {
-    std::vector<VertexId> seeds(8);
-    for (std::uint32_t i = 0; i < seeds.size(); ++i) {
-      seeds[i] = static_cast<VertexId>((i * stride) % graph->num_vertices());
-    }
     SampleRequest r = SampleRequest::single_seeds(
-        "paged", AlgorithmId::kBiasedRandomWalk, 12, seeds);
+        "paged", AlgorithmId::kBiasedRandomWalk, 12,
+        spread_seeds(*graph, 8, stride));
     r.rng_base = rng_base;
     return r;
   };

@@ -16,21 +16,16 @@
 #include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "util/check.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
 
+using testing::spread_seeds;
+
 const CsrGraph& test_graph() {
   static const CsrGraph g = generate_rmat(1024, 8192, 91);
   return g;
-}
-
-std::vector<VertexId> spread_seeds(const CsrGraph& g, std::uint32_t n) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] = static_cast<VertexId>((i * 131) % g.num_vertices());
-  }
-  return seeds;
 }
 
 SampleRequest walk_request(std::uint32_t n, std::uint32_t length = 6) {

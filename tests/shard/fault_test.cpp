@@ -160,7 +160,9 @@ TEST(ShardFaults, TerminalShardFailureClosesTheAccounting) {
   for (std::size_t f = 0; f < got.shard->failed.size(); ++f) {
     const std::uint32_t i = got.shard->failed[f];
     ASSERT_LT(i, kInstances);
-    if (f > 0) ASSERT_GT(i, prev) << "failed list must be sorted unique";
+    if (f > 0) {
+      ASSERT_GT(i, prev) << "failed list must be sorted unique";
+    }
     prev = i;
     is_failed[i] = 1;
   }

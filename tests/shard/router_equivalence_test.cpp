@@ -1,11 +1,13 @@
 // The sharded tier's headline claim: a run's samples are byte-identical
 // at every shard count x host thread count, because draws are keyed by
 // global instance tag, never by shard placement. Every walk algorithm
-// is swept at shards {1,2,4} x threads {1,2,7} against an unsharded
-// in-memory Sampler baseline of the same (graph, seed, tags). The
-// simulated charge is pinned too: one shard costs exactly the in-memory
-// pipelined launch, and more shards cost their slowest persistent
-// kernel (or longest walker path) plus the wire.
+// runs on the router paths of the matrix (tests/paths.hpp) at shards
+// {1,2,3,4} x threads {1,2,7} against the in-memory oracle of the same
+// (graph, seed, tags), and host threading never reaches the simulated
+// timeline or the shard counters. The simulated charge is pinned too:
+// one shard costs exactly the in-memory pipelined launch, and more
+// shards cost their slowest persistent kernel (or longest walker path)
+// plus the wire.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "util/check.hpp"
 #include "util/fault_injector.hpp"
 #include "../kernel_digest.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
@@ -33,159 +36,58 @@ constexpr AlgorithmId kWalks[] = {
     AlgorithmId::kMetropolisHastingsWalk,
 };
 
+using testing::expect_matrix;
+using testing::Front;
+using testing::gapped_tags;
+using testing::Path;
+using testing::paths_where;
+using testing::shard_options;
+using testing::spread_seeds;
+
 CsrGraph test_graph() {
   return generate_rmat(/*num_vertices=*/200, /*num_edges=*/900,
                        /*seed=*/7, {}, /*weighted=*/true);
 }
 
 std::vector<VertexId> draw_seeds(const CsrGraph& graph, std::uint32_t n) {
-  std::vector<VertexId> seeds;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds.push_back(static_cast<VertexId>((i * 37 + 11) %
-                                          graph.num_vertices()));
-  }
-  return seeds;
+  return spread_seeds(graph, n, 37, 11);
 }
 
-/// Gapped service-style tags: the layout coalesced batches produce.
-std::vector<std::uint32_t> draw_tags(std::uint32_t n) {
-  std::vector<std::uint32_t> tags;
-  std::uint32_t tag = 17;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    tags.push_back(tag);
-    tag += 1 + (i % 5);
-  }
-  return tags;
-}
-
-void expect_same_samples(const SampleStore& got, const SampleStore& want,
-                         const std::string& label) {
-  ASSERT_EQ(got.num_instances(), want.num_instances()) << label;
-  for (std::uint32_t i = 0; i < got.num_instances(); ++i) {
-    ASSERT_EQ(got.edges(i), want.edges(i)) << label << ", instance " << i;
-  }
-}
-
-TEST(ShardRouterEquivalence, ByteIdenticalAtEveryShardAndThreadCount) {
+TEST(ShardRouterEquivalence, EveryWalkMatchesTheOracleAtEveryShardCount) {
+  // The router paths, and the in-memory pipelined launch that one shard
+  // must cost exactly.
+  const auto paths = paths_where(
+      [](const Path& path) {
+        return path.front == Front::kRouter ||
+               path.family == "in-memory/pipelined";
+      },
+      {4, {1}, {1, 2, 3, 4}});
   const CsrGraph graph = test_graph();
-  const std::uint32_t kInstances = 12;
-  const std::vector<VertexId> seed_list = draw_seeds(graph, kInstances);
-  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
-  const auto seeds = expand_single_seeds(seed_list);
-
-  for (const AlgorithmId algorithm : kWalks) {
-    const AlgorithmSetup setup = make_algorithm(algorithm, /*length=*/20);
-    ASSERT_TRUE(setup.spec.walk_shaped())
-        << algorithm_info(algorithm).name;
-
-    Sampler sampler(graph, setup, [] {
-      SamplerOptions options;
-      options.mode = ExecutionMode::kInMemory;
-      options.num_threads = 1;
-      return options;
-    }());
-    const RunResult baseline = sampler.run_tagged(seeds, tags);
-
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      for (const std::uint32_t threads : {1u, 2u, 7u}) {
-        SamplerOptions options;
-        options.num_threads = threads;
-        ShardRouter router(graph, setup, options, {.shards = shards});
-        const RunResult got = router.run_tagged(seeds, tags);
-        const std::string label = algorithm_info(algorithm).name +
-                                  " shards=" + std::to_string(shards) +
-                                  " threads=" + std::to_string(threads);
-        expect_same_samples(got.samples, baseline.samples, label);
-        ASSERT_TRUE(got.shard.has_value()) << label;
-        EXPECT_EQ(got.shard->shards, shards) << label;
-        EXPECT_TRUE(got.shard->failed.empty()) << label;
-        if (shards == 1) {
-          EXPECT_EQ(got.shard->forwarded_walkers, 0u) << label;
-          EXPECT_EQ(got.shard->envelopes, 0u) << label;
+  std::uint32_t walks = 0;
+  for (const AlgorithmId algorithm : all_algorithms()) {
+    if (!make_algorithm(algorithm, 20).spec.walk_shaped()) continue;
+    ++walks;
+    for (const std::uint32_t instances : {1u, 7u, 12u, 13u, 100u}) {
+      const auto runs =
+          expect_matrix(paths, graph, {algorithm, 20},
+                        draw_seeds(graph, instances), gapped_tags(instances));
+      for (const auto& [path, result] : runs) {
+        // With several walkers, more than one shard forwards some.
+        if (path.shards > 1 && instances > 1) {
+          EXPECT_GT(result.shard->forwarded_walkers, 0u) << path.label();
+          EXPECT_GT(result.shard->transfer_seconds, 0.0) << path.label();
         }
       }
     }
   }
-}
-
-TEST(ShardRouterEquivalence, SimulatedTimelineIndependentOfHostThreads) {
-  const CsrGraph graph = test_graph();
-  const std::uint32_t kInstances = 10;
-  const auto seeds = expand_single_seeds(draw_seeds(graph, kInstances));
-  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
-  const AlgorithmSetup setup =
-      make_algorithm(AlgorithmId::kDeepwalk, /*length=*/24);
-
-  for (const std::uint32_t shards : {2u, 3u}) {
-    const ShardOptions shard{.shards = shards};
-    SamplerOptions base;
-    base.num_threads = 1;
-    ShardRouter serial(graph, setup, base, shard);
-    const RunResult want = serial.run_tagged(seeds, tags);
-    EXPECT_GT(want.shard->forwarded_walkers, 0u);
-    EXPECT_GT(want.shard->transfer_seconds, 0.0);
-
-    for (const std::uint32_t threads : {2u, 7u}) {
-      SamplerOptions options = base;
-      options.num_threads = threads;
-      ShardRouter router(graph, setup, options, shard);
-      const RunResult got = router.run_tagged(seeds, tags);
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      expect_same_samples(got.samples, want.samples, label);
-      // Host threading must never reach the simulated timeline.
-      EXPECT_EQ(got.sim_seconds, want.sim_seconds) << label;
-      EXPECT_EQ(got.shard->rounds, want.shard->rounds) << label;
-      EXPECT_EQ(got.shard->envelopes, want.shard->envelopes) << label;
-      EXPECT_EQ(got.shard->bytes_forwarded, want.shard->bytes_forwarded)
-          << label;
-      EXPECT_EQ(got.shard->steps_per_shard, want.shard->steps_per_shard)
-          << label;
-    }
-  }
-}
-
-TEST(ShardRouterEquivalence, OneShardCostsExactlyTheInMemoryPipelinedRun) {
-  const CsrGraph graph = test_graph();
-  std::uint32_t algorithms = 0;
-  for (const AlgorithmId algorithm : all_algorithms()) {
-    const AlgorithmSetup setup = make_algorithm(algorithm, /*length=*/20);
-    if (!setup.spec.walk_shaped()) continue;
-    ++algorithms;
-    for (const std::uint32_t instances : {1u, 7u, 13u, 100u}) {
-      const auto seeds = expand_single_seeds(draw_seeds(graph, instances));
-      const std::vector<std::uint32_t> tags = draw_tags(instances);
-      Sampler sampler(graph, setup, [] {
-        SamplerOptions options;
-        options.mode = ExecutionMode::kInMemory;
-        options.num_threads = 1;
-        return options;
-      }());
-      const RunResult want = sampler.run_tagged(seeds, tags);
-
-      SamplerOptions options;
-      options.num_threads = 1;
-      ShardRouter router(graph, setup, options, {.shards = 1});
-      const RunResult got = router.run_tagged(seeds, tags);
-      const std::string label = algorithm_info(algorithm).name +
-                                " instances=" + std::to_string(instances);
-      expect_same_samples(got.samples, want.samples, label);
-      // Bitwise: one shard is one persistent kernel shaped exactly like
-      // the in-memory engine's pipelined launch.
-      EXPECT_EQ(got.sim_seconds, want.sim_seconds) << label;
-      ASSERT_EQ(got.device_seconds.size(), 1u) << label;
-      EXPECT_EQ(got.device_seconds[0], want.sim_seconds) << label;
-      EXPECT_EQ(got.shard->transfer_seconds, 0.0) << label;
-    }
-  }
-  EXPECT_EQ(algorithms, std::size(kWalks));
+  EXPECT_EQ(walks, std::size(kWalks));
 }
 
 TEST(ShardRouterEquivalence, MakespanIsSlowestKernelOrWalkerPathPlusWire) {
   const CsrGraph graph = test_graph();
   const std::uint32_t kInstances = 24;
   const auto seeds = expand_single_seeds(draw_seeds(graph, kInstances));
-  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
+  const std::vector<std::uint32_t> tags = gapped_tags(kInstances);
   // The default device starves few-warp kernels (stall penalty), so a
   // shard kernel binds. A wide device with no latency to hide charges a
   // kernel its longest chain, so a walker's path across shards binds.
@@ -215,7 +117,7 @@ TEST(ShardRouterEquivalence, MakespanIsSlowestKernelOrWalkerPathPlusWire) {
         SamplerOptions options;
         options.num_threads = 1;
         options.device_params = params;
-        ShardRouter router(graph, setup, options, {.shards = shards});
+        ShardRouter router(graph, setup, options, shard_options(shards));
         const RunResult got = router.run_tagged(seeds, tags);
         const std::string label =
             algorithm_info(algorithm).name +
@@ -282,7 +184,7 @@ TEST(ShardRouterEquivalence, TimelineIsPinned) {
   const CsrGraph graph = test_graph();
   const std::uint32_t kInstances = 24;
   const auto seeds = expand_single_seeds(draw_seeds(graph, kInstances));
-  const std::vector<std::uint32_t> tags = draw_tags(kInstances);
+  const std::vector<std::uint32_t> tags = gapped_tags(kInstances);
   enum Faults { kNone, kScripted, kDeadShard };
   struct Case {
     AlgorithmId algorithm;
@@ -371,10 +273,10 @@ TEST(ShardRouterEquivalence, RunTaggedNeedsOneTagPerInstance) {
   // draw from, so it is rejected before any walker is seeded.
   const CsrGraph graph = test_graph();
   ShardRouter router(graph, make_algorithm(AlgorithmId::kDeepwalk, 4),
-                     SamplerOptions{}, {.shards = 2});
+                     SamplerOptions{}, shard_options(2));
   const auto seeds = expand_single_seeds(draw_seeds(graph, 3));
   EXPECT_THROW(router.run_tagged(seeds, {}), CheckError);
-  EXPECT_THROW(router.run_tagged(seeds, draw_tags(2)), CheckError);
+  EXPECT_THROW(router.run_tagged(seeds, gapped_tags(2)), CheckError);
 }
 
 TEST(ShardRouterEquivalence, NonWalkSpecsAreRejectedByThePredicate) {

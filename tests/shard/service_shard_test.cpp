@@ -14,9 +14,13 @@
 #include "graph/generators.hpp"
 #include "service/service.hpp"
 #include "shard/partition_map.hpp"
+#include "../paths.hpp"
 
 namespace csaw {
 namespace {
+
+using testing::expect_same_samples;
+using testing::spread_seeds;
 
 constexpr std::uint32_t kBase = 64;
 
@@ -26,20 +30,11 @@ const std::shared_ptr<const CsrGraph>& shared_graph() {
   return g;
 }
 
-std::vector<VertexId> spread_seeds(std::uint32_t n, std::uint32_t stride) {
-  std::vector<VertexId> seeds(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    seeds[i] =
-        static_cast<VertexId>((i * stride) % shared_graph()->num_vertices());
-  }
-  return seeds;
-}
-
 SampleRequest walk_request(std::uint32_t instances, std::uint32_t length,
                            std::uint32_t rng_base = kBase) {
   SampleRequest request = SampleRequest::single_seeds(
       "g", AlgorithmId::kBiasedRandomWalk, length,
-      spread_seeds(instances, 131));
+      spread_seeds(*shared_graph(), instances, 131));
   request.rng_base = rng_base;
   return request;
 }
@@ -57,14 +52,6 @@ RunResult run_one(const ServiceConfig& config, SampleRequest request) {
   Submission submission = service.submit(std::move(request));
   EXPECT_TRUE(submission.accepted());
   return submission.result.get();
-}
-
-void expect_same_samples(const SampleStore& a, const SampleStore& b,
-                         const std::string& label) {
-  ASSERT_EQ(a.num_instances(), b.num_instances()) << label;
-  for (std::uint32_t i = 0; i < a.num_instances(); ++i) {
-    EXPECT_EQ(a.edges(i), b.edges(i)) << label << ", instance " << i;
-  }
 }
 
 TEST(ServiceSharding, BytesIdenticalAcrossShardAndThreadCounts) {
@@ -189,7 +176,8 @@ TEST(ServiceSharding, GatherOrderStableUnderSlowShard) {
 
 TEST(ServiceSharding, NonWalkRequestsFallBackToTheOrdinaryPath) {
   SampleRequest request = SampleRequest::single_seeds(
-      "g", AlgorithmId::kBiasedNeighborSampling, 3, spread_seeds(6, 97), 4);
+      "g", AlgorithmId::kBiasedNeighborSampling, 3,
+      spread_seeds(*shared_graph(), 6, 97), 4);
   request.rng_base = kBase;
   SampleRequest sharded_copy = request;
 

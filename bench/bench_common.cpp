@@ -85,7 +85,6 @@ SamplerOptions oom_bench_options(const DatasetSpec& spec,
   options.device_params = oom_device_params(spec, graph);
   options.num_partitions = 4;
   options.resident_partitions = 2;
-  options.num_streams = 2;
   // Figs. 13-15 measure per-wave scheduling effects (launch counts,
   // per-stream kernel imbalance, transfer cadence) of the paper's
   // barriered executor — pin the schedule so the pipelined default does

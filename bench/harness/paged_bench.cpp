@@ -25,7 +25,6 @@ namespace {
 // (six of eight partitions resident), walks hopping across all of it.
 constexpr std::uint32_t kPagedPartitions = 8;
 constexpr std::uint32_t kPagedCapacity = 6;
-constexpr std::uint32_t kPagedStreams = 2;
 constexpr std::uint32_t kPagedInstances = 48;
 constexpr std::uint32_t kPagedWalkLength = 12;
 
@@ -51,7 +50,6 @@ RunResult run_paged_walk(Schedule schedule) {
   options.mode = ExecutionMode::kOutOfMemory;
   options.num_partitions = kPagedPartitions;
   options.resident_partitions = kPagedCapacity;
-  options.num_streams = kPagedStreams;
   options.num_threads = 2;
   options.schedule = schedule;
 

@@ -46,7 +46,6 @@ int main() {
     options.mode = ExecutionMode::kOutOfMemory;
     options.num_partitions = 4;
     options.resident_partitions = 2;
-    options.num_streams = 2;
     options.oom_batched = config.batched;
     options.oom_workload_aware = config.workload_aware;
     options.oom_block_balancing = config.balancing;

@@ -17,9 +17,9 @@ std::string to_string(Schedule schedule) {
   return "unknown";
 }
 
-void validate_instance_tags(std::span<const std::uint32_t> tags,
-                            const RunControl& control,
-                            std::size_t num_instances) {
+void validate_run_tags(std::span<const std::uint32_t> tags,
+                       const RunControl& control,
+                       std::size_t num_instances) {
   CSAW_CHECK_MSG(tags.empty() || tags.size() == num_instances,
                  "instance tags have " << tags.size() << " entries for "
                                        << num_instances << " instances");
@@ -42,7 +42,7 @@ void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
   CSAW_CHECK_MSG(tags.size() == seeds.size(),
                  "run_tagged needs one tag per instance: " << tags.size()
                      << " tags for " << seeds.size() << " seed lists");
-  validate_instance_tags(tags, control, seeds.size());
+  validate_run_tags(tags, control, seeds.size());
 }
 
 void complete_remaining(SampleStore& samples, const RunControl& control) {
@@ -234,19 +234,20 @@ void step_entry(const GraphView& view, const Policy& policy,
 }
 
 SamplingEngine::SamplingEngine(const GraphView& view, Policy policy,
-                               SamplingSpec spec, EngineConfig config)
+                               SamplingSpec spec,
+                               const SamplerOptions& options)
     : view_(&view),
       policy_(std::move(policy)),
       spec_(std::move(spec)),
-      config_(config),
-      rng_(config.seed),
+      options_(options),
+      rng_(options.seed),
       neighbor_config_([&] {
-        SelectConfig c = config.select;
+        SelectConfig c = options.select;
         c.with_replacement = spec_.with_replacement;
         return c;
       }()),
       frontier_config_([&] {
-        SelectConfig c = config.select;
+        SelectConfig c = options.select;
         c.with_replacement = false;  // pool positions are picked distinct
         return c;
       }()) {
@@ -272,44 +273,46 @@ sim::ChainWidth pipelined_chain_width(
              : sim::ChainWidth::kOneWarp;
 }
 
-SampleRun SamplingEngine::run(sim::Device& device,
-                              std::span<const std::vector<VertexId>> seeds) {
+RunResult SamplingEngine::run(sim::Device& device,
+                              std::span<const std::vector<VertexId>> seeds,
+                              std::span<const std::uint32_t> tags,
+                              const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
-  validate_instance_tags(config_.instance_tags, config_.control,
-                         num_instances);
+  validate_run_tags(tags, control, num_instances);
   validate_seeds(seeds, view_->num_vertices());
   std::vector<InstanceState> instances(num_instances);
   for (std::uint32_t i = 0; i < num_instances; ++i) {
-    instances[i].init(config_.global_instance_id(i), seeds[i],
+    instances[i].init(tags.empty() ? i : tags[i], seeds[i],
                       view_->num_vertices(), spec_.filter_visited);
   }
 
-  SampleRun run_result;
-  run_result.samples.reset(num_instances);
-  const RunControl& control = config_.control;
+  RunResult result;
+  result.mode = ExecutionMode::kInMemory;
+  result.samples.reset(num_instances);
   if (control.on_instance_complete) {
-    run_result.samples.set_completion_callback(control.on_instance_complete);
+    result.samples.set_completion_callback(control.on_instance_complete);
   }
 
-  device.set_num_threads(config_.num_threads);
+  device.set_num_threads(options_.num_threads);
   ensure_workers(device.max_workers());
 
   const std::size_t log_begin = device.kernel_log().size();
   const double t0 = device.synchronize();
 
-  run_chains(device, instances, run_result.samples,
+  run_chains(device, instances, result.samples, control,
              pipelined_chain_width(spec_, seeds));
 
-  complete_remaining(run_result.samples, control);
+  complete_remaining(result.samples, control);
 
-  run_result.sim_seconds = device.synchronize() - t0;
+  result.sim_seconds = device.synchronize() - t0;
+  result.device_seconds = {result.sim_seconds};
   for (std::size_t i = log_begin; i < device.kernel_log().size(); ++i) {
-    run_result.stats.merge(device.kernel_log()[i].stats);
+    result.stats.merge(device.kernel_log()[i].stats);
   }
-  return run_result;
+  return result;
 }
 
-SampleRun SamplingEngine::run_single_seed(sim::Device& device,
+RunResult SamplingEngine::run_single_seed(sim::Device& device,
                                           std::span<const VertexId> seeds) {
   return run(device, expand_single_seeds(seeds));
 }
@@ -317,6 +320,7 @@ SampleRun SamplingEngine::run_single_seed(sim::Device& device,
 void SamplingEngine::run_chains(sim::Device& device,
                                 std::vector<InstanceState>& instances,
                                 SampleStore& samples,
+                                const RunControl& control,
                                 sim::ChainWidth widths) {
   // One chain per instance, running that instance's whole step loop.
   // Every mutable object a chain touches is its own (InstanceState, its
@@ -325,7 +329,6 @@ void SamplingEngine::run_chains(sim::Device& device,
   // draws by (instance, depth, slot), so the interleaving never changes
   // them. Both schedules run this body, so their samples are
   // byte-identical; only the recording differs.
-  const RunControl& control = config_.control;
   const sim::Device::ChainBody body =
       [&](std::uint64_t chain, sim::ChainContext& ctx, std::uint32_t worker) {
         const auto i = static_cast<std::uint32_t>(chain);
@@ -337,7 +340,7 @@ void SamplingEngine::run_chains(sim::Device& device,
         if (control.should_trace()) {
           chain_span = control.trace->begin_span(
               "chain",
-              {{"instance", std::to_string(config_.global_instance_id(i))},
+              {{"instance", std::to_string(inst.id)},
                {"batch", std::to_string(control.trace_batch)}});
         }
         std::vector<std::uint32_t> positions;
@@ -392,7 +395,7 @@ void SamplingEngine::run_chains(sim::Device& device,
               {{"edges", std::to_string(samples.edges(i).size())}});
         }
       };
-  if (config_.schedule == Schedule::kPipelined) {
+  if (options_.schedule == Schedule::kPipelined) {
     device.run_pipeline("sample_pipeline", instances.size(), body,
                         control.cancel, widths);
     return;

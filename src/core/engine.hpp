@@ -10,6 +10,7 @@
 
 #include "core/frontier_queue.hpp"
 #include "core/instance.hpp"
+#include "core/options.hpp"
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
 #include "core/sample_store.hpp"
@@ -99,30 +100,9 @@ struct SamplingSpec {
 sim::ChainWidth pipelined_chain_width(
     const SamplingSpec& spec, std::span<const std::vector<VertexId>> seeds);
 
-/// How one run's sampling work is scheduled onto the simulated device.
-enum class Schedule {
-  /// Per-instance pipelining (paper §V, ThunderRW-style interleaving):
-  /// instance i's step s+1 launches the moment *its own* step s
-  /// completes — instances never wait on each other. Recorded as one
-  /// persistent fused kernel per run (per resident partition for the
-  /// out-of-memory engine); samples are byte-identical to kStepBarrier
-  /// (both schedules run the same per-instance chains), only the
-  /// simulated schedule — and therefore sim_seconds / seps() — improves.
-  kPipelined,
-  /// One global barrier per step: every instance's step s finishes before
-  /// any instance's step s+1 starts. The same chains run, and the tasks
-  /// they ran in one step group are recorded as one kernel
-  /// (Device::execute_waves): one launch per step group and
-  /// kernel-granular cost accounting.
-  kStepBarrier,
-};
-
-/// Human-readable schedule name ("pipelined" / "step_barrier").
-std::string to_string(Schedule schedule);
-
-/// The per-run handles of one run: Sampler::run_tagged hands them to the
-/// in-memory engine as EngineConfig::control and to OomEngine::run as an
-/// argument, ShardRouter::run_tagged polls them itself. Every field is
+/// The per-run handles of one run: Sampler::run_tagged hands them to
+/// SamplingEngine::run and OomEngine::run as an argument,
+/// ShardRouter::run_tagged polls them itself. Every field is
 /// optional; a default-constructed RunControl means "never cancelled,
 /// buffered, untraced" and costs the hot path one branch per site.
 struct RunControl {
@@ -186,52 +166,14 @@ struct RunControl {
 /// buffered store.
 void complete_remaining(SampleStore& samples, const RunControl& control);
 
-/// Engine-level configuration.
-struct EngineConfig {
-  SelectConfig select;
-  std::uint64_t seed = 0xC5A30001ull;
-  /// Added to local instance indices to form the global instance id used
-  /// in RNG coordinates. Multi-device runs give each device a disjoint
-  /// range so the union of samples is independent of the device count.
-  std::uint32_t instance_id_offset = 0;
-  /// Per-instance global RNG ids, overriding the contiguous
-  /// `instance_id_offset + i` assignment when non-empty: local instance i
-  /// draws as global instance `instance_tags[i]`. This is how the service
-  /// tier coalesces several requests into one engine run while keeping
-  /// every request on its own Philox stream — a request's instances keep
-  /// the ids they would have alone, so its samples are byte-identical in
-  /// any batch. Must be strictly increasing and sized to the seed count
-  /// (checked at run()).
-  std::vector<std::uint32_t> instance_tags;
-
-  /// Global RNG id of local instance `i` under this config.
-  std::uint32_t global_instance_id(std::uint32_t i) const {
-    return instance_tags.empty() ? instance_id_offset + i : instance_tags[i];
-  }
-  /// Host threads executing the simulated warp-tasks: 0 = auto (the
-  /// CSAW_THREADS environment variable, else hardware_concurrency), 1 =
-  /// the legacy serial path. Samples, seps() and kernel logs are
-  /// byte-identical at any width — the counter-based RNG makes sampling
-  /// order-independent (see README "Threading model").
-  std::uint32_t num_threads = 0;
-  /// Kernel schedule. Directly constructed engines default to the
-  /// step-barrier executor (what the per-step figure benches measure);
-  /// the csaw::Sampler facade defaults to kPipelined and plumbs its
-  /// SamplerOptions::schedule through here.
-  Schedule schedule = Schedule::kStepBarrier;
-  /// The per-run handles (cancellation, completion, tracing).
-  RunControl control;
-};
-
 /// Checks a run's per-instance inputs at engine entry: `tags` is empty
 /// or holds one strictly increasing global id per instance, and
 /// control.instance_cancel holds no token or one per instance.
 /// validate_tagged_run checks the *whole* tag list this way before a
 /// multi-device dispatch splits it into per-group subspans (each of
 /// which would pass the per-engine check on its own).
-void validate_instance_tags(std::span<const std::uint32_t> tags,
-                            const RunControl& control,
-                            std::size_t num_instances);
+void validate_run_tags(std::span<const std::uint32_t> tags,
+                       const RunControl& control, std::size_t num_instances);
 
 /// Checks a tagged run's inputs at entry (Sampler::run_tagged and
 /// ShardRouter::run_tagged): exactly one tag per seed list, strictly
@@ -245,22 +187,6 @@ void validate_tagged_run(std::span<const std::vector<VertexId>> seeds,
 /// setup indexes per-vertex state by seed.
 void validate_seeds(std::span<const std::vector<VertexId>> seeds,
                     VertexId num_vertices);
-
-/// Result of one in-memory engine run. Prefer csaw::Sampler (sampler.hpp),
-/// which returns the unified RunResult regardless of execution mode.
-struct SampleRun {
-  SampleStore samples;
-  /// Simulated device seconds spent in sampling kernels.
-  double sim_seconds = 0.0;
-  /// Aggregated kernel stats over the run.
-  sim::KernelStats stats;
-
-  std::uint64_t sampled_edges() const { return samples.total_edges(); }
-  /// The paper's SEPS metric (§VI).
-  double seps() const {
-    return sampled_edges_per_second(samples.total_edges(), sim_seconds);
-  }
-};
 
 /// RNG-coordinate layout shared by the in-memory and out-of-memory
 /// engines. Every SELECT/UPDATE draw is addressed by
@@ -353,19 +279,26 @@ void step_entry(const GraphView& view, const Policy& policy,
 /// selection); the Schedule decides how the chains' tasks are recorded.
 class SamplingEngine {
  public:
+  /// `options` supplies what every backend reads (seed, SELECT config,
+  /// host threads, schedule); its other fields are unused.
   SamplingEngine(const GraphView& view, Policy policy, SamplingSpec spec,
-                 EngineConfig config = {});
+                 const SamplerOptions& options = {});
 
   const SamplingSpec& spec() const noexcept { return spec_; }
-  const EngineConfig& config() const noexcept { return config_; }
 
-  /// Runs all instances to completion on `device`. `seeds[i]` holds the
-  /// seed vertices of instance i.
-  SampleRun run(sim::Device& device,
-                std::span<const std::vector<VertexId>> seeds);
+  /// Runs all instances to completion on `device`; seeds[i] are instance
+  /// i's seed vertices. Instance i draws from the Philox stream of global
+  /// id `tags[i]` (empty: i; otherwise one strictly increasing id per
+  /// seeds entry, checked), as in Sampler::run_tagged; `control` carries
+  /// the run's handles. Fills the samples, sim_seconds (device seconds in
+  /// sampling kernels), device_seconds, stats and mode.
+  RunResult run(sim::Device& device,
+                std::span<const std::vector<VertexId>> seeds,
+                std::span<const std::uint32_t> tags = {},
+                const RunControl& control = {});
 
   /// Convenience: every instance starts from one seed vertex.
-  SampleRun run_single_seed(sim::Device& device,
+  RunResult run_single_seed(sim::Device& device,
                             std::span<const VertexId> seeds);
 
  private:
@@ -385,7 +318,8 @@ class SamplingEngine {
   /// pipelined_chain_width of the run's spec and seeds (the pipelined
   /// schedule's only).
   void run_chains(sim::Device& device, std::vector<InstanceState>& instances,
-                  SampleStore& samples, sim::ChainWidth widths);
+                  SampleStore& samples, const RunControl& control,
+                  sim::ChainWidth widths);
 
   // --- Per-instance task bodies.
   /// VERTEXBIAS + SELECT over the FrontierPool; returns the selected pool
@@ -415,11 +349,14 @@ class SamplingEngine {
   SamplingSpec spec_;
   /// static_ctps_rows(*view_, policy_, spec_); null = per-step CTPS.
   const StaticCtpsRows* rows_ = nullptr;
-  EngineConfig config_;
+  SamplerOptions options_;
   CounterStream rng_;
   SelectConfig neighbor_config_;
   SelectConfig frontier_config_;
   std::vector<WorkerScratch> workers_;
 };
+
+/// The old engine-result name, kept only for perfbench/src/common.cpp.
+using SampleRun = RunResult;
 
 }  // namespace csaw

@@ -1,6 +1,7 @@
 #include "core/sampler.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -104,8 +105,17 @@ ModeDecision resolve_mode(const CsrGraph& graph, const SamplingSpec& spec,
   return decision;
 }
 
+/// The global ids 0..n-1 of an untagged run's instances: run() and
+/// run_batches build them once and hand every device group and batch its
+/// subspan.
+std::vector<std::uint32_t> identity_tags(std::size_t n) {
+  std::vector<std::uint32_t> tags(n);
+  std::iota(tags.begin(), tags.end(), 0u);
+  return tags;
+}
+
 /// Folds one group's (device's or batch's) result into the whole-run
-/// result at global instance offset `begin`; device_seconds stay with the
+/// result at run-local instance index `begin`; device_seconds stay with the
 /// caller (makespan vs. sequential-sum semantics differ).
 void merge_group(RunResult& into, const RunResult& part, std::uint32_t begin,
                  std::uint32_t end, OomMetrics& oom_total, bool& any_oom) {
@@ -168,16 +178,6 @@ std::string in_memory_only_reason(const SamplingSpec& spec) {
   return {};
 }
 
-EngineConfig SamplerOptions::engine_config() const {
-  EngineConfig config;
-  config.select = select;
-  config.seed = seed;
-  config.instance_id_offset = instance_id_offset;
-  config.num_threads = num_threads;
-  config.schedule = schedule;
-  return config;
-}
-
 Sampler::Sampler(const CsrGraph& graph, Policy policy, SamplingSpec spec,
                  SamplerOptions options)
     : graph_(&graph),
@@ -197,7 +197,7 @@ Sampler::Sampler(const CsrGraph& graph, AlgorithmId id,
               std::move(options)) {}
 
 RunResult Sampler::run(std::span<const std::vector<VertexId>> seeds) {
-  return dispatch(seeds, options_.instance_id_offset);
+  return dispatch(seeds, identity_tags(seeds.size()));
 }
 
 RunResult Sampler::run_single_seed(std::span<const VertexId> seeds) {
@@ -211,7 +211,7 @@ RunResult Sampler::run_tagged(std::span<const std::vector<VertexId>> seeds,
   // group a subspan, and per-group checks alone would accept duplicates
   // that straddle a group boundary.
   validate_tagged_run(seeds, tags, control);
-  return dispatch(seeds, options_.instance_id_offset, tags, control);
+  return dispatch(seeds, tags, control);
 }
 
 void Sampler::set_executor(std::shared_ptr<sim::ThreadPool> pool) {
@@ -229,21 +229,18 @@ void Sampler::set_partition_cache(std::shared_ptr<PartitionCache> cache) {
 }
 
 RunResult Sampler::dispatch(std::span<const std::vector<VertexId>> seeds,
-                            std::uint32_t instance_id_offset,
                             std::span<const std::uint32_t> tags,
                             const RunControl& control) {
   RunResult result;
   switch (decision_.resolved) {
     case ExecutionMode::kInMemory:
-      result = run_in_memory(seeds, instance_id_offset, tags, /*device_id=*/0,
-                             control);
+      result = run_in_memory(seeds, tags, /*device_id=*/0, control);
       break;
     case ExecutionMode::kOutOfMemory:
-      result = run_out_of_memory(seeds, instance_id_offset, tags,
-                                 /*device_id=*/0, control);
+      result = run_out_of_memory(seeds, tags, /*device_id=*/0, control);
       break;
     case ExecutionMode::kMultiDevice:
-      result = run_multi_device(seeds, instance_id_offset, tags, control);
+      result = run_multi_device(seeds, tags, control);
       break;
     case ExecutionMode::kAuto:
       CSAW_CHECK_MSG(false, "resolved mode can never be kAuto");
@@ -266,43 +263,29 @@ void Sampler::attach_executor(sim::Device& device) {
 }
 
 RunResult Sampler::run_in_memory(std::span<const std::vector<VertexId>> seeds,
-                                 std::uint32_t instance_id_offset,
                                  std::span<const std::uint32_t> tags,
                                  std::uint32_t device_id,
                                  const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
   CsrGraphView view(*graph_);
-  EngineConfig config = options_.engine_config();
-  config.instance_id_offset = instance_id_offset;
-  config.instance_tags.assign(tags.begin(), tags.end());
-  config.control = control;
-  SamplingEngine engine(view, policy_, spec_, config);
-  SampleRun run = engine.run(device, seeds);
-
-  RunResult result;
-  result.samples = std::move(run.samples);
-  result.sim_seconds = run.sim_seconds;
-  result.device_seconds = {run.sim_seconds};
-  result.stats = run.stats;
-  return result;
+  SamplingEngine engine(view, policy_, spec_, options_);
+  return engine.run(device, seeds, tags, control);
 }
 
 RunResult Sampler::run_out_of_memory(
     std::span<const std::vector<VertexId>> seeds,
-    std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    std::uint32_t device_id, const RunControl& control) {
+    std::span<const std::uint32_t> tags, std::uint32_t device_id,
+    const RunControl& control) {
   sim::Device device(device_id, options_.device_params);
   attach_executor(device);
-  SamplerOptions options = options_;
-  options.instance_id_offset = instance_id_offset;
   if (parts_ == nullptr) {
     // Single-device dispatch only; the multi-device path pre-builds the
     // partitioning before its groups run concurrently.
     parts_ = std::make_shared<const PartitionedGraph>(
         *graph_, options_.num_partitions);
   }
-  OomEngine engine(*graph_, policy_, spec_, options, parts_);
+  OomEngine engine(*graph_, policy_, spec_, options_, parts_);
   if (options_.schedule == Schedule::kPipelined &&
       decision_.resolved == ExecutionMode::kOutOfMemory) {
     // Single-device paging shares one persistent cache across runs and
@@ -320,8 +303,7 @@ RunResult Sampler::run_out_of_memory(
 
 RunResult Sampler::run_multi_device(
     std::span<const std::vector<VertexId>> seeds,
-    std::uint32_t instance_id_offset, std::span<const std::uint32_t> tags,
-    const RunControl& control) {
+    std::span<const std::uint32_t> tags, const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
 
   RunResult result;
@@ -329,9 +311,9 @@ RunResult Sampler::run_multi_device(
   result.device_seconds.assign(options_.num_devices, 0.0);
 
   // Equal contiguous instance groups (paper §V-D): group d gets
-  // [d*per, min((d+1)*per, n)). The global-id offset handoff happens here
-  // and nowhere else: device d's engines see base offset + group begin,
-  // so the union of samples is independent of the device count.
+  // [d*per, min((d+1)*per, n)) of the seeds and of the tags, so every
+  // instance keeps its global id and the union of samples is independent
+  // of the device count.
   const std::uint32_t per_device =
       (num_instances + options_.num_devices - 1) / options_.num_devices;
 
@@ -352,12 +334,10 @@ RunResult Sampler::run_multi_device(
     const std::uint32_t end = std::min(begin + per_device, num_instances);
     if (begin == end) return;
     const auto group = seeds.subspan(begin, end - begin);
-    // Tagged runs split the tag span alongside the seed span: groups are
-    // contiguous, so each device sees its requests' exact global ids.
-    // Cancellation tokens split the same way; the run-level token and the
-    // trace recorder are shared (TraceRecorder is thread-safe).
-    const auto group_tags =
-        tags.empty() ? tags : tags.subspan(begin, end - begin);
+    const auto group_tags = tags.subspan(begin, end - begin);
+    // Cancellation tokens split like the seeds and tags; the run-level
+    // token and the trace recorder are shared (TraceRecorder is
+    // thread-safe).
     RunControl group_control;
     group_control.cancel = control.cancel;
     group_control.trace = control.trace;
@@ -380,10 +360,8 @@ RunResult Sampler::run_multi_device(
           };
     }
     parts[d] = decision_.out_of_memory
-                   ? run_out_of_memory(group, instance_id_offset + begin,
-                                       group_tags, d, group_control)
-                   : run_in_memory(group, instance_id_offset + begin,
-                                   group_tags, d, group_control);
+                   ? run_out_of_memory(group, group_tags, d, group_control)
+                   : run_in_memory(group, group_tags, d, group_control);
   };
   if (pool_ != nullptr && options_.num_devices > 1) {
     pool_->parallel_for(options_.num_devices,
@@ -420,14 +398,17 @@ RunResult Sampler::run_batches(std::span<const std::vector<VertexId>> seeds,
   result.mode = decision_.resolved;
   result.mode_reason = decision_.reason;
 
+  // Each batch runs its slice of the ids 0..n-1, so every instance keeps
+  // its global id — and therefore its counter-based RNG draws — identical
+  // to a single monolithic run.
+  const std::vector<std::uint32_t> tags = identity_tags(num_instances);
   OomMetrics oom_total;
   bool any_oom = false;
   for (std::uint32_t begin = 0; begin < num_instances; begin += batch_size) {
     const std::uint32_t end = std::min(num_instances, begin + batch_size);
-    // Shifting the offset keeps each instance's global id — and therefore
-    // its counter-based RNG draws — identical to a single monolithic run.
-    const RunResult batch = dispatch(seeds.subspan(begin, end - begin),
-                                     options_.instance_id_offset + begin);
+    const RunResult batch =
+        dispatch(seeds.subspan(begin, end - begin),
+                 std::span(tags).subspan(begin, end - begin));
 
     merge_group(result, batch, begin, end, oom_total, any_oom);
     // Batches stream sequentially through the device(s): makespans add.

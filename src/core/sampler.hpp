@@ -8,113 +8,15 @@
 
 #include "algorithms/registry.hpp"
 #include "core/engine.hpp"
+#include "core/options.hpp"
 #include "core/policy.hpp"
 #include "core/run_result.hpp"
 #include "gpusim/device.hpp"
-#include "util/fault_injector.hpp"
 
 namespace csaw {
 
 class PartitionCache;
 class PartitionedGraph;
-
-/// What auto mode selection assumes about the CSR footprint vs. the
-/// device-memory budget. The paper's evaluation "pretends" bench-scale
-/// stand-ins for Twitter/Friendster do not fit (Figs. 13-15), and pins
-/// small graphs in memory even when a tiny simulated device is configured;
-/// both directions are expressible without forging DeviceParams.
-enum class MemoryAssumption {
-  kMeasure,  ///< compare graph.bytes() against the device budget
-  kExceeds,  ///< treat the graph as exceeding device memory
-  kFits,     ///< treat the graph as fitting device memory
-};
-
-/// Every knob of every execution mode in one struct. The facade reads the
-/// subset its resolved mode needs; the rest is inert — so one options
-/// value can be reused across modes and graphs.
-struct SamplerOptions {
-  /// Execution-mode request; kAuto resolves it per graph + spec.
-  ExecutionMode mode = ExecutionMode::kAuto;
-
-  // --- Engine knobs.
-  SelectConfig select;
-  std::uint64_t seed = 0xC5A30001ull;
-  /// Added to local instance indices to form the global instance id used
-  /// in RNG coordinates. This is the *single* source of truth: the
-  /// multi-device path derives each device's disjoint offset range from
-  /// it, and the batched path derives each batch's — user code never
-  /// hands offsets to a backend directly.
-  std::uint32_t instance_id_offset = 0;
-
-  // --- Device topology.
-  /// Devices to spread instances over. kAuto resolves to kMultiDevice
-  /// when this exceeds 1.
-  std::uint32_t num_devices = 1;
-  sim::DeviceParams device_params;
-
-  // --- Host execution.
-  /// Host threads executing simulated warp-tasks, shared by all devices
-  /// of the run (multi-device groups execute concurrently on the same
-  /// pool): 0 = auto (the CSAW_THREADS environment variable, else
-  /// hardware_concurrency), 1 = the legacy serial path. Samples, seps()
-  /// and kernel stats are byte-identical at any width (see README
-  /// "Threading model").
-  std::uint32_t num_threads = 0;
-
-  // --- Kernel schedule.
-  /// Default on: per-instance pipelining — instance i's step s+1 starts
-  /// the moment its own step s completes, instead of barriering every
-  /// step across all instances (paper §V; docs/ARCHITECTURE.md
-  /// "Pipelined scheduler"). Samples are byte-identical to the
-  /// Schedule::kStepBarrier fallback in every execution mode
-  /// (tests/core/pipeline_equivalence_test.cpp); only the simulated
-  /// schedule — sim_seconds, seps(), kernel log shape — changes.
-  Schedule schedule = Schedule::kPipelined;
-
-  // --- Out-of-memory knobs (OomEngine), used whenever the out-of-memory
-  // backend is selected on any device. The defaults are the paper's Fig.
-  // 13 setup: 4 partitions, 2 resident, 2 streams.
-  std::uint32_t num_partitions = 4;
-  /// Partitions on the device at once: per barrier wave, and the limit of
-  /// this sampler's private demand cache (whatever their bytes; a service
-  /// cache is budgeted in bytes instead).
-  std::uint32_t resident_partitions = 2;
-  /// Streams of the kStepBarrier waves; the demand cache gives each
-  /// partition on the device a stream of its own.
-  std::uint32_t num_streams = 2;
-  /// The optimization toggles of Fig. 13's legend: BA, batched
-  /// multi-instance sampling (§V-C); WS, workload-aware partition
-  /// scheduling (§V-B); BAL, thread-block based workload balancing
-  /// (§V-B).
-  bool oom_batched = true;
-  bool oom_workload_aware = true;
-  bool oom_block_balancing = true;
-  /// Without batching, per-instance frontier queues and bitmaps occupy
-  /// device memory, so only a gang of instances can be in flight at once;
-  /// each gang pays its own partition transfers (the amortization loss
-  /// batched multi-instance sampling removes, §V-C). Gang size in
-  /// instances.
-  std::uint32_t oom_unbatched_gang_size = 1024;
-
-  // --- Paged-I/O fault tolerance (kPipelined demand-cache path only).
-  /// Retry policy of a partition copy. A copy failing every attempt
-  /// throws TransferError out of the run. The service's sharded router
-  /// uses the same policy for envelope deliveries.
-  RetryPolicy transfer_retry;
-  /// Optional deterministic fault injector consulted per copy attempt,
-  /// keyed by partition id. nullptr (the default) means fault-free paged
-  /// I/O.
-  std::shared_ptr<FaultInjector> transfer_faults;
-
-  // --- Auto-selection inputs.
-  MemoryAssumption memory_assumption = MemoryAssumption::kMeasure;
-  /// Fraction of DeviceParams::memory_bytes the CSR may occupy before
-  /// auto selection pages it (headroom for frontier queues and samples).
-  double memory_budget_fraction = 0.9;
-
-  /// The in-memory engine's slice of these options (SamplingEngine).
-  EngineConfig engine_config() const;
-};
 
 /// The resolved execution plan, fixed at Sampler construction.
 struct ModeDecision {
@@ -174,7 +76,8 @@ class Sampler {
   const ModeDecision& decision() const noexcept { return decision_; }
 
   /// Runs all instances to completion; seeds[i] holds the seed vertices
-  /// of instance i.
+  /// of instance i, which draws as global id i (run_tagged with tags
+  /// 0..n-1).
   RunResult run(std::span<const std::vector<VertexId>> seeds);
 
   /// Convenience: every instance starts from one seed vertex.
@@ -183,7 +86,7 @@ class Sampler {
   /// Serving-style batched execution: streams instances through the
   /// resolved backend in chunks of `batch_size`, bounding peak in-flight
   /// state while producing samples byte-identical to one big run (each
-  /// batch keeps its instances' global ids, so the counter-based RNG
+  /// chunk runs its slice of the ids 0..n-1, so the counter-based RNG
   /// draws the same numbers). sim_seconds is the sum over sequential
   /// batches.
   RunResult run_batches(std::span<const std::vector<VertexId>> seeds,
@@ -194,13 +97,13 @@ class Sampler {
 
   /// The coalesced (service-tier) entry point: one engine run over
   /// instances whose global RNG ids are given per instance by `tags`
-  /// (strictly increasing, one per seeds entry) instead of the contiguous
-  /// `instance_id_offset + i` assignment. Because the counter-based RNG
-  /// addresses every draw by the global id, instance i's samples here are
-  /// byte-identical to a plain run() whose offset placed it at tags[i] —
-  /// which is how csaw::Service batches requests from different clients
-  /// into one run and still returns each request the exact bytes a solo
-  /// run would have produced. The batch executes through the resolved
+  /// (strictly increasing, one per seeds entry) instead of run()'s ids
+  /// 0..n-1. Because the counter-based RNG addresses every draw by the
+  /// global id, instance i's samples here are byte-identical to those of
+  /// any other tagged run that gives it tags[i] — which is how
+  /// csaw::Service batches requests from different clients into one run
+  /// and still returns each request the exact bytes a solo run would
+  /// have produced. The batch executes through the resolved
   /// execution mode like any other run (multi-device splits the tag span
   /// with the seed span).
   ///
@@ -254,27 +157,23 @@ class Sampler {
   void set_partition_cache(std::shared_ptr<PartitionCache> cache);
 
  private:
-  /// Dispatches one run with an explicit global-id base offset (the
-  /// batched path shifts it per chunk) or explicit per-instance tags
-  /// (the service path; tags win when non-empty), under `control`.
+  /// Dispatches one run whose instance i has global id tags[i] (one tag
+  /// per seeds entry) under `control`.
   RunResult dispatch(std::span<const std::vector<VertexId>> seeds,
-                     std::uint32_t instance_id_offset,
-                     std::span<const std::uint32_t> tags = {},
+                     std::span<const std::uint32_t> tags,
                      const RunControl& control = {});
   RunResult run_in_memory(std::span<const std::vector<VertexId>> seeds,
-                          std::uint32_t instance_id_offset,
                           std::span<const std::uint32_t> tags,
                           std::uint32_t device_id, const RunControl& control);
   RunResult run_out_of_memory(std::span<const std::vector<VertexId>> seeds,
-                              std::uint32_t instance_id_offset,
                               std::span<const std::uint32_t> tags,
                               std::uint32_t device_id,
                               const RunControl& control);
-  /// Splits the run into per-device groups, each with its own RunControl:
-  /// the group's sub-range of instance tokens and a completion callback
-  /// re-based to run-local instance indices.
+  /// Splits the run into per-device groups, each with its subspan of the
+  /// tags and its own RunControl: the group's sub-range of instance
+  /// tokens and a completion callback re-based to run-local instance
+  /// indices.
   RunResult run_multi_device(std::span<const std::vector<VertexId>> seeds,
-                             std::uint32_t instance_id_offset,
                              std::span<const std::uint32_t> tags,
                              const RunControl& control);
 

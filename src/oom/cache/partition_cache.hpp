@@ -122,7 +122,7 @@ struct CacheLimits {
 /// across limits, schedules and thread counts; only transfer counts,
 /// kernel timing and therefore seps() vary. Branching specs are not: which
 /// frontier entries share a residency round decides the children's slots,
-/// so their samples can differ with the limits (ROADMAP.md open item 1).
+/// so their samples can differ with the limits (ROADMAP.md open item 6).
 class PartitionCache {
  public:
   /// Each partition on the device holds its own lane, the lowest one no

@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::uint32_t kNoChain = ~0u;
 constexpr std::uint32_t kNotResident = ~0u;
+/// Streams of the kStepBarrier waves: chosen partition i copies and runs
+/// on stream i % kBarrierStreams (the paper's Fig. 13 setup). The demand
+/// cache gives each partition on the device a stream of its own instead.
+constexpr std::uint32_t kBarrierStreams = 2;
 
 /// SM share per chosen partition of a barrier wave (thread-block
 /// balancing, 3 in Fig. 8): proportional to its queued entries under
@@ -71,7 +75,6 @@ OomEngine::OomEngine(const CsrGraph& graph, Policy policy, SamplingSpec spec,
                  "set SamplingSpec::branching_cap");
   CSAW_CHECK(options.resident_partitions >= 1);
   CSAW_CHECK(options.resident_partitions <= options.num_partitions);
-  CSAW_CHECK(options.num_streams >= 1);
   rows_ = static_ctps_rows(GraphView(*graph_), policy_, spec_);
 }
 
@@ -96,12 +99,12 @@ RunResult OomEngine::run(sim::Device& device,
                          std::span<const std::uint32_t> tags,
                          const RunControl& control) {
   const auto num_instances = static_cast<std::uint32_t>(seeds.size());
-  validate_instance_tags(tags, control, num_instances);
+  validate_run_tags(tags, control, num_instances);
   validate_seeds(seeds, graph_->num_vertices());
   instances_.assign(num_instances, InstanceState());
   for (std::uint32_t i = 0; i < num_instances; ++i) {
-    instances_[i].init(tags.empty() ? options_.instance_id_offset + i : tags[i],
-                       seeds[i], graph_->num_vertices(), spec_.filter_visited);
+    instances_[i].init(tags.empty() ? i : tags[i], seeds[i],
+                       graph_->num_vertices(), spec_.filter_visited);
   }
 
   RunResult result;
@@ -555,7 +558,7 @@ void OomEngine::copy_round(sim::Device& device, const Round& round,
                            OomMetrics& metrics) {
   for (std::size_t i = 0; i < round.partitions.size(); ++i) {
     const std::uint32_t p = round.partitions[i];
-    device.transfer().host_to_device(device.stream(i % options_.num_streams),
+    device.transfer().host_to_device(device.stream(i % kBarrierStreams),
                                      parts_->part(p).bytes(),
                                      "partition " + std::to_string(p));
     ++metrics.partition_transfers;
@@ -615,7 +618,7 @@ std::vector<double> OomEngine::record_waves(
     const std::string name =
         "oom_sample_p" + std::to_string(round.partitions[slot]);
     seconds[slot] += device.record_pipelined(
-        name, device.stream(slot % options_.num_streams), round.shares[slot],
+        name, device.stream(slot % kBarrierStreams), round.shares[slot],
         wave.tasks).duration();
     ++metrics.kernel_launches;
   }

@@ -7,8 +7,8 @@
 
 #include "core/engine.hpp"
 #include "core/frontier_queue.hpp"
+#include "core/options.hpp"
 #include "core/run_result.hpp"
-#include "core/sampler.hpp"
 #include "oom/cache/partition_cache.hpp"
 #include "oom/partitioned_graph.hpp"
 #include "util/stats.hpp"
@@ -37,7 +37,7 @@ class OomEngine {
  public:
   /// `options` supplies what every backend reads (seed, SELECT config,
   /// host threads, schedule) and the out-of-memory knobs: partitions,
-  /// resident partitions, streams, the BA/WS/BAL toggles of Fig. 13, the
+  /// resident partitions, the BA/WS/BAL toggles of Fig. 13, the
   /// unbatched gang size and the paged-I/O retry policy and faults. Its
   /// other fields are unused. `parts` shares a prebuilt partitioning (an
   /// O(V+E) pass: batched serving through csaw::Sampler partitions once
@@ -47,12 +47,13 @@ class OomEngine {
             const SamplerOptions& options,
             std::shared_ptr<const PartitionedGraph> parts = nullptr);
 
-  /// Runs all instances; seeds[i] are instance i's seed vertices. `tags`
-  /// (empty, or one strictly increasing global id per seeds entry,
-  /// checked) override the ids instance_id_offset + i, as in
-  /// Sampler::run_tagged; `control` carries the run's handles. Fills the
-  /// samples, sim_seconds (partition transfers included, the paper's
-  /// out-of-memory SEPS definition), device_seconds, stats, mode and oom.
+  /// Runs all instances; seeds[i] are instance i's seed vertices.
+  /// Instance i draws from the Philox stream of global id `tags[i]`
+  /// (empty: i; otherwise one strictly increasing id per seeds entry,
+  /// checked), as in Sampler::run_tagged; `control` carries the run's
+  /// handles. Fills the samples, sim_seconds (partition transfers
+  /// included, the paper's out-of-memory SEPS definition),
+  /// device_seconds, stats, mode and oom.
   RunResult run(sim::Device& device,
                 std::span<const std::vector<VertexId>> seeds,
                 std::span<const std::uint32_t> tags = {},

@@ -93,8 +93,6 @@ Service::Service(ServiceConfig config) : config_(std::move(config)) {
   CSAW_CHECK(config_.max_concurrent_batches >= 1);
   CSAW_CHECK(config_.stream_chunk_budget >= 1);
   CSAW_CHECK(config_.shards >= 1);
-  CSAW_CHECK(config_.shard_envelope_capacity >= 1);
-  CSAW_CHECK(config_.shard_queue_capacity >= 1);
   // Edge-denominated DRR credit: the auto value scales the old instance
   // quantum by a nominal 32 edges per instance (see ServiceConfig).
   quantum_ =
@@ -1216,13 +1214,8 @@ RunResult Service::execute_batch(const SampleRequest& head,
       graphs_.at(head.graph).shard_map = entry.shard_map;
     }
     ShardRouter router(graph, setup, config_.options,
-                       ShardOptions{
-                           .shards = config_.shards,
-                           .envelope_capacity =
-                               config_.shard_envelope_capacity,
-                           .queue_capacity = config_.shard_queue_capacity,
-                           .faults = config_.shard_faults,
-                       },
+                       ShardOptions{.shards = config_.shards,
+                                    .faults = config_.shard_faults},
                        entry.shard_map);
     if (pool_ != nullptr) router.set_executor(pool_);
     return router.run_tagged(seeds, tags, control);
@@ -1332,7 +1325,7 @@ void Service::retire_locked(std::vector<Pending>& riders,
       timed_.erase(rider.ticket);
     }
   }
-  while (recent_.size() > config_.health_window) recent_.pop_front();
+  while (recent_.size() > ServiceHealth::kWindowCapacity) recent_.pop_front();
 
   // Deliver, still under mu_: StreamState::mu and the trace recorder's
   // mutex are leaf locks under it, and fulfilling a promise never calls

@@ -44,9 +44,9 @@ class ServiceError : public std::runtime_error {
 struct ServiceConfig {
   /// Execution options every batch runs with. `mode` is normally left on
   /// kAuto so each batch picks in-memory / out-of-memory / multi-device
-  /// from its graph's footprint (the facade's existing selection logic);
-  /// instance_id_offset is ignored — the service addresses Philox streams
-  /// through per-request rng_base tags instead.
+  /// from its graph's footprint (the facade's existing selection logic).
+  /// The service addresses Philox streams through per-request rng_base
+  /// tags.
   SamplerOptions options;
   /// Admission bound: requests queued but not yet dispatched.
   std::uint32_t max_queue_depth = 256;
@@ -98,20 +98,14 @@ struct ServiceConfig {
   /// paged graphs, non-walk specs, multi-seed instances — silently run
   /// the ordinary path. 1 (the default) is exactly today's path.
   std::uint32_t shards = 1;
-  /// Max walkers per forwarded envelope. This, shard_queue_capacity and
-  /// shard_faults make the router's ShardOptions; its seed, SELECT,
-  /// threads, retry policy and device come from `options`.
-  std::uint32_t shard_envelope_capacity = 64;
-  /// Ingress-queue bound per shard; a full queue backpressures senders.
-  std::uint32_t shard_queue_capacity = 32;
   /// Optional deterministic envelope fault injector shared by every
   /// sharded batch, keyed by destination shard (tests script
   /// drops/delays/terminal shard death). Envelope deliveries retry under
-  /// options.transfer_retry, the paged path's policy.
+  /// options.transfer_retry, the paged path's policy. With `shards`, this
+  /// makes the router's ShardOptions (the envelope and queue bounds keep
+  /// the router's defaults); its seed, SELECT, threads, retry policy and
+  /// device come from `options`.
   std::shared_ptr<FaultInjector> shard_faults;
-  /// Health reporting: how many recently retired requests the
-  /// recent-outcome window of Service::health() covers.
-  std::uint32_t health_window = 256;
   /// Streaming delivery (Service::submit_streaming): in-flight chunks one
   /// stream may queue before its producer parks — the backpressure bound.
   /// A slow consumer therefore pins at most this many instances' edges
@@ -132,16 +126,18 @@ struct ServiceConfig {
 /// view an operator or load balancer polls, as opposed to the lifetime
 /// counters of Service::stats().
 struct ServiceHealth {
+  /// Most retired requests the recent-outcome window covers.
+  static constexpr std::uint64_t kWindowCapacity = 256;
+
   bool accepting = true;  ///< false once shutdown began
   bool paused = false;
   std::uint64_t queue_depth = 0;        ///< admitted, not yet in a batch
   std::uint32_t inflight_batches = 0;   ///< formed (ready or executing)
   std::uint32_t executing_batches = 0;  ///< inside an engine run
   std::uint64_t timed_requests = 0;     ///< deadlines armed, not yet fired
-  /// Recent-outcome window: of the last `window` retired requests
-  /// (bounded by ServiceConfig::health_window), how many failed. A
-  /// rising ratio flags a fault burst long before lifetime counters
-  /// move.
+  /// Recent-outcome window: of the last `window` retired requests (at
+  /// most kWindowCapacity), how many failed. A rising ratio flags a
+  /// fault burst long before lifetime counters move.
   std::uint64_t window = 0;
   std::uint64_t recent_failures = 0;
   // --- Outcome breakdown of the same window; counts sum to `window`.
@@ -170,8 +166,9 @@ struct Submission {
   RejectReason rejected = RejectReason::kNone;
   /// Admission order (1-based); 0 when rejected.
   std::uint64_t ticket = 0;
-  /// The assigned (or pinned) Philox stream base; a plain Sampler run
-  /// with instance_id_offset == rng_base reproduces the request's bytes.
+  /// The assigned (or pinned) Philox stream base; Sampler::run_tagged
+  /// with tags rng_base..rng_base+k-1 over the request's k seed lists
+  /// reproduces the request's bytes.
   std::uint32_t rng_base = 0;
   /// Valid only when accepted. Holds the request's RunResult, or the
   /// exception its batch failed with.
@@ -218,8 +215,8 @@ struct GraphResidency {
 /// byte-identical whether it ran alone, coalesced into any batch, or
 /// concurrently with other batches, at any host thread count — every
 /// instance draws from the Philox stream addressed by `rng_base + i`,
-/// carried through the engines as a per-instance tag
-/// (EngineConfig::instance_tags), so batch composition, scheduling
+/// carried through the engines as a per-instance tag (the `tags` of
+/// Sampler::run_tagged), so batch composition, scheduling
 /// policy and execution order are invisible in the bytes. What batching
 /// *does* change is the simulated schedule: a request's RunResult
 /// reports the makespan and stats of the batch it rode on.
@@ -534,8 +531,8 @@ class Service {
   /// ticket -> the service-owned cancel source of each deadline-armed
   /// request (what expire_deadlines_locked fires). Erased at retirement.
   std::map<std::uint64_t, CancelSource> timed_;
-  /// Outcomes of the last ServiceConfig::health_window retired requests
-  /// (the Service::health() failure window).
+  /// Outcomes of the last ServiceHealth::kWindowCapacity retired
+  /// requests (the Service::health() failure window).
   std::deque<RequestOutcome> recent_;
 
   /// Started last: every other member is initialized before any thread

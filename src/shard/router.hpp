@@ -30,7 +30,7 @@
 // Determinism contract — the headline claim of the sharded tier: a
 // run's samples are byte-identical at any shard count and any host
 // thread count, because every random draw is addressed by the global
-// instance tag (EngineConfig::instance_tags semantics), never by which
+// instance tag (the `tags` of Sampler::run_tagged), never by which
 // shard or thread executed the step. Walk-shaped specs keep the RNG
 // slot at 0 along the whole chain (single seed -> slot 0; one
 // neighbor per step -> child_slot = 0*cap+0), so a walker's draw

@@ -28,7 +28,7 @@ TEST_P(AllAlgorithms, RunsOnRmatAndProducesValidSample) {
   sim::Device device;
 
   // MDRW wants a multi-vertex pool; everything else single seeds.
-  SampleRun run;
+  RunResult run;
   if (setup.spec.select_frontier) {
     const std::vector<std::vector<VertexId>> seeds = {
         {0, 1, 2, 3}, {4, 5, 6, 7}};

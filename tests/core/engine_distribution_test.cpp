@@ -24,7 +24,7 @@ TEST(EngineDistribution, UnbiasedWalkFromStarCenterIsUniform) {
   sim::Device device;
 
   const std::vector<VertexId> seeds(20000, 0);  // all instances at center
-  const SampleRun run = engine.run_single_seed(device, seeds);
+  const RunResult run = engine.run_single_seed(device, seeds);
 
   std::vector<std::uint64_t> counts(kLeaves, 0);
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {
@@ -45,7 +45,7 @@ TEST(EngineDistribution, BiasedSamplingFollowsDegreeOnToyGraph) {
   sim::Device device;
 
   const std::vector<VertexId> seeds(30000, 8);
-  const SampleRun run = engine.run_single_seed(device, seeds);
+  const RunResult run = engine.run_single_seed(device, seeds);
 
   std::map<VertexId, std::size_t> index = {{5, 0}, {7, 1}, {9, 2},
                                            {10, 3}, {11, 4}};
@@ -69,7 +69,7 @@ TEST(EngineDistribution, MetropolisHastingsStationaryIsUniform) {
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
 
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{0});
   std::vector<std::uint64_t> visits(6, 0);
   for (const Edge& e : run.samples.edges(0)) {
@@ -100,7 +100,7 @@ TEST(EngineDistribution, Node2vecSecondStepMatchesPQFormula) {
   sim::Device device;
 
   const std::vector<VertexId> seeds(60000, 4);
-  const SampleRun run = engine.run_single_seed(device, seeds);
+  const RunResult run = engine.run_single_seed(device, seeds);
 
   // v7's neighbors: {0,1,4,5,6,8}. prev=v4: v4 -> 1/p; v5 (neighbor of
   // v4) -> 1; v0,v1,v6,v8 (two hops) -> 1/q.
@@ -135,7 +135,7 @@ TEST(EngineDistribution, BiasedWalkPrefersHighDegreeNeighbors) {
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
   const std::vector<VertexId> seeds(20000, 8);
-  const SampleRun run = engine.run_single_seed(device, seeds);
+  const RunResult run = engine.run_single_seed(device, seeds);
 
   std::uint64_t to_v7 = 0;
   for (std::uint32_t i = 0; i < seeds.size(); ++i) {

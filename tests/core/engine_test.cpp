@@ -24,15 +24,24 @@ std::vector<VertexId> first_n_seeds(std::uint32_t n) {
   return seeds;
 }
 
+/// Options of the step-barrier schedule the per-step figure benches
+/// measure, for tests that read its clock, stats or kernel log.
+SamplerOptions step_barrier(std::uint32_t threads = 0) {
+  SamplerOptions options;
+  options.schedule = Schedule::kStepBarrier;
+  options.num_threads = threads;
+  return options;
+}
+
 TEST(Engine, SimpleWalkHasExactLengthAndValidEdges) {
   const CsrGraph g = generate_rmat(512, 4096, 3);
   CsrGraphView view(g);
   auto setup = simple_random_walk(/*length=*/20);
-  SamplingEngine engine(view, setup.policy, setup.spec);
+  SamplingEngine engine(view, setup.policy, setup.spec, step_barrier());
   sim::Device device;
 
   const auto seeds = first_n_seeds(16);
-  const SampleRun run = engine.run_single_seed(device, seeds);
+  const RunResult run = engine.run_single_seed(device, seeds);
 
   for (std::uint32_t i = 0; i < 16; ++i) {
     const auto& walk = run.samples.edges(i);
@@ -61,8 +70,8 @@ TEST(Engine, WalkIsDeterministicPerSeedConfig) {
     sim::Device device;
     return engine.run_single_seed(device, first_n_seeds(8));
   };
-  const SampleRun a = run_once();
-  const SampleRun b = run_once();
+  const RunResult a = run_once();
+  const RunResult b = run_once();
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(a.samples.edges(i), b.samples.edges(i)) << "instance " << i;
   }
@@ -73,7 +82,7 @@ TEST(Engine, DifferentSeedsProduceDifferentWalks) {
   CsrGraphView view(g);
   auto setup = simple_random_walk(10);
 
-  EngineConfig c1, c2;
+  SamplerOptions c1, c2;
   c1.seed = 1;
   c2.seed = 2;
   SamplingEngine e1(view, setup.policy, setup.spec, c1);
@@ -99,7 +108,7 @@ TEST(Engine, NeighborSamplingNeverExpandsAVertexTwice) {
   auto setup = biased_neighbor_sampling(/*neighbor_size=*/2, /*depth=*/3);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run = engine.run_single_seed(device, first_n_seeds(64));
+  const RunResult run = engine.run_single_seed(device, first_n_seeds(64));
 
   for (std::uint32_t i = 0; i < 64; ++i) {
     std::map<VertexId, std::set<VertexId>> expansions;
@@ -122,7 +131,7 @@ TEST(Engine, NeighborSamplingRespectsDepthAndBranching) {
   auto setup = unbiased_neighbor_sampling(2, 3);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{0});
   // Complete graph: the tree grows at most 2 + 4 + 8 = 14 edges; visited
   // collisions can only shrink deeper levels.
@@ -138,7 +147,7 @@ TEST(Engine, SnowballEqualsBfsBall) {
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
   const VertexId seed = 0;
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{seed});
 
   // Reference BFS: vertices within kDepth hops.
@@ -167,7 +176,7 @@ TEST(Engine, MdrwKeepsPoolSizeAndUsesPoolVertices) {
   sim::Device device;
 
   const std::vector<std::vector<VertexId>> seeds = {{0, 1, 2, 3, 4}};
-  const SampleRun run = engine.run(device, seeds);
+  const RunResult run = engine.run(device, seeds);
   // One edge sampled per step (dense RMAT core: no dead ends expected).
   EXPECT_GT(run.samples.edges(0).size(), 25u);
   for (const Edge& e : run.samples.edges(0)) {
@@ -181,7 +190,7 @@ TEST(Engine, LayerSamplingSelectsPerLayer) {
   auto setup = layer_sampling(/*layer_size=*/4, /*depth=*/3);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run = engine.run_single_seed(device, first_n_seeds(8));
+  const RunResult run = engine.run_single_seed(device, first_n_seeds(8));
 
   for (std::uint32_t i = 0; i < 8; ++i) {
     // At most layer_size edges per depth level.
@@ -206,7 +215,7 @@ TEST(Engine, DeadEndTerminatesInstance) {
   };
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{0});
   const std::vector<Edge> expected = {{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(run.samples.edges(0), expected);
@@ -219,7 +228,7 @@ TEST(Engine, RestartWalkReturnsToSeed) {
   auto setup = random_walk_with_restart(40, 0.9);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{0});
   std::size_t at_seed = 0;
   for (const Edge& e : run.samples.edges(0)) at_seed += e.src == 0;
@@ -234,25 +243,26 @@ TEST(Engine, JumpWalkEscapesIsolatedComponent) {
   auto setup = random_walk_with_jump(200, 0.3);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run =
+  const RunResult run =
       engine.run_single_seed(device, std::vector<VertexId>{0});
   bool escaped = false;
   for (const Edge& e : run.samples.edges(0)) escaped |= e.src >= 2;
   EXPECT_TRUE(escaped);
 }
 
-TEST(Engine, InstanceOffsetShiftsRngStreams) {
+TEST(Engine, ShiftedTagsShiftRngStreams) {
+  // An instance's draws come from the Philox stream its tag names: the
+  // same seeds run as ids 100..103 instead of 0..3 take other walks.
   const CsrGraph g = generate_rmat(256, 2048, 19);
   CsrGraphView view(g);
   auto setup = simple_random_walk(10);
 
-  EngineConfig base, shifted;
-  shifted.instance_id_offset = 100;
-  SamplingEngine e0(view, setup.policy, setup.spec, base);
-  SamplingEngine e100(view, setup.policy, setup.spec, shifted);
+  SamplingEngine engine(view, setup.policy, setup.spec);
+  const auto seeds = expand_single_seeds(first_n_seeds(4));
+  const std::vector<std::uint32_t> shifted = {100, 101, 102, 103};
   sim::Device d0, d100;
-  const auto r0 = e0.run_single_seed(d0, first_n_seeds(4));
-  const auto r100 = e100.run_single_seed(d100, first_n_seeds(4));
+  const auto r0 = engine.run(d0, seeds);
+  const auto r100 = engine.run(d100, seeds, shifted);
   int different = 0;
   for (std::uint32_t i = 0; i < 4; ++i) {
     different += r0.samples.edges(i) != r100.samples.edges(i);
@@ -277,9 +287,9 @@ TEST(Engine, StatsArePopulated) {
   const CsrGraph g = generate_rmat(256, 2048, 23);
   CsrGraphView view(g);
   auto setup = biased_neighbor_sampling(2, 2);
-  SamplingEngine engine(view, setup.policy, setup.spec);
+  SamplingEngine engine(view, setup.policy, setup.spec, step_barrier());
   sim::Device device;
-  const SampleRun run = engine.run_single_seed(device, first_n_seeds(32));
+  const RunResult run = engine.run_single_seed(device, first_n_seeds(32));
   EXPECT_GT(run.stats.warps, 0u);
   EXPECT_GT(run.stats.lockstep_rounds, 0u);
   EXPECT_GT(run.stats.global_bytes, 0u);
@@ -321,12 +331,10 @@ TEST(Engine, BarrierTimelineIsPinned) {
     const AlgorithmSetup setup =
         make_algorithm(id, info.neighbors_per_step == "1" ? 12 : 3);
     for (const std::uint32_t threads : {1u, 4u}) {
-      EngineConfig config;
-      config.schedule = Schedule::kStepBarrier;
-      config.num_threads = threads;
-      SamplingEngine engine(view, setup.policy, setup.spec, config);
+      SamplingEngine engine(view, setup.policy, setup.spec,
+                            step_barrier(threads));
       sim::Device device;
-      const SampleRun run = engine.run(device, seeds);
+      const RunResult run = engine.run(device, seeds);
       testing::Digest d;
       d.add_kernels(device);
       d.add_samples(run.samples);
@@ -350,13 +358,13 @@ TEST(Engine, BarrierRunCancelledBeforeItStartsRecordsNothing) {
     for (const std::uint32_t threads : {1u, 4u}) {
       CancelSource source;
       source.cancel();
-      EngineConfig config;
-      config.schedule = Schedule::kStepBarrier;
-      config.num_threads = threads;
-      config.control.instance_cancel.assign(8, source.token());
-      SamplingEngine engine(view, setup.policy, setup.spec, config);
+      RunControl control;
+      control.instance_cancel.assign(8, source.token());
+      SamplingEngine engine(view, setup.policy, setup.spec,
+                            step_barrier(threads));
       sim::Device device;
-      const SampleRun run = engine.run_single_seed(device, first_n_seeds(8));
+      const RunResult run = engine.run(
+          device, expand_single_seeds(first_n_seeds(8)), {}, control);
       EXPECT_TRUE(device.kernel_log().empty())
           << algorithm_info(id).name << " threads=" << threads;
       EXPECT_EQ(run.sampled_edges(), 0u);

@@ -153,7 +153,7 @@ TEST_P(EdgeRefWeight, InMemoryWalk) {
   const CsrGraphView view(graph_);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run = engine.run_single_seed(device, seeds());
+  const RunResult run = engine.run_single_seed(device, seeds());
   EXPECT_GT(calls_.load(), 0u);
   EXPECT_EQ(mismatches_.load(), 0u);
   expect_sampled_weights(run.samples);
@@ -178,7 +178,7 @@ TEST_P(EdgeRefWeight, LayerSampling) {
   const CsrGraphView view(graph_);
   SamplingEngine engine(view, setup.policy, setup.spec);
   sim::Device device;
-  const SampleRun run = engine.run_single_seed(device, seeds());
+  const RunResult run = engine.run_single_seed(device, seeds());
   EXPECT_GT(calls_.load(), 0u);
   EXPECT_EQ(mismatches_.load(), 0u);
   expect_sampled_weights(run.samples);

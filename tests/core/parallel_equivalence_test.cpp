@@ -67,13 +67,15 @@ TEST(ParallelEquivalence, KernelLogsMatchPerKernel) {
   const auto setup = biased_neighbor_sampling(3, 3);
   const auto seeds = spread_seeds(g, 40);
 
-  EngineConfig serial_config;
+  SamplerOptions serial_config;
+  serial_config.schedule = Schedule::kStepBarrier;
   serial_config.num_threads = 1;
   sim::Device serial_device;
   SamplingEngine serial_engine(view, setup.policy, setup.spec, serial_config);
   serial_engine.run_single_seed(serial_device, seeds);
 
-  EngineConfig parallel_config;
+  SamplerOptions parallel_config;
+  parallel_config.schedule = Schedule::kStepBarrier;
   parallel_config.num_threads = 7;
   sim::Device parallel_device;
   SamplingEngine parallel_engine(view, setup.policy, setup.spec,

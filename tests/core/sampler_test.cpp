@@ -4,9 +4,9 @@
 
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "algorithms/layer_sampling.hpp"
@@ -27,6 +27,7 @@ namespace csaw {
 namespace {
 
 using testing::expect_matrix;
+using testing::expect_same_run;
 using testing::expect_same_samples;
 using testing::find_path;
 using testing::Front;
@@ -34,6 +35,13 @@ using testing::gapped_tags;
 using testing::Path;
 using testing::paths_where;
 using testing::spread_seeds;
+
+/// The adjacent tags first, first+1, .., first+n-1.
+std::vector<std::uint32_t> tags_from(std::uint32_t first, std::size_t n) {
+  std::vector<std::uint32_t> tags(n);
+  std::iota(tags.begin(), tags.end(), first);
+  return tags;
+}
 
 /// One path per Sampler backend and schedule, at one host thread.
 std::vector<Path> sampler_paths() {
@@ -172,16 +180,14 @@ TEST(Sampler, RegistryConstructorRuns) {
   EXPECT_GT(run.seps(), 0.0);
 }
 
-TEST(Sampler, InstanceIdOffsetShiftsDraws) {
+TEST(Sampler, ShiftedTagsShiftDraws) {
   const CsrGraph g = generate_rmat(512, 4096, 80);
   const auto setup = biased_random_walk(6);
-  const auto seeds = spread_seeds(g, 10);
+  const auto seeds = expand_single_seeds(spread_seeds(g, 10));
 
-  SamplerOptions base;
-  SamplerOptions shifted;
-  shifted.instance_id_offset = 100;
-  const RunResult a = Sampler(g, setup, base).run_single_seed(seeds);
-  const RunResult b = Sampler(g, setup, shifted).run_single_seed(seeds);
+  const RunResult a = Sampler(g, setup).run(seeds);
+  const RunResult b =
+      Sampler(g, setup).run_tagged(seeds, tags_from(100, seeds.size()));
   bool any_differs = false;
   for (std::uint32_t i = 0; i < seeds.size() && !any_differs; ++i) {
     any_differs = a.samples.edges(i) != b.samples.edges(i);
@@ -190,40 +196,29 @@ TEST(Sampler, InstanceIdOffsetShiftsDraws) {
       << "shifting the global instance ids must shift the RNG draws";
 }
 
-TEST(Sampler, TaggedRunMatchesOffsetRunsPerRange) {
+TEST(Sampler, TaggedRunMatchesSoloRunsPerRange) {
   // run_tagged is the service tier's coalescing primitive: one engine run
   // whose instances carry explicit global ids. A coalesced run over two
-  // id ranges must reproduce, byte for byte, the two offset runs that
+  // id ranges must reproduce, byte for byte, the two tagged runs that
   // would have served each range alone — on every Sampler path.
   const CsrGraph g = generate_rmat(1024, 8192, 82);
   const auto setup = biased_random_walk(8);
-  const auto seeds_a = spread_seeds(g, 6);
-  const auto seeds_b = spread_seeds(g, 9);
+  const auto seeds_a = expand_single_seeds(spread_seeds(g, 6));
+  const auto seeds_b = expand_single_seeds(spread_seeds(g, 9));
+  const auto tags_a = tags_from(40, seeds_a.size());
+  const auto tags_b = tags_from(300, seeds_b.size());
 
   for (const Path& path : sampler_paths()) {
     const SamplerOptions& options = path.options;
     const std::string label = path.label();
 
-    SamplerOptions solo_a = options;
-    solo_a.instance_id_offset = 40;
-    const RunResult a =
-        Sampler(g, setup, solo_a).run_single_seed(seeds_a);
+    const RunResult a = Sampler(g, setup, options).run_tagged(seeds_a, tags_a);
+    const RunResult b = Sampler(g, setup, options).run_tagged(seeds_b, tags_b);
 
-    SamplerOptions solo_b = options;
-    solo_b.instance_id_offset = 300;
-    const RunResult b =
-        Sampler(g, setup, solo_b).run_single_seed(seeds_b);
-
-    std::vector<std::vector<VertexId>> seeds;
-    std::vector<std::uint32_t> tags;
-    for (std::size_t i = 0; i < seeds_a.size(); ++i) {
-      seeds.push_back({seeds_a[i]});
-      tags.push_back(40 + static_cast<std::uint32_t>(i));
-    }
-    for (std::size_t i = 0; i < seeds_b.size(); ++i) {
-      seeds.push_back({seeds_b[i]});
-      tags.push_back(300 + static_cast<std::uint32_t>(i));
-    }
+    std::vector<std::vector<VertexId>> seeds = seeds_a;
+    seeds.insert(seeds.end(), seeds_b.begin(), seeds_b.end());
+    std::vector<std::uint32_t> tags = tags_a;
+    tags.insert(tags.end(), tags_b.begin(), tags_b.end());
     const RunResult whole = Sampler(g, setup, options).run_tagged(seeds, tags);
     ASSERT_GT(whole.sampled_edges(), 0u) << label;
 
@@ -487,65 +482,52 @@ TEST(Sampler, PagedRunReportsEveryCopyOnceInItsOomMetrics) {
   EXPECT_EQ(retries, oom.transfer_retries);
 }
 
-TEST(Sampler, OutOfMemoryModeAddsOnlyTheModeReasonToTheEngine) {
-  // The facade's out-of-memory mode builds an OomEngine from its own
-  // options and returns the engine's result: a direct engine on the same
-  // SamplerOptions yields the same samples, clocks, stats and OomMetrics,
-  // cold and then warm, under both schedules.
+TEST(Sampler, SingleDeviceModesAddOnlyTheModeReasonToTheEngine) {
+  // The facade's single-device modes build their engine (SamplingEngine
+  // in memory, OomEngine out of memory) from their own options and return
+  // the engine's result: a direct engine on the same SamplerOptions and
+  // tags yields the same samples, clocks, stats and OomMetrics, cold and
+  // then warm, under both schedules.
   const CsrGraph g = generate_rmat(1024, 8192, 87);
+  const CsrGraphView view(g);
   const auto setup = biased_random_walk(10);
   const auto seeds = expand_single_seeds(spread_seeds(g, 48));
-  const auto kernel_stats = [](const sim::KernelStats& stats) {
-    std::vector<std::uint64_t> values;
-    sim::visit_kernel_stats(stats, [&](std::string_view, std::uint64_t v) {
-      values.push_back(v);
-    });
-    return values;
-  };
-  const auto oom_fields = [](const OomMetrics& m) {
-    return std::vector<double>{
-        static_cast<double>(m.partition_transfers),
-        static_cast<double>(m.bytes_transferred),
-        m.kernel_imbalance,
-        static_cast<double>(m.scheduling_rounds),
-        static_cast<double>(m.kernel_launches),
-        static_cast<double>(m.cache_hits),
-        static_cast<double>(m.cache_evictions),
-        static_cast<double>(m.prefetch_transfers),
-        m.transfer_overlap_seconds,
-        static_cast<double>(m.transfer_faults),
-        static_cast<double>(m.transfer_retries)};
-  };
+  const auto tags = tags_from(7, seeds.size());
 
   for (const Schedule schedule :
        {Schedule::kStepBarrier, Schedule::kPipelined}) {
     SamplerOptions options;
-    options.mode = ExecutionMode::kOutOfMemory;
     options.schedule = schedule;
     options.num_partitions = 8;
     options.resident_partitions = 4;
-    options.instance_id_offset = 7;
-    Sampler sampler(g, setup, options);
-    OomEngine engine(g, setup.policy, setup.spec, options);
+
+    options.mode = ExecutionMode::kInMemory;
+    Sampler in_memory(g, setup, options);
+    SamplingEngine engine(view, setup.policy, setup.spec, options);
+
+    options.mode = ExecutionMode::kOutOfMemory;
+    Sampler paged(g, setup, options);
+    OomEngine oom_engine(g, setup.policy, setup.spec, options);
+
     for (const char* pass : {"cold", "warm"}) {
-      const std::string label =
-          std::string(schedule == Schedule::kPipelined ? "pipelined "
-                                                       : "barrier ") +
-          pass;
-      const RunResult facade = sampler.run(seeds);
+      const std::string label = to_string(schedule) + " " + pass;
       sim::Device device(0, options.device_params);
-      const RunResult direct = engine.run(device, seeds);
-      expect_same_samples(facade.samples, direct.samples, label);
-      EXPECT_EQ(facade.sim_seconds, direct.sim_seconds) << label;
-      EXPECT_EQ(facade.device_seconds, direct.device_seconds) << label;
-      EXPECT_EQ(kernel_stats(facade.stats), kernel_stats(direct.stats))
-          << label;
-      ASSERT_TRUE(facade.oom.has_value() && direct.oom.has_value())
-          << label;
-      EXPECT_EQ(oom_fields(*facade.oom), oom_fields(*direct.oom)) << label;
+      const RunResult facade = in_memory.run_tagged(seeds, tags);
+      const RunResult direct = engine.run(device, seeds, tags);
+      expect_same_run(facade, direct, "in-memory " + label);
+
+      sim::Device oom_device(0, options.device_params);
+      const RunResult paged_facade = paged.run_tagged(seeds, tags);
+      const RunResult paged_direct = oom_engine.run(oom_device, seeds, tags);
+      expect_same_run(paged_facade, paged_direct, "paged " + label);
+      ASSERT_TRUE(paged_direct.oom.has_value()) << label;
+
       EXPECT_EQ(facade.mode, direct.mode) << label;
+      EXPECT_EQ(paged_facade.mode, paged_direct.mode) << label;
       EXPECT_TRUE(direct.mode_reason.empty()) << label;
+      EXPECT_TRUE(paged_direct.mode_reason.empty()) << label;
       EXPECT_FALSE(facade.mode_reason.empty()) << label;
+      EXPECT_FALSE(paged_facade.mode_reason.empty()) << label;
     }
   }
 }

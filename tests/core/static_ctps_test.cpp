@@ -14,6 +14,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -241,9 +242,10 @@ TEST(StaticCtpsEquivalence, ServiceMatchesThePerStepBuild) {
       request.rng_base = kBase;
       const RunResult got = service.sample(std::move(request));
 
-      options.instance_id_offset = kBase;
+      std::vector<std::uint32_t> tags(seeds.size());
+      std::iota(tags.begin(), tags.end(), kBase);
       Sampler per_step(*graph, as_dynamic(make_algorithm(id, 10)), options);
-      expect_same_run(got, per_step.run_single_seed(seed_list), label);
+      expect_same_run(got, per_step.run_tagged(seeds, tags), label);
     }
   }
 }

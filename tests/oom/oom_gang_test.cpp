@@ -79,7 +79,7 @@ TEST(OomGang, MetropolisHastingsBitIdenticalUnderGangScheduling) {
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
   sim::Device d_in;
-  const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
+  const RunResult reference = in_memory.run_single_seed(d_in, seeds);
 
   SamplerOptions options;
   options.schedule = Schedule::kStepBarrier;

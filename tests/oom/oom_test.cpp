@@ -46,7 +46,6 @@ class OomOptions : public ::testing::TestWithParam<OomToggles> {
     SamplerOptions o = barrier_options();
     o.num_partitions = 4;
     o.resident_partitions = 2;
-    o.num_streams = 2;
     o.oom_batched = GetParam().batched;
     o.oom_workload_aware = GetParam().workload_aware;
     o.oom_block_balancing = GetParam().balancing;
@@ -65,7 +64,7 @@ TEST_P(OomOptions, WalkMatchesInMemoryBitForBit) {
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
   sim::Device d_in;
-  const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
+  const RunResult reference = in_memory.run_single_seed(d_in, seeds);
 
   OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device d_oom;
@@ -86,7 +85,7 @@ TEST_P(OomOptions, MetropolisHastingsAlsoMatches) {
   CsrGraphView view(g);
   SamplingEngine in_memory(view, setup.policy, setup.spec);
   sim::Device d_in;
-  const SampleRun reference = in_memory.run_single_seed(d_in, seeds);
+  const RunResult reference = in_memory.run_single_seed(d_in, seeds);
 
   OomEngine oom(g, setup.policy, setup.spec, options());
   sim::Device d_oom;
@@ -185,7 +184,6 @@ TEST(Oom, BarrierTimelineIsPinned) {
       SamplerOptions options = barrier_options();
       options.num_partitions = 4;
       options.resident_partitions = 2;
-      options.num_streams = 2;
       options.oom_batched = c.batched;
       options.oom_workload_aware = c.workload_aware;
       options.oom_block_balancing = c.balancing;

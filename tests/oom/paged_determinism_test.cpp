@@ -43,7 +43,6 @@ SamplerOptions paged_options(Schedule schedule, std::uint32_t capacity,
   options.mode = ExecutionMode::kOutOfMemory;
   options.num_partitions = kPartitions;
   options.resident_partitions = capacity;
-  options.num_streams = 2;
   options.num_threads = threads;
   options.schedule = schedule;
   return options;

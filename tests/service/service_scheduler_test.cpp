@@ -56,6 +56,27 @@ ServiceConfig serial_engine_config() {
   return config;
 }
 
+/// When the request's batch formed: the seq of the event that closed its
+/// queue span. Formation orders requests without racing the host clock,
+/// which a wait on a result future would.
+std::uint64_t formed_at(const telemetry::TraceRecorder& trace,
+                        const Submission& submission) {
+  const telemetry::TraceRecorder::Args ticket = {
+      {"ticket", std::to_string(submission.ticket)}};
+  std::uint64_t span = 0;
+  for (const telemetry::TraceEvent& event : trace.snapshot()) {
+    if (event.name != "queue") continue;
+    if (event.phase == telemetry::TracePhase::kBegin && event.args == ticket) {
+      span = event.id;
+    } else if (event.phase == telemetry::TracePhase::kEnd && span != 0 &&
+               event.id == span) {
+      return event.seq;
+    }
+  }
+  ADD_FAILURE() << "no closed queue span for ticket " << submission.ticket;
+  return 0;
+}
+
 TEST(ServiceScheduler, DeadlineLaunchesPartialBatch) {
   // A lone request can never fill max_batch_instances: with a deadline
   // configured, the only way it launches (short of shutdown) is the
@@ -219,30 +240,29 @@ TEST(ServiceScheduler, TenantQuotaBoundsAFloodingTenant) {
   config.tenant_quota = 4;
   config.fairness_quantum = 4 * 4096;  // noisy1's estimated edge cost
   config.start_paused = true;
+  config.trace = std::make_shared<telemetry::TraceRecorder>();
   Service service(config);
   service.add_graph("f1", graph_a());
   service.add_graph("f2", graph_b());
   service.add_graph("v", std::make_shared<const CsrGraph>(
                              generate_rmat(1024, 8192, 99)));
 
-  // ~20ms of host work per noisy batch: the ordering assertions below
-  // tolerate two orders of magnitude of scheduler/wake latency.
   Submission noisy1 = service.submit(walk_request("f1", 4, 4096, "noisy"));
   Submission noisy2 = service.submit(walk_request("f2", 4, 4096, "noisy"));
   Submission quiet = service.submit(walk_request("v", 1, 2, "quiet"));
   ASSERT_TRUE(noisy1.accepted() && noisy2.accepted() && quiet.accepted());
   service.resume();
 
+  service.drain();
+  EXPECT_GT(quiet.result.get().sampled_edges(), 0u);
+  EXPECT_GT(noisy1.result.get().sampled_edges(), 0u);
+  EXPECT_GT(noisy2.result.get().sampled_edges(), 0u);
+
   // The quiet tenant's tiny batch rides the second runner slot while the
   // flood's first (heavy) batch occupies the first; the flood's second
   // request cannot form before that batch retires.
-  EXPECT_GT(quiet.result.get().sampled_edges(), 0u);
-  EXPECT_EQ(noisy2.result.wait_for(0ms), std::future_status::timeout)
+  EXPECT_LT(formed_at(*config.trace, quiet), formed_at(*config.trace, noisy2))
       << "the flooding tenant overran its quota";
-
-  service.drain();
-  EXPECT_GT(noisy1.result.get().sampled_edges(), 0u);
-  EXPECT_GT(noisy2.result.get().sampled_edges(), 0u);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches, 3u);
@@ -266,12 +286,11 @@ TEST(ServiceScheduler, DeficitRoundRobinRotatesTenants) {
   ServiceConfig config = serial_engine_config();
   config.max_concurrent_batches = 1;
   config.start_paused = true;
+  config.trace = std::make_shared<telemetry::TraceRecorder>();
   Service service(config);
   service.add_graph("a", graph_a());
 
-  // bulk2/bulk3 carry ~20ms of host work each (distinct lengths keep
-  // them non-coalescible), so "bulk3 has not run yet" holds with two
-  // orders of magnitude of margin when tiny's future resolves.
+  // Distinct lengths keep the bulk requests non-coalescible.
   Submission bulk1 = service.submit(walk_request("a", 4, 8, "bulk"));
   Submission bulk2 = service.submit(walk_request("a", 8, 2048, "bulk"));
   Submission bulk3 = service.submit(walk_request("a", 8, 2049, "bulk"));
@@ -279,19 +298,18 @@ TEST(ServiceScheduler, DeficitRoundRobinRotatesTenants) {
   ASSERT_TRUE(bulk1.accepted() && bulk2.accepted() && bulk3.accepted() &&
               tiny.accepted());
   service.resume();
-
-  // Batches run strictly one at a time, so when tiny's future resolves,
-  // the flood's last batch cannot have run yet — unless fairness failed
-  // and tiny was dispatched behind the whole flood.
-  EXPECT_GT(tiny.result.get().sampled_edges(), 0u);
-  EXPECT_EQ(bulk3.result.wait_for(0ms), std::future_status::timeout)
-      << "tiny was starved behind the flood";
-
   service.drain();
+  EXPECT_GT(tiny.result.get().sampled_edges(), 0u);
   bulk1.result.get();
   bulk2.result.get();
   bulk3.result.get();
   EXPECT_EQ(service.stats().batches, 4u);
+
+  // Batches run strictly one at a time, so the flood's last batch forms
+  // after tiny's — unless fairness failed and tiny was dispatched behind
+  // the whole flood.
+  EXPECT_LT(formed_at(*config.trace, tiny), formed_at(*config.trace, bulk3))
+      << "tiny was starved behind the flood";
 }
 
 TEST(ServiceScheduler, EdgeWeightedFairnessLetsCheapTenantsOvertake) {
@@ -305,6 +323,7 @@ TEST(ServiceScheduler, EdgeWeightedFairnessLetsCheapTenantsOvertake) {
   ServiceConfig config = serial_engine_config();
   config.max_concurrent_batches = 1;
   config.start_paused = true;
+  config.trace = std::make_shared<telemetry::TraceRecorder>();
   Service service(config);
   service.add_graph("a", graph_a());
 
@@ -319,21 +338,20 @@ TEST(ServiceScheduler, EdgeWeightedFairnessLetsCheapTenantsOvertake) {
   ASSERT_TRUE(heavy1.accepted() && heavy2.accepted() && heavy3.accepted());
   ASSERT_TRUE(light1.accepted() && light2.accepted() && light3.accepted());
   service.resume();
-
-  // Serialized batches: when the last cheap request resolves, the
-  // flood's second request cannot have run yet (its batch alone carries
-  // ~20ms of host work — two orders of magnitude of margin).
-  EXPECT_GT(light3.result.get().sampled_edges(), 0u);
-  EXPECT_EQ(heavy2.result.wait_for(0ms), std::future_status::timeout)
-      << "cheap tenant paid instance-denominated cost";
-
   service.drain();
+  EXPECT_GT(light3.result.get().sampled_edges(), 0u);
   heavy1.result.get();
   heavy2.result.get();
   heavy3.result.get();
   light1.result.get();
   light2.result.get();
   EXPECT_EQ(service.stats().batches, 6u);
+
+  // Serialized batches: the last cheap request forms before the flood's
+  // second.
+  EXPECT_LT(formed_at(*config.trace, light3),
+            formed_at(*config.trace, heavy2))
+      << "cheap tenant paid instance-denominated cost";
 }
 
 TEST(ServiceScheduler, PerTenantStatsAccumulate) {
